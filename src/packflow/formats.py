@@ -207,7 +207,7 @@ def emit_dpm(metric: DecoratedMetric, target: np.ndarray | None = None) -> str:
     doc = {
         "format": FORMAT_NAME,
         "num_vertices": mesh.num_vertices,
-        "triangles": [list(t) for t in mesh.triangles],
+        "triangles": mesh.triangles.tolist(),
         "gluings": gluings,
         "edge_lengths": list(metric.effective_lengths),
         "radii": list(metric.effective_radii),

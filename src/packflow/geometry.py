@@ -249,7 +249,7 @@ class TriangleGeometry:
 
     @classmethod
     def from_metric(cls, metric: DecoratedMetric, triangle: int) -> "TriangleGeometry":
-        tri = metric.mesh.triangles[triangle]
+        tri = tuple(metric.mesh.triangles[triangle].tolist())
         sides = triangle_side_lengths(metric)[triangle]
         radii = metric.effective_radii[list(tri)]
         a0, a1, a2 = inner_angles(*sides)

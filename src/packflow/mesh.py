@@ -11,6 +11,16 @@ pair are legal, which is what surgery on small flat tori produces.
 Vertex labels name marked points.  Validation checks that the corner
 identification forced by the gluings agrees with the labels, so a label
 always means one point of the surface.
+
+Storage is flat integer arrays, halfedge style.  Side ``e`` of triangle
+``t`` is slot ``s = 3 t + e`` (corner ``c`` of ``t`` shares the numbering).
+``triangles`` (F, 3) holds the corner labels, ``twin[s]`` the slot glued to
+``s``, ``edge_of[s]`` the edge id under ``s``; per edge, ``edge_side`` holds
+its first side and ``edge_ends`` (E, 2) the labels read off that side, tail
+first.  A flip rewrites two triangles, six slots and five edge rows in
+place; a copy copies the arrays.  ``triangle_array``, ``slot_edge_array``
+and ``edge_endpoints_array`` return read-only views of the storage, so no
+caller can corrupt the complex; a view follows later flips.
 """
 
 from __future__ import annotations
@@ -61,130 +71,133 @@ class FlipRecord:
     triangles: tuple[int, int]
     old_corners: tuple[tuple[int, int, int], tuple[int, int, int]]
     new_corners: tuple[tuple[int, int, int], tuple[int, int, int]]
-    slot_remap: dict[Slot, Slot]
+
+
+def _next_slot(s):
+    """Slot of the next side of the same triangle (scalar or array)."""
+    return s - s % 3 + (s + 1) % 3
+
+
+def _prev_slot(s):
+    """Slot of the previous side of the same triangle: the side arriving at corner s."""
+    return s - s % 3 + (s + 2) % 3
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 class DeltaComplex:
     """Closed oriented triangulated surface with marked vertices.
 
     Use :func:`build_complex` or :func:`infer_gluings` instead of the raw
-    constructor; they run the full validation pass.
+    constructor; they run the full validation pass.  The constructor takes
+    the corner labels, ``twin`` (slot numbers, -1 where a side is unglued)
+    and ``edge_side`` (the first side of each edge, whose order fixes the
+    edge ids) and derives the rest.
     """
 
     def __init__(
         self,
         num_vertices: int,
-        triangles: list[tuple[int, int, int]],
-        glue: dict[Slot, Slot],
-        edges: list[tuple[Slot, Slot]],
-        slot_edge: dict[Slot, int],
+        triangles: Sequence[Sequence[int]],
+        twin: Sequence[int],
+        edge_side: Sequence[int],
     ):
-        self.num_vertices = num_vertices
-        self.triangles = triangles
-        self._glue = glue
-        self._edges = edges
-        self._slot_edge = slot_edge
+        self.num_vertices = int(num_vertices)
+        self._tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+        self._twin = np.array(twin, dtype=np.int64)
+        self._edge_side = np.array(edge_side, dtype=np.int64)
+        ids = np.arange(self._edge_side.size)
+        self._edge_of = np.full(self._twin.size, -1, dtype=np.int64)
+        self._edge_of[self._edge_side] = ids
+        self._edge_of[self._twin[self._edge_side]] = ids
+        corners = self._tri.ravel()
+        self._edge_ends = np.stack(
+            [corners[self._edge_side], corners[_next_slot(self._edge_side)]], axis=1
+        )
         self.version = 0
-        self._array_cache: dict[str, tuple[int, np.ndarray]] = {}
 
     # -- size and lookup ----------------------------------------------------
 
     @property
     def num_triangles(self) -> int:
-        return len(self.triangles)
+        return self._tri.shape[0]
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return self._edge_side.size
 
     @property
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_triangles
 
+    @property
+    def triangles(self) -> np.ndarray:
+        """Corner labels, shape (F, 3), read-only."""
+        return _read_only(self._tri)
+
+    def _slot_index(self, slot: Slot) -> int:
+        t, e = slot
+        if not (0 <= t < self.num_triangles and 0 <= e < 3):
+            raise KeyError(slot)
+        return 3 * t + e
+
     def glued_to(self, slot: Slot) -> Slot:
-        return self._glue[slot]
+        return divmod(self._twin.item(self._slot_index(slot)), 3)
 
     def slot_edge(self, slot: Slot) -> int:
-        return self._slot_edge[slot]
+        return self._edge_of.item(self._slot_index(slot))
 
     def slot_endpoints(self, slot: Slot) -> tuple[int, int]:
         t, e = slot
-        tri = self.triangles[t]
-        return tri[e], tri[(e + 1) % 3]
+        return self._tri.item(t, e), self._tri.item(t, (e + 1) % 3)
 
     def edge(self, edge_id: int) -> EdgeHandle:
-        s1, s2 = self._edges[edge_id]
-        return EdgeHandle(edge_id, self.slot_endpoints(s1), (s1, s2))
+        s1 = self._edge_side.item(edge_id)
+        s2 = self._twin.item(s1)
+        ends = (self._edge_ends.item(edge_id, 0), self._edge_ends.item(edge_id, 1))
+        return EdgeHandle(edge_id, ends, (divmod(s1, 3), divmod(s2, 3)))
 
     def edges(self) -> Iterable[EdgeHandle]:
-        return (self.edge(i) for i in range(len(self._edges)))
+        return (self.edge(i) for i in range(self.num_edges))
 
-    # -- cached index arrays --------------------------------------------------
-
-    def _cached(self, key: str, build) -> np.ndarray:
-        hit = self._array_cache.get(key)
-        if hit is not None and hit[0] == self.version:
-            return hit[1]
-        arr = build()
-        self._array_cache[key] = (self.version, arr)
-        return arr
+    # -- index arrays (read-only views of the storage) ------------------------
 
     def triangle_array(self) -> np.ndarray:
         """Corner labels, shape (F, 3)."""
-        return self._cached("tri", lambda: np.array(self.triangles, dtype=np.int64))
+        return _read_only(self._tri)
 
     def slot_edge_array(self) -> np.ndarray:
         """Edge id under each (triangle, side) slot, shape (F, 3)."""
-
-        def build() -> np.ndarray:
-            out = np.empty((self.num_triangles, 3), dtype=np.int64)
-            for (t, e), eid in self._slot_edge.items():
-                out[t, e] = eid
-            return out
-
-        return self._cached("slot_edge", build)
+        return _read_only(self._edge_of.reshape(-1, 3))
 
     def edge_endpoints_array(self) -> np.ndarray:
         """Vertex labels by edge id, shape (E, 2)."""
-
-        def build() -> np.ndarray:
-            out = np.empty((self.num_edges, 2), dtype=np.int64)
-            for eid, (s1, _) in enumerate(self._edges):
-                out[eid] = self.slot_endpoints(s1)
-            return out
-
-        return self._cached("edge_ends", build)
+        return _read_only(self._edge_ends)
 
     # -- stars -----------------------------------------------------------------
-
-    def _next_corner_around(self, t: int, c: int) -> tuple[int, int]:
-        # Cross the side arriving at this corner; land on the corner of the
-        # neighbor that is glued to the same surface point.
-        partner = self._glue[(t, (c + 2) % 3)]
-        return partner
 
     def vertex_star(self, v: int) -> list[tuple[int, int]]:
         """All (triangle, corner) incidences of vertex ``v`` in cyclic order.
 
         Every corner labeled ``v`` appears exactly once; loops and multiple
-        edges are handled because the walk uses gluings, not labels.
+        edges are handled because the walk uses gluings, not labels.  The
+        next corner is found by crossing the side arriving at the current
+        one: the glued slot starts at the same surface point.
         """
-        start = None
-        for t, tri in enumerate(self.triangles):
-            for c in range(3):
-                if tri[c] == v:
-                    start = (t, c)
-                    break
-            if start is not None:
-                break
-        if start is None:
+        hits = np.flatnonzero(self._tri.ravel() == v)
+        if hits.size == 0:
             raise UnusedVertex(f"vertex {v} appears on no triangle")
-        out = [start]
-        cur = self._next_corner_around(*start)
-        while cur != start:
-            out.append(cur)
-            cur = self._next_corner_around(*cur)
-        return out
+        start = cur = int(hits[0])
+        out = []
+        while True:
+            out.append(divmod(cur, 3))
+            cur = self._twin.item(_prev_slot(cur))
+            if cur == start:
+                return out
 
     # -- mutation ------------------------------------------------------------
 
@@ -196,59 +209,47 @@ class DeltaComplex:
         their ids and the flipped edge keeps its own id with new endpoints
         (k, l).  Purely combinatorial; lengths are the caller's business.
         """
-        s1, s2 = self._edges[edge_id]
-        t1, e1 = s1
-        t2, e2 = s2
+        twin, edge_of, edge_side = self._twin, self._edge_of, self._edge_side
+        t1, e1 = divmod(edge_side.item(edge_id), 3)
+        t2, e2 = divmod(twin.item(3 * t1 + e1), 3)
         if t1 == t2:
             raise SelfFlip(
                 f"edge {edge_id} has both sides on triangle {t1}; flip undefined"
             )
-        tri1, tri2 = self.triangles[t1], self.triangles[t2]
+        tri1 = tuple(self._tri[t1].tolist())
+        tri2 = tuple(self._tri[t2].tolist())
         i, j, k = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3]
         l = tri2[(e2 + 2) % 3]
 
-        outer = [
-            (t1, (e1 + 1) % 3),  # j -> k
-            (t1, (e1 + 2) % 3),  # k -> i
-            (t2, (e2 + 1) % 3),  # i -> l
-            (t2, (e2 + 2) % 3),  # l -> j
-        ]
-        remap: dict[Slot, Slot] = {
-            outer[0]: (t1, 1),
-            outer[1]: (t2, 0),
-            outer[2]: (t2, 1),
-            outer[3]: (t1, 0),
+        # where each outer side lands: j -> k, k -> i, i -> l, l -> j
+        remap = {
+            3 * t1 + (e1 + 1) % 3: 3 * t1 + 1,
+            3 * t1 + (e1 + 2) % 3: 3 * t2,
+            3 * t2 + (e2 + 1) % 3: 3 * t2 + 1,
+            3 * t2 + (e2 + 2) % 3: 3 * t1,
         }
-        partners = {s: self._glue[s] for s in outer}
-        outer_edges = {s: self._slot_edge[s] for s in outer}
-        # snapshot the affected edge rows: when both sides of an outer edge
-        # lie on the two flipped triangles the remap must hit the row exactly
-        # once, not once per side
-        outer_rows = {eid: self._edges[eid] for eid in outer_edges.values()}
+        partners = {s: twin.item(s) for s in remap}
+        outer_edges = {s: edge_of.item(s) for s in remap}
+        # keyed by edge id: an outer edge with both sides on the two flipped
+        # triangles has its row remapped once, not once per side
+        first_sides = {eid: edge_side.item(eid) for eid in outer_edges.values()}
 
-        for s in outer + [s1, s2]:
-            del self._glue[s]
-            del self._slot_edge[s]
+        for s, new_s in remap.items():
+            new_p = remap.get(partners[s], partners[s])
+            twin[new_s] = new_p
+            twin[new_p] = new_s
+            edge_of[new_s] = outer_edges[s]
+        for eid, s in first_sides.items():
+            edge_side[eid] = remap.get(s, s)
 
-        self.triangles[t1] = (l, j, k)
-        self.triangles[t2] = (k, i, l)
-
-        for s in outer:
-            new_s = remap[s]
-            p = partners[s]
-            new_p = remap.get(p, p)
-            self._glue[new_s] = new_p
-            self._glue[new_p] = new_s
-            self._slot_edge[new_s] = outer_edges[s]
-        for eid, (a, b) in outer_rows.items():
-            self._edges[eid] = (remap.get(a, a), remap.get(b, b))
-
-        diag = ((t1, 2), (t2, 2))
-        self._glue[diag[0]] = diag[1]
-        self._glue[diag[1]] = diag[0]
-        self._slot_edge[diag[0]] = edge_id
-        self._slot_edge[diag[1]] = edge_id
-        self._edges[edge_id] = diag
+        d1, d2 = 3 * t1 + 2, 3 * t2 + 2
+        twin[d1], twin[d2] = d2, d1
+        edge_of[d1] = edge_of[d2] = edge_id
+        edge_side[edge_id] = d1
+        self._edge_ends[edge_id] = (k, l)
+        new1, new2 = (l, j, k), (k, i, l)
+        self._tri[t1] = new1
+        self._tri[t2] = new2
 
         self.version += 1
         return FlipRecord(
@@ -257,19 +258,14 @@ class DeltaComplex:
             new_endpoints=(k, l),
             triangles=(t1, t2),
             old_corners=(tri1, tri2),
-            new_corners=(self.triangles[t1], self.triangles[t2]),
-            slot_remap=remap,
+            new_corners=(new1, new2),
         )
 
     def copy(self) -> "DeltaComplex":
-        dup = DeltaComplex(
-            self.num_vertices,
-            list(self.triangles),
-            dict(self._glue),
-            list(self._edges),
-            dict(self._slot_edge),
+        dup = DeltaComplex.__new__(DeltaComplex)
+        dup.__dict__.update(
+            (k, v.copy() if isinstance(v, np.ndarray) else v) for k, v in vars(self).items()
         )
-        dup.version = self.version
         return dup
 
     # -- validation ------------------------------------------------------------
@@ -285,103 +281,103 @@ class DeltaComplex:
         )
 
 
-def flip_combinatorial(mesh: DeltaComplex, edge_id: int) -> tuple[DeltaComplex, FlipRecord]:
-    """Flip an edge of ``mesh`` in place; returns the mesh and the remap record."""
-    record = mesh.flip(edge_id)
-    return mesh, record
-
-
 def vertex_star(mesh: DeltaComplex, v: int) -> list[tuple[int, int]]:
     return mesh.vertex_star(v)
 
 
 def _validate(mesh: DeltaComplex) -> None:
     n = mesh.num_vertices
-    tris = mesh.triangles
+    corners = mesh._tri.ravel()
     if n <= 0:
         raise MeshError("num_vertices must be positive")
-    if not tris:
+    if corners.size == 0:
         raise MeshError("no triangles")
-    seen_labels = set()
-    for t, tri in enumerate(tris):
-        if len(tri) != 3:
-            raise MeshError(f"triangle {t} does not have three corners")
-        for c in tri:
-            if not (0 <= c < n):
-                raise MeshError(f"triangle {t} references vertex {c} outside [0, {n})")
-            seen_labels.add(c)
-    missing = set(range(n)) - seen_labels
-    if missing:
-        raise UnusedVertex(f"vertex labels never used: {sorted(missing)}")
+    outside = np.flatnonzero((corners < 0) | (corners >= n))
+    if outside.size:
+        s = int(outside[0])
+        raise MeshError(f"triangle {s // 3} references vertex {corners[s]} outside [0, {n})")
+    missing = np.setdiff1d(np.arange(n), corners)
+    if missing.size:
+        raise UnusedVertex(f"vertex labels never used: {missing.tolist()}")
 
-    all_slots = {(t, e) for t in range(len(tris)) for e in range(3)}
-    glue = mesh._glue
-    if set(glue.keys()) != all_slots:
-        extra = set(glue.keys()) - all_slots
-        if extra:
-            raise UnmatchedSlot(f"gluing references unknown slots: {sorted(extra)[:4]}")
-        lonely = sorted(all_slots - set(glue.keys()))
+    num_slots = corners.size
+    labels = corners.tolist()
+    glued = mesh._twin.tolist()
+    if len(glued) != num_slots:
+        raise UnmatchedSlot(f"gluing has {len(glued)} entries for {num_slots} sides")
+    lonely = [divmod(s, 3) for s, p in enumerate(glued) if not 0 <= p < num_slots]
+    if lonely:
         raise UnmatchedSlot(f"sides missing from the gluing: {lonely[:4]}")
-    for s, p in glue.items():
+    for s, p in enumerate(glued):
         if s == p:
-            raise UnmatchedSlot(f"slot {s} glued to itself")
-        if glue.get(p) != s:
-            raise UnmatchedSlot(f"gluing is not an involution at {s} <-> {p}")
-        a, b = mesh.slot_endpoints(s)
-        b2, a2 = mesh.slot_endpoints(p)
+            raise UnmatchedSlot(f"slot {divmod(s, 3)} glued to itself")
+        if glued[p] != s:
+            raise UnmatchedSlot(f"gluing is not an involution at {divmod(s, 3)} <-> {divmod(p, 3)}")
+        a, b = labels[s], labels[_next_slot(s)]
+        b2, a2 = labels[p], labels[_next_slot(p)]
         if (a, b) != (a2, b2):
             raise OrientationMismatch(
-                f"slots {s} ({a}->{b}) and {p} ({b2}->{a2} reversed) disagree on labels"
+                f"slots {divmod(s, 3)} ({a}->{b}) and {divmod(p, 3)} ({b2}->{a2} reversed)"
+                " disagree on labels"
             )
 
     # edge table consistent with the gluing
-    if len(mesh._slot_edge) != len(all_slots):
+    edge_of = mesh._edge_of.tolist()
+    if -1 in edge_of:
         raise UnmatchedSlot("edge table does not cover every side")
-    for eid, (s1, s2) in enumerate(mesh._edges):
-        if glue[s1] != s2 or mesh._slot_edge[s1] != eid or mesh._slot_edge[s2] != eid:
+    rows = zip(mesh._edge_side.tolist(), mesh._edge_ends.tolist())
+    for eid, (s, ends) in enumerate(rows):
+        if edge_of[s] != eid or edge_of[glued[s]] != eid or ends != [labels[s], labels[_next_slot(s)]]:
             raise MeshError(f"edge table row {eid} disagrees with the gluing")
 
-    # corner orbits around vertices must match the labels one-to-one
-    remaining = {(t, c) for t in range(len(tris)) for c in range(3)}
-    orbit_labels: dict[int, int] = {}
-    while remaining:
-        start = min(remaining)
-        label = tris[start[0]][start[1]]
+    # corner orbits around vertices must match the labels one-to-one; each
+    # orbit starts at the first corner, in (triangle, corner) order, that
+    # no earlier orbit visited
+    visited = bytearray(num_slots)
+    orbit_labels: set[int] = set()
+    for start in range(num_slots):
+        if visited[start]:
+            continue
+        label = labels[start]
         cur = start
         while True:
-            if tris[cur[0]][cur[1]] != label:
+            if labels[cur] != label:
                 raise InconsistentVertexLabels(
-                    f"corner {cur} labeled {tris[cur[0]][cur[1]]} in the orbit of label {label}"
+                    f"corner {divmod(cur, 3)} labeled {labels[cur]} in the orbit of label {label}"
                 )
-            remaining.discard(cur)
-            cur = mesh._next_corner_around(*cur)
+            visited[cur] = 1
+            cur = glued[_prev_slot(cur)]
             if cur == start:
                 break
         if label in orbit_labels:
             raise InconsistentVertexLabels(
                 f"vertex label {label} names two distinct points of the surface"
             )
-        orbit_labels[label] = 1
+        orbit_labels.add(label)
 
     # connectivity through shared edges
     seen = {0}
     stack = [0]
     while stack:
         t = stack.pop()
-        for e in range(3):
-            t2 = glue[(t, e)][0]
+        for s in range(3 * t, 3 * t + 3):
+            t2 = glued[s] // 3
             if t2 not in seen:
                 seen.add(t2)
                 stack.append(t2)
-    if len(seen) != len(tris):
+    if len(seen) != mesh.num_triangles:
         raise DisconnectedSurface(
-            f"only {len(seen)} of {len(tris)} triangles reachable from triangle 0"
+            f"only {len(seen)} of {mesh.num_triangles} triangles reachable from triangle 0"
         )
 
     if mesh.euler_characteristic % 2 != 0:
         raise MeshError(
             f"Euler characteristic {mesh.euler_characteristic} is odd; not a closed surface"
         )
+
+
+def _as_slot(pair) -> Slot:
+    return int(pair[0]), int(pair[1])
 
 
 def build_complex(
@@ -395,26 +391,24 @@ def build_complex(
     metric are aligned with these ids.
     """
     tris = [tuple(int(c) for c in tri) for tri in triangles]
-    glue: dict[Slot, Slot] = {}
-    edges: list[tuple[Slot, Slot]] = []
-    slot_edge: dict[Slot, int] = {}
+    for t, tri in enumerate(tris):
+        if len(tri) != 3:
+            raise MeshError(f"triangle {t} does not have three corners")
+    twin = [-1] * (3 * len(tris))
+    edge_side = []
     for pair in gluings:
-        (s1, s2) = (tuple(pair[0]), tuple(pair[1]))
-        s1 = (int(s1[0]), int(s1[1]))
-        s2 = (int(s2[0]), int(s2[1]))
+        s1, s2 = _as_slot(pair[0]), _as_slot(pair[1])
         for s in (s1, s2):
             if not (0 <= s[0] < len(tris)) or not (0 <= s[1] < 3):
                 raise UnmatchedSlot(f"gluing references slot {s} outside the complex")
-            if s in glue:
+            if twin[3 * s[0] + s[1]] >= 0:
                 raise UnmatchedSlot(f"slot {s} appears in more than one gluing")
         if s1 == s2:
             raise UnmatchedSlot(f"slot {s1} glued to itself")
-        glue[s1] = s2
-        glue[s2] = s1
-        slot_edge[s1] = len(edges)
-        slot_edge[s2] = len(edges)
-        edges.append((s1, s2))
-    mesh = DeltaComplex(int(num_vertices), tris, glue, edges, slot_edge)
+        a, b = 3 * s1[0] + s1[1], 3 * s2[0] + s2[1]
+        twin[a], twin[b] = b, a
+        edge_side.append(a)
+    mesh = DeltaComplex(int(num_vertices), tris, twin, edge_side)
     _validate(mesh)
     return mesh
 

@@ -18,11 +18,18 @@ import numpy as np
 from .errors import (
     DegenerateLength,
     FlipProducesDegenerate,
+    ImaginaryChord,
     SelfFlip,
     SurgeryBudgetExceeded,
 )
-from .geometry import delaunay_terms, layout_triangle
-from .metric import DecoratedMetric, triangle_side_lengths, TRIANGLE_MARGIN_REL_TOL
+from .geometry import (
+    delaunay_terms,
+    edge_half_chord,
+    layout_triangle,
+    radical_center,
+    signed_distances,
+)
+from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL
 
 logger = logging.getLogger(__name__)
 
@@ -62,8 +69,6 @@ def delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float]]:
     ends = metric.mesh.edge_endpoints_array()[bad]
     r = metric.effective_radii
     lengths = metric.effective_lengths[bad]
-    from .geometry import edge_half_chord
-
     chords = edge_half_chord(lengths, r[ends[:, 0]], r[ends[:, 1]])
     weights = dsum[bad] / chords
     order = np.argsort(weights)
@@ -74,19 +79,23 @@ def _quad_layout(metric: DecoratedMetric, edge_id: int):
     """Lay out the two triangles over an edge in one plane, opposite sides.
 
     Returns (corner labels (i, j, k, l), their coordinates, side lengths of
-    the four outer edges as (l_jk, l_ki, l_il, l_lj)).
+    the four outer edges as (l_jk, l_ki, l_il, l_lj), the edge's d1 + d2).
+    d1 + d2 comes from the per-face steps of :func:`delaunay_terms` run on
+    the two faces alone, so it equals that function's entry for the edge.
     """
-    s1, s2 = metric.mesh.edge(edge_id).sides
-    t1, e1 = s1
-    t2, e2 = s2
+    (t1, e1), (t2, e2) = metric.mesh.edge(edge_id).sides
     if t1 == t2:
         raise SelfFlip(
             f"edge {edge_id} has both sides on triangle {t1}; flip undefined"
         )
-    sides = triangle_side_lengths(metric)
-    sides1 = np.roll(sides[t1], -e1)  # (|ij|, |jk|, |ki|)
-    sides2 = np.roll(sides[t2], -e2)  # (|ji|, |il|, |lj|)
-    tri1, tri2 = metric.mesh.triangles[t1], metric.mesh.triangles[t2]
+    faces = [t1, t2]
+    sides = metric.effective_lengths[metric.mesh.slot_edge_array()[faces]]
+    layouts = layout_triangle(sides[:, 0], sides[:, 1], sides[:, 2])
+    centers, _ = radical_center(layouts, metric.effective_radii[metric.mesh.triangle_array()[faces]])
+    dist = signed_distances(layouts, centers)
+    sides1 = np.roll(sides[0], -e1)  # (|ij|, |jk|, |ki|)
+    sides2 = np.roll(sides[1], -e2)  # (|ji|, |il|, |lj|)
+    tri1, tri2 = metric.mesh.triangles[faces].tolist()
     i, j, k = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3]
     l = tri2[(e2 + 2) % 3]
 
@@ -95,12 +104,8 @@ def _quad_layout(metric: DecoratedMetric, edge_id: int):
     shared = sides1[0]
     p_i, p_j, p_k = coords1
     p_l = np.array([shared - coords2[2, 0], -coords2[2, 1]])  # rotate into the lower half plane
-    return (i, j, k, l), np.array([p_i, p_j, p_k, p_l]), (
-        float(sides1[1]),
-        float(sides1[2]),
-        float(sides2[1]),
-        float(sides2[2]),
-    )
+    outer = (float(sides1[1]), float(sides1[2]), float(sides2[1]), float(sides2[2]))
+    return (i, j, k, l), np.array([p_i, p_j, p_k, p_l]), outer, float(dist[0, e1] + dist[1, e2])
 
 
 def flip_metric(
@@ -116,8 +121,7 @@ def flip_metric(
     corners in the common layout; its base length is chosen so the current
     scale factors reproduce that distance exactly.
     """
-    dsum, _ = delaunay_terms(metric)
-    (i, j, k, l), coords, outer = _quad_layout(metric, edge_id)
+    (i, j, k, l), coords, outer, dsum = _quad_layout(metric, edge_id)
     l_jk, l_ki, l_il, l_lj = outer
     new_length = float(np.hypot(*(coords[2] - coords[3])))
 
@@ -132,13 +136,11 @@ def flip_metric(
     ends = metric.mesh.edge_endpoints_array()[edge_id]
     r = metric.effective_radii
     try:
-        from .geometry import edge_half_chord
-
         chord = float(
             edge_half_chord(metric.effective_lengths[edge_id], r[ends[0]], r[ends[1]])
         )
-        pre_weight = float(dsum[edge_id]) / chord
-    except Exception:
+        pre_weight = dsum / chord
+    except ImaginaryChord:
         pre_weight = nan
 
     metric.mesh.flip(edge_id)

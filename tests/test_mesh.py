@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packflow import (
     DeltaComplex,
     DisconnectedSurface,
+    FlipProducesDegenerate,
     InconsistentVertexLabels,
     MeshError,
     NonSimplicial,
@@ -13,9 +19,14 @@ from packflow import (
     UnmatchedSlot,
     UnusedVertex,
     build_complex,
+    curvature,
+    flip_metric,
     infer_gluings,
     preset_complex,
+    triangle_angles,
+    triangle_areas,
 )
+from packflow.oracles import RandomMetricSpec, random_metric
 
 TETRA_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
 
@@ -71,7 +82,7 @@ def test_one_vertex_torus_is_all_loops():
 def test_infer_gluings_matches_explicit_build():
     inferred = infer_gluings(3, SPHERE2_FACES)
     explicit = build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS)
-    assert inferred.triangles == explicit.triangles
+    assert np.array_equal(inferred.triangles, explicit.triangles)
     assert inferred.num_edges == explicit.num_edges
     ends_a = {inferred.edge(e).endpoints for e in range(3)}
     ends_b = {explicit.edge(e).endpoints for e in range(3)}
@@ -180,15 +191,15 @@ def test_flip_on_one_vertex_torus_stays_valid():
 
 def test_self_flip_is_rejected():
     # assembled through the raw constructor, which skips validation: an edge
-    # whose two sides sit on a single triangle has no flip quadrilateral
-    glue = {
-        (0, 0): (0, 1), (0, 1): (0, 0),
-        (0, 2): (1, 0), (1, 0): (0, 2),
-        (1, 1): (1, 2), (1, 2): (1, 1),
-    }
-    edges = [((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (1, 2))]
-    slot_edge = {s: eid for eid, pair in enumerate(edges) for s in pair}
-    mesh = DeltaComplex(1, [(0, 0, 0), (0, 0, 0)], glue, edges, slot_edge)
+    # whose two sides sit on a single triangle has no flip quadrilateral.
+    # Slot 3 t + e is side e of triangle t; the gluings are (0,0)-(0,1),
+    # (0,2)-(1,0) and (1,1)-(1,2), one edge each, in that order.
+    twin = [1, 0, 3, 2, 5, 4]
+    edge_side = [0, 2, 4]
+    mesh = DeltaComplex(1, [(0, 0, 0), (0, 0, 0)], twin, edge_side)
+    assert [mesh.edge(e).sides for e in range(3)] == [
+        ((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (1, 2))
+    ]
     with pytest.raises(SelfFlip):
         mesh.flip(0)
 
@@ -218,3 +229,93 @@ def test_rejects_odd_euler_characteristic():
     # a Moebius-style fold: single triangle data cannot close up orientably
     with pytest.raises(MeshError):
         build_complex(1, [(0, 0, 0)], [((0, 0), (0, 1))])
+
+
+def test_index_arrays_are_read_only():
+    mesh = preset_complex("torus_grid", n=3)
+    for arr in (
+        mesh.triangles,
+        mesh.triangle_array(),
+        mesh.slot_edge_array(),
+        mesh.edge_endpoints_array(),
+    ):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7
+    mesh.check()
+
+
+# -- random flip sequences ------------------------------------------------------
+
+FLIP_SPECS = {
+    "torus_grid": RandomMetricSpec(preset="torus_grid", n=4),
+    "one_vertex_torus": RandomMetricSpec(preset="one_vertex_torus"),
+    "icosahedron": RandomMetricSpec(preset="icosahedron"),
+}
+
+
+# Round-off in the new diagonal grows as the flipped triangles thin out
+# (relative area error ~ 1e-16 / min_angle^2), so the 1e-12 isometry bound
+# is only asserted on flips whose new triangles keep every angle above this.
+ISOMETRY_MIN_ANGLE = 0.05
+
+
+def _flip_is_isometric(before, after, edge_id: int) -> bool:
+    """Whether flipping ``edge_id`` of ``before`` must keep curvature and area.
+
+    That holds when the new diagonal runs inside the quad, i.e. when the
+    quad angles at both ends of the old edge stay below pi, and is checked
+    to 1e-12 only while the new triangles are well shaped.
+    """
+    (t1, e1), (t2, e2) = before.mesh.edge(edge_id).sides
+    angles = triangle_angles(before)
+    at_i = angles[t1, e1] + angles[t2, (e2 + 1) % 3]
+    at_j = angles[t1, (e1 + 1) % 3] + angles[t2, e2]
+    convex = max(at_i, at_j) < math.pi - 1e-9
+    return convex and triangle_angles(after)[[t1, t2]].min() > ISOMETRY_MIN_ANGLE
+
+
+def _index_arrays(mesh: DeltaComplex) -> list[np.ndarray]:
+    return [
+        np.array(mesh.triangle_array()),
+        np.array(mesh.slot_edge_array()),
+        np.array(mesh.edge_endpoints_array()),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(FLIP_SPECS)),
+    seed=st.integers(0, 2**16),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+)
+def test_random_flip_sequences_keep_the_complex_consistent(preset, seed, picks):
+    metric = random_metric(FLIP_SPECS[preset], seed)
+    mesh0 = metric.mesh.copy()
+    before = _index_arrays(mesh0)
+    for pick in picks:
+        edge_id = pick % metric.mesh.num_edges
+        trial = metric.copy()
+        try:
+            flip_metric(trial, edge_id)
+        except (SelfFlip, FlipProducesDegenerate):
+            continue
+        mesh = trial.mesh
+        mesh.check()
+        fresh = build_complex(
+            mesh.num_vertices,
+            mesh.triangles,
+            [mesh.edge(e).sides for e in range(mesh.num_edges)],
+        )
+        for mine, theirs in zip(_index_arrays(mesh), _index_arrays(fresh)):
+            assert np.array_equal(mine, theirs)
+        for mine, theirs in zip(_index_arrays(mesh0), before):
+            assert np.array_equal(mine, theirs)
+        assert mesh0.version == 0
+        if _flip_is_isometric(metric, trial, edge_id):
+            assert np.allclose(curvature(trial), curvature(metric), rtol=0, atol=1e-12)
+            assert math.isclose(
+                float(np.sum(triangle_areas(trial))),
+                float(np.sum(triangle_areas(metric))),
+                rel_tol=1e-12,
+            )
+        metric = trial
