@@ -154,7 +154,7 @@ def _cmd_jacobian_check(args) -> int:
             spec = specs[offset % len(specs)]
             metrics.append(random_metric(spec, args.seed + offset))
     for metric in metrics:
-        analytic = jacobian(metric).matrix
+        analytic = jacobian(metric)
         numeric = fd_jacobian(metric)
         scale = float(np.max(np.abs(analytic)))
         err = float(np.max(np.abs(analytic - numeric))) / scale

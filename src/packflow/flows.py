@@ -2,10 +2,13 @@
 
 Four velocity fields share one integrator:
 
-    calabi        du/dt = laplacian(K - target)
+    calabi        du/dt = p-laplacian(K - target)  (p_calabi with p = 2)
     fractional(s) du/dt = -(dK/du)^s (K - target)
     p_calabi(p)   du/dt = p-laplacian(K - target)
     ricci         du/dt = -(K - target)            (fractional with s = 0)
+
+calabi and p_calabi apply the edge flux of the operators module in O(E);
+only fractional with s != 0 assembles the dense Jacobian and its spectrum.
 
 Steps are explicit Euler followed by an exact zero-sum projection, so the
 total of the scale factors is conserved to machine precision.  A trial
@@ -14,7 +17,9 @@ succeeds, and the monitored quantities do not increase: the squared
 curvature deviation for the s-family, and the trapezoidal potential
 increment for every flow.  Rejected trials halve the step, up to 30 times;
 clean steps let the next trial grow, which is what makes the slow p != 2
-flows reach tight tolerances in a bounded number of steps.
+flows reach tight tolerances in a bounded number of steps.  Each trial
+state costs one curvature and one margin report, plus one more of each
+when surgery flips.
 """
 
 from __future__ import annotations
@@ -34,14 +39,7 @@ from .errors import (
     SurgeryError,
 )
 from .metric import DecoratedMetric, validate_triangles
-from .operators import (
-    apply_fractional,
-    apply_laplacian,
-    apply_p_laplacian,
-    calabi_energy,
-    curvature,
-    jacobian,
-)
+from .operators import apply_fractional, apply_p_laplacian, calabi_energy, curvature, jacobian
 from .surgery import delaunay_violations, make_delaunay
 
 logger = logging.getLogger(__name__)
@@ -50,6 +48,7 @@ KINDS = ("calabi", "fractional", "p_calabi", "ricci")
 DEFAULT_STEP_BY_KIND = {"ricci": 0.1}
 DEFAULT_STEP = 0.01
 MAX_HALVINGS = 30
+STEP_GROWTH = 2.0
 STEP_GROWTH_CAP = 1e8
 TARGET_SUM_TOL = 1e-9
 
@@ -59,8 +58,7 @@ class FlowConfig:
     """Everything a run needs besides the metric itself.
 
     ``h = None`` picks the per-kind default (0.1 for ricci, 0.01 for the
-    rest).  ``growth`` is the factor the trial step gains after a step
-    that needed no halving; set it to 1.0 for a constant trial step.
+    rest).  After a step that needed no halving the trial step doubles.
     """
 
     kind: str
@@ -71,8 +69,6 @@ class FlowConfig:
     tol: float = 1e-8
     max_steps: int = 1_000_000
     surgery: bool = True
-    surgery_budget: int | None = None
-    growth: float = 2.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -146,16 +142,22 @@ def potential_increment(curv: np.ndarray, target: np.ndarray, du: np.ndarray) ->
     return float(diff @ np.asarray(du, dtype=float))
 
 
-def velocity(metric: DecoratedMetric, config: FlowConfig) -> np.ndarray:
-    """du/dt at the current state for the configured flow."""
-    deviation = curvature(metric) - config.target
+def velocity(
+    metric: DecoratedMetric, config: FlowConfig, curv: np.ndarray | None = None
+) -> np.ndarray:
+    """du/dt at the current state for the configured flow.
+
+    ``curv`` is the curvature of ``metric`` when the caller already has it.
+    """
+    if curv is None:
+        curv = curvature(metric)
+    deviation = curv - config.target
     if config.kind == "ricci" or (config.kind == "fractional" and config.s == 0.0):
         return -deviation
-    if config.kind == "calabi":
-        return apply_laplacian(jacobian(metric), deviation)
     if config.kind == "fractional":
         return apply_fractional(jacobian(metric), config.s, deviation)
-    return apply_p_laplacian(metric, config.p, deviation)
+    p = 2.0 if config.kind == "calabi" else config.p
+    return apply_p_laplacian(metric, p, deviation)
 
 
 def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, w_inc: float) -> bool:
@@ -186,7 +188,7 @@ def step(
         target_sum = float(np.sum(u0))
     k0 = curvature(metric)
     e0 = calabi_energy(k0, config.target)
-    v = velocity(metric, config)
+    v = velocity(metric, config, k0)
     n = u0.size
 
     last_reason = "no admissible step"
@@ -206,22 +208,20 @@ def step(
                 )
                 h_try *= 0.5
                 continue
-            k_mid = None
+            k1 = k_mid = curvature(trial)
             events = []
             if config.surgery:
-                k_mid = curvature(trial)
                 _, events = make_delaunay(
-                    trial,
-                    config.surgery_budget,
-                    flow_time=flow_time + h_try,
-                    start_ordinal=flip_ordinal,
+                    trial, flow_time=flow_time + h_try, start_ordinal=flip_ordinal
                 )
+                if events:
+                    k1 = curvature(trial)
+                    report = validate_triangles(trial)
         except (MetricError, GeometryError, SurgeryError) as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
             h_try *= 0.5
             continue
 
-        k1 = curvature(trial)
         e1 = calabi_energy(k1, config.target)
         w_inc = 0.5 * (
             potential_increment(k0, config.target, du)
@@ -235,10 +235,7 @@ def step(
             h_try *= 0.5
             continue
 
-        jump = 0.0
-        if events:
-            jump = float(np.max(np.abs(k1 - k_mid)))
-        report = validate_triangles(trial)
+        jump = float(np.max(np.abs(k1 - k_mid))) if events else 0.0
         record = StepRecord(
             step=0,
             t=flow_time + h_try,
@@ -291,18 +288,21 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
     """
     _require_admissible_target(metric, config)
     state = metric.copy()
-    validate_triangles(state).require()
+    report = validate_triangles(state)
+    report.require()
+    k = curvature(state)
 
     target_sum = float(np.sum(state.conformal_factors))
     flips_total = 0
     initial_violations = 0
     jump0 = 0.0
     if config.surgery:
-        k_before = curvature(state)
-        _, events = make_delaunay(state, config.surgery_budget, flow_time=0.0)
+        _, events = make_delaunay(state, flow_time=0.0)
         flips_total = len(events)
         if events:
-            jump0 = float(np.max(np.abs(curvature(state) - k_before)))
+            k_before, k = k, curvature(state)
+            jump0 = float(np.max(np.abs(k - k_before)))
+            report = validate_triangles(state)
     else:
         initial_violations = len(delaunay_violations(state))
         if initial_violations:
@@ -311,8 +311,6 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
                 initial_violations,
             )
 
-    k = curvature(state)
-    report = validate_triangles(state)
     records = [
         StepRecord(
             step=0,
@@ -360,7 +358,7 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
         rec.flips_total = flips_total
         records.append(rec)
         if rec.halvings == 0:
-            h_try = min(h_try * config.growth, STEP_GROWTH_CAP)
+            h_try = min(h_try * STEP_GROWTH, STEP_GROWTH_CAP)
         else:
             h_try = rec.h
 

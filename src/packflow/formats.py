@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, IO
+from typing import IO
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     SchemaError,
 )
 from .mesh import DeltaComplex, build_complex, infer_gluings
-from .metric import DecoratedMetric, InversiveDistances, lengths_from_inversive
+from .metric import DecoratedMetric, lengths_from_inversive
 from .presets import PRESET_NAMES, preset_metric
 
 FORMAT_NAME = "dpm-1"
@@ -151,9 +151,14 @@ def parse_dpm(text: str) -> DpmDocument:
             "exactly one of 'edge_lengths' and 'inversive_distances' must be present"
         )
     if has_inv:
-        inv = InversiveDistances(_number_array(raw, "inversive_distances", mesh.num_edges))
-        inv.require_packing_range()
-        lengths = lengths_from_inversive(mesh, radii, inv.values)
+        inv = _number_array(raw, "inversive_distances", mesh.num_edges)
+        bad = np.flatnonzero(inv <= 1.0)
+        if bad.size:
+            raise InvalidInversiveDistance(
+                f"inversive distance must exceed 1 on initial data; edges {bad.tolist()[:8]}"
+                f" have values {inv[bad][:8].tolist()}"
+            )
+        lengths = lengths_from_inversive(mesh, radii, inv)
     else:
         lengths = _number_array(raw, "edge_lengths", mesh.num_edges)
     u = _number_array(raw, "conformal_factors", mesh.num_vertices, optional=True)
@@ -165,31 +170,10 @@ def parse_dpm(text: str) -> DpmDocument:
 # -- emission -------------------------------------------------------------------
 
 
-def _fmt_number(x) -> str:
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _emit_json(value: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        rows = [
-            f'{pad}  {json.dumps(k)}: {_emit_json(v, indent + 1).lstrip()}'
-            for k, v in value.items()
-        ]
-        return pad + "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in value)
-        if flat:
-            return pad + "[" + ", ".join(_emit_json(v).lstrip() for v in value) + "]"
-        rows = [_emit_json(v, indent + 1) for v in value]
-        return pad + "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(value, str):
-        return pad + json.dumps(value)
-    if isinstance(value, bool) or value is None:
-        return pad + json.dumps(value)
-    return pad + _fmt_number(value)
+def _numbers(values) -> str:
+    """A one-line JSON array of floats with 17 significant digits."""
+    floats = np.asarray(values, dtype=float).tolist()
+    return "[" + ", ".join(format(x, ".17g") for x in floats) + "]"
 
 
 def emit_dpm(metric: DecoratedMetric, target: np.ndarray | None = None) -> str:
@@ -197,24 +181,27 @@ def emit_dpm(metric: DecoratedMetric, target: np.ndarray | None = None) -> str:
 
     The emitted document stores the effective lengths and radii with zero
     conformal factors, which is the same geometry, and survives a further
-    parse/emit round trip byte for byte.
+    parse/emit round trip byte for byte.  The layout is fixed: one field
+    per line, one line per triangle, the two sides of a gluing on lines of
+    their own, and each number array on one line.
     """
     mesh = metric.mesh
-    gluings = [
-        [list(s1), list(s2)]
-        for s1, s2 in (mesh.edge(e).sides for e in range(mesh.num_edges))
+    triangles = ",\n".join("    [%d, %d, %d]" % tuple(tri) for tri in mesh.triangles.tolist())
+    sides = np.stack(np.divmod(mesh.edge_sides_array(), 3), axis=-1).reshape(-1, 4)
+    gluings = ",\n".join(
+        "    [\n      [%d, %d],\n      [%d, %d]\n    ]" % tuple(row) for row in sides.tolist()
+    )
+    fields = [
+        f'"format": "{FORMAT_NAME}"',
+        f'"num_vertices": {mesh.num_vertices}',
+        f'"triangles": [\n{triangles}\n  ]',
+        f'"gluings": [\n{gluings}\n  ]',
+        f'"edge_lengths": {_numbers(metric.effective_lengths)}',
+        f'"radii": {_numbers(metric.effective_radii)}',
     ]
-    doc = {
-        "format": FORMAT_NAME,
-        "num_vertices": mesh.num_vertices,
-        "triangles": mesh.triangles.tolist(),
-        "gluings": gluings,
-        "edge_lengths": list(metric.effective_lengths),
-        "radii": list(metric.effective_radii),
-    }
     if target is not None:
-        doc["target_curvature"] = list(np.asarray(target, dtype=float))
-    return _emit_json(doc) + "\n"
+        fields.append(f'"target_curvature": {_numbers(target)}')
+    return "{\n" + ",\n".join("  " + field for field in fields) + "\n}\n"
 
 
 # -- generation -------------------------------------------------------------------

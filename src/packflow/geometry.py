@@ -5,12 +5,14 @@ Everything flows from effective lengths and radii.  The orthogonal circle
 of a face (center = the point with equal power with respect to all three
 vertex circles, squared radius = that common power) intersects each side
 in a chord whose half-length depends only on the edge, which is what makes
-the cotangent weights below well defined on the glued surface:
+the cotangent weights well defined on the glued surface:
 
     weight of edge e  =  (d1 + d2) / half_chord(e)
 
 with d1, d2 the distances from the two neighboring face centers to the
-edge line, signed positive toward the opposite corner.
+edge line, signed positive toward the opposite corner.  ``delaunay_terms``
+gives d1 + d2 per edge; the Delaunay test reads its sign, and the
+operators divide it by the edge length.
 """
 
 from __future__ import annotations
@@ -134,13 +136,6 @@ def edge_half_chord(length, r_a, r_b):
     return np.sqrt(sq)
 
 
-def cotan_weight(d1, d2, half_chord):
-    """Edge weight (d1 + d2) / half_chord = cot(angle1) + cot(angle2)."""
-    return (np.asarray(d1, dtype=float) + np.asarray(d2, dtype=float)) / np.asarray(
-        half_chord, dtype=float
-    )
-
-
 # -- whole-surface batches -----------------------------------------------------
 
 
@@ -176,23 +171,10 @@ class FaceCircles:
 
 def face_circles(metric: DecoratedMetric) -> FaceCircles:
     layouts = triangle_layouts(metric)
-    radii = metric.effective_radii[metric.mesh.triangle_array()]
+    radii = metric.effective_radii[metric.mesh.triangles]
     centers, powers = radical_center(layouts, radii)
     dist = signed_distances(layouts, centers)
     return FaceCircles(layouts, centers, powers, dist)
-
-
-def edge_distance_sums(metric: DecoratedMetric) -> np.ndarray:
-    """Per-edge sum d1 + d2 of the two neighboring signed distances, shape (E,).
-
-    This is the numerator of the cotangent weight and carries its sign, so
-    the weighted Delaunay test reads it directly, without square roots or
-    any trigonometry.
-    """
-    circles = face_circles(metric)
-    out = np.zeros(metric.mesh.num_edges)
-    np.add.at(out, metric.mesh.slot_edge_array(), circles.distances)
-    return out
 
 
 DELAUNAY_REL_TOL = 1e-12
@@ -201,74 +183,25 @@ DELAUNAY_REL_TOL = 1e-12
 def delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     """(d1 + d2, tolerance) per edge for the weighted Delaunay test.
 
-    An edge is treated as violating only when d1 + d2 < -tolerance, with
-    the tolerance scaled by the orthogonal-circle size of the two incident
-    faces (their |power|^(1/2), a length).
+    d1 + d2 is the sum of the two neighboring signed distances: the
+    numerator of the cotangent weight, carrying its sign, so the test reads
+    it without square roots or trigonometry.  An edge is treated as
+    violating only when d1 + d2 < -tolerance, with the tolerance scaled by
+    the orthogonal-circle size of the two incident faces (their
+    |power|^(1/2), a length).  Computed once per state of the metric, so
+    the Delaunay check of an accepted trial and the operators of the next
+    step share one pass.
     """
+    return metric.memo(_delaunay_terms)
+
+
+def _delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     circles = face_circles(metric)
     slot_edge = metric.mesh.slot_edge_array()
-    dsum = np.zeros(metric.mesh.num_edges)
-    np.add.at(dsum, slot_edge, circles.distances)
-    scale = np.zeros(metric.mesh.num_edges)
+    num_edges = metric.mesh.num_edges
+    dsum = np.bincount(slot_edge.ravel(), circles.distances.ravel(), minlength=num_edges)
+    scale = np.zeros(num_edges)
     per_face = np.abs(circles.powers)[:, None] * np.ones((1, 3))
     np.maximum.at(scale, slot_edge, per_face)
     eps = DELAUNAY_REL_TOL * np.sqrt(scale)
     return dsum, eps
-
-
-def edge_half_chords(metric: DecoratedMetric) -> np.ndarray:
-    """Half-chords per edge id, shape (E,)."""
-    ends = metric.mesh.edge_endpoints_array()
-    r = metric.effective_radii
-    lengths = metric.effective_lengths
-    m = (lengths**2 + r[ends[:, 0]] ** 2 - r[ends[:, 1]] ** 2) / (2.0 * lengths)
-    sq = m * m - r[ends[:, 0]] ** 2
-    if np.any(sq <= 0):
-        bad = np.where(sq <= 0)[0]
-        raise ImaginaryChord(
-            f"vertex circles meet edges {bad.tolist()[:8]}: squared half-chord <= 0"
-        )
-    return np.sqrt(sq)
-
-
-@dataclass
-class TriangleGeometry:
-    """Full geometric record of one face, mostly for inspection and tests."""
-
-    triangle: int
-    corners: tuple[int, int, int]
-    radii: np.ndarray            # (3,) effective corner radii
-    lengths: np.ndarray          # (3,) side lengths, side e = corner e -> e+1
-    angles: np.ndarray           # (3,) inner angles by corner
-    coords: np.ndarray           # (3, 2) layout
-    center: np.ndarray           # (2,) orthogonal-circle center
-    power: float                 # squared orthogonal-circle radius
-    distances: np.ndarray        # (3,) signed center-to-side distances
-    half_chords: np.ndarray      # (3,) per-side chord half-lengths
-    chord_angles: np.ndarray     # (3,) angle the circle makes with each side
-
-    @classmethod
-    def from_metric(cls, metric: DecoratedMetric, triangle: int) -> "TriangleGeometry":
-        tri = tuple(metric.mesh.triangles[triangle].tolist())
-        sides = triangle_side_lengths(metric)[triangle]
-        radii = metric.effective_radii[list(tri)]
-        a0, a1, a2 = inner_angles(*sides)
-        coords = layout_triangle(*sides)
-        center, power = radical_center(coords, radii)
-        dist = signed_distances(coords, center)
-        chords = np.array(
-            [edge_half_chord(sides[e], radii[e], radii[(e + 1) % 3]) for e in range(3)]
-        )
-        return cls(
-            triangle=triangle,
-            corners=tri,
-            radii=radii,
-            lengths=sides,
-            angles=np.array([a0, a1, a2]),
-            coords=coords,
-            center=center,
-            power=float(power),
-            distances=dist,
-            half_chords=chords,
-            chord_angles=np.arctan2(chords, dist),
-        )

@@ -18,8 +18,8 @@ Storage is flat integer arrays, halfedge style.  Side ``e`` of triangle
 ``s``, ``edge_of[s]`` the edge id under ``s``; per edge, ``edge_side`` holds
 its first side and ``edge_ends`` (E, 2) the labels read off that side, tail
 first.  A flip rewrites two triangles, six slots and five edge rows in
-place; a copy copies the arrays.  ``triangle_array``, ``slot_edge_array``
-and ``edge_endpoints_array`` return read-only views of the storage, so no
+place; a copy copies the arrays.  ``triangles``, ``slot_edge_array`` and
+``edge_endpoints_array`` return read-only views of the storage, so no
 caller can corrupt the complex; a view follows later flips.
 """
 
@@ -96,7 +96,8 @@ class DeltaComplex:
     constructor; they run the full validation pass.  The constructor takes
     the corner labels, ``twin`` (slot numbers, -1 where a side is unglued)
     and ``edge_side`` (the first side of each edge, whose order fixes the
-    edge ids) and derives the rest.
+    edge ids) and derives the rest; it raises :class:`UnmatchedSlot` only
+    where they name a slot the derivation cannot index.
     """
 
     def __init__(
@@ -109,8 +110,19 @@ class DeltaComplex:
         self.num_vertices = int(num_vertices)
         self._tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
         self._twin = np.array(twin, dtype=np.int64)
-        self._edge_side = np.array(edge_side, dtype=np.int64)
-        ids = np.arange(self._edge_side.size)
+        self._edge_side = first = np.array(edge_side, dtype=np.int64)
+        slots = self._tri.size
+        if (
+            self._twin.shape != (slots,)
+            or first.ndim != 1
+            or np.any((first < 0) | (first >= slots))
+            or np.any((self._twin[first] < 0) | (self._twin[first] >= slots))
+        ):
+            raise UnmatchedSlot(
+                f"twin needs {slots} entries and every edge a first side glued to a side"
+                f" in [0, {slots})"
+            )
+        ids = np.arange(first.size)
         self._edge_of = np.full(self._twin.size, -1, dtype=np.int64)
         self._edge_of[self._edge_side] = ids
         self._edge_of[self._twin[self._edge_side]] = ids
@@ -161,14 +173,11 @@ class DeltaComplex:
         ends = (self._edge_ends.item(edge_id, 0), self._edge_ends.item(edge_id, 1))
         return EdgeHandle(edge_id, ends, (divmod(s1, 3), divmod(s2, 3)))
 
-    def edges(self) -> Iterable[EdgeHandle]:
-        return (self.edge(i) for i in range(self.num_edges))
-
     # -- index arrays (read-only views of the storage) ------------------------
 
-    def triangle_array(self) -> np.ndarray:
-        """Corner labels, shape (F, 3)."""
-        return _read_only(self._tri)
+    def edge_sides_array(self) -> np.ndarray:
+        """Slots of the two sides of each edge, first side first, shape (E, 2)."""
+        return np.stack([self._edge_side, self._twin[self._edge_side]], axis=1)
 
     def slot_edge_array(self) -> np.ndarray:
         """Edge id under each (triangle, side) slot, shape (F, 3)."""
@@ -303,8 +312,6 @@ def _validate(mesh: DeltaComplex) -> None:
     num_slots = corners.size
     labels = corners.tolist()
     glued = mesh._twin.tolist()
-    if len(glued) != num_slots:
-        raise UnmatchedSlot(f"gluing has {len(glued)} entries for {num_slots} sides")
     lonely = [divmod(s, 3) for s, p in enumerate(glued) if not 0 <= p < num_slots]
     if lonely:
         raise UnmatchedSlot(f"sides missing from the gluing: {lonely[:4]}")

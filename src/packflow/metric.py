@@ -49,29 +49,6 @@ class MarginReport:
             )
 
 
-class InversiveDistances:
-    """Per-edge inversive distances with the initial-data hypothesis attached.
-
-    Plain array wrapper; ``require_packing_range`` enforces I > 1, which is
-    demanded of user-supplied input but deliberately not of edges created
-    by surgery.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, dtype=float)
-
-    def require_packing_range(self) -> None:
-        bad = np.where(self.values <= 1.0)[0]
-        if bad.size:
-            raise InvalidInversiveDistance(
-                f"inversive distance must exceed 1 on initial data; edges {bad.tolist()[:8]}"
-                f" have values {self.values[bad][:8].tolist()}"
-            )
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-
 def lengths_from_inversive(
     mesh: DeltaComplex, radii: np.ndarray, inversive: np.ndarray
 ) -> np.ndarray:
@@ -139,24 +116,7 @@ class DecoratedMetric:
                     f"expected {mesh.num_vertices} scale factors, got shape {self._u.shape}"
                 )
         self._u_token = 0
-        self._eff_cache: tuple[tuple[int, int], np.ndarray, np.ndarray] | None = None
-
-    # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def from_inversive(
-        cls,
-        mesh: DeltaComplex,
-        radii: np.ndarray,
-        inversive: np.ndarray | InversiveDistances,
-        *,
-        enforce_packing_range: bool = True,
-    ) -> "DecoratedMetric":
-        inv = inversive if isinstance(inversive, InversiveDistances) else InversiveDistances(inversive)
-        if enforce_packing_range:
-            inv.require_packing_range()
-        lengths = lengths_from_inversive(mesh, radii, inv.values)
-        return cls(mesh, lengths, radii)
+        self._memo: dict = {}
 
     # -- scale factors -----------------------------------------------------------
 
@@ -178,24 +138,29 @@ class DecoratedMetric:
     def _state_key(self) -> tuple[int, int]:
         return (self.mesh.version, self._u_token)
 
+    def memo(self, compute) -> tuple[np.ndarray, ...]:
+        """``compute(self)``, a tuple of arrays, computed once per state.
+
+        A state is one triangulation (the mesh version) with one set of
+        scale factors; a flip, new scale factors or a rebased edge starts a
+        new one.  The arrays are handed out read-only.
+        """
+        key = self._state_key()
+        hit = self._memo.get(compute)
+        if hit is None or hit[0] != key:
+            value = compute(self)
+            for arr in value:
+                arr.flags.writeable = False
+            hit = self._memo[compute] = (key, value)
+        return hit[1]
+
     @property
     def effective_lengths(self) -> np.ndarray:
-        self._refresh()
-        return self._eff_cache[1]
+        return self.memo(_effective_data)[0]
 
     @property
     def effective_radii(self) -> np.ndarray:
-        self._refresh()
-        return self._eff_cache[2]
-
-    def _refresh(self) -> None:
-        key = self._state_key()
-        if self._eff_cache is not None and self._eff_cache[0] == key:
-            return
-        lengths, radii = apply_conformal(self, self._u)
-        lengths.flags.writeable = False
-        radii.flags.writeable = False
-        self._eff_cache = (key, lengths, radii)
+        return self.memo(_effective_data)[1]
 
     def copy(self) -> "DecoratedMetric":
         dup = DecoratedMetric(
@@ -224,11 +189,14 @@ class DecoratedMetric:
                 f"cannot rebase edge {edge_id}: squared base length {sq:.3e}"
             )
         self.base_lengths[edge_id] = np.sqrt(sq)
-        self._eff_cache = None
         self._u_token += 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DecoratedMetric({self.mesh!r}, |u|_inf={np.max(np.abs(self._u)):.3g})"
+
+
+def _effective_data(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
+    return apply_conformal(metric, metric._u)
 
 
 def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

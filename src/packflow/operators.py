@@ -9,14 +9,15 @@ the same edge weights that drive the Delaunay test:
 
 so the matrix is symmetric with zero row sums, and positive semidefinite
 with a one-dimensional kernel of constants on a connected surface.  The
-discrete Laplacian is minus this matrix; fractional powers go through the
-eigendecomposition, and the p-th variant replaces each edge difference by
-its (p-1)-homogeneous odd power.
+discrete Laplacian is minus this matrix.  Every Laplacian the flows use is
+applied edge by edge from those weights: the p-th variant replaces each
+edge difference by its (p-1)-homogeneous odd power, and p = 2 is the plain
+Laplacian of the Calabi flow.  The dense matrix is assembled only where
+its spectrum is needed, for fractional powers and the finite-difference
+check; ``apply_laplacian`` on it is the reference for the edge flux.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
@@ -30,25 +31,20 @@ from .errors import (
 from .geometry import delaunay_terms, triangle_angles
 from .metric import DecoratedMetric, validate_triangles
 
-logger = logging.getLogger(__name__)
-
 EIGEN_ZERO_REL_TOL = 1e-12
 FD_DEFAULT_STEP = 1e-6
 P_DIFF_REL_TOL = 1e-14
 
-# Per-vertex curvature is a plain float vector indexed by vertex id.
-CurvatureVector = np.ndarray
-
-
-def curvature(metric: DecoratedMetric) -> CurvatureVector:
+def curvature(metric: DecoratedMetric) -> np.ndarray:
     """Per-vertex curvature 2*pi - (incident corner angles), shape (N,).
 
     Loops and repeated edges are handled for free: every corner of every
     triangle contributes exactly once to its vertex label.
     """
     angles = triangle_angles(metric)
-    angle_sum = np.zeros(metric.mesh.num_vertices)
-    np.add.at(angle_sum, metric.mesh.triangle_array(), angles)
+    angle_sum = np.bincount(
+        metric.mesh.triangles.ravel(), angles.ravel(), minlength=metric.mesh.num_vertices
+    )
     return 2.0 * np.pi - angle_sum
 
 
@@ -57,58 +53,29 @@ def gauss_bonnet_residual(metric: DecoratedMetric) -> float:
     return float(np.sum(curvature(metric)) - 2.0 * np.pi * metric.mesh.euler_characteristic)
 
 
-class CurvatureJacobian:
-    """Dense symmetric dK/du with a cached eigendecomposition.
-
-    ``delaunay_clean`` records whether every edge passed the weighted
-    Delaunay test when the matrix was assembled; matrices built on
-    violating triangulations are legal but may have positive off-diagonal
-    entries.
-    """
-
-    def __init__(self, matrix: np.ndarray, delaunay_clean: bool, coefficients: np.ndarray):
-        self.matrix = matrix
-        self.delaunay_clean = delaunay_clean
-        self.edge_coefficients = coefficients
-        self._spectral: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._spectral is None:
-            self._spectral = spectral(self.matrix)
-        return self._spectral
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
+def _edge_weights(metric: DecoratedMetric) -> np.ndarray:
+    """Per-edge coefficient (d1 + d2) / l of the Jacobian and every Laplacian."""
+    dsum, _ = delaunay_terms(metric)
+    return dsum / metric.effective_lengths
 
 
-def jacobian(metric: DecoratedMetric) -> CurvatureJacobian:
-    """Assemble dK/du from per-edge coefficients (d1 + d2)/l.
+def jacobian(metric: DecoratedMetric) -> np.ndarray:
+    """Dense symmetric dK/du, shape (N, N), from the edge weights (d1 + d2)/l.
 
     Each edge {a, b} adds +c to (a, a) and (b, b) and -c to (a, b) and
     (b, a); a loop edge therefore contributes net zero, which matches the
     finite-difference behavior of curvature on loop-carrying complexes.
+    On a triangulation that is not weighted Delaunay some off-diagonal
+    entries may be positive.
     """
-    dsum, eps = delaunay_terms(metric)
-    coeff = dsum / metric.effective_lengths
+    coeff = _edge_weights(metric)
     ends = metric.mesh.edge_endpoints_array()
     n = metric.mesh.num_vertices
-    mat = np.zeros((n, n))
     a, b = ends[:, 0], ends[:, 1]
-    np.add.at(mat, (a, a), coeff)
-    np.add.at(mat, (b, b), coeff)
-    np.add.at(mat, (a, b), -coeff)
-    np.add.at(mat, (b, a), -coeff)
-    clean = not np.any(dsum < -eps)
-    if not clean:
-        logger.debug(
-            "jacobian assembled on a non-Delaunay triangulation: %d violating edges",
-            int(np.sum(dsum < -eps)),
-        )
-    return CurvatureJacobian(mat, clean, coeff)
+    # flat indices of (a, a), (b, b), (a, b) and (b, a), added in that order
+    flat = np.concatenate([a * (n + 1), b * (n + 1), a * n + b, b * n + a])
+    weights = np.concatenate([coeff, coeff, -coeff, -coeff])
+    return np.bincount(flat, weights, minlength=n * n).reshape(n, n)
 
 
 def fd_jacobian(metric: DecoratedMetric, step: float = FD_DEFAULT_STEP) -> np.ndarray:
@@ -145,7 +112,7 @@ def fd_jacobian(metric: DecoratedMetric, step: float = FD_DEFAULT_STEP) -> np.nd
     return out
 
 
-def spectral(matrix: np.ndarray | CurvatureJacobian) -> tuple[np.ndarray, np.ndarray]:
+def spectral(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigendecomposition matrix = P.T @ diag(lam) @ P.
 
     Rows of P are eigenvectors; lam is ascending.  Eigenvalues within
@@ -160,15 +127,13 @@ def spectral(matrix: np.ndarray | CurvatureJacobian) -> tuple[np.ndarray, np.nda
     return vecs.T, lam
 
 
-def apply_laplacian(operator: np.ndarray | CurvatureJacobian, f: np.ndarray) -> np.ndarray:
+def apply_laplacian(operator: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Discrete Laplacian: minus the Jacobian applied to f."""
     mat = np.asarray(operator, dtype=float)
     return -(mat @ np.asarray(f, dtype=float))
 
 
-def apply_fractional(
-    operator: np.ndarray | CurvatureJacobian, s: float, f: np.ndarray
-) -> np.ndarray:
+def apply_fractional(operator: np.ndarray, s: float, f: np.ndarray) -> np.ndarray:
     """Fractional Laplacian -(dK/du)^s f through the spectral decomposition.
 
     s = 0 bypasses the decomposition and returns -f exactly (the negative
@@ -183,10 +148,7 @@ def apply_fractional(
     f = np.asarray(f, dtype=float)
     if s == 0.0:
         return -f
-    if isinstance(operator, CurvatureJacobian):
-        p, lam = operator.spectral()
-    else:
-        p, lam = spectral(operator)
+    p, lam = spectral(operator)
     lam_max = float(lam[-1]) if lam.size else 0.0
     cut = EIGEN_ZERO_REL_TOL * max(lam_max, 0.0)
     negatives = int(np.sum(lam < -cut))
@@ -202,26 +164,20 @@ def apply_fractional(
     return -(p.T @ (powered * (p @ f)))
 
 
-def apply_p_laplacian(
-    metric: DecoratedMetric,
-    p: float,
-    f: np.ndarray,
-    *,
-    coefficients: np.ndarray | None = None,
-) -> np.ndarray:
+def apply_p_laplacian(metric: DecoratedMetric, p: float, f: np.ndarray) -> np.ndarray:
     """p-th discrete Laplacian: per edge, c_e |f_b - f_a|^(p-2) (f_b - f_a),
     accumulated antisymmetrically, so the result always sums to zero.
 
-    For p < 2 the odd power is singular at equal values and is extended by
-    its limit 0 whenever |f_b - f_a| <= 1e-14 ||f||.  Exponents p <= 1 are
-    rejected.  Loop edges contribute nothing (the difference is zero).
+    At p = 2 this is the Laplacian of the Calabi flow in O(E), equal to
+    ``apply_laplacian(jacobian(metric), f)`` up to roundoff.  For p < 2 the
+    odd power is singular at equal values and is extended by its limit 0
+    whenever |f_b - f_a| <= 1e-14 ||f||.  Exponents p <= 1 are rejected.
+    Loop edges contribute nothing (the difference is zero).
     """
     if not p > 1.0:
         raise InvalidExponent(f"p-Laplacian exponent must exceed 1, got {p}")
     f = np.asarray(f, dtype=float)
-    if coefficients is None:
-        dsum, _ = delaunay_terms(metric)
-        coefficients = dsum / metric.effective_lengths
+    coefficients = _edge_weights(metric)
     ends = metric.mesh.edge_endpoints_array()
     diff = f[ends[:, 1]] - f[ends[:, 0]]
     if p >= 2.0:
@@ -230,10 +186,9 @@ def apply_p_laplacian(
         tiny = np.abs(diff) <= P_DIFF_REL_TOL * float(np.max(np.abs(f), initial=0.0))
         safe = np.where(tiny, 1.0, diff)
         flux = np.where(tiny, 0.0, coefficients * np.abs(safe) ** (p - 2.0) * safe)
-    out = np.zeros(metric.mesh.num_vertices)
-    np.add.at(out, ends[:, 0], flux)
-    np.add.at(out, ends[:, 1], -flux)
-    return out
+    return np.bincount(
+        ends.T.ravel(), np.concatenate([flux, -flux]), minlength=metric.mesh.num_vertices
+    )
 
 
 def calabi_energy(curv: np.ndarray, target: np.ndarray) -> float:

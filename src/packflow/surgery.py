@@ -91,7 +91,7 @@ def _quad_layout(metric: DecoratedMetric, edge_id: int):
     faces = [t1, t2]
     sides = metric.effective_lengths[metric.mesh.slot_edge_array()[faces]]
     layouts = layout_triangle(sides[:, 0], sides[:, 1], sides[:, 2])
-    centers, _ = radical_center(layouts, metric.effective_radii[metric.mesh.triangle_array()[faces]])
+    centers, _ = radical_center(layouts, metric.effective_radii[metric.mesh.triangles[faces]])
     dist = signed_distances(layouts, centers)
     sides1 = np.roll(sides[0], -e1)  # (|ij|, |jk|, |ki|)
     sides2 = np.roll(sides[1], -e2)  # (|ji|, |il|, |lj|)
@@ -108,6 +108,10 @@ def _quad_layout(metric: DecoratedMetric, edge_id: int):
     return (i, j, k, l), np.array([p_i, p_j, p_k, p_l]), outer, float(dist[0, e1] + dist[1, e2])
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> float:
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
 def flip_metric(
     metric: DecoratedMetric,
     edge_id: int,
@@ -119,11 +123,14 @@ def flip_metric(
 
     The new diagonal gets the geometric distance between the two opposite
     corners in the common layout; its base length is chosen so the current
-    scale factors reproduce that distance exactly.
+    scale factors reproduce that distance exactly.  That is an isometry only
+    if the diagonal runs inside the quad, so a flip whose old endpoints do
+    not lie strictly on opposite sides of it raises FlipProducesDegenerate.
     """
     (i, j, k, l), coords, outer, dsum = _quad_layout(metric, edge_id)
     l_jk, l_ki, l_il, l_lj = outer
-    new_length = float(np.hypot(*(coords[2] - coords[3])))
+    p_i, p_j, p_k, p_l = coords
+    new_length = float(np.hypot(*(p_k - p_l)))
 
     scale = max(new_length, l_jk, l_ki, l_il, l_lj)
     for a, b, c in ((l_lj, l_jk, new_length), (l_ki, l_il, new_length)):
@@ -132,6 +139,15 @@ def flip_metric(
             raise FlipProducesDegenerate(
                 f"flip of edge {edge_id} would create a triangle with margin {margin:.3e}"
             )
+    if not _cross(p_l - p_k, p_i - p_k) * _cross(p_l - p_k, p_j - p_k) < 0.0:
+        # i sits at the origin with j on the positive axis, k above, l below
+        at_i = np.arctan2(p_k[1], p_k[0]) - np.arctan2(p_l[1], p_l[0])
+        at_j = np.arctan2(p_k[1], p_j[0] - p_k[0]) - np.arctan2(p_l[1], p_j[0] - p_l[0])
+        vertex, angle = (i, at_i) if at_i >= at_j else (j, at_j)
+        raise FlipProducesDegenerate(
+            f"flip of edge {edge_id} would leave its quad: the quad angle at vertex"
+            f" {vertex} is {angle:.6f} rad, not below pi"
+        )
 
     ends = metric.mesh.edge_endpoints_array()[edge_id]
     r = metric.effective_radii

@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packflow import (
     DpmSyntaxError,
@@ -18,11 +20,13 @@ from packflow import (
     curvature,
     emit_dpm,
     generate,
+    make_delaunay,
     parse_dpm,
     preset_metric,
     run,
 )
 from packflow.formats import TRACE_COLUMNS
+from packflow.oracles import RandomMetricSpec, random_metric
 
 TETRA_DOC = """{
   "format": "dpm-1",
@@ -208,3 +212,33 @@ def test_trace_csv_layout():
     assert int(last[0]) == trace.steps
     assert float(last[2]) == trace.final_max_curv_err
     assert int(last[5]) == trace.flips_total
+
+
+# -- property: emit -> parse -> emit is a byte-exact fixed point ------------------
+
+ROUND_TRIP_SPECS = {
+    "tetrahedron": RandomMetricSpec(preset="tetrahedron"),
+    "icosahedron": RandomMetricSpec(preset="icosahedron"),
+    "torus_grid": RandomMetricSpec(preset="torus_grid", n=4, u_range=0.6),
+    "one_vertex_torus": RandomMetricSpec(preset="one_vertex_torus"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(ROUND_TRIP_SPECS)),
+    seed=st.integers(0, 2**16),
+    with_target=st.booleans(),
+)
+def test_emit_parse_emit_is_a_fixed_point(preset, seed, with_target):
+    metric = random_metric(ROUND_TRIP_SPECS[preset], seed)
+    n = metric.mesh.num_vertices
+    target = np.random.default_rng(seed).normal(size=n) if with_target else None
+    for stage in ("as drawn", "after make_delaunay"):
+        if stage == "after make_delaunay":
+            make_delaunay(metric)
+        text = emit_dpm(metric, target)
+        doc = parse_dpm(text)
+        assert emit_dpm(doc.metric, doc.target) == text, stage
+        assert np.array_equal(doc.metric.effective_lengths, metric.effective_lengths), stage
+        assert np.array_equal(doc.metric.effective_radii, metric.effective_radii), stage

@@ -20,9 +20,8 @@ from packflow import (
     DegenerateTriangle,
     ImaginaryChord,
     SingularSystem,
-    TriangleGeometry,
-    cotan_weight,
     edge_half_chord,
+    flip_metric,
     inner_angles,
     layout_triangle,
     preset_metric,
@@ -33,11 +32,39 @@ from packflow import (
 )
 from packflow.geometry import (
     delaunay_terms,
-    edge_distance_sums,
-    edge_half_chords,
     face_circles,
     triangle_layouts,
 )
+from packflow.metric import triangle_side_lengths
+from packflow.oracles import RandomMetricSpec, random_metric
+
+
+def _single_face(metric, t: int) -> dict:
+    """Everything about face ``t``, built from the per-face primitives alone."""
+    sides = triangle_side_lengths(metric)[t]
+    radii = metric.effective_radii[metric.mesh.triangles[t]]
+    coords = layout_triangle(*sides)
+    center, power = radical_center(coords, radii)
+    distances = signed_distances(coords, center)
+    chords = np.array(
+        [edge_half_chord(sides[e], radii[e], radii[(e + 1) % 3]) for e in range(3)]
+    )
+    return {
+        "lengths": sides,
+        "angles": np.array(inner_angles(*sides)),
+        "coords": coords,
+        "center": center,
+        "power": float(power),
+        "distances": distances,
+        "half_chords": chords,
+        "chord_angles": np.arctan2(chords, distances),
+    }
+
+
+def _edge_half_chords(metric) -> np.ndarray:
+    ends = metric.mesh.edge_endpoints_array()
+    r = metric.effective_radii
+    return edge_half_chord(metric.effective_lengths, r[ends[:, 0]], r[ends[:, 1]])
 
 
 def test_inner_angles_of_right_triangle():
@@ -116,15 +143,15 @@ def test_signed_distance_flips_sign_outside():
 
 def test_equilateral_orthogonal_circle_frozen():
     metric = preset_metric("tetrahedron")
-    geo = TriangleGeometry.from_metric(metric, 0)
+    geo = _single_face(metric, 0)
     s6, s2 = math.sqrt(6.0), math.sqrt(2.0)
-    assert geo.lengths == pytest.approx([s6, s6, s6])
-    assert geo.center == pytest.approx([s6 / 2.0, s2 / 2.0])
-    assert math.isclose(geo.power, 1.0, rel_tol=1e-12)
-    assert geo.distances == pytest.approx(np.full(3, s2 / 2.0))
-    assert geo.half_chords == pytest.approx(np.full(3, 1.0 / s2))
-    assert geo.chord_angles == pytest.approx(np.full(3, math.pi / 4.0))
-    assert geo.angles == pytest.approx(np.full(3, math.pi / 3.0))
+    assert geo["lengths"] == pytest.approx([s6, s6, s6])
+    assert geo["center"] == pytest.approx([s6 / 2.0, s2 / 2.0])
+    assert math.isclose(geo["power"], 1.0, rel_tol=1e-12)
+    assert geo["distances"] == pytest.approx(np.full(3, s2 / 2.0))
+    assert geo["half_chords"] == pytest.approx(np.full(3, 1.0 / s2))
+    assert geo["chord_angles"] == pytest.approx(np.full(3, math.pi / 4.0))
+    assert geo["angles"] == pytest.approx(np.full(3, math.pi / 3.0))
 
 
 def test_half_chord_from_edge_data_alone():
@@ -150,8 +177,10 @@ def test_half_chord_imaginary_when_circles_cross():
 
 def test_cotan_weight_equilateral():
     # two faces, each distance sqrt2/2, chord 1/sqrt2: weight 2 = 2 cot(pi/4)
-    w = cotan_weight(math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0, 1.0 / math.sqrt(2.0))
-    assert math.isclose(w, 2.0, rel_tol=1e-14)
+    metric = preset_metric("tetrahedron")
+    dsum, _ = delaunay_terms(metric)
+    weights = dsum / _edge_half_chords(metric)
+    assert np.allclose(weights, 2.0, rtol=1e-14, atol=0)
 
 
 def test_distance_chord_power_identity():
@@ -185,12 +214,12 @@ def test_face_batches_agree_with_single_face():
     angles = triangle_angles(metric)
     layouts = triangle_layouts(metric)
     for t in (0, 7, 19):
-        geo = TriangleGeometry.from_metric(metric, t)
-        assert circles.centers[t] == pytest.approx(geo.center)
-        assert math.isclose(circles.powers[t], geo.power, rel_tol=1e-12)
-        assert circles.distances[t] == pytest.approx(geo.distances)
-        assert angles[t] == pytest.approx(geo.angles)
-        assert layouts[t] == pytest.approx(geo.coords)
+        geo = _single_face(metric, t)
+        assert circles.centers[t] == pytest.approx(geo["center"])
+        assert math.isclose(circles.powers[t], geo["power"], rel_tol=1e-12)
+        assert circles.distances[t] == pytest.approx(geo["distances"])
+        assert angles[t] == pytest.approx(geo["angles"])
+        assert layouts[t] == pytest.approx(geo["coords"])
 
 
 def test_angle_sum_is_pi_per_face():
@@ -212,15 +241,39 @@ def test_areas_match_coordinate_shoelace():
 
 def test_edge_distance_sums_on_uniform_tetrahedron():
     metric = preset_metric("tetrahedron")
-    dsum = edge_distance_sums(metric)
-    assert np.allclose(dsum, math.sqrt(2.0), rtol=1e-12)
     terms, eps = delaunay_terms(metric)
-    assert np.array_equal(terms, dsum)
+    assert np.allclose(terms, math.sqrt(2.0), rtol=1e-12)
+    # the scatter over slots is exactly the sum of the edge's two sides
+    distances = face_circles(metric).distances
+    two_sided = [
+        distances[s1] + distances[s2]
+        for s1, s2 in (metric.mesh.edge(e).sides for e in range(metric.mesh.num_edges))
+    ]
+    assert np.array_equal(terms, two_sided)
     assert np.all(eps > 0.0)
     assert np.all(terms > eps)
 
 
+def test_delaunay_terms_follow_the_metric_state():
+    # computed once per state: a repeat call hands out the same read-only
+    # arrays, and new scale factors or a flip start a fresh computation
+    # that matches one on an uncached copy
+    metric = random_metric(RandomMetricSpec(preset="torus_grid", n=3, delaunay=True), 4)
+    first = delaunay_terms(metric)
+    assert delaunay_terms(metric) is first
+    with pytest.raises(ValueError):
+        first[0][0] = 1.0
+    metric.set_conformal_factors(np.array(metric.conformal_factors) + np.linspace(0, 0.05, 9))
+    scaled = delaunay_terms(metric)
+    assert not np.array_equal(scaled[0], first[0])
+    flip_metric(metric, 0)
+    flipped = delaunay_terms(metric)
+    assert not np.array_equal(flipped[0], scaled[0])
+    for mine, fresh in zip(flipped, delaunay_terms(metric.copy())):
+        assert np.array_equal(mine, fresh)
+
+
 def test_edge_half_chords_batch():
     metric = preset_metric("tetrahedron")
-    chords = edge_half_chords(metric)
+    chords = _edge_half_chords(metric)
     assert np.allclose(chords, 1.0 / math.sqrt(2.0), rtol=1e-14)

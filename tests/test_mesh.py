@@ -217,9 +217,9 @@ def test_copy_is_independent():
 
 def test_cached_arrays_refresh_after_flip():
     mesh = infer_gluings(4, TETRA_FACES)
-    tri0 = mesh.triangle_array().copy()
+    tri0 = mesh.triangles.copy()
     mesh.flip(0)
-    tri1 = mesh.triangle_array()
+    tri1 = mesh.triangles
     assert (tri0 != tri1).any()
     assert mesh.slot_edge_array().shape == (4, 3)
     assert mesh.edge_endpoints_array().shape == (6, 2)
@@ -235,7 +235,6 @@ def test_index_arrays_are_read_only():
     mesh = preset_complex("torus_grid", n=3)
     for arr in (
         mesh.triangles,
-        mesh.triangle_array(),
         mesh.slot_edge_array(),
         mesh.edge_endpoints_array(),
     ):
@@ -259,24 +258,20 @@ FLIP_SPECS = {
 ISOMETRY_MIN_ANGLE = 0.05
 
 
-def _flip_is_isometric(before, after, edge_id: int) -> bool:
-    """Whether flipping ``edge_id`` of ``before`` must keep curvature and area.
+def _flip_is_well_shaped(before, after, edge_id: int) -> bool:
+    """Whether the isometry of flipping ``edge_id`` is checked to 1e-12.
 
-    That holds when the new diagonal runs inside the quad, i.e. when the
-    quad angles at both ends of the old edge stay below pi, and is checked
-    to 1e-12 only while the new triangles are well shaped.
+    flip_metric refuses every flip whose new diagonal leaves the quad, so
+    every accepted flip is an isometry; the tight bound is asserted while
+    the new triangles are well shaped.
     """
-    (t1, e1), (t2, e2) = before.mesh.edge(edge_id).sides
-    angles = triangle_angles(before)
-    at_i = angles[t1, e1] + angles[t2, (e2 + 1) % 3]
-    at_j = angles[t1, (e1 + 1) % 3] + angles[t2, e2]
-    convex = max(at_i, at_j) < math.pi - 1e-9
-    return convex and triangle_angles(after)[[t1, t2]].min() > ISOMETRY_MIN_ANGLE
+    (t1, _), (t2, _) = before.mesh.edge(edge_id).sides
+    return triangle_angles(after)[[t1, t2]].min() > ISOMETRY_MIN_ANGLE
 
 
 def _index_arrays(mesh: DeltaComplex) -> list[np.ndarray]:
     return [
-        np.array(mesh.triangle_array()),
+        np.array(mesh.triangles),
         np.array(mesh.slot_edge_array()),
         np.array(mesh.edge_endpoints_array()),
     ]
@@ -311,7 +306,7 @@ def test_random_flip_sequences_keep_the_complex_consistent(preset, seed, picks):
         for mine, theirs in zip(_index_arrays(mesh0), before):
             assert np.array_equal(mine, theirs)
         assert mesh0.version == 0
-        if _flip_is_isometric(metric, trial, edge_id):
+        if _flip_is_well_shaped(metric, trial, edge_id):
             assert np.allclose(curvature(trial), curvature(metric), rtol=0, atol=1e-12)
             assert math.isclose(
                 float(np.sum(triangle_areas(trial))),
@@ -319,3 +314,47 @@ def test_random_flip_sequences_keep_the_complex_consistent(preset, seed, picks):
                 rel_tol=1e-12,
             )
         metric = trial
+
+
+# -- fuzzed gluings through the raw constructor -----------------------------------
+
+
+def _raw_arrays(mesh: DeltaComplex) -> tuple[list[int], list[int]]:
+    sides = mesh.edge_sides_array()
+    twin = [-1] * (3 * mesh.num_triangles)
+    for a, b in sides.tolist():
+        twin[a], twin[b] = b, a
+    return twin, sides[:, 0].tolist()
+
+
+FUZZ_MESHES = {
+    "tetrahedron": infer_gluings(4, TETRA_FACES),
+    "sphere2": build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS),
+    "one_vertex_torus": preset_complex("one_vertex_torus"),
+    "torus_grid": preset_complex("torus_grid", n=3),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FUZZ_MESHES)),
+    data=st.data(),
+)
+def test_fuzzed_gluings_raise_only_mesh_errors(name, data):
+    mesh = FUZZ_MESHES[name]
+    twin, edge_side = _raw_arrays(mesh)
+    slots = len(twin)
+    value = st.integers(-2, slots + 1)
+    # a few entries of the valid arrays rewritten, or arrays of any length
+    if data.draw(st.booleans(), label="mutate"):
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            which = data.draw(st.sampled_from(["twin", "edge_side"]), label="which")
+            target = twin if which == "twin" else edge_side
+            target[data.draw(st.integers(0, len(target) - 1), label="index")] = data.draw(value)
+    else:
+        twin = data.draw(st.lists(value, max_size=slots + 2), label="twin")
+        edge_side = data.draw(st.lists(value, max_size=slots // 2 + 2), label="edge_side")
+    try:
+        DeltaComplex(mesh.num_vertices, mesh.triangles, twin, edge_side).check()
+    except MeshError:
+        pass

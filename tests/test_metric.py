@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,12 +13,12 @@ from packflow import (
     DegenerateLength,
     DegenerateTriangle,
     InvalidInversiveDistance,
-    InversiveDistances,
     NonPositiveRadius,
     apply_conformal,
     build_complex,
     inversive_from_lengths,
     lengths_from_inversive,
+    parse_dpm,
     preset_complex,
     preset_metric,
     validate_triangles,
@@ -44,10 +45,24 @@ def test_uniform_unit_radii_inversive_two_gives_sqrt_six():
     assert np.allclose(metric.base_lengths, math.sqrt(6.0), rtol=1e-15)
 
 
+def _sphere2_document(inversive) -> str:
+    return json.dumps(
+        {
+            "format": "dpm-1",
+            "num_vertices": 3,
+            "triangles": SPHERE2_FACES,
+            "gluings": SPHERE2_GLUINGS,
+            "radii": [1.0, 1.0, 1.0],
+            "inversive_distances": inversive,
+        }
+    )
+
+
 def test_packing_range_enforced_on_input():
-    with pytest.raises(InvalidInversiveDistance):
-        InversiveDistances(np.array([2.0, 1.0, 2.0])).require_packing_range()
-    InversiveDistances(np.array([1.0 + 1e-12, 5.0, 2.0])).require_packing_range()
+    with pytest.raises(InvalidInversiveDistance, match=r"edges \[1\] have values \[1\.0\]"):
+        parse_dpm(_sphere2_document([2.0, 1.0, 2.0]))
+    doc = parse_dpm(_sphere2_document([1.0 + 1e-12, 5.0, 2.0]))
+    assert np.allclose(inversive_from_lengths(doc.metric), [1.0 + 1e-12, 5.0, 2.0], rtol=1e-12)
 
 
 def test_radii_must_be_positive():
@@ -153,6 +168,8 @@ def test_rebase_edge_reproduces_requested_length():
     metric = preset_metric("tetrahedron")
     u = np.array([0.2, -0.1, 0.05, -0.15])
     metric.set_conformal_factors(u)
+    # read before the rebase, so a stale memo of the old length would show
+    assert not math.isclose(metric.effective_lengths[3], 2.0, rel_tol=1e-3)
     metric.rebase_edge(3, 2.0)
     assert math.isclose(metric.effective_lengths[3], 2.0, rel_tol=1e-14)
     # other edges untouched
@@ -191,6 +208,14 @@ def test_effective_lengths_cache_tracks_updates():
     assert not np.allclose(first, second)
     metric.set_conformal_factors(np.zeros(4))
     assert np.allclose(metric.effective_lengths, first)
+    # a bare combinatorial flip gives edge 0 new endpoints, whose scale
+    # factors then apply to its stored base length
+    metric.set_conformal_factors([0.1, -0.1, 0.0, 0.0])
+    before_flip = metric.effective_lengths
+    metric.mesh.flip(0)
+    lengths, _ = apply_conformal(metric, metric.conformal_factors)
+    assert np.array_equal(metric.effective_lengths, lengths)
+    assert metric.effective_lengths[0] != before_flip[0]
 
 
 def test_apply_conformal_matches_effective_properties():

@@ -19,6 +19,7 @@ from packflow import (
     triangle_areas,
     validate_triangles,
 )
+from packflow.oracles import RandomMetricSpec, random_metric
 
 
 def _doubled_right_triangle() -> DecoratedMetric:
@@ -141,3 +142,16 @@ def test_clean_metric_needs_no_flips():
     assert delaunay_violations(metric) == []
     _, events = make_delaunay(metric)
     assert events == []
+
+
+def test_flip_refuses_a_non_convex_quad():
+    # after flipping edge 0, the quad over edge 1 has an angle of about
+    # 3.27 rad at an old endpoint: its new diagonal would run outside the
+    # quad, and the "flip" would move curvature by about 0.26
+    metric = random_metric(RandomMetricSpec(preset="icosahedron"), 0)
+    flip_metric(metric, 0)
+    k_before = curvature(metric)
+    with pytest.raises(FlipProducesDegenerate, match=r"quad angle at vertex \d+ is 3\.27"):
+        flip_metric(metric, 1)
+    assert np.array_equal(curvature(metric), k_before)
+    metric.mesh.check()
