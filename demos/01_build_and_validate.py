@@ -45,9 +45,11 @@ print("margins per face:", np.round(report.margins, 6),
       "admissible:", report.admissible)
 
 # Scale factors move vertices conformally.  Push two circles up and two
-# down far enough and a face flattens; passing a probe u reports the
-# margins that state would have without touching the metric.
+# down far enough and a face flattens; probing a copy reports the margins
+# that state would have without touching the metric.
 tetra_metric = DecoratedMetric(tetra, np.full(6, np.sqrt(6.0)), np.ones(4))
-probe = validate_triangles(tetra_metric, 1.1 * np.array([1.0, 1.0, -1.0, -1.0]))
+pushed = tetra_metric.copy()
+pushed.set_conformal_factors(1.1 * np.array([1.0, 1.0, -1.0, -1.0]))
+probe = validate_triangles(pushed)
 print("worst tetrahedron margin after the push:",
       round(float(probe.margins.min()), 6), "admissible:", probe.admissible)

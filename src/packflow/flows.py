@@ -17,9 +17,11 @@ succeeds, and the monitored quantities do not increase: the squared
 curvature deviation for the s-family, and the trapezoidal potential
 increment for every flow.  Rejected trials halve the step, up to 30 times;
 clean steps let the next trial grow, which is what makes the slow p != 2
-flows reach tight tolerances in a bounded number of steps.  Each trial
-state costs one curvature and one margin report, plus one more of each
-when surgery flips.
+flows reach tight tolerances in a bounded number of steps.  Curvature,
+margins and the Delaunay terms are memoized per metric state
+(``DecoratedMetric.memo``): each state, a trial or the triangulation
+surgery leaves it in, pays for each at most once, and an accepted
+state's curvature and edge weights start the next step.
 """
 
 from __future__ import annotations
@@ -142,16 +144,9 @@ def potential_increment(curv: np.ndarray, target: np.ndarray, du: np.ndarray) ->
     return float(diff @ np.asarray(du, dtype=float))
 
 
-def velocity(
-    metric: DecoratedMetric, config: FlowConfig, curv: np.ndarray | None = None
-) -> np.ndarray:
-    """du/dt at the current state for the configured flow.
-
-    ``curv`` is the curvature of ``metric`` when the caller already has it.
-    """
-    if curv is None:
-        curv = curvature(metric)
-    deviation = curv - config.target
+def velocity(metric: DecoratedMetric, config: FlowConfig) -> np.ndarray:
+    """du/dt at the current state for the configured flow."""
+    deviation = curvature(metric) - config.target
     if config.kind == "ricci" or (config.kind == "fractional" and config.s == 0.0):
         return -deviation
     if config.kind == "fractional":
@@ -168,6 +163,39 @@ def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, 
     return energy_after <= energy_before
 
 
+def _settle(
+    state: DecoratedMetric, config: FlowConfig, flow_time: float, h: float, flip_ordinal: int
+) -> StepRecord:
+    """Run surgery (when on) in place on the admissible state that a step
+    of size h from ``flow_time`` reached, and return the state's record.
+
+    The step index, halvings and the potential increment stay 0 for the
+    caller to stamp.
+    """
+    k = curvature(state)
+    flips, jump = 0, 0.0
+    if config.surgery:
+        _, events = make_delaunay(state, flow_time=flow_time + h, start_ordinal=flip_ordinal)
+        if events:
+            k_before, k = k, curvature(state)
+            flips, jump = len(events), float(np.max(np.abs(k - k_before)))
+    return StepRecord(
+        step=0,
+        t=flow_time + h,
+        h=h,
+        halvings=0,
+        max_curv_err=float(np.max(np.abs(k - config.target))),
+        calabi_energy=calabi_energy(k, config.target),
+        w_increment=0.0,
+        w_est=0.0,
+        flips=flips,
+        flips_total=flip_ordinal + flips,
+        min_margin=float(np.min(validate_triangles(state).margins)),
+        curvature_jump=jump,
+        sum_u=float(np.sum(state.conformal_factors)),
+    )
+
+
 def step(
     metric: DecoratedMetric,
     config: FlowConfig,
@@ -179,16 +207,16 @@ def step(
 ) -> tuple[DecoratedMetric, StepRecord]:
     """One accepted Euler step with projection, surgery, and backtracking.
 
-    Does not mutate ``metric``; returns the new state and a record with
-    the run-level fields (step index, t, cumulative sums) left at their
-    per-step values for the caller to stamp.
+    Does not mutate ``metric``; returns the new state and a record whose t
+    and flips_total count from ``flow_time`` and ``flip_ordinal``, with the
+    step index and the cumulative potential left for the caller to stamp.
     """
     u0 = np.array(metric.conformal_factors)
     if target_sum is None:
         target_sum = float(np.sum(u0))
     k0 = curvature(metric)
     e0 = calabi_energy(k0, config.target)
-    v = velocity(metric, config, k0)
+    v = velocity(metric, config)
     n = u0.size
 
     last_reason = "no admissible step"
@@ -208,24 +236,16 @@ def step(
                 )
                 h_try *= 0.5
                 continue
-            k1 = k_mid = curvature(trial)
-            events = []
-            if config.surgery:
-                _, events = make_delaunay(
-                    trial, flow_time=flow_time + h_try, start_ordinal=flip_ordinal
-                )
-                if events:
-                    k1 = curvature(trial)
-                    report = validate_triangles(trial)
+            record = _settle(trial, config, flow_time, h_try, flip_ordinal)
         except (MetricError, GeometryError, SurgeryError) as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
             h_try *= 0.5
             continue
 
-        e1 = calabi_energy(k1, config.target)
+        e1 = record.calabi_energy
         w_inc = 0.5 * (
             potential_increment(k0, config.target, du)
-            + potential_increment(k1, config.target, du)
+            + potential_increment(curvature(trial), config.target, du)
         )
         if not _monotone_ok(config, e0, e1, w_inc):
             last_reason = (
@@ -235,22 +255,8 @@ def step(
             h_try *= 0.5
             continue
 
-        jump = float(np.max(np.abs(k1 - k_mid))) if events else 0.0
-        record = StepRecord(
-            step=0,
-            t=flow_time + h_try,
-            h=h_try,
-            halvings=halvings,
-            max_curv_err=float(np.max(np.abs(k1 - config.target))),
-            calabi_energy=e1,
-            w_increment=w_inc,
-            w_est=w_inc,
-            flips=len(events),
-            flips_total=flip_ordinal + len(events),
-            min_margin=float(np.min(report.margins)),
-            curvature_jump=jump,
-            sum_u=float(np.sum(u1)),
-        )
+        record.halvings = halvings
+        record.w_increment = record.w_est = w_inc
         return trial, record
 
     raise StepCollapse(
@@ -288,56 +294,25 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
     """
     _require_admissible_target(metric, config)
     state = metric.copy()
-    report = validate_triangles(state)
-    report.require()
-    k = curvature(state)
-
+    validate_triangles(state).require()
     target_sum = float(np.sum(state.conformal_factors))
-    flips_total = 0
     initial_violations = 0
-    jump0 = 0.0
-    if config.surgery:
-        _, events = make_delaunay(state, flow_time=0.0)
-        flips_total = len(events)
-        if events:
-            k_before, k = k, curvature(state)
-            jump0 = float(np.max(np.abs(k - k_before)))
-            report = validate_triangles(state)
-    else:
+    if not config.surgery:
         initial_violations = len(delaunay_violations(state))
         if initial_violations:
             logger.info(
                 "surgery disabled: %d weighted Delaunay violations at the start",
                 initial_violations,
             )
+    records = [_settle(state, config, 0.0, 0.0, 0)]
 
-    records = [
-        StepRecord(
-            step=0,
-            t=0.0,
-            h=0.0,
-            halvings=0,
-            max_curv_err=float(np.max(np.abs(k - config.target))),
-            calabi_energy=calabi_energy(k, config.target),
-            w_increment=0.0,
-            w_est=0.0,
-            flips=flips_total,
-            flips_total=flips_total,
-            min_margin=float(np.min(report.margins)),
-            curvature_jump=jump0,
-            sum_u=float(np.sum(state.conformal_factors)),
-        )
-    ]
-
-    t = 0.0
-    w_cum = 0.0
     h_try = config.initial_step
-    steps_taken = 0
     while True:
-        if records[-1].max_curv_err < config.tol:
+        last = records[-1]
+        if last.max_curv_err < config.tol:
             termination = "converged"
             break
-        if steps_taken >= config.max_steps:
+        if last.step >= config.max_steps:
             termination = "budget"
             break
         state, rec = step(
@@ -345,17 +320,11 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
             config,
             h_try,
             target_sum=target_sum,
-            flow_time=t,
-            flip_ordinal=flips_total,
+            flow_time=last.t,
+            flip_ordinal=last.flips_total,
         )
-        steps_taken += 1
-        t += rec.h
-        w_cum += rec.w_increment
-        flips_total += rec.flips
-        rec.step = steps_taken
-        rec.t = t
-        rec.w_est = w_cum
-        rec.flips_total = flips_total
+        rec.step = last.step + 1
+        rec.w_est = last.w_est + rec.w_increment
         records.append(rec)
         if rec.halvings == 0:
             h_try = min(h_try * STEP_GROWTH, STEP_GROWTH_CAP)
@@ -368,6 +337,6 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
         metric=state,
         target=config.target,
         kind=config.kind,
-        flips_total=flips_total,
+        flips_total=records[-1].flips_total,
         initial_violations=initial_violations,
     )

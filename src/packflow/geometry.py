@@ -31,7 +31,7 @@ SINGULAR_REL_TOL = 1e-14
 def _check_cos(cos: np.ndarray, what: str) -> np.ndarray:
     over = np.abs(cos) - 1.0
     if np.any(over > COS_CLAMP_TOL):
-        idx = np.unravel_index(int(np.argmax(over)), np.shape(cos))
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(over)), np.shape(cos)))
         raise DegenerateTriangle(
             f"{what}: cosine {np.asarray(cos)[idx]:.12g} at index {idx} leaves [-1, 1]"
         )

@@ -157,15 +157,8 @@ class DeltaComplex:
             raise KeyError(slot)
         return 3 * t + e
 
-    def glued_to(self, slot: Slot) -> Slot:
-        return divmod(self._twin.item(self._slot_index(slot)), 3)
-
     def slot_edge(self, slot: Slot) -> int:
         return self._edge_of.item(self._slot_index(slot))
-
-    def slot_endpoints(self, slot: Slot) -> tuple[int, int]:
-        t, e = slot
-        return self._tri.item(t, e), self._tri.item(t, (e + 1) % 3)
 
     def edge(self, edge_id: int) -> EdgeHandle:
         s1 = self._edge_side.item(edge_id)
@@ -288,10 +281,6 @@ class DeltaComplex:
             f"DeltaComplex(V={self.num_vertices}, E={self.num_edges},"
             f" F={self.num_triangles}, chi={self.euler_characteristic})"
         )
-
-
-def vertex_star(mesh: DeltaComplex, v: int) -> list[tuple[int, int]]:
-    return mesh.vertex_star(v)
 
 
 def _validate(mesh: DeltaComplex) -> None:

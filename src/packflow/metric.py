@@ -245,23 +245,28 @@ def triangle_side_lengths(metric: DecoratedMetric) -> np.ndarray:
     return metric.effective_lengths[metric.mesh.slot_edge_array()]
 
 
-def validate_triangles(metric: DecoratedMetric, u: np.ndarray | None = None) -> MarginReport:
+def validate_triangles(metric: DecoratedMetric) -> MarginReport:
     """Triangle-inequality margins for every face.
 
     The margin of a face is the smallest of the three sums-of-two-sides
     minus the third side; the metric is admissible iff every margin clears
-    a relative threshold tied to the largest effective length.
+    a relative threshold tied to the largest effective length.  Computed
+    once per state of the metric; to probe other scale factors, set them
+    on a copy.
     """
-    if u is None:
-        lengths = metric.effective_lengths
-    else:
-        lengths, _ = apply_conformal(metric, u)
+    margins, threshold = metric.memo(_margins)
+    return MarginReport(
+        margins=margins, threshold=float(threshold), worst_triangle=int(np.argmin(margins))
+    )
+
+
+def _margins(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
+    lengths = metric.effective_lengths
     sides = lengths[metric.mesh.slot_edge_array()]
     s0, s1, s2 = sides[:, 0], sides[:, 1], sides[:, 2]
     margins = np.minimum(
         np.minimum(s0 + s1 - s2, s1 + s2 - s0),
         s2 + s0 - s1,
     )
-    threshold = TRIANGLE_MARGIN_REL_TOL * float(np.max(lengths, initial=0.0))
-    worst = int(np.argmin(margins))
-    return MarginReport(margins=margins, threshold=threshold, worst_triangle=worst)
+    threshold = TRIANGLE_MARGIN_REL_TOL * np.max(lengths, initial=0.0)
+    return margins, np.asarray(threshold)

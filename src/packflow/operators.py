@@ -39,13 +39,18 @@ def curvature(metric: DecoratedMetric) -> np.ndarray:
     """Per-vertex curvature 2*pi - (incident corner angles), shape (N,).
 
     Loops and repeated edges are handled for free: every corner of every
-    triangle contributes exactly once to its vertex label.
+    triangle contributes exactly once to its vertex label.  Computed once
+    per state of the metric.
     """
+    return metric.memo(_curvature)[0]
+
+
+def _curvature(metric: DecoratedMetric) -> tuple[np.ndarray]:
     angles = triangle_angles(metric)
     angle_sum = np.bincount(
         metric.mesh.triangles.ravel(), angles.ravel(), minlength=metric.mesh.num_vertices
     )
-    return 2.0 * np.pi - angle_sum
+    return (2.0 * np.pi - angle_sum,)
 
 
 def gauss_bonnet_residual(metric: DecoratedMetric) -> float:
@@ -94,8 +99,9 @@ def fd_jacobian(metric: DecoratedMetric, step: float = FD_DEFAULT_STEP) -> np.nd
         for sign in (+1.0, -1.0):
             u = u0.copy()
             u[jcol] += sign * step
+            scratch.set_conformal_factors(u)
             try:
-                report = validate_triangles(metric, u)
+                report = validate_triangles(scratch)
             except DegenerateLength as exc:
                 raise StepLeavesAdmissible(
                     f"finite-difference probe at vertex {jcol} (sign {sign:+.0f})"
@@ -106,7 +112,6 @@ def fd_jacobian(metric: DecoratedMetric, step: float = FD_DEFAULT_STEP) -> np.nd
                     f"finite-difference probe at vertex {jcol} (sign {sign:+.0f}) leaves"
                     f" the admissible cone (margin {report.margins[report.worst_triangle]:.3e})"
                 )
-            scratch.set_conformal_factors(u)
             cols.append(curvature(scratch))
         out[:, jcol] = (cols[0] - cols[1]) / (2.0 * step)
     return out

@@ -22,14 +22,8 @@ from .errors import (
     SelfFlip,
     SurgeryBudgetExceeded,
 )
-from .geometry import (
-    delaunay_terms,
-    edge_half_chord,
-    layout_triangle,
-    radical_center,
-    signed_distances,
-)
-from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL
+from .geometry import delaunay_terms, edge_half_chord, layout_triangle
+from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, validate_triangles
 
 logger = logging.getLogger(__name__)
 
@@ -60,8 +54,10 @@ def delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float]]:
     Returns (edge id, cotangent weight) pairs sorted by weight ascending.
     The test itself is on d1 + d2 against a scale-relative tolerance; the
     weight is only evaluated on the violating edges, so intact edges can
-    never raise chord errors.
+    never raise chord errors.  An inadmissible metric raises
+    DegenerateTriangle naming its worst face and margin.
     """
+    validate_triangles(metric).require()
     dsum, eps = delaunay_terms(metric)
     bad = np.where(dsum < -eps)[0]
     if bad.size == 0:
@@ -80,8 +76,8 @@ def _quad_layout(metric: DecoratedMetric, edge_id: int):
 
     Returns (corner labels (i, j, k, l), their coordinates, side lengths of
     the four outer edges as (l_jk, l_ki, l_il, l_lj), the edge's d1 + d2).
-    d1 + d2 comes from the per-face steps of :func:`delaunay_terms` run on
-    the two faces alone, so it equals that function's entry for the edge.
+    d1 + d2 is the edge's entry of :func:`delaunay_terms`, which
+    ``make_delaunay`` has already computed for this state.
     """
     (t1, e1), (t2, e2) = metric.mesh.edge(edge_id).sides
     if t1 == t2:
@@ -90,9 +86,6 @@ def _quad_layout(metric: DecoratedMetric, edge_id: int):
         )
     faces = [t1, t2]
     sides = metric.effective_lengths[metric.mesh.slot_edge_array()[faces]]
-    layouts = layout_triangle(sides[:, 0], sides[:, 1], sides[:, 2])
-    centers, _ = radical_center(layouts, metric.effective_radii[metric.mesh.triangles[faces]])
-    dist = signed_distances(layouts, centers)
     sides1 = np.roll(sides[0], -e1)  # (|ij|, |jk|, |ki|)
     sides2 = np.roll(sides[1], -e2)  # (|ji|, |il|, |lj|)
     tri1, tri2 = metric.mesh.triangles[faces].tolist()
@@ -105,7 +98,8 @@ def _quad_layout(metric: DecoratedMetric, edge_id: int):
     p_i, p_j, p_k = coords1
     p_l = np.array([shared - coords2[2, 0], -coords2[2, 1]])  # rotate into the lower half plane
     outer = (float(sides1[1]), float(sides1[2]), float(sides2[1]), float(sides2[2]))
-    return (i, j, k, l), np.array([p_i, p_j, p_k, p_l]), outer, float(dist[0, e1] + dist[1, e2])
+    dsum = float(delaunay_terms(metric)[0][edge_id])
+    return (i, j, k, l), np.array([p_i, p_j, p_k, p_l]), outer, dsum
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> float:

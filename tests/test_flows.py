@@ -227,3 +227,38 @@ def test_fractional_half_converges_on_torus():
     trace = run(metric, FlowConfig(kind="fractional", target=np.zeros(9), s=0.5))
     assert trace.converged
     assert math.isclose(trace.records[-1].sum_u, float(np.sum(u)), abs_tol=1e-9)
+
+
+def test_curvature_is_computed_once_per_trial_state(monkeypatch):
+    # the accepted state's curvature starts the next step, so angles are
+    # computed at most once per trial state plus once per state that
+    # surgery flipped into; recomputing k0 on every step breaks the bound
+    from packflow import flows, operators
+
+    metric = preset_metric("torus_grid", n=5)
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-0.2, 0.2, 25)
+    u -= u.mean()
+    metric.set_conformal_factors(u)
+    angle_calls = 0
+    flipped_states = 0
+    triangle_angles = operators.triangle_angles
+    make_delaunay = flows.make_delaunay
+
+    def counting_angles(m):
+        nonlocal angle_calls
+        angle_calls += 1
+        return triangle_angles(m)
+
+    def counting_surgery(m, **kwargs):
+        nonlocal flipped_states
+        result = make_delaunay(m, **kwargs)
+        flipped_states += bool(result[1])
+        return result
+
+    monkeypatch.setattr(operators, "triangle_angles", counting_angles)
+    monkeypatch.setattr(flows, "make_delaunay", counting_surgery)
+    trace = run(metric, FlowConfig(kind="ricci", target=np.zeros(25), max_steps=40))
+    assert trace.steps == 40
+    trial_states = 1 + sum(1 + rec.halvings for rec in trace.records[1:])
+    assert angle_calls <= trial_states + flipped_states

@@ -20,6 +20,7 @@ from packflow import (
     DegenerateTriangle,
     ImaginaryChord,
     SingularSystem,
+    curvature,
     edge_half_chord,
     flip_metric,
     inner_angles,
@@ -29,6 +30,7 @@ from packflow import (
     signed_distances,
     triangle_angles,
     triangle_areas,
+    validate_triangles,
 )
 from packflow.geometry import (
     delaunay_terms,
@@ -85,6 +87,11 @@ def test_inner_angles_accept_arrays():
 def test_inner_angles_reject_impossible_sides():
     with pytest.raises(DegenerateTriangle):
         inner_angles(1.0, 1.0, 3.0)
+    # in a batch the message names the bad triangle's index as plain ints,
+    # whatever numpy's scalar repr is
+    with pytest.raises(DegenerateTriangle) as info:
+        inner_angles(np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 3.0]))
+    assert "cosine 1.5 at index (1,) leaves" in str(info.value)
 
 
 def test_layout_of_right_triangle():
@@ -255,22 +262,36 @@ def test_edge_distance_sums_on_uniform_tetrahedron():
 
 
 def test_delaunay_terms_follow_the_metric_state():
-    # computed once per state: a repeat call hands out the same read-only
-    # arrays, and new scale factors or a flip start a fresh computation
-    # that matches one on an uncached copy
-    metric = random_metric(RandomMetricSpec(preset="torus_grid", n=3, delaunay=True), 4)
-    first = delaunay_terms(metric)
-    assert delaunay_terms(metric) is first
-    with pytest.raises(ValueError):
-        first[0][0] = 1.0
-    metric.set_conformal_factors(np.array(metric.conformal_factors) + np.linspace(0, 0.05, 9))
-    scaled = delaunay_terms(metric)
-    assert not np.array_equal(scaled[0], first[0])
-    flip_metric(metric, 0)
-    flipped = delaunay_terms(metric)
-    assert not np.array_equal(flipped[0], scaled[0])
-    for mine, fresh in zip(flipped, delaunay_terms(metric.copy())):
-        assert np.array_equal(mine, fresh)
+    # delaunay_terms, curvature and the margins are computed once per
+    # state: a repeat call hands out the same read-only arrays, and new
+    # scale factors, a flip with or without its rebase, or a rebased edge
+    # start a fresh computation that matches one on an uncached copy
+    quantities = {
+        "delaunay_terms": delaunay_terms,
+        "curvature": lambda m: (curvature(m),),
+        "margins": lambda m: (validate_triangles(m).margins,),
+    }
+    changes = {
+        "set_conformal_factors": lambda m: m.set_conformal_factors(
+            np.array(m.conformal_factors) + np.linspace(0, 0.05, 9)
+        ),
+        "flip_metric": lambda m: flip_metric(m, 0),
+        "bare flip": lambda m: m.mesh.flip(0),
+        "rebase_edge": lambda m: m.rebase_edge(0, 1.01 * m.effective_lengths[0]),
+    }
+    for qname, quantity in quantities.items():
+        metric = random_metric(RandomMetricSpec(preset="torus_grid", n=3, delaunay=True), 4)
+        first = quantity(metric)
+        assert all(a is b for a, b in zip(quantity(metric), first)), qname
+        with pytest.raises(ValueError):
+            first[0][0] = 1.0
+        for cname, change in changes.items():
+            before = quantity(metric)
+            change(metric)
+            after = quantity(metric)
+            assert not np.array_equal(after[0], before[0]), (qname, cname)
+            for mine, fresh in zip(after, quantity(metric.copy())):
+                assert np.array_equal(mine, fresh), (qname, cname)
 
 
 def test_edge_half_chords_batch():

@@ -156,8 +156,9 @@ def test_margin_report_on_valid_triangle():
 
 def test_validate_triangles_accepts_probe_factors():
     metric = preset_metric("tetrahedron")
-    probe = np.array([2.0, 0.0, 0.0, -2.0])
-    report = validate_triangles(metric, probe)
+    probe = metric.copy()
+    probe.set_conformal_factors(np.array([2.0, 0.0, 0.0, -2.0]))
+    report = validate_triangles(probe)
     assert not report.admissible
     # the metric itself is untouched by the probe
     assert np.all(metric.conformal_factors == 0.0)

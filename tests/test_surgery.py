@@ -7,6 +7,7 @@ import pytest
 
 from packflow import (
     DecoratedMetric,
+    DegenerateTriangle,
     FlipProducesDegenerate,
     SurgeryBudgetExceeded,
     build_complex,
@@ -96,6 +97,21 @@ def test_violations_sorted_worst_first():
     assert weights == sorted(weights)
     assert all(w < 0.0 for w in weights)
     assert violations[0][0] == 20
+
+
+def test_violations_of_an_inadmissible_metric_name_the_face():
+    # admissibility is checked before any face is laid out, so the error
+    # names the worst face and its margin
+    metric = preset_metric("torus_grid", n=4)
+    u = np.zeros(16)
+    u[0] = -5.0
+    metric.set_conformal_factors(u)
+    report = validate_triangles(metric)
+    with pytest.raises(DegenerateTriangle) as info:
+        delaunay_violations(metric)
+    assert str(info.value).startswith(
+        f"triangle {report.worst_triangle} has margin {report.margins[report.worst_triangle]:.3e}"
+    )
 
 
 def test_make_delaunay_clears_violations_and_preserves_curvature():
