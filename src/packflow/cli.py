@@ -17,7 +17,7 @@ from .errors import PackflowError, SchemaError
 from .flows import FlowConfig, run
 from .formats import generate, parse_dpm, emit_dpm, write_trace_csv
 from .metric import validate_triangles
-from .operators import curvature, fd_jacobian, jacobian
+from .operators import curvature, fd_jacobian, gauss_bonnet_residual, jacobian
 from .oracles import RandomMetricSpec, random_metric
 from .presets import PRESET_NAMES
 from .surgery import delaunay_violations
@@ -63,8 +63,7 @@ def _cmd_curvature(args) -> int:
     k = curvature(doc.metric)
     for i, val in enumerate(k):
         print(f"K[{i}] = {val:.12g}")
-    residual = float(np.sum(k)) - 2.0 * np.pi * doc.mesh.euler_characteristic
-    print(f"gauss-bonnet residual: {residual:.6g}")
+    print(f"gauss-bonnet residual: {gauss_bonnet_residual(doc.metric):.6g}")
     return EXIT_OK
 
 

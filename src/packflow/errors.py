@@ -78,10 +78,6 @@ class GeometryError(PackflowError):
     pass
 
 
-class SingularSystem(GeometryError):
-    """The radical-center linear system is (numerically) singular."""
-
-
 class ImaginaryChord(GeometryError):
     """A vertex circle swallows the edge: the orthogonal-circle chord is not real."""
 

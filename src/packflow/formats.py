@@ -37,7 +37,7 @@ from .errors import (
 )
 from .mesh import DeltaComplex, build_complex, infer_gluings
 from .metric import DecoratedMetric, lengths_from_inversive
-from .presets import PRESET_NAMES, preset_metric
+from .presets import preset_metric
 
 FORMAT_NAME = "dpm-1"
 
@@ -216,10 +216,6 @@ def generate(
     target: np.ndarray | None = None,
 ) -> str:
     """dpm-1 text for a uniformly decorated preset."""
-    if preset not in PRESET_NAMES:
-        from .errors import InvalidParams
-
-        raise InvalidParams(f"unknown preset {preset!r}; expected one of {PRESET_NAMES}")
     metric = preset_metric(preset, radius=radius, inversive=inversive, n=n)
     return emit_dpm(metric, target)
 

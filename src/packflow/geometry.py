@@ -1,4 +1,4 @@
-"""Per-triangle Euclidean data: angles, layouts, and the circle orthogonal
+"""Per-triangle Euclidean data: angles, areas, and the circle orthogonal
 to the three vertex circles.
 
 Everything flows from effective lengths and radii.  The orthogonal circle
@@ -10,22 +10,30 @@ the cotangent weights well defined on the glued surface:
     weight of edge e  =  (d1 + d2) / half_chord(e)
 
 with d1, d2 the distances from the two neighboring face centers to the
-edge line, signed positive toward the opposite corner.  ``delaunay_terms``
-gives d1 + d2 per edge; the Delaunay test reads its sign, and the
-operators divide it by the edge length.
+edge line, signed positive toward the opposite corner.  No face is laid
+out in the plane: side e runs from corner e to corner e+1 with length l_e,
+the center's foot on it lies a_e = (l_e^2 + r_e^2 - r_{e+1}^2) / (2 l_e)
+from corner e, and its foot on the side arriving at corner e lies
+b_e = (l_{e-1}^2 + r_e^2 - r_{e-1}^2) / (2 l_{e-1}) from corner e.  With A_e
+the angle at corner e,
+
+    d_e   = (b_e - a_e cos A_e) / sin A_e
+          = (b_e l_e l_{e-1} - a_e (l_e^2 + l_{e-1}^2 - l_{e+1}^2) / 2) / (2 area)
+    power = a_0^2 + d_0^2 - r_0^2
+
+(Glickenstein, JDG 2011).  ``delaunay_terms`` gives d1 + d2 per edge; the
+Delaunay test reads its sign, and the operators divide it by the edge
+length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateTriangle, ImaginaryChord, SingularSystem
-from .metric import DecoratedMetric, triangle_side_lengths
+from .errors import DegenerateTriangle, ImaginaryChord
+from .metric import DecoratedMetric, triangle_side_lengths, validate_triangles
 
 COS_CLAMP_TOL = 1e-9
-SINGULAR_REL_TOL = 1e-14
 
 
 def _check_cos(cos: np.ndarray, what: str) -> np.ndarray:
@@ -72,51 +80,6 @@ def layout_triangle(l01, l12, l20) -> np.ndarray:
     return np.stack([p0, p1, p2], axis=-2)
 
 
-def radical_center(coords: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-power point of the three vertex circles and its power.
-
-    ``coords`` has shape (..., 3, 2), ``radii`` shape (..., 3).  Returns
-    (center (..., 2), power (...)).  The power is the squared radius of
-    the orthogonal circle; it may have either sign in general position.
-    """
-    coords = np.asarray(coords, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    p0, p1, p2 = coords[..., 0, :], coords[..., 1, :], coords[..., 2, :]
-    a = p1 - p0
-    b = p2 - p0
-    rhs1 = (np.sum(p1 * p1, axis=-1) - np.sum(p0 * p0, axis=-1)
-            + radii[..., 0] ** 2 - radii[..., 1] ** 2) / 2.0
-    rhs2 = (np.sum(p2 * p2, axis=-1) - np.sum(p0 * p0, axis=-1)
-            + radii[..., 0] ** 2 - radii[..., 2] ** 2) / 2.0
-    det = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    scale = np.maximum(np.sum(a * a, axis=-1), np.sum(b * b, axis=-1))
-    if np.any(np.abs(det) <= SINGULAR_REL_TOL * scale):
-        raise SingularSystem("radical-center system is singular: collinear layout")
-    cx = (rhs1 * b[..., 1] - rhs2 * a[..., 1]) / det
-    cy = (a[..., 0] * rhs2 - b[..., 0] * rhs1) / det
-    center = np.stack([cx, cy], axis=-1)
-    diff = center - p0
-    power = np.sum(diff * diff, axis=-1) - radii[..., 0] ** 2
-    return center, power
-
-
-def signed_distances(coords: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Distance from ``center`` to each side line, positive toward the
-    opposite corner.  Shapes: coords (..., 3, 2), center (..., 2) ->
-    (..., 3), side e being the segment corner e -> corner e+1."""
-    coords = np.asarray(coords, dtype=float)
-    center = np.asarray(center, dtype=float)
-    out = []
-    for e in range(3):
-        pe = coords[..., e, :]
-        pn = coords[..., (e + 1) % 3, :]
-        v = pn - pe
-        w = center - pe
-        cross = v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
-        out.append(cross / np.sqrt(np.sum(v * v, axis=-1)))
-    return np.stack(out, axis=-1)
-
-
 def edge_half_chord(length, r_a, r_b):
     """Half-length of the chord the orthogonal circle cuts on the edge line.
 
@@ -146,11 +109,6 @@ def triangle_angles(metric: DecoratedMetric) -> np.ndarray:
     return np.stack([a0, a1, a2], axis=-1)
 
 
-def triangle_layouts(metric: DecoratedMetric) -> np.ndarray:
-    sides = triangle_side_lengths(metric)
-    return layout_triangle(sides[:, 0], sides[:, 1], sides[:, 2])
-
-
 def triangle_areas(metric: DecoratedMetric) -> np.ndarray:
     """Face areas by the stable form of Heron's rule."""
     sides = np.sort(triangle_side_lengths(metric), axis=1)
@@ -159,22 +117,23 @@ def triangle_areas(metric: DecoratedMetric) -> np.ndarray:
     return 0.25 * np.sqrt(np.maximum(sq, 0.0))
 
 
-@dataclass
-class FaceCircles:
-    """Orthogonal-circle data for every face at one metric state."""
+def face_circles(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
+    """(signed distances (F, 3), powers (F,)) of every face's orthogonal circle.
 
-    layouts: np.ndarray          # (F, 3, 2)
-    centers: np.ndarray          # (F, 2)
-    powers: np.ndarray           # (F,), squared radius of the orthogonal circle
-    distances: np.ndarray        # (F, 3), signed center-to-side distances
-
-
-def face_circles(metric: DecoratedMetric) -> FaceCircles:
-    layouts = triangle_layouts(metric)
-    radii = metric.effective_radii[metric.mesh.triangles]
-    centers, powers = radical_center(layouts, radii)
-    dist = signed_distances(layouts, centers)
-    return FaceCircles(layouts, centers, powers, dist)
+    Closed form in the side lengths and radii; raises DegenerateTriangle
+    naming the face when the metric is not admissible.
+    """
+    validate_triangles(metric).require()
+    l = triangle_side_lengths(metric)
+    r = metric.effective_radii[metric.mesh.triangles]
+    l_in, l_out = np.roll(l, 1, axis=1), np.roll(l, -1, axis=1)   # l_{e-1}, l_{e+1}
+    r_next, r_prev = np.roll(r, -1, axis=1), np.roll(r, 1, axis=1)
+    a = (l * l + r * r - r_next * r_next) / (2.0 * l)
+    b = (l_in * l_in + r * r - r_prev * r_prev) / (2.0 * l_in)
+    dot = 0.5 * (l * l + l_in * l_in - l_out * l_out)             # l_e l_{e-1} cos A_e
+    distances = (b * l * l_in - a * dot) / (2.0 * triangle_areas(metric))[:, None]
+    powers = a[:, 0] ** 2 + distances[:, 0] ** 2 - r[:, 0] ** 2
+    return distances, powers
 
 
 DELAUNAY_REL_TOL = 1e-12
@@ -196,12 +155,10 @@ def delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
-    circles = face_circles(metric)
+    distances, powers = face_circles(metric)
     slot_edge = metric.mesh.slot_edge_array()
-    num_edges = metric.mesh.num_edges
-    dsum = np.bincount(slot_edge.ravel(), circles.distances.ravel(), minlength=num_edges)
-    scale = np.zeros(num_edges)
-    per_face = np.abs(circles.powers)[:, None] * np.ones((1, 3))
-    np.maximum.at(scale, slot_edge, per_face)
+    dsum = np.bincount(slot_edge.ravel(), distances.ravel(), minlength=metric.mesh.num_edges)
+    faces = metric.mesh.edge_sides_array() // 3
+    scale = np.maximum(np.abs(powers[faces[:, 0]]), np.abs(powers[faces[:, 1]]))
     eps = DELAUNAY_REL_TOL * np.sqrt(scale)
     return dsum, eps

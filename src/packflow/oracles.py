@@ -1,9 +1,9 @@
 """Brute-force reference computations and seeded random metric generation.
 
 Everything here deliberately avoids the fast paths of the library: angles
-come from explicit plane coordinates, the Delaunay predicate from summed
-intersection angles, flip lengths from a reflected layout.  Tests compare
-the production code against these.
+and orthogonal circles come from explicit plane coordinates, the Delaunay
+predicate from summed intersection angles, flip lengths from a reflected
+layout.  Tests compare the production code against these.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateLength, DegenerateTriangle, MetricError
-from .geometry import edge_half_chord, face_circles
+from .geometry import edge_half_chord
 from .metric import DecoratedMetric, lengths_from_inversive, validate_triangles
 from .presets import preset_complex
 from .surgery import make_delaunay
@@ -61,15 +61,20 @@ def random_metric(spec: RandomMetricSpec, seed: int) -> DecoratedMetric:
     )
 
 
+def _oracle_layout(l01: float, l12: float, l20: float) -> np.ndarray:
+    """Corner 0 at the origin, corner 1 at (l01, 0), corner 2 above the axis."""
+    x = (l01 * l01 + l20 * l20 - l12 * l12) / (2.0 * l01)
+    y = np.sqrt(max(l20 * l20 - x * x, 0.0))
+    return np.array([[0.0, 0.0], [l01, 0.0], [x, y]])
+
+
 def oracle_angles_via_layout(l01: float, l12: float, l20: float) -> np.ndarray:
     """Inner angles from explicit coordinates, no law of cosines.
 
     Places the triangle by circle intersection and measures each angle with
     atan2 of the adjacent edge vectors.
     """
-    x = (l01 * l01 + l20 * l20 - l12 * l12) / (2.0 * l01)
-    y = np.sqrt(max(l20 * l20 - x * x, 0.0))
-    pts = np.array([[0.0, 0.0], [l01, 0.0], [x, y]])
+    pts = _oracle_layout(l01, l12, l20)
     angles = []
     for c in range(3):
         va = pts[(c + 1) % 3] - pts[c]
@@ -77,6 +82,31 @@ def oracle_angles_via_layout(l01: float, l12: float, l20: float) -> np.ndarray:
         ang = np.arctan2(va[0] * vb[1] - va[1] * vb[0], va @ vb)
         angles.append(abs(ang))
     return np.array(angles)
+
+
+def oracle_face_circle(sides, radii) -> tuple[np.ndarray, float, np.ndarray]:
+    """Orthogonal circle of one face from explicit plane coordinates.
+
+    ``sides`` are (l01, l12, l20) and ``radii`` the corner radii.  Lays the
+    face out, solves the two linear equal-power conditions for the center
+    with ``np.linalg.solve``, and measures the distance to each side line as
+    a cross product over the side length.  Returns (center, power,
+    distances), side e running from corner e to corner e+1 and its
+    distance positive toward the opposite corner.
+    """
+    pts = _oracle_layout(*(float(s) for s in sides))
+    r = np.asarray(radii, dtype=float)
+    # |c - p_k|^2 - r_k^2 is the same for k = 0, 1, 2
+    system = 2.0 * (pts[1:] - pts[0])
+    rhs = np.sum(pts[1:] ** 2, axis=1) - pts[0] @ pts[0] - r[1:] ** 2 + r[0] ** 2
+    center = np.linalg.solve(system, rhs)
+    power = float((center - pts[0]) @ (center - pts[0]) - r[0] ** 2)
+    distances = []
+    for e in range(3):
+        v = pts[(e + 1) % 3] - pts[e]
+        w = center - pts[e]
+        distances.append((v[0] * w[1] - v[1] * w[0]) / np.hypot(*v))
+    return center, power, np.array(distances)
 
 
 def oracle_delaunay_via_angles(metric: DecoratedMetric, edge_id: int) -> bool:
@@ -87,7 +117,6 @@ def oracle_delaunay_via_angles(metric: DecoratedMetric, edge_id: int) -> bool:
     and signed distance) and checks angle1 + angle2 <= pi.  The production
     predicate never forms these angles.
     """
-    circles = face_circles(metric)
     s1, s2 = metric.mesh.edge(edge_id).sides
     ends = metric.mesh.edge_endpoints_array()[edge_id]
     r = metric.effective_radii
@@ -96,7 +125,8 @@ def oracle_delaunay_via_angles(metric: DecoratedMetric, edge_id: int) -> bool:
     )
     total = 0.0
     for t, e in (s1, s2):
-        d = circles.distances[t, e]
+        sides = metric.effective_lengths[metric.mesh.slot_edge_array()[t]]
+        d = oracle_face_circle(sides, r[metric.mesh.triangles[t]])[2][e]
         total += float(np.arctan2(chord, d))
     return total <= np.pi + 1e-12
 

@@ -23,7 +23,7 @@ from .errors import (
     SurgeryBudgetExceeded,
 )
 from .geometry import delaunay_terms, edge_half_chord, layout_triangle
-from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, validate_triangles
+from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +57,6 @@ def delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float]]:
     never raise chord errors.  An inadmissible metric raises
     DegenerateTriangle naming its worst face and margin.
     """
-    validate_triangles(metric).require()
     dsum, eps = delaunay_terms(metric)
     bad = np.where(dsum < -eps)[0]
     if bad.size == 0:

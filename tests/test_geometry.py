@@ -19,42 +19,35 @@ import pytest
 from packflow import (
     DegenerateTriangle,
     ImaginaryChord,
-    SingularSystem,
+    apply_p_laplacian,
     curvature,
     edge_half_chord,
     flip_metric,
     inner_angles,
+    jacobian,
     layout_triangle,
     preset_metric,
-    radical_center,
-    signed_distances,
     triangle_angles,
     triangle_areas,
     validate_triangles,
 )
-from packflow.geometry import (
-    delaunay_terms,
-    face_circles,
-    triangle_layouts,
-)
+from packflow.geometry import delaunay_terms, face_circles
 from packflow.metric import triangle_side_lengths
-from packflow.oracles import RandomMetricSpec, random_metric
+from packflow.oracles import RandomMetricSpec, oracle_face_circle, random_metric
 
 
 def _single_face(metric, t: int) -> dict:
-    """Everything about face ``t``, built from the per-face primitives alone."""
+    """Everything about face ``t``, built from the per-face primitives and
+    the coordinate oracle alone."""
     sides = triangle_side_lengths(metric)[t]
     radii = metric.effective_radii[metric.mesh.triangles[t]]
-    coords = layout_triangle(*sides)
-    center, power = radical_center(coords, radii)
-    distances = signed_distances(coords, center)
+    center, power, distances = oracle_face_circle(sides, radii)
     chords = np.array(
         [edge_half_chord(sides[e], radii[e], radii[(e + 1) % 3]) for e in range(3)]
     )
     return {
         "lengths": sides,
         "angles": np.array(inner_angles(*sides)),
-        "coords": coords,
         "center": center,
         "power": float(power),
         "distances": distances,
@@ -118,34 +111,11 @@ def test_layout_lengths_round_trip():
 
 
 def test_radical_center_unit_circles_is_circumcenter():
-    coords = layout_triangle(3.0, 4.0, 5.0)
-    center, power = radical_center(coords, np.ones(3))
+    center, power, _ = oracle_face_circle([3.0, 4.0, 5.0], np.ones(3))
     # equal radii make the equal-power point the circumcenter, here the
     # hypotenuse midpoint at distance 2.5, so power = 2.5^2 - 1
     assert center == pytest.approx([1.5, 2.0])
     assert math.isclose(power, 5.25, rel_tol=1e-13)
-
-
-def test_radical_center_rejects_collinear_points():
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(SingularSystem):
-        radical_center(coords, np.ones(3))
-
-
-def test_signed_distances_positive_inside():
-    coords = layout_triangle(3.0, 4.0, 5.0)
-    inside = np.array([2.0, 1.0])
-    d = signed_distances(coords, inside)
-    assert np.all(d > 0.0)
-    # side 0 lies on the x-axis, so that distance is just the height
-    assert math.isclose(d[0], 1.0, rel_tol=1e-15)
-
-
-def test_signed_distance_flips_sign_outside():
-    coords = layout_triangle(3.0, 4.0, 5.0)
-    below = np.array([1.0, -0.5])
-    d = signed_distances(coords, below)
-    assert d[0] < 0.0
 
 
 def test_equilateral_orthogonal_circle_frozen():
@@ -156,6 +126,9 @@ def test_equilateral_orthogonal_circle_frozen():
     assert geo["center"] == pytest.approx([s6 / 2.0, s2 / 2.0])
     assert math.isclose(geo["power"], 1.0, rel_tol=1e-12)
     assert geo["distances"] == pytest.approx(np.full(3, s2 / 2.0))
+    distances, powers = face_circles(metric)
+    assert np.allclose(powers, 1.0, rtol=1e-12, atol=0)
+    assert distances == pytest.approx(np.full((4, 3), s2 / 2.0))
     assert geo["half_chords"] == pytest.approx(np.full(3, 1.0 / s2))
     assert geo["chord_angles"] == pytest.approx(np.full(3, math.pi / 4.0))
     assert geo["angles"] == pytest.approx(np.full(3, math.pi / 3.0))
@@ -191,42 +164,38 @@ def test_cotan_weight_equilateral():
 
 
 def test_distance_chord_power_identity():
-    # d^2 + half_chord^2 = power, per side, on random admissible faces
-    rng = np.random.default_rng(19)
+    # d^2 + half_chord^2 = power, per side, on every face of random metrics
     checked = 0
-    while checked < 100:
-        radii = rng.uniform(0.6, 1.5, 3)
-        inv = rng.uniform(1.2, 3.0, 3)
-        l01 = math.sqrt(radii[0] ** 2 + radii[1] ** 2 + 2 * inv[0] * radii[0] * radii[1])
-        l12 = math.sqrt(radii[1] ** 2 + radii[2] ** 2 + 2 * inv[1] * radii[1] * radii[2])
-        l20 = math.sqrt(radii[2] ** 2 + radii[0] ** 2 + 2 * inv[2] * radii[2] * radii[0])
-        sides = np.array([l01, l12, l20])
-        if np.min(np.sum(sides) - 2.0 * sides) <= 1e-9:
-            continue
-        coords = layout_triangle(*sides)
-        center, power = radical_center(coords, radii)
-        d = signed_distances(coords, center)
-        chords = [
-            edge_half_chord(sides[e], radii[e], radii[(e + 1) % 3]) for e in range(3)
-        ]
-        for e in range(3):
-            assert math.isclose(d[e] ** 2 + chords[e] ** 2, power, rel_tol=1e-10)
-        checked += 1
+    for spec in (
+        RandomMetricSpec(inversive_range=(1.2, 3.0)),
+        RandomMetricSpec(preset="icosahedron", radius_range=(0.6, 1.5), u_range=0.3),
+        RandomMetricSpec(preset="torus_grid", n=3, u_range=0.5),
+    ):
+        for seed in range(10):
+            metric = random_metric(spec, seed)
+            distances, powers = face_circles(metric)
+            sides = triangle_side_lengths(metric)
+            radii = metric.effective_radii[metric.mesh.triangles]
+            chords = edge_half_chord(sides, radii, np.roll(radii, -1, axis=1))
+            for t in range(len(powers)):
+                for e in range(3):
+                    assert math.isclose(
+                        distances[t, e] ** 2 + chords[t, e] ** 2, powers[t], rel_tol=1e-10
+                    )
+                checked += 1
+    assert checked > 100
 
 
 def test_face_batches_agree_with_single_face():
     metric = preset_metric("icosahedron", radius=0.9, inversive=1.8)
     metric.set_conformal_factors(np.linspace(-0.1, 0.1, 12))
-    circles = face_circles(metric)
+    distances, powers = face_circles(metric)
     angles = triangle_angles(metric)
-    layouts = triangle_layouts(metric)
     for t in (0, 7, 19):
         geo = _single_face(metric, t)
-        assert circles.centers[t] == pytest.approx(geo["center"])
-        assert math.isclose(circles.powers[t], geo["power"], rel_tol=1e-12)
-        assert circles.distances[t] == pytest.approx(geo["distances"])
+        assert math.isclose(powers[t], geo["power"], rel_tol=1e-12)
+        assert distances[t] == pytest.approx(geo["distances"])
         assert angles[t] == pytest.approx(geo["angles"])
-        assert layouts[t] == pytest.approx(geo["coords"])
 
 
 def test_angle_sum_is_pi_per_face():
@@ -239,7 +208,8 @@ def test_areas_match_coordinate_shoelace():
     metric = preset_metric("torus_grid", n=3, radius=0.8)
     metric.set_conformal_factors(np.linspace(-0.2, 0.2, 9))
     areas = triangle_areas(metric)
-    layouts = triangle_layouts(metric)
+    sides = triangle_side_lengths(metric)
+    layouts = layout_triangle(sides[:, 0], sides[:, 1], sides[:, 2])
     v1 = layouts[:, 1] - layouts[:, 0]
     v2 = layouts[:, 2] - layouts[:, 0]
     shoelace = 0.5 * np.abs(v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
@@ -250,8 +220,8 @@ def test_edge_distance_sums_on_uniform_tetrahedron():
     metric = preset_metric("tetrahedron")
     terms, eps = delaunay_terms(metric)
     assert np.allclose(terms, math.sqrt(2.0), rtol=1e-12)
-    # the scatter over slots is exactly the sum of the edge's two sides
-    distances = face_circles(metric).distances
+    # d1 + d2 is exactly the sum of the edge's two sides
+    distances = face_circles(metric)[0]
     two_sided = [
         distances[s1] + distances[s2]
         for s1, s2 in (metric.mesh.edge(e).sides for e in range(metric.mesh.num_edges))
@@ -298,3 +268,22 @@ def test_edge_half_chords_batch():
     metric = preset_metric("tetrahedron")
     chords = _edge_half_chords(metric)
     assert np.allclose(chords, 1.0 / math.sqrt(2.0), rtol=1e-14)
+
+
+def test_orthogonal_circles_of_an_inadmissible_metric_name_the_face():
+    # u[0] = -5 squeezes the triangles at vertex 0 past the triangle
+    # inequality; every reader of the face circles refuses with the margin
+    # report instead of returning infinities
+    metric = preset_metric("torus_grid", n=4)
+    u = np.zeros(metric.mesh.num_vertices)
+    u[0] = -5.0
+    metric.set_conformal_factors(u)
+    readers = {
+        "delaunay_terms": delaunay_terms,
+        "jacobian": jacobian,
+        "apply_p_laplacian": lambda m: apply_p_laplacian(m, 3.0, np.ones(m.mesh.num_vertices)),
+    }
+    for name, reader in readers.items():
+        with pytest.raises(DegenerateTriangle, match=r"^triangle \d+ has margin") as info:
+            reader(metric.copy())
+        assert "threshold" in str(info.value), name

@@ -7,11 +7,13 @@ import math
 import numpy as np
 
 from packflow import curvature, inner_angles, validate_triangles
-from packflow.geometry import delaunay_terms
+from packflow.geometry import delaunay_terms, face_circles
+from packflow.metric import triangle_side_lengths
 from packflow.oracles import (
     RandomMetricSpec,
     oracle_angles_via_layout,
     oracle_delaunay_via_angles,
+    oracle_face_circle,
     oracle_flip_length,
     random_metric,
 )
@@ -23,6 +25,13 @@ SPECS = [
     RandomMetricSpec(preset="octahedron", u_range=0.25),
     RandomMetricSpec(preset="icosahedron", inversive_range=(1.1, 3.5)),
     RandomMetricSpec(preset="torus_grid", n=3, u_range=0.3),
+]
+
+# wilder draws, so plenty of edges land on the violating side
+WILD = [
+    RandomMetricSpec(preset="octahedron", u_range=0.8, inversive_range=(1.05, 4.0)),
+    RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(1.05, 4.0)),
+    RandomMetricSpec(preset="torus_grid", n=3, u_range=0.9),
 ]
 
 
@@ -74,16 +83,31 @@ def test_curvature_angles_against_oracle_per_face():
         assert np.allclose(curvature(metric), 2.0 * np.pi - angle_sum, atol=1e-10)
 
 
+def test_face_circles_against_coordinate_oracle():
+    # the closed form against a layout, a linear solve and cross products,
+    # face by face; distances within 1e-12 of the orthogonal radius
+    # sqrt|power| and powers within 1e-12 relative, on centers both inside
+    # and outside their faces
+    signs = set()
+    for spec in SPECS + WILD:
+        for seed in range(40):
+            metric = random_metric(spec, seed)
+            distances, powers = face_circles(metric)
+            sides = triangle_side_lengths(metric)
+            radii = metric.effective_radii[metric.mesh.triangles]
+            for t in range(len(powers)):
+                _, power, ref = oracle_face_circle(sides[t], radii[t])
+                scale = math.sqrt(abs(power))
+                assert np.all(np.abs(distances[t] - ref) <= 1e-12 * scale), (spec, seed, t)
+                assert abs(powers[t] - power) <= 1e-12 * abs(power), (spec, seed, t)
+            signs.update(np.sign(distances).ravel().tolist())
+    assert {-1.0, 1.0} <= signs
+
+
 def test_delaunay_predicate_against_angle_oracle():
-    # the wilder draws make sure plenty of edges land on the violating side
-    wild = [
-        RandomMetricSpec(preset="octahedron", u_range=0.8, inversive_range=(1.05, 4.0)),
-        RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(1.05, 4.0)),
-        RandomMetricSpec(preset="torus_grid", n=3, u_range=0.9),
-    ]
     disagreed = 0
     marked = 0
-    for spec in SPECS + wild:
+    for spec in SPECS + WILD:
         for seed in range(40):
             metric = random_metric(spec, seed)
             terms, eps = delaunay_terms(metric)
