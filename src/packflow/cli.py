@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import PackflowError, SchemaError
+from .errors import InvalidParams, PackflowError, SchemaError
 from .flows import FlowConfig, run
 from .formats import generate, parse_dpm, emit_dpm, write_trace_csv
 from .metric import validate_triangles
@@ -80,12 +80,11 @@ def _resolve_target(args, doc) -> np.ndarray:
         except json.JSONDecodeError:
             raw = None
         if isinstance(raw, list):
-            target = np.asarray(raw, dtype=float)
-            if target.shape != (n,):
-                raise SchemaError(
-                    f"target file holds {target.shape[0] if target.ndim else 0} values, expected {n}"
-                )
-            return target
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw):
+                raise SchemaError(f"target file {args.target!r} must hold numbers only")
+            if len(raw) != n:
+                raise SchemaError(f"target file holds {len(raw)} values, expected {n}")
+            return np.array(raw, dtype=float)
         inner = parse_dpm(text)
         if inner.target is None:
             raise SchemaError(f"target file {args.target!r} carries no target_curvature")
@@ -143,6 +142,8 @@ def _cmd_jacobian_check(args) -> int:
         doc = _read_document(args.file)
         metrics = [doc.metric]
     else:
+        if args.count < 1:
+            raise InvalidParams(f"--count must be at least 1, got {args.count}")
         metrics = []
         specs = [
             RandomMetricSpec(preset="tetrahedron", delaunay=True),

@@ -78,6 +78,8 @@ class FlowConfig:
         self.target = np.asarray(self.target, dtype=float)
         if self.kind == "p_calabi" and not self.p > 1.0:
             raise InvalidExponent(f"p_calabi needs p > 1, got {self.p}")
+        if self.kind == "fractional" and not np.isfinite(self.s):
+            raise InvalidExponent(f"fractional needs a finite order s, got {self.s}")
         if self.h is not None and not self.h > 0:
             raise ValueError(f"step size must be positive, got {self.h}")
         if not self.tol > 0:
@@ -134,7 +136,7 @@ class FlowTrace:
         return self.records[-1].max_curv_err if self.records else nan
 
 
-def potential_increment(curv: np.ndarray, target: np.ndarray, du: np.ndarray) -> float:
+def _potential_increment(curv: np.ndarray, target: np.ndarray, du: np.ndarray) -> float:
     """Integrand sample dot(K - target, du) of the flow potential.
 
     The engine averages this at both step endpoints for the trapezoidal
@@ -244,8 +246,8 @@ def step(
 
         e1 = record.calabi_energy
         w_inc = 0.5 * (
-            potential_increment(k0, config.target, du)
-            + potential_increment(curvature(trial), config.target, du)
+            _potential_increment(k0, config.target, du)
+            + _potential_increment(curvature(trial), config.target, du)
         )
         if not _monotone_ok(config, e0, e1, w_inc):
             last_reason = (

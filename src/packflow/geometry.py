@@ -23,7 +23,8 @@ the angle at corner e,
 
 (Glickenstein, JDG 2011).  ``delaunay_terms`` gives d1 + d2 per edge; the
 Delaunay test reads its sign, and the operators divide it by the edge
-length.
+length.  ``inner_angles`` (law of cosines) also gives surgery the corner
+angles from which a flip's quad angles and new diagonal follow.
 """
 
 from __future__ import annotations
@@ -60,24 +61,6 @@ def inner_angles(l01, l12, l20):
     a1 = np.arccos(_check_cos(cos1, "angle at corner 1"))
     a2 = np.arccos(_check_cos(cos2, "angle at corner 2"))
     return a0, a1, a2
-
-
-def layout_triangle(l01, l12, l20) -> np.ndarray:
-    """Plane coordinates with corner 0 at the origin, corner 1 at (l01, 0),
-    corner 2 in the upper half plane.  Returns shape (3, 2) (or (..., 3, 2))."""
-    l01, l12, l20 = (np.asarray(x, dtype=float) for x in (l01, l12, l20))
-    x = (l01 * l01 + l20 * l20 - l12 * l12) / (2.0 * l01)
-    ysq = l20 * l20 - x * x
-    if np.any(ysq <= 0):
-        raise DegenerateTriangle(
-            f"layout degenerate: squared height {float(np.min(ysq)):.3e} <= 0"
-        )
-    y = np.sqrt(ysq)
-    zeros = np.zeros_like(x)
-    p0 = np.stack([zeros, zeros], axis=-1)
-    p1 = np.stack([l01, zeros], axis=-1)
-    p2 = np.stack([x, y], axis=-1)
-    return np.stack([p0, p1, p2], axis=-2)
 
 
 def edge_half_chord(length, r_a, r_b):

@@ -61,18 +61,6 @@ class EdgeHandle:
         return self.endpoints[0] == self.endpoints[1]
 
 
-@dataclass
-class FlipRecord:
-    """What a combinatorial flip did, in terms callers can replay."""
-
-    edge_id: int
-    old_endpoints: tuple[int, int]
-    new_endpoints: tuple[int, int]
-    triangles: tuple[int, int]
-    old_corners: tuple[tuple[int, int, int], tuple[int, int, int]]
-    new_corners: tuple[tuple[int, int, int], tuple[int, int, int]]
-
-
 def _next_slot(s):
     """Slot of the next side of the same triangle (scalar or array)."""
     return s - s % 3 + (s + 1) % 3
@@ -180,30 +168,9 @@ class DeltaComplex:
         """Vertex labels by edge id, shape (E, 2)."""
         return _read_only(self._edge_ends)
 
-    # -- stars -----------------------------------------------------------------
-
-    def vertex_star(self, v: int) -> list[tuple[int, int]]:
-        """All (triangle, corner) incidences of vertex ``v`` in cyclic order.
-
-        Every corner labeled ``v`` appears exactly once; loops and multiple
-        edges are handled because the walk uses gluings, not labels.  The
-        next corner is found by crossing the side arriving at the current
-        one: the glued slot starts at the same surface point.
-        """
-        hits = np.flatnonzero(self._tri.ravel() == v)
-        if hits.size == 0:
-            raise UnusedVertex(f"vertex {v} appears on no triangle")
-        start = cur = int(hits[0])
-        out = []
-        while True:
-            out.append(divmod(cur, 3))
-            cur = self._twin.item(_prev_slot(cur))
-            if cur == start:
-                return out
-
     # -- mutation ------------------------------------------------------------
 
-    def flip(self, edge_id: int) -> FlipRecord:
+    def flip(self, edge_id: int) -> None:
         """Replace the two triangles sharing ``edge_id`` by the opposite pair.
 
         With the shared edge written i -> j, triangles (i, j, k) and
@@ -218,8 +185,7 @@ class DeltaComplex:
             raise SelfFlip(
                 f"edge {edge_id} has both sides on triangle {t1}; flip undefined"
             )
-        tri1 = tuple(self._tri[t1].tolist())
-        tri2 = tuple(self._tri[t2].tolist())
+        tri1, tri2 = self._tri[[t1, t2]].tolist()
         i, j, k = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3]
         l = tri2[(e2 + 2) % 3]
 
@@ -249,19 +215,10 @@ class DeltaComplex:
         edge_of[d1] = edge_of[d2] = edge_id
         edge_side[edge_id] = d1
         self._edge_ends[edge_id] = (k, l)
-        new1, new2 = (l, j, k), (k, i, l)
-        self._tri[t1] = new1
-        self._tri[t2] = new2
+        self._tri[t1] = (l, j, k)
+        self._tri[t2] = (k, i, l)
 
         self.version += 1
-        return FlipRecord(
-            edge_id=edge_id,
-            old_endpoints=(i, j),
-            new_endpoints=(k, l),
-            triangles=(t1, t2),
-            old_corners=(tri1, tri2),
-            new_corners=(new1, new2),
-        )
 
     def copy(self) -> "DeltaComplex":
         dup = DeltaComplex.__new__(DeltaComplex)

@@ -208,22 +208,25 @@ def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray,
              + e^{u_a+u_b} l^2
 
     which for a loop edge (a == b) collapses to l~ = e^{u_a} l, since the
-    first two terms vanish identically.
+    first two terms vanish identically.  Scale factors whose exponentials
+    overflow give non-finite squares, which raise DegenerateLength like
+    non-positive ones.
     """
     u = np.asarray(u, dtype=float)
     ends = metric.mesh.edge_endpoints_array()
     ua, ub = u[ends[:, 0]], u[ends[:, 1]]
     ra, rb = metric.radii[ends[:, 0]], metric.radii[ends[:, 1]]
-    eab = np.exp(ua + ub)
-    sq = (
-        (np.exp(2.0 * ua) - eab) * ra * ra
-        + (np.exp(2.0 * ub) - eab) * rb * rb
-        + eab * metric.base_lengths**2
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        eab = np.exp(ua + ub)
+        sq = (
+            (np.exp(2.0 * ua) - eab) * ra * ra
+            + (np.exp(2.0 * ub) - eab) * rb * rb
+            + eab * metric.base_lengths**2
+        )
     if np.any(sq <= 0) or not np.all(np.isfinite(sq)):
         bad = np.where(~(sq > 0) | ~np.isfinite(sq))[0]
         raise DegenerateLength(
-            f"scaled squared length non-positive on edges {bad.tolist()[:8]}"
+            f"scaled squared length non-positive or non-finite on edges {bad.tolist()[:8]}"
         )
     return np.sqrt(sq), np.exp(u) * metric.radii
 

@@ -136,7 +136,7 @@ def oracle_flip_length(metric: DecoratedMetric, edge_id: int) -> float:
 
     Both triangles are laid out with the shared edge on the x-axis and the
     far apex reflected below it; the result is the distance between the
-    two apexes.  Independent of the surgery module's layout path.
+    two apexes.  Independent of the surgery module's quad angles.
     """
     s1, s2 = metric.mesh.edge(edge_id).sides
     lengths = metric.effective_lengths

@@ -1,10 +1,15 @@
 """Weighted Delaunay maintenance by edge flips.
 
 A flip replaces the two triangles over an edge by the opposite diagonal of
-their common planar layout.  Because the new diagonal length is measured in
-that same layout, the flip is an isometry of the surface: curvature and
-area are untouched, only the triangulation changes.  Flips are triggered by
-the sign of d1 + d2 (the cotangent-weight numerator), never by trigonometry.
+their quad.  The new diagonal length follows from the two faces' corner
+angles alone: the quad angle at an old endpoint is the sum of its two
+corner angles there, and the law of cosines across that angle gives the
+diagonal.  The flip is an isometry of the surface exactly when both quad
+angles at the old endpoints are below pi, so only then is it made:
+curvature and area are untouched, only the triangulation changes (intrinsic
+flips, Fisher, Springborn, Schroeder, Bobenko 2007).  Flips are triggered
+by the sign of d1 + d2 (the cotangent-weight numerator), never by
+trigonometry.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import (
     SelfFlip,
     SurgeryBudgetExceeded,
 )
-from .geometry import delaunay_terms, edge_half_chord, layout_triangle
+from .geometry import delaunay_terms, edge_half_chord, inner_angles
 from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL
 
 logger = logging.getLogger(__name__)
@@ -70,41 +75,6 @@ def delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float]]:
     return [(int(bad[i]), float(weights[i])) for i in order]
 
 
-def _quad_layout(metric: DecoratedMetric, edge_id: int):
-    """Lay out the two triangles over an edge in one plane, opposite sides.
-
-    Returns (corner labels (i, j, k, l), their coordinates, side lengths of
-    the four outer edges as (l_jk, l_ki, l_il, l_lj), the edge's d1 + d2).
-    d1 + d2 is the edge's entry of :func:`delaunay_terms`, which
-    ``make_delaunay`` has already computed for this state.
-    """
-    (t1, e1), (t2, e2) = metric.mesh.edge(edge_id).sides
-    if t1 == t2:
-        raise SelfFlip(
-            f"edge {edge_id} has both sides on triangle {t1}; flip undefined"
-        )
-    faces = [t1, t2]
-    sides = metric.effective_lengths[metric.mesh.slot_edge_array()[faces]]
-    sides1 = np.roll(sides[0], -e1)  # (|ij|, |jk|, |ki|)
-    sides2 = np.roll(sides[1], -e2)  # (|ji|, |il|, |lj|)
-    tri1, tri2 = metric.mesh.triangles[faces].tolist()
-    i, j, k = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3]
-    l = tri2[(e2 + 2) % 3]
-
-    coords1 = layout_triangle(*sides1)           # i at origin, j on the axis, k above
-    coords2 = layout_triangle(*sides2)           # j at origin, i on the axis, l above
-    shared = sides1[0]
-    p_i, p_j, p_k = coords1
-    p_l = np.array([shared - coords2[2, 0], -coords2[2, 1]])  # rotate into the lower half plane
-    outer = (float(sides1[1]), float(sides1[2]), float(sides2[1]), float(sides2[2]))
-    dsum = float(delaunay_terms(metric)[0][edge_id])
-    return (i, j, k, l), np.array([p_i, p_j, p_k, p_l]), outer, dsum
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
 def flip_metric(
     metric: DecoratedMetric,
     edge_id: int,
@@ -114,16 +84,30 @@ def flip_metric(
 ) -> tuple[DecoratedMetric, SurgeryEvent]:
     """Flip one edge, updating the complex and the stored lengths in place.
 
-    The new diagonal gets the geometric distance between the two opposite
-    corners in the common layout; its base length is chosen so the current
-    scale factors reproduce that distance exactly.  That is an isometry only
-    if the diagonal runs inside the quad, so a flip whose old endpoints do
-    not lie strictly on opposite sides of it raises FlipProducesDegenerate.
+    The faces over the edge i -> j are (i, j, k) and (j, i, l).  The new
+    diagonal closes the triangle (k, i, l) whose angle at i is the quad
+    angle theta_i, the sum of the two faces' corner angles at i:
+
+        |kl|^2 = |ki|^2 + |il|^2 - 2 |ki| |il| cos theta_i
+
+    Its base length is chosen so the current scale factors reproduce that
+    distance exactly.  That is an isometry only if the diagonal runs inside
+    the quad, so unless both quad angles theta_i and theta_j are below pi
+    the flip raises FlipProducesDegenerate naming the larger one.
     """
-    (i, j, k, l), coords, outer, dsum = _quad_layout(metric, edge_id)
-    l_jk, l_ki, l_il, l_lj = outer
-    p_i, p_j, p_k, p_l = coords
-    new_length = float(np.hypot(*(p_k - p_l)))
+    (t1, e1), (t2, e2) = metric.mesh.edge(edge_id).sides
+    if t1 == t2:
+        raise SelfFlip(
+            f"edge {edge_id} has both sides on triangle {t1}; flip undefined"
+        )
+    dsum = float(delaunay_terms(metric)[0][edge_id])
+    sides = metric.effective_lengths[metric.mesh.slot_edge_array()[[t1, t2]]]
+    # rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
+    sides = np.stack([np.roll(sides[0], -e1), np.roll(sides[1], -e2)])
+    (_, l_jk, l_ki), (_, l_il, l_lj) = sides.tolist()
+    at0, at1, _ = inner_angles(sides[:, 0], sides[:, 1], sides[:, 2])
+    theta_i, theta_j = float(at0[0] + at1[1]), float(at1[0] + at0[1])
+    new_length = float(np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i)))
 
     scale = max(new_length, l_jk, l_ki, l_il, l_lj)
     for a, b, c in ((l_lj, l_jk, new_length), (l_ki, l_il, new_length)):
@@ -132,11 +116,10 @@ def flip_metric(
             raise FlipProducesDegenerate(
                 f"flip of edge {edge_id} would create a triangle with margin {margin:.3e}"
             )
-    if not _cross(p_l - p_k, p_i - p_k) * _cross(p_l - p_k, p_j - p_k) < 0.0:
-        # i sits at the origin with j on the positive axis, k above, l below
-        at_i = np.arctan2(p_k[1], p_k[0]) - np.arctan2(p_l[1], p_l[0])
-        at_j = np.arctan2(p_k[1], p_j[0] - p_k[0]) - np.arctan2(p_l[1], p_j[0] - p_l[0])
-        vertex, angle = (i, at_i) if at_i >= at_j else (j, at_j)
+    tri1, tri2 = metric.mesh.triangles[[t1, t2]].tolist()
+    i, j, k, l = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3], tri2[(e2 + 2) % 3]
+    if not max(theta_i, theta_j) < np.pi:
+        vertex, angle = (i, theta_i) if theta_i >= theta_j else (j, theta_j)
         raise FlipProducesDegenerate(
             f"flip of edge {edge_id} would leave its quad: the quad angle at vertex"
             f" {vertex} is {angle:.6f} rad, not below pi"

@@ -113,6 +113,14 @@ def test_flow_target_from_array_file(bumpy_file, tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("values", [["a", "b", "c", "d"], [True, 1.0, 1.0, 1.0], [[1.0]] * 4])
+def test_flow_target_file_of_non_numbers_is_a_schema_error(bumpy_file, tmp_path, capsys, values):
+    target_path = tmp_path / "target.json"
+    target_path.write_text(json.dumps(values))
+    assert main(["flow", str(bumpy_file), "--target", str(target_path)]) == EXIT_ERROR
+    assert "error: target file" in capsys.readouterr().err
+
+
 def test_flow_target_embedded_in_document(bumpy_file, tmp_path):
     doc = json.loads(bumpy_file.read_text())
     doc["target_curvature"] = [np.pi] * 4
@@ -153,6 +161,14 @@ def test_bad_file_exits_one(tmp_path, capsys):
 def test_jacobian_check_random(capsys):
     assert main(["jacobian-check", "--count", "3"]) == EXIT_OK
     assert "3 metrics" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_jacobian_check_rejects_counts_below_one(capsys, count):
+    assert main(["jacobian-check", "--count", count]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "error: --count must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 def test_jacobian_check_on_file(tetra_file, capsys):

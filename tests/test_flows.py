@@ -12,11 +12,13 @@ from packflow import (
     FlowConfig,
     InvalidExponent,
     NonAdmissibleTarget,
+    StepCollapse,
     preset_metric,
     run,
     step,
     velocity,
 )
+from packflow.oracles import RandomMetricSpec, random_metric
 
 
 def _uniform_target(metric) -> np.ndarray:
@@ -40,6 +42,9 @@ def test_config_validation():
         FlowConfig(kind="gradient", target=target)
     with pytest.raises(InvalidExponent):
         FlowConfig(kind="p_calabi", target=target, p=1.0)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidExponent):
+            FlowConfig(kind="fractional", target=target, s=s)
     with pytest.raises(ValueError):
         FlowConfig(kind="calabi", target=target, h=-0.1)
     with pytest.raises(ValueError):
@@ -175,6 +180,15 @@ def test_step_backtracks_oversized_trial():
     assert np.array_equal(
         metric.conformal_factors, _seeded_tetra(7).conformal_factors
     )
+
+
+def test_overflowing_trials_halve_to_step_collapse():
+    # e^(2u) overflows on every trial, down to h ~ 1e3; such trials must
+    # halve like any other inadmissible one, not escape as a RuntimeWarning
+    metric = random_metric(RandomMetricSpec(preset="icosahedron", delaunay=True), 3)
+    config = FlowConfig(kind="ricci", target=_uniform_target(metric))
+    with pytest.raises(StepCollapse, match="DegenerateLength"):
+        step(metric, config, 1e12)
 
 
 def test_uniform_shift_equivariance():

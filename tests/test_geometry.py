@@ -1,4 +1,4 @@
-"""Triangle layouts, orthogonal circles, and the Delaunay quantities.
+"""Triangle angles and areas, orthogonal circles, and the Delaunay quantities.
 
 The frozen numbers below are worked out by hand on two configurations:
 
@@ -25,7 +25,6 @@ from packflow import (
     flip_metric,
     inner_angles,
     jacobian,
-    layout_triangle,
     preset_metric,
     triangle_angles,
     triangle_areas,
@@ -33,7 +32,7 @@ from packflow import (
 )
 from packflow.geometry import delaunay_terms, face_circles
 from packflow.metric import triangle_side_lengths
-from packflow.oracles import RandomMetricSpec, oracle_face_circle, random_metric
+from packflow.oracles import RandomMetricSpec, _oracle_layout, oracle_face_circle, random_metric
 
 
 def _single_face(metric, t: int) -> dict:
@@ -85,29 +84,6 @@ def test_inner_angles_reject_impossible_sides():
     with pytest.raises(DegenerateTriangle) as info:
         inner_angles(np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 3.0]))
     assert "cosine 1.5 at index (1,) leaves" in str(info.value)
-
-
-def test_layout_of_right_triangle():
-    coords = layout_triangle(3.0, 4.0, 5.0)
-    assert coords[0] == pytest.approx([0.0, 0.0])
-    assert coords[1] == pytest.approx([3.0, 0.0])
-    assert coords[2] == pytest.approx([3.0, 4.0])
-    # swapping the two far sides moves the apex above the other corner
-    assert layout_triangle(3.0, 5.0, 4.0)[2] == pytest.approx([0.0, 4.0])
-
-
-def test_layout_lengths_round_trip():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        sides = rng.uniform(0.2, 3.0, 3)
-        lo, hi = np.sort(sides)[:2], np.max(sides)
-        if lo[0] + lo[1] <= hi * 1.001:
-            continue
-        coords = layout_triangle(*sides)
-        assert math.isclose(np.hypot(*(coords[1] - coords[0])), sides[0], rel_tol=1e-12)
-        assert math.isclose(np.hypot(*(coords[2] - coords[1])), sides[1], rel_tol=1e-12)
-        assert math.isclose(np.hypot(*(coords[0] - coords[2])), sides[2], rel_tol=1e-12)
-        assert coords[2][1] > 0.0
 
 
 def test_radical_center_unit_circles_is_circumcenter():
@@ -209,7 +185,7 @@ def test_areas_match_coordinate_shoelace():
     metric.set_conformal_factors(np.linspace(-0.2, 0.2, 9))
     areas = triangle_areas(metric)
     sides = triangle_side_lengths(metric)
-    layouts = layout_triangle(sides[:, 0], sides[:, 1], sides[:, 2])
+    layouts = np.array([_oracle_layout(*face) for face in sides])
     v1 = layouts[:, 1] - layouts[:, 0]
     v2 = layouts[:, 2] - layouts[:, 0]
     shoelace = 0.5 * np.abs(v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])

@@ -19,7 +19,6 @@ from packflow import (
     FlowConfig,
     IndefiniteOperator,
     InvalidExponent,
-    RandomMetricSpec,
     StepLeavesAdmissible,
     apply_fractional,
     apply_laplacian,
@@ -32,11 +31,11 @@ from packflow import (
     jacobian,
     preset_complex,
     preset_metric,
-    random_metric,
     spectral,
     velocity,
 )
 from packflow.geometry import delaunay_terms, triangle_angles
+from packflow.oracles import RandomMetricSpec, random_metric
 
 SQ3 = math.sqrt(3.0)
 E0 = np.array([1.0, 0.0, 0.0, 0.0])

@@ -135,6 +135,6 @@ def test_flip_length_against_reflection_oracle():
                     _, event = flip_metric(metric.copy(), edge_id)
                 except FlipProducesDegenerate:
                     continue
-                assert math.isclose(event.new_length, ref, rel_tol=1e-10)
+                assert math.isclose(event.new_length, ref, rel_tol=1e-12)
                 checked += 1
     assert checked > 400
