@@ -136,6 +136,10 @@ class NonAdmissibleTarget(FlowError):
     """Target curvature violates Gauss-Bonnet or the per-vertex bound."""
 
 
+class InvalidFlowSetting(FlowError, ValueError):
+    """Unknown flow kind, step not finite and positive, tolerance not positive, budget below 0."""
+
+
 # --- file formats and CLI ----------------------------------------------------
 
 class FormatError(PackflowError):

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     GeometryError,
     InvalidExponent,
+    InvalidFlowSetting,
     MetricError,
     NonAdmissibleTarget,
     StepCollapse,
@@ -74,16 +75,18 @@ class FlowConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown flow kind {self.kind!r}; expected one of {KINDS}")
+            raise InvalidFlowSetting(f"unknown flow kind {self.kind!r}; expected one of {KINDS}")
         self.target = np.asarray(self.target, dtype=float)
-        if self.kind == "p_calabi" and not self.p > 1.0:
-            raise InvalidExponent(f"p_calabi needs p > 1, got {self.p}")
+        if self.kind == "p_calabi" and not 1.0 < self.p < np.inf:
+            raise InvalidExponent(f"p_calabi needs p in (1, inf), got {self.p}")
         if self.kind == "fractional" and not np.isfinite(self.s):
             raise InvalidExponent(f"fractional needs a finite order s, got {self.s}")
-        if self.h is not None and not self.h > 0:
-            raise ValueError(f"step size must be positive, got {self.h}")
+        if self.h is not None and not 0.0 < self.h < np.inf:
+            raise InvalidFlowSetting(f"step size must be positive and finite, got {self.h}")
         if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+            raise InvalidFlowSetting(f"tolerance must be positive, got {self.tol}")
+        if not self.max_steps >= 0:
+            raise InvalidFlowSetting(f"step budget must be at least 0, got {self.max_steps}")
 
     @property
     def initial_step(self) -> float:

@@ -35,6 +35,7 @@ from .errors import DegenerateTriangle, ImaginaryChord
 from .metric import DecoratedMetric, triangle_side_lengths, validate_triangles
 
 COS_CLAMP_TOL = 1e-9
+_PREV, _NEXT = np.array([2, 0, 1]), np.array([1, 2, 0])   # side or corner e -> e-1, e+1
 
 
 def _check_cos(cos: np.ndarray, what: str) -> np.ndarray:
@@ -94,7 +95,11 @@ def triangle_angles(metric: DecoratedMetric) -> np.ndarray:
 
 def triangle_areas(metric: DecoratedMetric) -> np.ndarray:
     """Face areas by the stable form of Heron's rule."""
-    sides = np.sort(triangle_side_lengths(metric), axis=1)
+    return _heron(triangle_side_lengths(metric))
+
+
+def _heron(sides: np.ndarray) -> np.ndarray:
+    sides = np.sort(sides, axis=1)
     a, b, c = sides[:, 2], sides[:, 1], sides[:, 0]
     sq = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
     return 0.25 * np.sqrt(np.maximum(sq, 0.0))
@@ -107,15 +112,19 @@ def face_circles(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     naming the face when the metric is not admissible.
     """
     validate_triangles(metric).require()
-    l = triangle_side_lengths(metric)
-    r = metric.effective_radii[metric.mesh.triangles]
-    l_in, l_out = np.roll(l, 1, axis=1), np.roll(l, -1, axis=1)   # l_{e-1}, l_{e+1}
-    r_next, r_prev = np.roll(r, -1, axis=1), np.roll(r, 1, axis=1)
-    a = (l * l + r * r - r_next * r_next) / (2.0 * l)
-    b = (l_in * l_in + r * r - r_prev * r_prev) / (2.0 * l_in)
-    dot = 0.5 * (l * l + l_in * l_in - l_out * l_out)             # l_e l_{e-1} cos A_e
-    distances = (b * l * l_in - a * dot) / (2.0 * triangle_areas(metric))[:, None]
-    powers = a[:, 0] ** 2 + distances[:, 0] ** 2 - r[:, 0] ** 2
+    return _circles(metric, slice(None))
+
+
+def _circles(metric: DecoratedMetric, faces) -> tuple[np.ndarray, np.ndarray]:
+    """``face_circles`` of ``faces`` alone: a row reads its own face only."""
+    l = metric.effective_lengths[metric.mesh.slot_edge_array()[faces]]
+    r = metric.effective_radii[metric.mesh.triangles[faces]]
+    ll, rr = l * l, r * r
+    a = (ll + rr - rr[:, _NEXT]) / (2.0 * l)
+    b = (ll[:, _PREV] + rr - rr[:, _PREV]) / (2.0 * l[:, _PREV])
+    dot = 0.5 * (ll + ll[:, _PREV] - ll[:, _NEXT])            # l_e l_{e-1} cos A_e
+    distances = (b * l * l[:, _PREV] - a * dot) / (2.0 * _heron(l))[:, None]
+    powers = a[:, 0] ** 2 + distances[:, 0] ** 2 - rr[:, 0]
     return distances, powers
 
 
@@ -132,16 +141,19 @@ def delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     the orthogonal-circle size of the two incident faces (their
     |power|^(1/2), a length).  Computed once per state of the metric, so
     the Delaunay check of an accepted trial and the operators of the next
-    step share one pass.
+    step share one pass; surgery patches it flip by flip.
     """
-    return metric.memo(_delaunay_terms)
+    return metric.memo(_delaunay_terms)[:2]
 
 
-def _delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
+def _delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
+    """(d1 + d2, tolerance) per edge, then the face circles they come from."""
     distances, powers = face_circles(metric)
-    slot_edge = metric.mesh.slot_edge_array()
-    dsum = np.bincount(slot_edge.ravel(), distances.ravel(), minlength=metric.mesh.num_edges)
-    faces = metric.mesh.edge_sides_array() // 3
-    scale = np.maximum(np.abs(powers[faces[:, 0]]), np.abs(powers[faces[:, 1]]))
-    eps = DELAUNAY_REL_TOL * np.sqrt(scale)
-    return dsum, eps
+    return (*_edge_terms(distances, powers, metric.mesh.edge_sides_array()), distances, powers)
+
+
+def _edge_terms(distances: np.ndarray, powers: np.ndarray, sides: np.ndarray):
+    """(d1 + d2, tolerance) of the edges whose two sides (slots) are the rows of ``sides``."""
+    flat, scale = distances.ravel(), np.abs(powers[sides // 3])
+    tolerance = DELAUNAY_REL_TOL * np.sqrt(np.maximum(scale[:, 0], scale[:, 1]))
+    return flat[sides[:, 0]] + flat[sides[:, 1]], tolerance

@@ -23,7 +23,7 @@ from .errors import (
     InvalidInversiveDistance,
     NonPositiveRadius,
 )
-from .mesh import DeltaComplex
+from .mesh import DeltaComplex, _read_only
 
 TRIANGLE_MARGIN_REL_TOL = 1e-12
 
@@ -122,9 +122,7 @@ class DecoratedMetric:
 
     @property
     def conformal_factors(self) -> np.ndarray:
-        view = self._u.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._u)
 
     def set_conformal_factors(self, u: np.ndarray) -> None:
         u = np.array(u, dtype=float)
@@ -145,14 +143,14 @@ class DecoratedMetric:
         scale factors; a flip, new scale factors or a rebased edge starts a
         new one.  The arrays are handed out read-only.
         """
-        key = self._state_key()
         hit = self._memo.get(compute)
-        if hit is None or hit[0] != key:
-            value = compute(self)
-            for arr in value:
-                arr.flags.writeable = False
-            hit = self._memo[compute] = (key, value)
-        return hit[1]
+        if hit is None or hit[0] != self._state_key():
+            self.remember(compute, compute(self))
+        return self._memo[compute][1]
+
+    def remember(self, compute, value: tuple[np.ndarray, ...]) -> None:
+        """Record ``value`` as ``compute(self)`` for the current state, as read-only views."""
+        self._memo[compute] = (self._state_key(), tuple(map(_read_only, value)))
 
     @property
     def effective_lengths(self) -> np.ndarray:

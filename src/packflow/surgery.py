@@ -10,6 +10,10 @@ curvature and area are untouched, only the triangulation changes (intrinsic
 flips, Fisher, Springborn, Schroeder, Bobenko 2007).  Flips are triggered
 by the sign of d1 + d2 (the cotangent-weight numerator), never by
 trigonometry.
+
+``make_delaunay`` flips the most negative weight first, the lowest edge id
+among equal weights.  After one whole-mesh test it recomputes and retests
+only the two faces and five edges that each flip rewrites.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .errors import (
     SelfFlip,
     SurgeryBudgetExceeded,
 )
-from .geometry import delaunay_terms, edge_half_chord, inner_angles
+from .geometry import _circles, _delaunay_terms, _edge_terms, delaunay_terms
+from .geometry import edge_half_chord, inner_angles
 from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL
 
 logger = logging.getLogger(__name__)
@@ -56,23 +61,22 @@ class SurgeryEvent:
 def delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float]]:
     """Edges failing the weighted Delaunay condition, worst first.
 
-    Returns (edge id, cotangent weight) pairs sorted by weight ascending.
+    Returns (edge id, cotangent weight) pairs by ascending weight, then id.
     The test itself is on d1 + d2 against a scale-relative tolerance; the
     weight is only evaluated on the violating edges, so intact edges can
     never raise chord errors.  An inadmissible metric raises
     DegenerateTriangle naming its worst face and margin.
     """
     dsum, eps = delaunay_terms(metric)
-    bad = np.where(dsum < -eps)[0]
-    if bad.size == 0:
-        return []
-    ends = metric.mesh.edge_endpoints_array()[bad]
-    r = metric.effective_radii
-    lengths = metric.effective_lengths[bad]
-    chords = edge_half_chord(lengths, r[ends[:, 0]], r[ends[:, 1]])
-    weights = dsum[bad] / chords
-    order = np.argsort(weights)
-    return [(int(bad[i]), float(weights[i])) for i in order]
+    bad = np.flatnonzero(dsum < -eps)
+    weights = _weights(metric, dsum, bad)
+    return [(int(bad[i]), float(weights[i])) for i in np.argsort(weights, kind="stable")]
+
+
+def _weights(metric: DecoratedMetric, dsum: np.ndarray, edges) -> np.ndarray:
+    """Cotangent weights of ``edges``: d1 + d2 over the half chord."""
+    r = metric.effective_radii[metric.mesh.edge_endpoints_array()[edges]]
+    return dsum[edges] / edge_half_chord(metric.effective_lengths[edges], r[:, 0], r[:, 1])
 
 
 def flip_metric(
@@ -100,10 +104,13 @@ def flip_metric(
         raise SelfFlip(
             f"edge {edge_id} has both sides on triangle {t1}; flip undefined"
         )
-    dsum = float(delaunay_terms(metric)[0][edge_id])
-    sides = metric.effective_lengths[metric.mesh.slot_edge_array()[[t1, t2]]]
+    try:
+        pre_weight = float(_weights(metric, delaunay_terms(metric)[0], [edge_id])[0])
+    except ImaginaryChord:
+        pre_weight = nan
     # rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
-    sides = np.stack([np.roll(sides[0], -e1), np.roll(sides[1], -e2)])
+    slots = [[3 * t + (e + c) % 3 for c in range(3)] for t, e in ((t1, e1), (t2, e2))]
+    sides = metric.effective_lengths[metric.mesh.slot_edge_array().ravel()[slots]]
     (_, l_jk, l_ki), (_, l_il, l_lj) = sides.tolist()
     at0, at1, _ = inner_angles(sides[:, 0], sides[:, 1], sides[:, 2])
     theta_i, theta_j = float(at0[0] + at1[1]), float(at1[0] + at0[1])
@@ -124,16 +131,6 @@ def flip_metric(
             f"flip of edge {edge_id} would leave its quad: the quad angle at vertex"
             f" {vertex} is {angle:.6f} rad, not below pi"
         )
-
-    ends = metric.mesh.edge_endpoints_array()[edge_id]
-    r = metric.effective_radii
-    try:
-        chord = float(
-            edge_half_chord(metric.effective_lengths[edge_id], r[ends[0]], r[ends[1]])
-        )
-        pre_weight = dsum / chord
-    except ImaginaryChord:
-        pre_weight = nan
 
     metric.mesh.flip(edge_id)
     try:
@@ -176,22 +173,40 @@ def make_delaunay(
 ) -> tuple[DecoratedMetric, list[SurgeryEvent]]:
     """Flip worst-violating edges until the triangulation is weighted Delaunay.
 
-    Deterministic: always flips the most negative weight first.  A second
-    call on the result performs zero flips.  Raises SurgeryBudgetExceeded
-    if violations persist after the flip budget (default 100 per edge).
+    Deterministic: always flips the most negative weight first, the lowest
+    edge id among equal weights.  A second call on the result performs zero
+    flips.  Raises SurgeryBudgetExceeded if violations persist after the
+    flip budget (default 100 per edge).  After the one whole-mesh test, a
+    flip recomputes and retests only its two faces and five edges.
     """
     budget = max_flips if max_flips is not None else SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
-    events: list[SurgeryEvent] = []
+    dsum, eps = delaunay_terms(metric)
+    bad = np.flatnonzero(dsum < -eps)
+    if bad.size == 0:
+        return metric, []
+    weights = np.full(dsum.size, np.inf)
+    weights[bad] = _weights(metric, dsum, bad)
+    dsum, eps, distances, powers = terms = [arr.copy() for arr in metric.memo(_delaunay_terms)]
+    mesh, events = metric.mesh, []
     while True:
-        violations = delaunay_violations(metric)
-        if not violations:
+        edge_id = int(np.argmin(weights))
+        if weights[edge_id] == np.inf:
             return metric, events
         if len(events) >= budget:
             raise SurgeryBudgetExceeded(
-                f"{len(violations)} weighted Delaunay violations remain after {len(events)} flips"
+                f"{np.count_nonzero(weights < np.inf)} weighted Delaunay violations remain"
+                f" after {len(events)} flips"
             )
-        edge_id, _ = violations[0]
         _, event = flip_metric(
             metric, edge_id, flow_time=flow_time, ordinal=start_ordinal + len(events)
         )
         events.append(event)
+        faces = [t for t, _ in mesh.edge(edge_id).sides]
+        distances[faces], powers[faces] = _circles(metric, faces)
+        edges = mesh.slot_edge_array()[faces].ravel()
+        sides = np.array([[3 * t + c for t, c in mesh.edge(e).sides] for e in edges.tolist()])
+        dsum[edges], eps[edges] = _edge_terms(distances, powers, sides)
+        metric.remember(_delaunay_terms, terms)
+        bad = edges[dsum[edges] < -eps[edges]]
+        weights[edges] = np.inf
+        weights[bad] = _weights(metric, dsum, bad)

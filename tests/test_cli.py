@@ -121,6 +121,18 @@ def test_flow_target_file_of_non_numbers_is_a_schema_error(bumpy_file, tmp_path,
     assert "error: target file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--step", "0"], ["--step", "inf"], ["--tol", "0"], ["--max-steps", "-2"],
+     ["--flow", "p-calabi", "--p", "inf"]],
+)
+def test_flow_rejects_bad_settings_with_one_error_line(bumpy_file, capsys, flags):
+    code = main(["flow", str(bumpy_file), "--target", "uniform", *flags])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_flow_target_embedded_in_document(bumpy_file, tmp_path):
     doc = json.loads(bumpy_file.read_text())
     doc["target_curvature"] = [np.pi] * 4

@@ -11,7 +11,9 @@ from packflow import (
     DegenerateTriangle,
     FlowConfig,
     InvalidExponent,
+    InvalidFlowSetting,
     NonAdmissibleTarget,
+    PackflowError,
     StepCollapse,
     preset_metric,
     run,
@@ -49,6 +51,27 @@ def test_config_validation():
         FlowConfig(kind="calabi", target=target, h=-0.1)
     with pytest.raises(ValueError):
         FlowConfig(kind="calabi", target=target, tol=0.0)
+    # p lies in (1, inf); h must be finite and positive, tol positive and
+    # the step budget at least 0, each refused with a typed error that is
+    # still a ValueError
+    for p in (math.inf, math.nan):
+        with pytest.raises(InvalidExponent):
+            FlowConfig(kind="p_calabi", target=target, p=p)
+    bad_settings = [
+        {"kind": "gradient"},
+        {"h": 0.0},
+        {"h": math.inf},
+        {"h": math.nan},
+        {"tol": 0.0},
+        {"tol": math.nan},
+        {"max_steps": -2},
+    ]
+    for setting in bad_settings:
+        with pytest.raises(InvalidFlowSetting):
+            FlowConfig(**{"kind": "calabi", "target": target, **setting})
+    assert issubclass(InvalidFlowSetting, ValueError)
+    assert issubclass(InvalidFlowSetting, PackflowError)
+    FlowConfig(kind="calabi", target=target, max_steps=0)
 
 
 def test_default_step_sizes():

@@ -9,17 +9,21 @@ from packflow import (
     DecoratedMetric,
     DegenerateTriangle,
     FlipProducesDegenerate,
+    PackflowError,
     SurgeryBudgetExceeded,
     build_complex,
     curvature,
     delaunay_violations,
     flip_metric,
+    lengths_from_inversive,
     make_delaunay,
     preset_complex,
     preset_metric,
     triangle_areas,
     validate_triangles,
 )
+from packflow import geometry, surgery
+from packflow.geometry import _delaunay_terms
 from packflow.oracles import RandomMetricSpec, random_metric
 
 
@@ -171,3 +175,99 @@ def test_flip_refuses_a_non_convex_quad():
         flip_metric(metric, 1)
     assert np.array_equal(curvature(metric), k_before)
     metric.mesh.check()
+
+
+def _squeezed_torus(n: int, seed: int | None) -> DecoratedMetric:
+    # inversive distance 6 on the diagonals and 1.5 on the grid edges makes
+    # every diagonal violate; seed None keeps all radii equal, so every
+    # violation ties with every other
+    mesh = preset_complex("torus_grid", n=n)
+    radii = np.ones(n * n)
+    if seed is not None:
+        radii = np.exp(np.random.default_rng(seed).uniform(-0.1, 0.1, n * n))
+    a, b = mesh.edge_endpoints_array().T
+    di, dj = (b // n - a // n) % n, (b % n - a % n) % n
+    inversive = np.where((di == dj) & (di != 0), 6.0, 1.5)
+    return DecoratedMetric(mesh, lengths_from_inversive(mesh, radii, inversive), radii)
+
+
+def _reference_make_delaunay(metric: DecoratedMetric) -> list:
+    # the whole-mesh test on an uncached copy before every flip; the most
+    # negative weight goes first, the lowest edge id among equal weights
+    events = []
+    while True:
+        violations = delaunay_violations(metric.copy())
+        if not violations:
+            return events
+        worst = min(w for _, w in violations)
+        edge_id = min(e for e, w in violations if w == worst)
+        events.append(flip_metric(metric, edge_id, ordinal=len(events))[1])
+
+
+def _equivalence_inputs():
+    for n in range(4, 9):
+        for seed in (None, 0, 1):
+            yield f"squeezed n={n} seed={seed}", _squeezed_torus(n, seed)
+    wild = [
+        RandomMetricSpec(preset="torus_grid", n=5, u_range=1.2),
+        RandomMetricSpec(preset="torus_grid", n=6, u_range=0.6, inversive_range=(1.05, 4.0)),
+        RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(1.05, 4.0)),
+    ]
+    for spec in wild:
+        for seed in range(12):
+            yield f"{spec} seed={seed}", random_metric(spec, seed)
+
+
+def test_make_delaunay_matches_the_whole_mesh_reference(monkeypatch):
+    # make_delaunay patches the two flipped faces and their five edges; the
+    # reference recomputes everything before every flip.  Same flips, same
+    # triangulation, same lengths, and after every flip the memoized terms
+    # (d1 + d2, tolerance, face circles) equal a fresh whole-mesh pass; that
+    # they are memo hits, not recomputations, is the next test's job.
+    def check_memo(metric):
+        for mine, fresh in zip(metric.memo(_delaunay_terms), _delaunay_terms(metric.copy())):
+            assert np.array_equal(mine, fresh)
+
+    def checked_flip(metric, edge_id, **kwargs):
+        check_memo(metric)
+        return flip_metric(metric, edge_id, **kwargs)
+
+    monkeypatch.setattr(surgery, "flip_metric", checked_flip)
+    flipped = 0
+    for name, metric in _equivalence_inputs():
+        mine, reference = metric.copy(), metric.copy()
+        try:
+            _, events = make_delaunay(mine)
+        except PackflowError as exc:
+            with pytest.raises(type(exc)):
+                _reference_make_delaunay(reference)
+        else:
+            assert repr(events) == repr(_reference_make_delaunay(reference)), name
+            check_memo(mine)
+            assert delaunay_violations(mine) == []
+            flipped += len(events)
+        assert np.array_equal(mine.mesh.triangles, reference.mesh.triangles), name
+        assert np.array_equal(mine.base_lengths, reference.base_lengths), name
+    assert flipped > 600
+
+
+def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
+    # one whole-mesh pass for the entry check; every flip after it touches
+    # its own two faces only, however many flips there are
+    metric = _squeezed_torus(6, 3)
+    every_face = np.arange(metric.mesh.num_triangles)
+    whole = []
+
+    def counted(real):
+        def wrapper(metric, *faces):
+            if not faces or every_face[faces[0]].size == every_face.size:
+                whole.append(real.__name__)
+            return real(metric, *faces)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "face_circles", counted(geometry.face_circles))
+    monkeypatch.setattr(geometry, "_circles", counted(geometry._circles))
+    monkeypatch.setattr(surgery, "_circles", counted(surgery._circles))
+    _, events = make_delaunay(metric)
+    assert len(events) == 36
+    assert whole == ["face_circles", "_circles"]
