@@ -18,10 +18,10 @@ curvature deviation for the s-family, and the trapezoidal potential
 increment for every flow.  Rejected trials halve the step, up to 30 times;
 clean steps let the next trial grow, which is what makes the slow p != 2
 flows reach tight tolerances in a bounded number of steps.  Curvature,
-margins and the Delaunay terms are memoized per metric state
-(``DecoratedMetric.memo``): each state, a trial or the triangulation
-surgery leaves it in, pays for each at most once, and an accepted
-state's curvature and edge weights start the next step.
+margins and the per-face pass (angles, circles, Delaunay terms) are
+memoized per state (``DecoratedMetric.memo``): a trial state pays for one
+whole-mesh pass, surgery patches it, and an accepted state's curvature
+and edge weights start the next step.
 """
 
 from __future__ import annotations

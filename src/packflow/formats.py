@@ -76,7 +76,7 @@ def _require(obj: dict, key: str, kind, where: str = "document"):
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"field {key!r} must be a number")
         return float(val)
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"field {key!r} must be {kind.__name__}, got {type(val).__name__}")
     return val
 
@@ -93,7 +93,10 @@ def _number_array(obj: dict, key: str, length: int, *, optional: bool = False) -
         raise SchemaError(f"field {key!r} must be an array of numbers")
     if len(raw) != length:
         raise SchemaError(f"field {key!r} has length {len(raw)}, expected {length}")
-    return np.array(raw, dtype=float)
+    values = np.array(raw, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(f"field {key!r} must hold finite numbers only")
+    return values
 
 
 def parse_dpm(text: str) -> DpmDocument:

@@ -15,16 +15,19 @@ out in the plane: side e runs from corner e to corner e+1 with length l_e,
 the center's foot on it lies a_e = (l_e^2 + r_e^2 - r_{e+1}^2) / (2 l_e)
 from corner e, and its foot on the side arriving at corner e lies
 b_e = (l_{e-1}^2 + r_e^2 - r_{e-1}^2) / (2 l_{e-1}) from corner e.  With A_e
-the angle at corner e,
+the angle at corner e, from the law of cosines
 
+    l_e l_{e-1} cos A_e = (l_e^2 + l_{e-1}^2 - l_{e+1}^2) / 2,
     d_e   = (b_e - a_e cos A_e) / sin A_e
-          = (b_e l_e l_{e-1} - a_e (l_e^2 + l_{e-1}^2 - l_{e+1}^2) / 2) / (2 area)
+          = (b_e l_e l_{e-1} - a_e l_e l_{e-1} cos A_e) / (2 area)
     power = a_0^2 + d_0^2 - r_0^2
 
-(Glickenstein, JDG 2011).  ``delaunay_terms`` gives d1 + d2 per edge; the
-Delaunay test reads its sign, and the operators divide it by the edge
-length.  ``inner_angles`` (law of cosines) also gives surgery the corner
-angles from which a flip's quad angles and new diagonal follow.
+(Glickenstein, JDG 2011).  One kernel evaluates angles, distances and
+powers face by face; it runs on the whole mesh once per metric state,
+behind one admissibility check, and surgery reruns it on the two faces a
+flip rewrites.  Curvature sums the angles, a flip reads its quad angles,
+and ``delaunay_terms`` gives d1 + d2 per edge: the Delaunay test reads
+its sign, and the operators divide it by the edge length.
 """
 
 from __future__ import annotations
@@ -38,30 +41,14 @@ COS_CLAMP_TOL = 1e-9
 _PREV, _NEXT = np.array([2, 0, 1]), np.array([1, 2, 0])   # side or corner e -> e-1, e+1
 
 
-def _check_cos(cos: np.ndarray, what: str) -> np.ndarray:
+def _check_cos(cos: np.ndarray) -> np.ndarray:
     over = np.abs(cos) - 1.0
     if np.any(over > COS_CLAMP_TOL):
         idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(over)), np.shape(cos)))
         raise DegenerateTriangle(
-            f"{what}: cosine {np.asarray(cos)[idx]:.12g} at index {idx} leaves [-1, 1]"
+            f"corner cosine {np.asarray(cos)[idx]:.12g} at (face, corner) {idx} leaves [-1, 1]"
         )
     return np.clip(cos, -1.0, 1.0)
-
-
-def inner_angles(l01, l12, l20):
-    """Angles (at corner 0, 1, 2) of a triangle with the given side lengths.
-
-    Sides are labeled by the corner they leave: l01 joins corners 0 and 1,
-    and so on.  Accepts scalars or aligned arrays.
-    """
-    l01, l12, l20 = (np.asarray(x, dtype=float) for x in (l01, l12, l20))
-    cos0 = (l01 * l01 + l20 * l20 - l12 * l12) / (2.0 * l01 * l20)
-    cos1 = (l12 * l12 + l01 * l01 - l20 * l20) / (2.0 * l12 * l01)
-    cos2 = (l20 * l20 + l12 * l12 - l01 * l01) / (2.0 * l20 * l12)
-    a0 = np.arccos(_check_cos(cos0, "angle at corner 0"))
-    a1 = np.arccos(_check_cos(cos1, "angle at corner 1"))
-    a2 = np.arccos(_check_cos(cos2, "angle at corner 2"))
-    return a0, a1, a2
 
 
 def edge_half_chord(length, r_a, r_b):
@@ -88,9 +75,7 @@ def edge_half_chord(length, r_a, r_b):
 
 def triangle_angles(metric: DecoratedMetric) -> np.ndarray:
     """Inner angles per face, shape (F, 3), entry [t, c] at corner c."""
-    sides = triangle_side_lengths(metric)
-    a0, a1, a2 = inner_angles(sides[:, 0], sides[:, 1], sides[:, 2])
-    return np.stack([a0, a1, a2], axis=-1)
+    return metric.memo(_terms)[0]
 
 
 def triangle_areas(metric: DecoratedMetric) -> np.ndarray:
@@ -106,26 +91,22 @@ def _heron(sides: np.ndarray) -> np.ndarray:
 
 
 def face_circles(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
-    """(signed distances (F, 3), powers (F,)) of every face's orthogonal circle.
-
-    Closed form in the side lengths and radii; raises DegenerateTriangle
-    naming the face when the metric is not admissible.
-    """
-    validate_triangles(metric).require()
-    return _circles(metric, slice(None))
+    """(signed distances (F, 3), powers (F,)) of every face's orthogonal circle."""
+    return metric.memo(_terms)[1:3]
 
 
-def _circles(metric: DecoratedMetric, faces) -> tuple[np.ndarray, np.ndarray]:
-    """``face_circles`` of ``faces`` alone: a row reads its own face only."""
+def _faces(metric: DecoratedMetric, faces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(angles, distances, powers) of ``faces`` alone: a row reads its own face only."""
     l = metric.effective_lengths[metric.mesh.slot_edge_array()[faces]]
     r = metric.effective_radii[metric.mesh.triangles[faces]]
     ll, rr = l * l, r * r
     a = (ll + rr - rr[:, _NEXT]) / (2.0 * l)
     b = (ll[:, _PREV] + rr - rr[:, _PREV]) / (2.0 * l[:, _PREV])
     dot = 0.5 * (ll + ll[:, _PREV] - ll[:, _NEXT])            # l_e l_{e-1} cos A_e
+    angles = np.arccos(_check_cos(dot / (l * l[:, _PREV])))
     distances = (b * l * l[:, _PREV] - a * dot) / (2.0 * _heron(l))[:, None]
     powers = a[:, 0] ** 2 + distances[:, 0] ** 2 - rr[:, 0]
-    return distances, powers
+    return angles, distances, powers
 
 
 DELAUNAY_REL_TOL = 1e-12
@@ -143,13 +124,18 @@ def delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     the Delaunay check of an accepted trial and the operators of the next
     step share one pass; surgery patches it flip by flip.
     """
-    return metric.memo(_delaunay_terms)[:2]
+    return metric.memo(_terms)[3:]
 
 
-def _delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
-    """(d1 + d2, tolerance) per edge, then the face circles they come from."""
-    distances, powers = face_circles(metric)
-    return (*_edge_terms(distances, powers, metric.mesh.edge_sides_array()), distances, powers)
+def _terms(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
+    """(angles, distances, powers) of every face, then (d1 + d2, tolerance) per edge.
+
+    Raises DegenerateTriangle naming the face when the metric is not
+    admissible.
+    """
+    validate_triangles(metric).require()
+    angles, distances, powers = _faces(metric, slice(None))
+    return angles, distances, powers, *_edge_terms(distances, powers, metric.mesh.edge_sides_array())
 
 
 def _edge_terms(distances: np.ndarray, powers: np.ndarray, sides: np.ndarray):

@@ -251,6 +251,8 @@ def _validate(mesh: DeltaComplex) -> None:
     if outside.size:
         s = int(outside[0])
         raise MeshError(f"triangle {s // 3} references vertex {corners[s]} outside [0, {n})")
+    if n > corners.size:
+        raise UnusedVertex(f"{n} vertex labels but only {corners.size} corners to use them")
     missing = np.setdiff1d(np.arange(n), corners)
     if missing.size:
         raise UnusedVertex(f"vertex labels never used: {missing.tolist()}")

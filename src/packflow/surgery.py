@@ -13,7 +13,8 @@ trigonometry.
 
 ``make_delaunay`` flips the most negative weight first, the lowest edge id
 among equal weights.  After one whole-mesh test it recomputes and retests
-only the two faces and five edges that each flip rewrites.
+only the two faces (angles included) and five edges that each flip
+rewrites, so the curvature after surgery sums patched angles.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .errors import (
     SelfFlip,
     SurgeryBudgetExceeded,
 )
-from .geometry import _circles, _delaunay_terms, _edge_terms, delaunay_terms
-from .geometry import edge_half_chord, inner_angles
+from .geometry import _edge_terms, _faces, _terms, delaunay_terms, edge_half_chord, triangle_angles
 from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL
 
 logger = logging.getLogger(__name__)
@@ -112,8 +112,8 @@ def flip_metric(
     slots = [[3 * t + (e + c) % 3 for c in range(3)] for t, e in ((t1, e1), (t2, e2))]
     sides = metric.effective_lengths[metric.mesh.slot_edge_array().ravel()[slots]]
     (_, l_jk, l_ki), (_, l_il, l_lj) = sides.tolist()
-    at0, at1, _ = inner_angles(sides[:, 0], sides[:, 1], sides[:, 2])
-    theta_i, theta_j = float(at0[0] + at1[1]), float(at1[0] + at0[1])
+    (at_i, at_j, _), (at_j2, at_i2, _) = triangle_angles(metric).ravel()[slots].tolist()
+    theta_i, theta_j = at_i + at_i2, at_j + at_j2
     new_length = float(np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i)))
 
     scale = max(new_length, l_jk, l_ki, l_il, l_lj)
@@ -186,7 +186,7 @@ def make_delaunay(
         return metric, []
     weights = np.full(dsum.size, np.inf)
     weights[bad] = _weights(metric, dsum, bad)
-    dsum, eps, distances, powers = terms = [arr.copy() for arr in metric.memo(_delaunay_terms)]
+    angles, distances, powers, dsum, eps = terms = [arr.copy() for arr in metric.memo(_terms)]
     mesh, events = metric.mesh, []
     while True:
         edge_id = int(np.argmin(weights))
@@ -202,11 +202,11 @@ def make_delaunay(
         )
         events.append(event)
         faces = [t for t, _ in mesh.edge(edge_id).sides]
-        distances[faces], powers[faces] = _circles(metric, faces)
+        angles[faces], distances[faces], powers[faces] = _faces(metric, faces)
         edges = mesh.slot_edge_array()[faces].ravel()
         sides = np.array([[3 * t + c for t, c in mesh.edge(e).sides] for e in edges.tolist()])
         dsum[edges], eps[edges] = _edge_terms(distances, powers, sides)
-        metric.remember(_delaunay_terms, terms)
+        metric.remember(_terms, terms)
         bad = edges[dsum[edges] < -eps[edges]]
         weights[edges] = np.inf
         weights[bad] = _weights(metric, dsum, bad)

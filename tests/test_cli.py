@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from packflow import curvature, parse_dpm
 from packflow.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main
+
+MESHES = Path(__file__).resolve().parents[1] / "meshes"
 
 
 @pytest.fixture
@@ -187,6 +190,15 @@ def test_jacobian_check_on_file(tetra_file, capsys):
     assert main(["jacobian-check", str(tetra_file)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "1 metrics" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "curvature", "jacobian-check"])
+@pytest.mark.parametrize("name", sorted(p.name for p in MESHES.glob("*.dpm")))
+def test_bundled_meshes_pass_every_check(command, name, capsys):
+    # the one-vertex torus is all loops, so its Jacobian is exactly zero
+    # and jacobian-check compares on the absolute scale
+    assert main([command, str(MESHES / name)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_jacobian_check_tolerance_failure(tetra_file, capsys):

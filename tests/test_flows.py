@@ -267,35 +267,33 @@ def test_fractional_half_converges_on_torus():
 
 
 def test_curvature_is_computed_once_per_trial_state(monkeypatch):
-    # the accepted state's curvature starts the next step, so angles are
-    # computed at most once per trial state plus once per state that
-    # surgery flipped into; recomputing k0 on every step breaks the bound
-    from packflow import flows, operators
+    # every trial state that passes the margin check costs exactly one
+    # whole-mesh pass of the per-face kernel: its curvature, Delaunay check
+    # and the next step's start all read that pass; recomputing k0 on
+    # every step, or angles apart from the circles, breaks the equality
+    from packflow import flows, geometry
 
     metric = preset_metric("torus_grid", n=5)
     rng = np.random.default_rng(3)
     u = rng.uniform(-0.2, 0.2, 25)
     u -= u.mean()
     metric.set_conformal_factors(u)
-    angle_calls = 0
-    flipped_states = 0
-    triangle_angles = operators.triangle_angles
-    make_delaunay = flows.make_delaunay
+    passes = settled = 0
+    faces, settle = geometry._faces, flows._settle
 
-    def counting_angles(m):
-        nonlocal angle_calls
-        angle_calls += 1
-        return triangle_angles(m)
+    def counting_faces(m, which):
+        nonlocal passes
+        passes += np.arange(m.mesh.num_triangles)[which].size == m.mesh.num_triangles
+        return faces(m, which)
 
-    def counting_surgery(m, **kwargs):
-        nonlocal flipped_states
-        result = make_delaunay(m, **kwargs)
-        flipped_states += bool(result[1])
-        return result
+    def counting_settle(*args):
+        nonlocal settled
+        settled += 1
+        return settle(*args)
 
-    monkeypatch.setattr(operators, "triangle_angles", counting_angles)
-    monkeypatch.setattr(flows, "make_delaunay", counting_surgery)
+    monkeypatch.setattr(geometry, "_faces", counting_faces)
+    monkeypatch.setattr(flows, "_settle", counting_settle)
     trace = run(metric, FlowConfig(kind="ricci", target=np.zeros(25), max_steps=40))
     assert trace.steps == 40
     trial_states = 1 + sum(1 + rec.halvings for rec in trace.records[1:])
-    assert angle_calls <= trial_states + flipped_states
+    assert passes == settled == trial_states

@@ -107,6 +107,14 @@ def test_schema_errors_name_the_field():
     reject(lambda d: d.update(triangles="abc"), "triangles")
     reject(lambda d: d.update(num_vertices="four"), "num_vertices")
     reject(lambda d: d.update(inversive_distances=[2, 2, 2, True, 2, 2]), "numbers")
+    reject(lambda d: d.update(num_vertices=True), "num_vertices")
+    # JSON's NaN and Infinity parse as floats; a NaN inversive distance
+    # would pass the > 1 check and fail later under the wrong field
+    reject(lambda d: d.update(radii=[1.0, float("nan"), 1.0, 1.0]), "'radii' must hold finite")
+    reject(lambda d: d.update(inversive_distances=[2, 2, float("nan"), 2, 2, 2]), "'inversive")
+    reject(lambda d: d.update(conformal_factors=[0.0, 0.0, float("inf"), 0.0]), "'conformal")
+    reject(lambda d: d.update(target_curvature=[-float("inf"), 0.0, 0.0, 0.0]), "'target")
+
 
 
 def test_top_level_must_be_object():

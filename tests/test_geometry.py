@@ -2,7 +2,8 @@
 
 The frozen numbers below are worked out by hand on two configurations:
 
-* the 3-4-5 right triangle with unit radii, and
+* the 3-4-5 right triangle with unit radii (as the two faces of a
+  one-vertex torus, where the angles are wanted), and
 * the equilateral triangle of side sqrt(6) carrying three unit circles at
   pairwise inversive distance 2, whose orthogonal circle is the unit
   circle centered at the triangle midpoint (center (sqrt6/2, sqrt2/2),
@@ -17,22 +18,30 @@ import numpy as np
 import pytest
 
 from packflow import (
+    DecoratedMetric,
     DegenerateTriangle,
     ImaginaryChord,
     apply_p_laplacian,
     curvature,
     edge_half_chord,
     flip_metric,
-    inner_angles,
     jacobian,
+    preset_complex,
     preset_metric,
     triangle_angles,
     triangle_areas,
     validate_triangles,
 )
+from packflow import geometry
 from packflow.geometry import delaunay_terms, face_circles
 from packflow.metric import triangle_side_lengths
-from packflow.oracles import RandomMetricSpec, _oracle_layout, oracle_face_circle, random_metric
+from packflow.oracles import (
+    RandomMetricSpec,
+    _oracle_layout,
+    oracle_angles_via_layout,
+    oracle_face_circle,
+    random_metric,
+)
 
 
 def _single_face(metric, t: int) -> dict:
@@ -46,7 +55,7 @@ def _single_face(metric, t: int) -> dict:
     )
     return {
         "lengths": sides,
-        "angles": np.array(inner_angles(*sides)),
+        "angles": oracle_angles_via_layout(*sides),
         "center": center,
         "power": float(power),
         "distances": distances,
@@ -61,29 +70,29 @@ def _edge_half_chords(metric) -> np.ndarray:
     return edge_half_chord(metric.effective_lengths, r[ends[:, 0]], r[ends[:, 1]])
 
 
-def test_inner_angles_of_right_triangle():
-    a0, a1, a2 = inner_angles(3.0, 4.0, 5.0)
+def _one_vertex_torus(sides) -> DecoratedMetric:
+    """Both faces of the one-vertex torus have side e (corner e to e + 1) of length sides[e]."""
+    return DecoratedMetric(preset_complex("one_vertex_torus"), np.array(sides), np.ones(1))
+
+
+def test_triangle_angles_of_right_triangle():
+    angles = triangle_angles(_one_vertex_torus([3.0, 4.0, 5.0]))
+    assert angles.shape == (2, 3)
+    assert np.array_equal(angles[0], angles[1])
+    a0, a1, a2 = angles[0]
     assert math.isclose(a1, math.pi / 2.0, rel_tol=1e-15)
     assert math.isclose(a0 + a1 + a2, math.pi, rel_tol=1e-15)
     assert math.isclose(math.sin(a0), 4.0 / 5.0, rel_tol=1e-14)
 
 
-def test_inner_angles_accept_arrays():
-    a0, a1, a2 = inner_angles(
-        np.array([3.0, 1.0]), np.array([4.0, 1.0]), np.array([5.0, 1.0])
-    )
-    assert a0.shape == (2,)
-    assert math.isclose(a0[1], math.pi / 3.0, rel_tol=1e-14)
-
-
-def test_inner_angles_reject_impossible_sides():
-    with pytest.raises(DegenerateTriangle):
-        inner_angles(1.0, 1.0, 3.0)
-    # in a batch the message names the bad triangle's index as plain ints,
-    # whatever numpy's scalar repr is
+def test_triangle_angles_reject_impossible_sides():
+    with pytest.raises(DegenerateTriangle, match=r"^triangle 0 has margin"):
+        triangle_angles(_one_vertex_torus([1.0, 1.0, 3.0]))
+    # the cosine check behind the margin gate names the (face, corner) of
+    # the worst cosine as plain ints, whatever numpy's scalar repr is
     with pytest.raises(DegenerateTriangle) as info:
-        inner_angles(np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 3.0]))
-    assert "cosine 1.5 at index (1,) leaves" in str(info.value)
+        geometry._check_cos(np.array([[0.5, 0.5, 0.5], [0.5, 1.5, 0.5]]))
+    assert "cosine 1.5 at (face, corner) (1, 1) leaves" in str(info.value)
 
 
 def test_radical_center_unit_circles_is_circumcenter():
@@ -108,6 +117,7 @@ def test_equilateral_orthogonal_circle_frozen():
     assert geo["half_chords"] == pytest.approx(np.full(3, 1.0 / s2))
     assert geo["chord_angles"] == pytest.approx(np.full(3, math.pi / 4.0))
     assert geo["angles"] == pytest.approx(np.full(3, math.pi / 3.0))
+    assert np.allclose(triangle_angles(metric), math.pi / 3.0, rtol=1e-14, atol=0)
 
 
 def test_half_chord_from_edge_data_alone():
@@ -248,14 +258,18 @@ def test_edge_half_chords_batch():
 
 def test_orthogonal_circles_of_an_inadmissible_metric_name_the_face():
     # u[0] = -5 squeezes the triangles at vertex 0 past the triangle
-    # inequality; every reader of the face circles refuses with the margin
-    # report instead of returning infinities
+    # inequality; every reader of the per-face pass (angles and face
+    # circles) refuses with the margin report instead of returning
+    # infinities or NaN angles
     metric = preset_metric("torus_grid", n=4)
     u = np.zeros(metric.mesh.num_vertices)
     u[0] = -5.0
     metric.set_conformal_factors(u)
     readers = {
         "delaunay_terms": delaunay_terms,
+        "face_circles": face_circles,
+        "triangle_angles": triangle_angles,
+        "curvature": curvature,
         "jacobian": jacobian,
         "apply_p_laplacian": lambda m: apply_p_laplacian(m, 3.0, np.ones(m.mesh.num_vertices)),
     }

@@ -124,6 +124,10 @@ def test_build_rejects_orientation_mismatch():
 def test_build_rejects_unused_vertex():
     with pytest.raises(UnusedVertex):
         build_complex(4, SPHERE2_FACES, SPHERE2_GLUINGS)
+    # a count beyond the corners is refused before anything of size n exists
+    for n in (10**30, 10**12, 7):
+        with pytest.raises(UnusedVertex, match=f"^{n} vertex labels but only 6 corners"):
+            build_complex(n, SPHERE2_FACES, SPHERE2_GLUINGS)
 
 
 def test_build_rejects_disconnected_surface():

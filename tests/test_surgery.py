@@ -9,6 +9,7 @@ from packflow import (
     DecoratedMetric,
     DegenerateTriangle,
     FlipProducesDegenerate,
+    FlowConfig,
     PackflowError,
     SurgeryBudgetExceeded,
     build_complex,
@@ -19,11 +20,12 @@ from packflow import (
     make_delaunay,
     preset_complex,
     preset_metric,
+    run,
     triangle_areas,
     validate_triangles,
 )
 from packflow import geometry, surgery
-from packflow.geometry import _delaunay_terms
+from packflow.geometry import _terms
 from packflow.oracles import RandomMetricSpec, random_metric
 
 
@@ -225,7 +227,7 @@ def test_make_delaunay_matches_the_whole_mesh_reference(monkeypatch):
     # (d1 + d2, tolerance, face circles) equal a fresh whole-mesh pass; that
     # they are memo hits, not recomputations, is the next test's job.
     def check_memo(metric):
-        for mine, fresh in zip(metric.memo(_delaunay_terms), _delaunay_terms(metric.copy())):
+        for mine, fresh in zip(metric.memo(_terms), _terms(metric.copy())):
             assert np.array_equal(mine, fresh)
 
     def checked_flip(metric, edge_id, **kwargs):
@@ -252,22 +254,42 @@ def test_make_delaunay_matches_the_whole_mesh_reference(monkeypatch):
 
 
 def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
-    # one whole-mesh pass for the entry check; every flip after it touches
-    # its own two faces only, however many flips there are
+    # one whole-mesh pass of the per-face kernel for the entry check; every
+    # flip after it reruns the kernel on its own two faces only, however
+    # many flips there are, and the curvature after surgery sums the
+    # patched angles without another pass
+    from packflow import flows
+
     metric = _squeezed_torus(6, 3)
-    every_face = np.arange(metric.mesh.num_triangles)
-    whole = []
+    rows, settled = [], 0
+    faces, settle = geometry._faces, flows._settle
 
-    def counted(real):
-        def wrapper(metric, *faces):
-            if not faces or every_face[faces[0]].size == every_face.size:
-                whole.append(real.__name__)
-            return real(metric, *faces)
-        return wrapper
+    def counting_faces(m, which):
+        rows.append(np.arange(m.mesh.num_triangles)[which].size)
+        return faces(m, which)
 
-    monkeypatch.setattr(geometry, "face_circles", counted(geometry.face_circles))
-    monkeypatch.setattr(geometry, "_circles", counted(geometry._circles))
-    monkeypatch.setattr(surgery, "_circles", counted(surgery._circles))
+    def counting_settle(*args):
+        nonlocal settled
+        settled += 1
+        return settle(*args)
+
+    monkeypatch.setattr(geometry, "_faces", counting_faces)
+    monkeypatch.setattr(surgery, "_faces", counting_faces)
+    monkeypatch.setattr(flows, "_settle", counting_settle)
     _, events = make_delaunay(metric)
+    curvature(metric)
     assert len(events) == 36
-    assert whole == ["face_circles", "_circles"]
+    assert rows == [metric.mesh.num_triangles] + [2] * 36
+    # in a run that flips mid-flow (the tetrahedron driven toward the
+    # curvature of a spread that is Delaunay only after a flip), every
+    # trial state that reaches surgery costs exactly one whole-mesh pass,
+    # flipped or not
+    spread = preset_metric("tetrahedron")
+    spread.set_conformal_factors(1.02 * np.array([1.0, 1.0, -1.0, -1.0]))
+    make_delaunay(spread)
+    rows.clear()
+    trace = run(preset_metric("tetrahedron"), FlowConfig(kind="ricci", target=curvature(spread)))
+    assert trace.converged
+    assert trace.records[0].flips == 0 < trace.flips_total
+    assert rows.count(4) == settled
+    assert set(rows) == {4, 2}
