@@ -75,14 +75,22 @@ def _one_vertex_torus(sides) -> DecoratedMetric:
     return DecoratedMetric(preset_complex("one_vertex_torus"), np.array(sides), np.ones(1))
 
 
-def test_triangle_angles_of_right_triangle():
+def test_inner_angles_of_right_triangle():
     angles = triangle_angles(_one_vertex_torus([3.0, 4.0, 5.0]))
-    assert angles.shape == (2, 3)
-    assert np.array_equal(angles[0], angles[1])
     a0, a1, a2 = angles[0]
     assert math.isclose(a1, math.pi / 2.0, rel_tol=1e-15)
     assert math.isclose(a0 + a1 + a2, math.pi, rel_tol=1e-15)
     assert math.isclose(math.sin(a0), 4.0 / 5.0, rel_tol=1e-14)
+
+
+def test_inner_angles_accept_arrays():
+    # one (faces, 3) array per metric, whatever the face shapes
+    angles = triangle_angles(_one_vertex_torus([3.0, 4.0, 5.0]))
+    assert angles.shape == (2, 3)
+    assert np.array_equal(angles[0], angles[1])
+    angles = triangle_angles(preset_metric("tetrahedron"))
+    assert angles.shape == (4, 3)
+    assert math.isclose(angles[1, 0], math.pi / 3.0, rel_tol=1e-14)
 
 
 def test_triangle_angles_reject_impossible_sides():
