@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidParams, PackflowError, SchemaError
-from .flows import FlowConfig, run
+from .flows import KINDS, FlowConfig, run
 from .formats import generate, parse_dpm, emit_dpm, write_trace_csv
 from .metric import validate_triangles
 from .operators import curvature, fd_jacobian, gauss_bonnet_residual, jacobian
@@ -59,7 +59,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_curvature(args) -> int:
     doc = _read_document(args.file)
-    validate_triangles(doc.metric).require()
     k = curvature(doc.metric)
     for i, val in enumerate(k):
         print(f"K[{i}] = {val:.12g}")
@@ -186,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate a curvature flow")
     p.add_argument("file")
-    p.add_argument("--flow", default="calabi",
-                   choices=["ricci", "calabi", "fractional", "p-calabi"])
+    p.add_argument("--flow", default="calabi", choices=[k.replace("_", "-") for k in KINDS])
     p.add_argument("--s", type=float, default=0.0, help="fractional order")
     p.add_argument("--p", type=float, default=2.0, help="p-flow exponent (> 1)")
     p.add_argument("--target", default=None,

@@ -34,11 +34,10 @@ class UnusedVertex(MeshError):
 
 
 class InconsistentVertexLabels(MeshError):
-    """Corner identification orbits do not match the vertex labels.
+    """Two distinct points of the surface (corner orbits) share one vertex label.
 
-    Either two distinct surface points share one label, or one orbit
-    carries two labels (which build_complex already reports as an
-    orientation problem).
+    An orbit never carries two labels: glued sides agree on their labels,
+    which the orientation check enforces first.
     """
 
 
@@ -69,7 +68,7 @@ class DegenerateLength(MetricError):
 
 
 class DegenerateTriangle(MetricError):
-    """Triangle inequality failed, or an angle cosine left [-1, 1] by too much."""
+    """A face fails the triangle inequality: its margin does not clear the threshold."""
 
 
 # --- per-triangle geometry ------------------------------------------------

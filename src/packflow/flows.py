@@ -15,7 +15,9 @@ total of the scale factors is conserved to machine precision.  A trial
 step is accepted only if the state stays admissible, surgery (when on)
 succeeds, and the monitored quantities do not increase: the squared
 curvature deviation for the s-family, and the trapezoidal potential
-increment for every flow.  Rejected trials halve the step, up to 30 times;
+increment for every flow.  Admissibility is the per-face pass's margin
+gate alone: its DegenerateTriangle, like any typed metric, geometry or
+surgery error, rejects the trial.  Rejected trials halve the step, up to 30 times;
 clean steps let the next trial grow, which is what makes the slow p != 2
 flows reach tight tolerances in a bounded number of steps.  Curvature,
 margins and the per-face pass (angles, circles, Delaunay terms) are
@@ -171,11 +173,12 @@ def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, 
 def _settle(
     state: DecoratedMetric, config: FlowConfig, flow_time: float, h: float, flip_ordinal: int
 ) -> StepRecord:
-    """Run surgery (when on) in place on the admissible state that a step
-    of size h from ``flow_time`` reached, and return the state's record.
+    """Run surgery (when on) in place on the state that a step of size h
+    from ``flow_time`` reached, and return the state's record.
 
-    The step index, halvings and the potential increment stay 0 for the
-    caller to stamp.
+    An inadmissible state raises DegenerateTriangle at its first curvature
+    read.  The step index, halvings and the potential increment stay 0 for
+    the caller to stamp.
     """
     k = curvature(state)
     flips, jump = 0, 0.0
@@ -233,14 +236,6 @@ def step(
         trial = metric.copy()
         try:
             trial.set_conformal_factors(u1)
-            report = validate_triangles(trial)
-            if not report.admissible:
-                last_reason = (
-                    f"triangle margin {report.margins[report.worst_triangle]:.3e}"
-                    f" at face {report.worst_triangle}"
-                )
-                h_try *= 0.5
-                continue
             record = _settle(trial, config, flow_time, h_try, flip_ordinal)
         except (MetricError, GeometryError, SurgeryError) as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
@@ -299,7 +294,6 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
     """
     _require_admissible_target(metric, config)
     state = metric.copy()
-    validate_triangles(state).require()
     target_sum = float(np.sum(state.conformal_factors))
     initial_violations = 0
     if not config.surgery:

@@ -216,11 +216,9 @@ def generate(
     radius: float = 1.0,
     inversive: float = 2.0,
     n: int | None = None,
-    target: np.ndarray | None = None,
 ) -> str:
     """dpm-1 text for a uniformly decorated preset."""
-    metric = preset_metric(preset, radius=radius, inversive=inversive, n=n)
-    return emit_dpm(metric, target)
+    return emit_dpm(preset_metric(preset, radius=radius, inversive=inversive, n=n))
 
 
 # -- trace CSV --------------------------------------------------------------------

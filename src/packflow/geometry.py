@@ -24,31 +24,22 @@ the angle at corner e, from the law of cosines
 
 (Glickenstein, JDG 2011).  One kernel evaluates angles, distances and
 powers face by face; it runs on the whole mesh once per metric state,
-behind one admissibility check, and surgery reruns it on the two faces a
-flip rewrites.  Curvature sums the angles, a flip reads its quad angles,
-and ``delaunay_terms`` gives d1 + d2 per edge: the Delaunay test reads
-its sign, and the operators divide it by the edge length.
+behind the triangle-margin gate, and surgery reruns it on the two faces a
+flip rewrites.  Behind the gate the cosine ratio leaves [-1, 1] by
+roundoff only, so a clip, not a guard, keeps arccos defined.  Curvature
+sums the angles, a flip reads its quad angles, and ``delaunay_terms``
+gives d1 + d2 per edge: the Delaunay test reads its sign, and the
+operators divide it by the edge length.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateTriangle, ImaginaryChord
+from .errors import ImaginaryChord
 from .metric import DecoratedMetric, triangle_side_lengths, validate_triangles
 
-COS_CLAMP_TOL = 1e-9
 _PREV, _NEXT = np.array([2, 0, 1]), np.array([1, 2, 0])   # side or corner e -> e-1, e+1
-
-
-def _check_cos(cos: np.ndarray) -> np.ndarray:
-    over = np.abs(cos) - 1.0
-    if np.any(over > COS_CLAMP_TOL):
-        idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(over)), np.shape(cos)))
-        raise DegenerateTriangle(
-            f"corner cosine {np.asarray(cos)[idx]:.12g} at (face, corner) {idx} leaves [-1, 1]"
-        )
-    return np.clip(cos, -1.0, 1.0)
 
 
 def edge_half_chord(length, r_a, r_b):
@@ -103,7 +94,7 @@ def _faces(metric: DecoratedMetric, faces) -> tuple[np.ndarray, np.ndarray, np.n
     a = (ll + rr - rr[:, _NEXT]) / (2.0 * l)
     b = (ll[:, _PREV] + rr - rr[:, _PREV]) / (2.0 * l[:, _PREV])
     dot = 0.5 * (ll + ll[:, _PREV] - ll[:, _NEXT])            # l_e l_{e-1} cos A_e
-    angles = np.arccos(_check_cos(dot / (l * l[:, _PREV])))
+    angles = np.arccos(np.clip(dot / (l * l[:, _PREV]), -1.0, 1.0))
     distances = (b * l * l[:, _PREV] - a * dot) / (2.0 * _heron(l))[:, None]
     powers = a[:, 0] ** 2 + distances[:, 0] ** 2 - rr[:, 0]
     return angles, distances, powers

@@ -231,6 +231,7 @@ class DeltaComplex:
 
     def check(self) -> None:
         """Re-run the structural invariants; raises on any violation."""
+        _check_labels(self.num_vertices, self._tri.ravel().tolist())
         _validate(self)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -240,17 +241,22 @@ class DeltaComplex:
         )
 
 
-def _validate(mesh: DeltaComplex) -> None:
-    n = mesh.num_vertices
-    corners = mesh._tri.ravel()
+def _check_labels(n: int, corners: Sequence[int]) -> None:
+    """Flat corner labels as Python ints, so ids beyond int64 fail here too."""
     if n <= 0:
         raise MeshError("num_vertices must be positive")
-    if corners.size == 0:
+    if not corners:
         raise MeshError("no triangles")
-    outside = np.flatnonzero((corners < 0) | (corners >= n))
-    if outside.size:
-        s = int(outside[0])
+    if min(corners) < 0 or max(corners) >= n:
+        s = next(s for s, c in enumerate(corners) if not 0 <= c < n)
         raise MeshError(f"triangle {s // 3} references vertex {corners[s]} outside [0, {n})")
+
+
+def _validate(mesh: DeltaComplex) -> None:
+    """Everything but the label range, which ``_check_labels`` covers."""
+    n = mesh.num_vertices
+    corners = mesh._tri.ravel()
+    labels = corners.tolist()
     if n > corners.size:
         raise UnusedVertex(f"{n} vertex labels but only {corners.size} corners to use them")
     missing = np.setdiff1d(np.arange(n), corners)
@@ -258,7 +264,6 @@ def _validate(mesh: DeltaComplex) -> None:
         raise UnusedVertex(f"vertex labels never used: {missing.tolist()}")
 
     num_slots = corners.size
-    labels = corners.tolist()
     glued = mesh._twin.tolist()
     lonely = [divmod(s, 3) for s, p in enumerate(glued) if not 0 <= p < num_slots]
     if lonely:
@@ -287,7 +292,8 @@ def _validate(mesh: DeltaComplex) -> None:
 
     # corner orbits around vertices must match the labels one-to-one; each
     # orbit starts at the first corner, in (triangle, corner) order, that
-    # no earlier orbit visited
+    # no earlier orbit visited.  Glued sides agree on labels (checked
+    # above), so every corner of an orbit carries the label of its start.
     visited = bytearray(num_slots)
     orbit_labels: set[int] = set()
     for start in range(num_slots):
@@ -296,10 +302,6 @@ def _validate(mesh: DeltaComplex) -> None:
         label = labels[start]
         cur = start
         while True:
-            if labels[cur] != label:
-                raise InconsistentVertexLabels(
-                    f"corner {divmod(cur, 3)} labeled {labels[cur]} in the orbit of label {label}"
-                )
             visited[cur] = 1
             cur = glued[_prev_slot(cur)]
             if cur == start:
@@ -363,6 +365,7 @@ def build_complex(
         a, b = 3 * s1[0] + s1[1], 3 * s2[0] + s2[1]
         twin[a], twin[b] = b, a
         edge_side.append(a)
+    _check_labels(int(num_vertices), [c for tri in tris for c in tri])
     mesh = DeltaComplex(int(num_vertices), tris, twin, edge_side)
     _validate(mesh)
     return mesh

@@ -21,11 +21,13 @@ from .errors import (
     DegenerateLength,
     DegenerateTriangle,
     InvalidInversiveDistance,
+    MetricError,
     NonPositiveRadius,
 )
 from .mesh import DeltaComplex, _read_only
 
 TRIANGLE_MARGIN_REL_TOL = 1e-12
+_RADII = "radii must be positive and finite; vertices"
 
 
 @dataclass
@@ -53,11 +55,8 @@ def lengths_from_inversive(
     mesh: DeltaComplex, radii: np.ndarray, inversive: np.ndarray
 ) -> np.ndarray:
     """Edge lengths l = sqrt(r_a^2 + r_b^2 + 2 I r_a r_b), one per edge id."""
-    radii = np.asarray(radii, dtype=float)
+    radii = _positive(np.asarray(radii, dtype=float), NonPositiveRadius, _RADII)
     inversive = np.asarray(inversive, dtype=float)
-    if np.any(radii <= 0) or not np.all(np.isfinite(radii)):
-        bad = np.where(~(radii > 0) | ~np.isfinite(radii))[0]
-        raise NonPositiveRadius(f"radii must be positive and finite; vertices {bad.tolist()[:8]}")
     if np.any(inversive <= -1.0):
         bad = np.where(inversive <= -1.0)[0]
         raise InvalidInversiveDistance(
@@ -67,10 +66,24 @@ def lengths_from_inversive(
     ra = radii[ends[:, 0]]
     rb = radii[ends[:, 1]]
     sq = ra * ra + rb * rb + 2.0 * inversive * ra * rb
-    if np.any(sq <= 0):
-        bad = np.where(sq <= 0)[0]
-        raise DegenerateLength(f"squared length non-positive on edges {bad.tolist()[:8]}")
-    return np.sqrt(sq)
+    return np.sqrt(_positive(sq, DegenerateLength, "squared length non-positive on edges"))
+
+
+def _vector(values, size: int, error: type[MetricError], noun: str) -> np.ndarray:
+    """``values`` as a new float array of shape (size,), or ``error`` naming the shape."""
+    values = np.array(values, dtype=float)
+    if values.shape != (size,):
+        raise error(f"expected {size} {noun}, got shape {values.shape}")
+    return values
+
+
+def _positive(values: np.ndarray, error: type[MetricError], what: str) -> np.ndarray:
+    """``values``, unless an entry is not positive and finite: then ``error``
+    naming ``what`` and the first eight such ids."""
+    bad = np.flatnonzero(~(values > 0) | ~np.isfinite(values))
+    if bad.size:
+        raise error(f"{what} {bad.tolist()[:8]}")
+    return values
 
 
 class DecoratedMetric:
@@ -88,33 +101,14 @@ class DecoratedMetric:
         radii: np.ndarray,
         conformal_factors: np.ndarray | None = None,
     ):
-        radii = np.array(radii, dtype=float)
-        base_lengths = np.array(base_lengths, dtype=float)
-        if radii.shape != (mesh.num_vertices,):
-            raise NonPositiveRadius(
-                f"expected {mesh.num_vertices} radii, got shape {radii.shape}"
-            )
-        if np.any(radii <= 0) or not np.all(np.isfinite(radii)):
-            bad = np.where(~(radii > 0) | ~np.isfinite(radii))[0]
-            raise NonPositiveRadius(f"radii must be positive and finite; vertices {bad.tolist()[:8]}")
-        if base_lengths.shape != (mesh.num_edges,):
-            raise DegenerateLength(
-                f"expected {mesh.num_edges} edge lengths, got shape {base_lengths.shape}"
-            )
-        if np.any(base_lengths <= 0) or not np.all(np.isfinite(base_lengths)):
-            bad = np.where(~(base_lengths > 0) | ~np.isfinite(base_lengths))[0]
-            raise DegenerateLength(f"edge lengths must be positive; edges {bad.tolist()[:8]}")
+        n = mesh.num_vertices
+        radii = _vector(radii, n, NonPositiveRadius, "radii")
+        self.radii = _positive(radii, NonPositiveRadius, _RADII)
+        l = _vector(base_lengths, mesh.num_edges, DegenerateLength, "edge lengths")
+        self.base_lengths = _positive(l, DegenerateLength, "edge lengths must be positive; edges")
         self.mesh = mesh
-        self.base_lengths = base_lengths
-        self.radii = radii
-        if conformal_factors is None:
-            self._u = np.zeros(mesh.num_vertices)
-        else:
-            self._u = np.array(conformal_factors, dtype=float)
-            if self._u.shape != (mesh.num_vertices,):
-                raise DegenerateLength(
-                    f"expected {mesh.num_vertices} scale factors, got shape {self._u.shape}"
-                )
+        u = np.zeros(n) if conformal_factors is None else conformal_factors
+        self._u = _vector(u, n, DegenerateLength, "scale factors")
         self._u_token = 0
         self._memo: dict = {}
 
@@ -161,8 +155,11 @@ class DecoratedMetric:
         return self.memo(_effective_data)[1]
 
     def copy(self) -> "DecoratedMetric":
-        dup = DecoratedMetric(
-            self.mesh.copy(), self.base_lengths.copy(), self.radii.copy(), self._u.copy()
+        """An independent copy with an empty memo; its data passed the checks already."""
+        dup = DecoratedMetric.__new__(DecoratedMetric)
+        dup.__dict__.update(
+            mesh=self.mesh.copy(), base_lengths=self.base_lengths.copy(), radii=self.radii.copy(),
+            _u=self._u.copy(), _u_token=0, _memo={},
         )
         return dup
 
@@ -221,12 +218,8 @@ def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray,
             + (np.exp(2.0 * ub) - eab) * rb * rb
             + eab * metric.base_lengths**2
         )
-    if np.any(sq <= 0) or not np.all(np.isfinite(sq)):
-        bad = np.where(~(sq > 0) | ~np.isfinite(sq))[0]
-        raise DegenerateLength(
-            f"scaled squared length non-positive or non-finite on edges {bad.tolist()[:8]}"
-        )
-    return np.sqrt(sq), np.exp(u) * metric.radii
+    what = "scaled squared length non-positive or non-finite on edges"
+    return np.sqrt(_positive(sq, DegenerateLength, what)), np.exp(u) * metric.radii
 
 
 def inversive_from_lengths(metric: DecoratedMetric) -> np.ndarray:
@@ -263,11 +256,11 @@ def validate_triangles(metric: DecoratedMetric) -> MarginReport:
 
 def _margins(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     lengths = metric.effective_lengths
-    sides = lengths[metric.mesh.slot_edge_array()]
-    s0, s1, s2 = sides[:, 0], sides[:, 1], sides[:, 2]
-    margins = np.minimum(
-        np.minimum(s0 + s1 - s2, s1 + s2 - s0),
-        s2 + s0 - s1,
-    )
     threshold = TRIANGLE_MARGIN_REL_TOL * np.max(lengths, initial=0.0)
-    return margins, np.asarray(threshold)
+    return triangle_margins(lengths[metric.mesh.slot_edge_array()]), np.asarray(threshold)
+
+
+def triangle_margins(sides: np.ndarray) -> np.ndarray:
+    """Smallest sum of two sides minus the third, per row of side lengths (..., 3)."""
+    s0, s1, s2 = sides[..., 0], sides[..., 1], sides[..., 2]
+    return np.minimum(np.minimum(s0 + s1 - s2, s1 + s2 - s0), s2 + s0 - s1)

@@ -33,7 +33,7 @@ from .errors import (
     SurgeryBudgetExceeded,
 )
 from .geometry import _edge_terms, _faces, _terms, delaunay_terms, edge_half_chord, triangle_angles
-from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL
+from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, triangle_margins
 
 logger = logging.getLogger(__name__)
 
@@ -116,13 +116,12 @@ def flip_metric(
     theta_i, theta_j = at_i + at_i2, at_j + at_j2
     new_length = float(np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i)))
 
-    scale = max(new_length, l_jk, l_ki, l_il, l_lj)
-    for a, b, c in ((l_lj, l_jk, new_length), (l_ki, l_il, new_length)):
-        margin = min(a + b - c, b + c - a, c + a - b)
-        if margin <= TRIANGLE_MARGIN_REL_TOL * scale:
-            raise FlipProducesDegenerate(
-                f"flip of edge {edge_id} would create a triangle with margin {margin:.3e}"
-            )
+    margins = triangle_margins(np.array([[l_lj, l_jk, new_length], [l_ki, l_il, new_length]]))
+    thin = margins[~(margins > TRIANGLE_MARGIN_REL_TOL * max(new_length, l_jk, l_ki, l_il, l_lj))]
+    if thin.size:
+        raise FlipProducesDegenerate(
+            f"flip of edge {edge_id} would create a triangle with margin {thin[0]:.3e}"
+        )
     tri1, tri2 = metric.mesh.triangles[[t1, t2]].tolist()
     i, j, k, l = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3], tri2[(e2 + 2) % 3]
     if not max(theta_i, theta_j) < np.pi:
@@ -166,7 +165,6 @@ def flip_metric(
 
 def make_delaunay(
     metric: DecoratedMetric,
-    max_flips: int | None = None,
     *,
     flow_time: float = nan,
     start_ordinal: int = 0,
@@ -175,11 +173,11 @@ def make_delaunay(
 
     Deterministic: always flips the most negative weight first, the lowest
     edge id among equal weights.  A second call on the result performs zero
-    flips.  Raises SurgeryBudgetExceeded if violations persist after the
-    flip budget (default 100 per edge).  After the one whole-mesh test, a
+    flips.  Raises SurgeryBudgetExceeded if violations persist after
+    SURGERY_BUDGET_PER_EDGE flips per edge.  After the one whole-mesh test, a
     flip recomputes and retests only its two faces and five edges.
     """
-    budget = max_flips if max_flips is not None else SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
+    budget = SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
     dsum, eps = delaunay_terms(metric)
     bad = np.flatnonzero(dsum < -eps)
     if bad.size == 0:

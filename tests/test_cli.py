@@ -165,6 +165,18 @@ def test_flow_fractional(bumpy_file):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("vertex", [10**30, -(10**30), 2**63, 4])
+def test_vertex_id_outside_the_range_is_one_error_line(tmp_path, capsys, vertex):
+    # ids beyond int64 get the same MeshError as an in-range bad id
+    doc = json.loads((MESHES / "tetra_sym.dpm").read_text())
+    doc["triangles"][0][1] = vertex
+    path = tmp_path / "bad_vertex.dpm"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: triangle 0 references vertex {vertex} outside [0, 4)\n"
+
+
 def test_bad_file_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.dpm"
     path.write_text('{"format": "dpm-1"')

@@ -18,6 +18,7 @@ from packflow import (
     preset_metric,
     run,
     step,
+    validate_triangles,
     velocity,
 )
 from packflow.oracles import RandomMetricSpec, random_metric
@@ -205,6 +206,32 @@ def test_step_backtracks_oversized_trial():
     )
 
 
+def test_margin_gate_rejects_a_trial_through_degenerate_triangle(monkeypatch):
+    # the per-face pass's margin gate is the only admissibility check a
+    # trial passes: an inadmissible trial leaves _settle by the typed
+    # DegenerateTriangle and is halved once, like any other typed error
+    from packflow import flows
+
+    raised = []
+    settle = flows._settle
+
+    def spying_settle(*args):
+        try:
+            return settle(*args)
+        except PackflowError as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(flows, "_settle", spying_settle)
+    metric = preset_metric("tetrahedron")
+    config = FlowConfig(kind="ricci", target=np.array([0.5, 0.5, 0.5, 4.0 * np.pi - 1.5]))
+    new_state, rec = step(metric, config, 8.0)
+    assert raised == [DegenerateTriangle, DegenerateTriangle]
+    assert rec.halvings == 2
+    assert rec.h == 2.0
+    assert validate_triangles(new_state).admissible
+
+
 def test_overflowing_trials_halve_to_step_collapse():
     # e^(2u) overflows on every trial, down to h ~ 1e3; such trials must
     # halve like any other inadmissible one, not escape as a RuntimeWarning
@@ -270,7 +297,9 @@ def test_curvature_is_computed_once_per_trial_state(monkeypatch):
     # every trial state that passes the margin check costs exactly one
     # whole-mesh pass of the per-face kernel: its curvature, Delaunay check
     # and the next step's start all read that pass; recomputing k0 on
-    # every step, or angles apart from the circles, breaks the equality
+    # every step, or angles apart from the circles, breaks the equality.
+    # An inadmissible trial enters _settle as well and leaves it by the
+    # margin gate, before the pass, so only admissible entries count
     from packflow import flows, geometry
 
     metric = preset_metric("torus_grid", n=5)
@@ -286,10 +315,10 @@ def test_curvature_is_computed_once_per_trial_state(monkeypatch):
         passes += np.arange(m.mesh.num_triangles)[which].size == m.mesh.num_triangles
         return faces(m, which)
 
-    def counting_settle(*args):
+    def counting_settle(state, *args):
         nonlocal settled
-        settled += 1
-        return settle(*args)
+        settled += validate_triangles(state).admissible
+        return settle(state, *args)
 
     monkeypatch.setattr(geometry, "_faces", counting_faces)
     monkeypatch.setattr(flows, "_settle", counting_settle)

@@ -96,11 +96,6 @@ def test_inner_angles_accept_arrays():
 def test_triangle_angles_reject_impossible_sides():
     with pytest.raises(DegenerateTriangle, match=r"^triangle 0 has margin"):
         triangle_angles(_one_vertex_torus([1.0, 1.0, 3.0]))
-    # the cosine check behind the margin gate names the (face, corner) of
-    # the worst cosine as plain ints, whatever numpy's scalar repr is
-    with pytest.raises(DegenerateTriangle) as info:
-        geometry._check_cos(np.array([[0.5, 0.5, 0.5], [0.5, 1.5, 0.5]]))
-    assert "cosine 1.5 at (face, corner) (1, 1) leaves" in str(info.value)
 
 
 def test_radical_center_unit_circles_is_circumcenter():

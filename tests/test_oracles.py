@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from packflow import DecoratedMetric, curvature, preset_complex, triangle_angles
 from packflow import validate_triangles
@@ -141,3 +143,46 @@ def test_flip_length_against_reflection_oracle():
                 assert math.isclose(event.new_length, ref, rel_tol=1e-12)
                 checked += 1
     assert checked > 400
+
+
+# The per-face pass clips its law-of-cosines ratio to [-1, 1] with no guard
+# of its own: behind the triangle-margin gate the ratio can leave [-1, 1]
+# by roundoff only.  These tests pin that bound at 4 ulps of 1.
+COS_ROUNDOFF = 4.0 * np.finfo(float).eps
+
+
+def _cosine_ratios(metric) -> np.ndarray:
+    """cos A_e = (l_e^2 + l_{e-1}^2 - l_{e+1}^2) / (2 l_e l_{e-1}) per corner,
+    in the floating-point order of the per-face pass, before its clip."""
+    l = triangle_side_lengths(metric)
+    ll = l * l
+    dot = 0.5 * (ll + np.roll(ll, 1, axis=1) - np.roll(ll, -1, axis=1))
+    return dot / (l * np.roll(l, 1, axis=1))
+
+
+def test_cosine_ratio_of_random_metrics_stays_within_roundoff():
+    for spec in SPECS + WILD:
+        for seed in range(40):
+            ratios = _cosine_ratios(random_metric(spec, seed))
+            assert np.all(np.abs(ratios) <= 1.0 + COS_ROUNDOFF), (spec, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    aspect=st.floats(0.0, 12.0),
+    depth=st.floats(0.0, 1.0),
+    flat=st.booleans(),
+    order=st.permutations([0, 1, 2]),
+)
+def test_cosine_ratio_of_thin_admissible_faces_stays_within_roundoff(aspect, depth, flat, order):
+    # a flat face (1, x, 1 + x - m), whose angle opposite the long side
+    # nears pi, or a needle with a short side x, whose angle there nears 0;
+    # x down to 1e-12 and the margin m from x down to the gate's threshold
+    x = 10.0**-aspect
+    m = x * 10.0 ** (-depth * (12.0 - aspect))
+    sides = [1.0, x, 1.0 + x - m] if flat else [1.0, 1.0 - 0.5 * (x - m), x]
+    metric = DecoratedMetric(
+        preset_complex("one_vertex_torus"), np.array(sides)[order], np.ones(1)
+    )
+    assume(validate_triangles(metric).admissible)
+    assert np.all(np.abs(_cosine_ratios(metric)) <= 1.0 + COS_ROUNDOFF)
