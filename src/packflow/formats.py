@@ -99,6 +99,24 @@ def _number_array(obj: dict, key: str, length: int, *, optional: bool = False) -
     return values
 
 
+def _int_rows(obj: dict, key: str, shape: tuple[int, ...], what: str) -> list:
+    """The list at ``key``; SchemaError names its first row not of ``shape`` with int leaves."""
+    rows = _require(obj, key, list)
+    if not _nested_ints(rows, shape):
+        i = next(i for i, row in enumerate(rows) if not _nested_ints([row], shape))
+        raise SchemaError(f"field {key!r}[{i}] must be {what}")
+    return rows
+
+
+def _nested_ints(rows: list, shape: tuple[int, ...]) -> bool:
+    """Whether every row nests lists of ``shape`` over ints, not bools; one flat walk per level."""
+    for width in shape:
+        if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {width}:
+            return False
+        rows = [v for row in rows for v in row]
+    return set(map(type, rows)) <= {int}
+
+
 def parse_dpm(text: str) -> DpmDocument:
     """Parse and validate a dpm-1 document.
 
@@ -116,33 +134,9 @@ def parse_dpm(text: str) -> DpmDocument:
     if fmt != FORMAT_NAME:
         raise SchemaError(f"format {fmt!r} not supported; expected {FORMAT_NAME!r}")
     n = _require(raw, "num_vertices", int)
-    tris = _require(raw, "triangles", list)
-    for i, tri in enumerate(tris):
-        if (
-            not isinstance(tri, list)
-            or len(tri) != 3
-            or any(isinstance(c, bool) or not isinstance(c, int) for c in tri)
-        ):
-            raise SchemaError(f"field 'triangles'[{i}] must be three integer vertex ids")
-
+    tris = _int_rows(raw, "triangles", (3,), "three integer vertex ids")
     if "gluings" in raw:
-        glist = _require(raw, "gluings", list)
-        pairs = []
-        for i, pair in enumerate(glist):
-            ok = (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and all(
-                    isinstance(s, list)
-                    and len(s) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in s)
-                    for s in pair
-                )
-            )
-            if not ok:
-                raise SchemaError(f"field 'gluings'[{i}] must be [[t, e], [t2, e2]]")
-            pairs.append(((pair[0][0], pair[0][1]), (pair[1][0], pair[1][1])))
-        mesh = build_complex(n, tris, pairs)
+        mesh = build_complex(n, tris, _int_rows(raw, "gluings", (2, 2), "[[t, e], [t2, e2]]"))
     else:
         mesh = infer_gluings(n, tris)
 

@@ -8,9 +8,10 @@ construction.  Nothing assumes the triangulation is simplicial: loops
 (both endpoints the same vertex) and multiple edges between one vertex
 pair are legal, which is what surgery on small flat tori produces.
 
-Vertex labels name marked points.  Validation checks that the corner
-identification forced by the gluings agrees with the labels, so a label
-always means one point of the surface.
+Vertex labels name marked points.  Construction checks the gluing in one
+array pass, including that the corner orbits it forces match the labels
+one-to-one, so a label always means one point of the surface;
+``build_complex`` rejects a non-integer vertex id or slot, never truncates.
 
 Storage is flat integer arrays, halfedge style.  Side ``e`` of triangle
 ``t`` is slot ``s = 3 t + e`` (corner ``c`` of ``t`` shares the numbering).
@@ -26,7 +27,7 @@ caller can corrupt the complex; a view follows later flips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,8 +149,13 @@ class DeltaComplex:
     def slot_edge(self, slot: Slot) -> int:
         return self._edge_of.item(self._slot_index(slot))
 
+    def _first_side(self, edge_id: int) -> int:
+        if not 0 <= edge_id < self.num_edges:
+            raise MeshError(f"edge id {edge_id} outside [0, {self.num_edges})")
+        return self._edge_side.item(edge_id)
+
     def edge(self, edge_id: int) -> EdgeHandle:
-        s1 = self._edge_side.item(edge_id)
+        s1 = self._first_side(edge_id)
         s2 = self._twin.item(s1)
         ends = (self._edge_ends.item(edge_id, 0), self._edge_ends.item(edge_id, 1))
         return EdgeHandle(edge_id, ends, (divmod(s1, 3), divmod(s2, 3)))
@@ -179,7 +185,7 @@ class DeltaComplex:
         (k, l).  Purely combinatorial; lengths are the caller's business.
         """
         twin, edge_of, edge_side = self._twin, self._edge_of, self._edge_side
-        t1, e1 = divmod(edge_side.item(edge_id), 3)
+        t1, e1 = divmod(self._first_side(edge_id), 3)
         t2, e2 = divmod(twin.item(3 * t1 + e1), 3)
         if t1 == t2:
             raise SelfFlip(
@@ -241,87 +247,77 @@ class DeltaComplex:
         )
 
 
-def _check_labels(n: int, corners: Sequence[int]) -> None:
+def _check_labels(n: int, corners: Sequence[int]) -> np.ndarray:
     """Flat corner labels as Python ints, so ids beyond int64 fail here too."""
     if n <= 0:
         raise MeshError("num_vertices must be positive")
     if not corners:
         raise MeshError("no triangles")
+    if n > len(corners):
+        raise UnusedVertex(f"{n} vertex labels but only {len(corners)} corners to use them")
     if min(corners) < 0 or max(corners) >= n:
         s = next(s for s, c in enumerate(corners) if not 0 <= c < n)
         raise MeshError(f"triangle {s // 3} references vertex {corners[s]} outside [0, {n})")
+    labels = np.array(corners)  # in range and n <= 3F, so int64 unless not all ints
+    if labels.dtype.kind not in "iu":
+        raise MeshError(f"vertex ids must be integers, not {labels.dtype}")
+    missing = np.flatnonzero(np.bincount(labels, minlength=n) == 0)
+    if missing.size:
+        raise UnusedVertex(f"vertex labels never used: {missing.tolist()}")
+    return labels
 
 
 def _validate(mesh: DeltaComplex) -> None:
-    """Everything but the label range, which ``_check_labels`` covers."""
-    n = mesh.num_vertices
-    corners = mesh._tri.ravel()
-    labels = corners.tolist()
-    if n > corners.size:
-        raise UnusedVertex(f"{n} vertex labels but only {corners.size} corners to use them")
-    missing = np.setdiff1d(np.arange(n), corners)
-    if missing.size:
-        raise UnusedVertex(f"vertex labels never used: {missing.tolist()}")
-
-    num_slots = corners.size
-    glued = mesh._twin.tolist()
-    lonely = [divmod(s, 3) for s, p in enumerate(glued) if not 0 <= p < num_slots]
+    """Everything but the labels, which ``_check_labels`` covers; on arrays, in slot order."""
+    labels, twin = mesh._tri.ravel(), mesh._twin
+    s = np.arange(twin.size)
+    lonely = [divmod(x, 3) for x in np.flatnonzero((twin < 0) | (twin >= twin.size)).tolist()]
     if lonely:
         raise UnmatchedSlot(f"sides missing from the gluing: {lonely[:4]}")
-    for s, p in enumerate(glued):
-        if s == p:
-            raise UnmatchedSlot(f"slot {divmod(s, 3)} glued to itself")
-        if glued[p] != s:
-            raise UnmatchedSlot(f"gluing is not an involution at {divmod(s, 3)} <-> {divmod(p, 3)}")
-        a, b = labels[s], labels[_next_slot(s)]
-        b2, a2 = labels[p], labels[_next_slot(p)]
-        if (a, b) != (a2, b2):
-            raise OrientationMismatch(
-                f"slots {divmod(s, 3)} ({a}->{b}) and {divmod(p, 3)} ({b2}->{a2} reversed)"
-                " disagree on labels"
-            )
+    unpaired = np.flatnonzero((twin == s) | (twin[twin] != s)).tolist()
+    if unpaired:
+        a, p = unpaired[0], twin.item(unpaired[0])
+        raise UnmatchedSlot(
+            f"slot {divmod(a, 3)} glued to itself" if a == p
+            else f"gluing is not an involution at {divmod(a, 3)} <-> {divmod(p, 3)}"
+        )
+    head = labels[_next_slot(s)]
+    twisted = np.flatnonzero((labels != head[twin]) | (head != labels[twin])).tolist()
+    if twisted:
+        a, p = twisted[0], twin.item(twisted[0])
+        raise OrientationMismatch(
+            f"slots {divmod(a, 3)} ({labels[a]}->{head[a]}) and {divmod(p, 3)}"
+            f" ({labels[p]}->{head[p]} reversed) disagree on labels"
+        )
 
-    # edge table consistent with the gluing
-    edge_of = mesh._edge_of.tolist()
-    if -1 in edge_of:
+    # edge table consistent with the gluing: (edge under each side, tail, head) per row
+    if np.any(mesh._edge_of < 0):
         raise UnmatchedSlot("edge table does not cover every side")
-    rows = zip(mesh._edge_side.tolist(), mesh._edge_ends.tolist())
-    for eid, (s, ends) in enumerate(rows):
-        if edge_of[s] != eid or edge_of[glued[s]] != eid or ends != [labels[s], labels[_next_slot(s)]]:
-            raise MeshError(f"edge table row {eid} disagrees with the gluing")
+    sides, ids = mesh.edge_sides_array(), np.arange(mesh.num_edges)[:, None]
+    found = np.hstack([mesh._edge_of[sides], labels[sides[:, :1]], head[sides[:, :1]]])
+    rows = np.flatnonzero(np.any(found != np.hstack([ids, ids, mesh._edge_ends]), axis=1))
+    if rows.size:
+        raise MeshError(f"edge table row {rows[0]} disagrees with the gluing")
 
-    # corner orbits around vertices must match the labels one-to-one; each
-    # orbit starts at the first corner, in (triangle, corner) order, that
-    # no earlier orbit visited.  Glued sides agree on labels (checked
-    # above), so every corner of an orbit carries the label of its start.
-    visited = bytearray(num_slots)
-    orbit_labels: set[int] = set()
-    for start in range(num_slots):
-        if visited[start]:
-            continue
-        label = labels[start]
-        cur = start
-        while True:
-            visited[cur] = 1
-            cur = glued[_prev_slot(cur)]
-            if cur == start:
-                break
-        if label in orbit_labels:
-            raise InconsistentVertexLabels(
-                f"vertex label {label} names two distinct points of the surface"
-            )
-        orbit_labels.add(label)
+    # corner orbits must match the labels one-to-one; pointer doubling marks each
+    # orbit by its least corner, and glued sides agree on labels (checked above)
+    rep, step = s, twin[_prev_slot(s)]
+    for _ in range((s.size - 1).bit_length()):
+        rep, step = np.minimum(rep, rep[step]), step[step]
+    orbits = np.bincount(labels[rep == s], minlength=mesh.num_vertices)
+    if orbits.max() > 1:
+        raise InconsistentVertexLabels(
+            f"vertex label {np.argmax(orbits > 1)} names two distinct points of the surface"
+        )
 
     # connectivity through shared edges
-    seen = {0}
-    stack = [0]
+    across = (twin // 3).reshape(-1, 3).tolist()
+    seen, stack = {0}, [0]
     while stack:
-        t = stack.pop()
-        for s in range(3 * t, 3 * t + 3):
-            t2 = glued[s] // 3
-            if t2 not in seen:
-                seen.add(t2)
-                stack.append(t2)
+        for t in across[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
     if len(seen) != mesh.num_triangles:
         raise DisconnectedSurface(
             f"only {len(seen)} of {mesh.num_triangles} triangles reachable from triangle 0"
@@ -333,40 +329,36 @@ def _validate(mesh: DeltaComplex) -> None:
         )
 
 
-def _as_slot(pair) -> Slot:
-    return int(pair[0]), int(pair[1])
-
-
 def build_complex(
     num_vertices: int,
     triangles: Sequence[Sequence[int]],
-    gluings: Iterable[tuple[Slot, Slot]],
+    gluings: Sequence[tuple[Slot, Slot]],
 ) -> DeltaComplex:
     """Assemble and validate a closed surface from explicit side gluings.
 
     Edge ids follow the order of ``gluings``; the arrays in a decorated
     metric are aligned with these ids.
     """
-    tris = [tuple(int(c) for c in tri) for tri in triangles]
-    for t, tri in enumerate(tris):
-        if len(tri) != 3:
-            raise MeshError(f"triangle {t} does not have three corners")
-    twin = [-1] * (3 * len(tris))
-    edge_side = []
-    for pair in gluings:
-        s1, s2 = _as_slot(pair[0]), _as_slot(pair[1])
-        for s in (s1, s2):
-            if not (0 <= s[0] < len(tris)) or not (0 <= s[1] < 3):
-                raise UnmatchedSlot(f"gluing references slot {s} outside the complex")
-            if twin[3 * s[0] + s[1]] >= 0:
-                raise UnmatchedSlot(f"slot {s} appears in more than one gluing")
-        if s1 == s2:
-            raise UnmatchedSlot(f"slot {s1} glued to itself")
-        a, b = 3 * s1[0] + s1[1], 3 * s2[0] + s2[1]
-        twin[a], twin[b] = b, a
-        edge_side.append(a)
-    _check_labels(int(num_vertices), [c for tri in tris for c in tri])
-    mesh = DeltaComplex(int(num_vertices), tris, twin, edge_side)
+    short = [t for t, tri in enumerate(triangles) if len(tri) != 3]
+    if short:
+        raise MeshError(f"triangle {short[0]} does not have three corners")
+    labels = _check_labels(int(num_vertices), [c for tri in triangles for c in tri])
+    try:  # a non-integer entry or a ragged pair fails the conversion
+        pairs = np.array(gluings, dtype=None if len(gluings) else np.int64)
+        pairs = pairs.astype(np.int64, casting="safe").reshape(len(gluings), 2, 2)
+    except (TypeError, ValueError):
+        raise UnmatchedSlot("gluings must be pairs of (triangle, side) slots of integers") from None
+    outside = np.any((pairs < 0) | (pairs >= [len(triangles), 3]), axis=2)
+    if outside.any():
+        slot = tuple(pairs.reshape(-1, 2)[np.argmax(outside)].tolist())
+        raise UnmatchedSlot(f"gluing references slot {slot} outside the complex")
+    slots = pairs @ [3, 1]
+    uses = np.bincount(slots.ravel(), minlength=labels.size)
+    if uses.max() > 1:
+        raise UnmatchedSlot(f"slot {divmod(int(np.argmax(uses > 1)), 3)} is glued more than once")
+    twin = np.full(labels.size, -1)
+    twin[slots] = slots[:, ::-1]
+    mesh = DeltaComplex(num_vertices, labels, twin, slots[:, 0])
     _validate(mesh)
     return mesh
 

@@ -208,7 +208,12 @@ def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray,
     non-positive ones.
     """
     u = np.asarray(u, dtype=float)
-    ends = metric.mesh.edge_endpoints_array()
+    return _scaled_lengths(metric, u, slice(None)), np.exp(u) * metric.radii
+
+
+def _scaled_lengths(metric: DecoratedMetric, u: np.ndarray, edges) -> np.ndarray:
+    """``apply_conformal``'s effective lengths, for the edge ids or slice ``edges``."""
+    ends = metric.mesh.edge_endpoints_array()[edges]
     ua, ub = u[ends[:, 0]], u[ends[:, 1]]
     ra, rb = metric.radii[ends[:, 0]], metric.radii[ends[:, 1]]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,10 +221,10 @@ def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray,
         sq = (
             (np.exp(2.0 * ua) - eab) * ra * ra
             + (np.exp(2.0 * ub) - eab) * rb * rb
-            + eab * metric.base_lengths**2
+            + eab * metric.base_lengths[edges] ** 2
         )
     what = "scaled squared length non-positive or non-finite on edges"
-    return np.sqrt(_positive(sq, DegenerateLength, what)), np.exp(u) * metric.radii
+    return np.sqrt(_positive(sq, DegenerateLength, what))
 
 
 def inversive_from_lengths(metric: DecoratedMetric) -> np.ndarray:

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .geometry import _edge_terms, _faces, _terms, delaunay_terms, edge_half_chord, triangle_angles
 from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, triangle_margins
+from .metric import _effective_data, _scaled_lengths
 
 logger = logging.getLogger(__name__)
 
@@ -131,6 +132,7 @@ def flip_metric(
             f" {vertex} is {angle:.6f} rad, not below pi"
         )
 
+    lengths, radii = metric.effective_lengths.copy(), metric.effective_radii
     metric.mesh.flip(edge_id)
     try:
         metric.rebase_edge(edge_id, new_length)
@@ -138,10 +140,12 @@ def flip_metric(
         raise FlipProducesDegenerate(
             f"flip of edge {edge_id} cannot be expressed at the current scale factors: {exc}"
         ) from exc
+    # the new state differs in this edge's length only
+    lengths[[edge_id]] = _scaled_lengths(metric, metric.conformal_factors, [edge_id])
+    metric.remember(_effective_data, (lengths, radii))
 
-    r_new = metric.effective_radii
     new_inv = float(
-        (new_length**2 - r_new[k] ** 2 - r_new[l] ** 2) / (2.0 * r_new[k] * r_new[l])
+        (new_length**2 - radii[k] ** 2 - radii[l] ** 2) / (2.0 * radii[k] * radii[l])
     )
     event = SurgeryEvent(
         flow_time=flow_time,

@@ -114,6 +114,11 @@ def test_schema_errors_name_the_field():
     reject(lambda d: d.update(inversive_distances=[2, 2, float("nan"), 2, 2, 2]), "'inversive")
     reject(lambda d: d.update(conformal_factors=[0.0, 0.0, float("inf"), 0.0]), "'conformal")
     reject(lambda d: d.update(target_curvature=[-float("inf"), 0.0, 0.0, 0.0]), "'target")
+    # the first malformed gluing is named: a bool or a float entry, a side
+    # of three entries, a pair that is not a list
+    glued = [[0, 0], [2, 2]]
+    for bad in ([[True, 0], [2, 2]], [[0, 1.0], [2, 2]], [[0, 1, 2], [2, 2]], "pair", 7):
+        reject(lambda d: d.update(gluings=[glued, bad]), "field 'gluings'[1] must be")
 
 
 

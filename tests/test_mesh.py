@@ -212,6 +212,26 @@ def test_self_flip_is_rejected():
         mesh.flip(0)
 
 
+def test_edge_ids_outside_the_range_are_mesh_errors():
+    # a negative id must not wrap to the last edge, and one past the end
+    # must not leak an IndexError
+    metric = random_metric(FLIP_SPECS["torus_grid"], 0)
+    mesh = metric.mesh
+    before = _index_arrays(mesh)
+    for edge_id in (-1, mesh.num_edges):
+        match = rf"^edge id {edge_id} outside \[0, {mesh.num_edges}\)$"
+        with pytest.raises(MeshError, match=match):
+            mesh.edge(edge_id)
+        with pytest.raises(MeshError, match=match):
+            mesh.flip(edge_id)
+        with pytest.raises(MeshError, match=match):
+            flip_metric(metric, edge_id)
+    for mine, theirs in zip(_index_arrays(mesh), before):
+        assert np.array_equal(mine, theirs)
+    assert mesh.version == 0
+    mesh.check()
+
+
 def test_copy_is_independent():
     mesh = infer_gluings(4, TETRA_FACES)
     dup = mesh.copy()
@@ -366,3 +386,48 @@ def test_fuzzed_gluings_raise_only_mesh_errors(name, data):
         DeltaComplex(mesh.num_vertices, mesh.triangles, twin, edge_side).check()
     except MeshError:
         pass
+
+
+# -- malformed gluing lists through build_complex -----------------------------------
+
+GLUING_FAULTS = ["triangle", "side", "value", "fraction", "duplicate", "self", "ragged", "vertex"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FUZZ_MESHES)),
+    fault=st.sampled_from(GLUING_FAULTS),
+    data=st.data(),
+)
+def test_malformed_gluings_raise_mesh_errors(name, fault, data):
+    # one fault planted in the valid (triangles, gluings) of a mesh; a
+    # fractional entry is one that int() would truncate back to a valid id
+    mesh = FUZZ_MESHES[name]
+    triangles = mesh.triangles.tolist()
+    gluings = [[list(side) for side in mesh.edge(e).sides] for e in range(mesh.num_edges)]
+    i = data.draw(st.integers(0, mesh.num_edges - 1), label="gluing")
+    k = data.draw(st.integers(0, 1), label="side")
+    slot = gluings[i][k]
+    if fault == "triangle":
+        slot[0] = data.draw(st.sampled_from([-2, -1, mesh.num_triangles, mesh.num_triangles + 1]))
+    elif fault == "side":
+        # side 3 of triangle t would alias side 0 of triangle t + 1
+        slot[1] = data.draw(st.sampled_from([-1, 3, 4]))
+    elif fault == "value":
+        slot[data.draw(st.integers(0, 1))] = data.draw(st.sampled_from([1.7, 2**63, 10**30]))
+    elif fault == "fraction":
+        slot[data.draw(st.integers(0, 1))] += 0.5
+    elif fault == "duplicate":
+        gluings[(i + 1) % mesh.num_edges][0] = list(slot)
+    elif fault == "self":
+        gluings[i][1 - k] = list(slot)
+    elif fault == "ragged":
+        if data.draw(st.booleans()):
+            slot.append(0)
+        else:
+            slot.pop()
+    else:
+        row = data.draw(st.integers(0, mesh.num_triangles - 1))
+        triangles[row][data.draw(st.integers(0, 2))] += 0.9
+    with pytest.raises(MeshError):
+        build_complex(mesh.num_vertices, triangles, gluings)

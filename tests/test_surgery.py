@@ -25,6 +25,7 @@ from packflow import (
     validate_triangles,
 )
 from packflow import geometry, surgery
+from packflow import metric as metric_module
 from packflow.geometry import _terms
 from packflow.oracles import RandomMetricSpec, random_metric
 
@@ -276,13 +277,23 @@ def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
         settled += validate_triangles(state).admissible
         return settle(state, *args)
 
+    conformal, apply = [], metric_module.apply_conformal
+
+    def counting_conformal(m, u):
+        conformal.append(m)
+        return apply(m, u)
+
     monkeypatch.setattr(geometry, "_faces", counting_faces)
     monkeypatch.setattr(surgery, "_faces", counting_faces)
     monkeypatch.setattr(flows, "_settle", counting_settle)
+    monkeypatch.setattr(metric_module, "apply_conformal", counting_conformal)
     _, events = make_delaunay(metric)
     curvature(metric)
     assert len(events) == 36
     assert rows == [metric.mesh.num_triangles] + [2] * 36
+    # a flip rescales only its own edge: the whole-mesh effective lengths
+    # are computed once, for the entry check
+    assert len(conformal) == 1
     # in a run that flips mid-flow (the tetrahedron driven toward the
     # curvature of a spread that is Delaunay only after a flip), every
     # trial state that reaches surgery costs exactly one whole-mesh pass,
