@@ -149,13 +149,19 @@ class DeltaComplex:
     def slot_edge(self, slot: Slot) -> int:
         return self._edge_of.item(self._slot_index(slot))
 
-    def _first_side(self, edge_id: int) -> int:
-        if not 0 <= edge_id < self.num_edges:
-            raise MeshError(f"edge id {edge_id} outside [0, {self.num_edges})")
-        return self._edge_side.item(edge_id)
+    def _edge_ids(self, edges) -> np.ndarray:
+        """``edges`` (one id or a sequence) as int64, or MeshError naming the first bad id."""
+        ids = np.asarray(edges)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise MeshError(f"edge ids must be integers, not {ids.dtype}")
+        outside = (ids < 0) | (ids >= self.num_edges)
+        if outside.any():
+            raise MeshError(f"edge id {ids[outside].flat[0]} outside [0, {self.num_edges})")
+        return ids.astype(np.int64)
 
     def edge(self, edge_id: int) -> EdgeHandle:
-        s1 = self._first_side(edge_id)
+        edge_id = int(self._edge_ids(edge_id))
+        s1 = self._edge_side.item(edge_id)
         s2 = self._twin.item(s1)
         ends = (self._edge_ends.item(edge_id, 0), self._edge_ends.item(edge_id, 1))
         return EdgeHandle(edge_id, ends, (divmod(s1, 3), divmod(s2, 3)))
@@ -184,45 +190,62 @@ class DeltaComplex:
         their ids and the flipped edge keeps its own id with new endpoints
         (k, l).  Purely combinatorial; lengths are the caller's business.
         """
+        self.flip_many([edge_id])
+
+    def flip_many(self, edges: Sequence[int]) -> None:
+        """Flip every edge of ``edges`` as :meth:`flip` does, all at once.
+
+        No two of the edges may share a triangle, so each quad is rewritten
+        on its own: 2B triangles, 6B slots and 5B edge rows, by fancy
+        assignment.  An outer edge may still border two of the quads; its
+        two sides are remapped together.  Raises MeshError for an id that
+        is not an integer in range, a repeated id or two edges sharing a
+        triangle, and SelfFlip for an edge with both sides on one triangle.
+        """
         twin, edge_of, edge_side = self._twin, self._edge_of, self._edge_side
-        t1, e1 = divmod(self._first_side(edge_id), 3)
-        t2, e2 = divmod(twin.item(3 * t1 + e1), 3)
-        if t1 == t2:
+        ids = self._edge_ids(edges).reshape(-1)
+        first = edge_side[ids]
+        second = twin[first]
+        t1, t2 = first // 3, second // 3
+        lone = np.flatnonzero(t1 == t2)
+        if lone.size:
             raise SelfFlip(
-                f"edge {edge_id} has both sides on triangle {t1}; flip undefined"
+                f"edge {ids[lone[0]]} has both sides on triangle {t1[lone[0]]}; flip undefined"
             )
-        tri1, tri2 = self._tri[[t1, t2]].tolist()
-        i, j, k = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3]
-        l = tri2[(e2 + 2) % 3]
+        faces = np.stack([t1, t2], axis=1).ravel()
+        order = np.argsort(faces, kind="stable")
+        shared = np.flatnonzero(faces[order][1:] == faces[order][:-1])
+        if shared.size:
+            a, b = ids[order[shared[0] : shared[0] + 2] // 2].tolist()
+            raise MeshError(
+                f"edge {a} appears twice in one flip" if a == b
+                else f"edges {a} and {b} share triangle {faces[order[shared[0]]]}; flipped"
+                " edges must not share a triangle"
+            )
+        corners = self._tri.ravel()
+        i, j, k = corners[first], corners[_next_slot(first)], corners[_prev_slot(first)]
+        l = corners[_prev_slot(second)]
 
         # where each outer side lands: j -> k, k -> i, i -> l, l -> j
-        remap = {
-            3 * t1 + (e1 + 1) % 3: 3 * t1 + 1,
-            3 * t1 + (e1 + 2) % 3: 3 * t2,
-            3 * t2 + (e2 + 1) % 3: 3 * t2 + 1,
-            3 * t2 + (e2 + 2) % 3: 3 * t1,
-        }
-        partners = {s: twin.item(s) for s in remap}
-        outer_edges = {s: edge_of.item(s) for s in remap}
-        # keyed by edge id: an outer edge with both sides on the two flipped
-        # triangles has its row remapped once, not once per side
-        first_sides = {eid: edge_side.item(eid) for eid in outer_edges.values()}
-
-        for s, new_s in remap.items():
-            new_p = remap.get(partners[s], partners[s])
-            twin[new_s] = new_p
-            twin[new_p] = new_s
-            edge_of[new_s] = outer_edges[s]
-        for eid, s in first_sides.items():
-            edge_side[eid] = remap.get(s, s)
+        old = np.stack(
+            [_next_slot(first), _prev_slot(first), _next_slot(second), _prev_slot(second)]
+        )
+        new = np.stack([3 * t1 + 1, 3 * t2, 3 * t2 + 1, 3 * t1])
+        remap = np.arange(twin.size)
+        remap[old] = new
+        partners, outer = remap[twin[old]], edge_of[old]
+        twin[new], twin[partners] = partners, new
+        edge_of[new] = outer
+        # an outer edge with both sides in the quads is written twice, with one value
+        edge_side[outer] = remap[edge_side[outer]]
 
         d1, d2 = 3 * t1 + 2, 3 * t2 + 2
         twin[d1], twin[d2] = d2, d1
-        edge_of[d1] = edge_of[d2] = edge_id
-        edge_side[edge_id] = d1
-        self._edge_ends[edge_id] = (k, l)
-        self._tri[t1] = (l, j, k)
-        self._tri[t2] = (k, i, l)
+        edge_of[d1] = edge_of[d2] = ids
+        edge_side[ids] = d1
+        self._edge_ends[ids] = np.stack([k, l], axis=1)
+        self._tri[t1] = np.stack([l, j, k], axis=1)
+        self._tri[t2] = np.stack([k, i, l], axis=1)
 
         self.version += 1
 
@@ -370,7 +393,9 @@ def infer_gluings(num_vertices: int, triangles: Sequence[Sequence[int]]) -> Delt
     one-vertex torus and other self-glued configurations need explicit
     gluings and are rejected with :class:`NonSimplicial`.
     """
-    tris = [tuple(int(c) for c in tri) for tri in triangles]
+    tris = [tuple(tri) for tri in triangles]
+    # a fractional label such as 2.9 raises here instead of being truncated
+    _check_labels(int(num_vertices), [c for tri in tris for c in tri])
     by_pair: dict[tuple[int, int], list[Slot]] = {}
     order: list[tuple[int, int]] = []
     for t, tri in enumerate(tris):

@@ -163,27 +163,27 @@ class DecoratedMetric:
         )
         return dup
 
-    def rebase_edge(self, edge_id: int, effective_length: float) -> None:
-        """Store a base length for ``edge_id`` so that the current scale
-        factors reproduce ``effective_length``.
+    def rebase_edge(self, edge_ids, effective_lengths) -> None:
+        """Store base lengths for ``edge_ids`` (one id or an array) so that
+        the current scale factors reproduce ``effective_lengths``.
 
-        Used after a flip: the new diagonal's geometric length is known in
+        Used after flips: a new diagonal's geometric length is known in
         the effective metric and has to be divided back through the scaling
-        rule at the current u.
+        rule at the current u.  Raises DegenerateLength naming the first
+        edge whose squared base length is not positive, before any write.
         """
-        a, b = self.mesh.edge(edge_id).endpoints
-        ua, ub = self._u[a], self._u[b]
+        ids = np.atleast_1d(self.mesh._edge_ids(edge_ids))
+        target = np.atleast_1d(np.asarray(effective_lengths, dtype=float))
+        ends = self.mesh.edge_endpoints_array()[ids]
+        (ua, ub), (ra, rb) = self._u[ends].T, self.radii[ends].T
         ea, eb, eab = np.exp(2.0 * ua), np.exp(2.0 * ub), np.exp(ua + ub)
-        sq = (
-            effective_length * effective_length
-            - (ea - eab) * self.radii[a] ** 2
-            - (eb - eab) * self.radii[b] ** 2
-        ) / eab
-        if not sq > 0:
+        sq = (target * target - (ea - eab) * ra**2 - (eb - eab) * rb**2) / eab
+        bad = np.flatnonzero(~(sq > 0))
+        if bad.size:
             raise DegenerateLength(
-                f"cannot rebase edge {edge_id}: squared base length {sq:.3e}"
+                f"cannot rebase edge {ids[bad[0]]}: squared base length {sq[bad[0]]:.3e}"
             )
-        self.base_lengths[edge_id] = np.sqrt(sq)
+        self.base_lengths[ids] = np.sqrt(sq)
         self._u_token += 1
 
     def __repr__(self) -> str:  # pragma: no cover

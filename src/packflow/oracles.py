@@ -3,20 +3,33 @@
 Everything here deliberately avoids the fast paths of the library: angles
 and orthogonal circles come from explicit plane coordinates, the Delaunay
 predicate from summed intersection angles, flip lengths from a reflected
-layout.  Tests compare the production code against these.
+layout, and surgery from one flip at a time after a whole-mesh test.
+Tests compare the production code against these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import nan, pi
 
 import numpy as np
 
-from .errors import DegenerateLength, DegenerateTriangle, MetricError
-from .geometry import edge_half_chord
-from .metric import DecoratedMetric, lengths_from_inversive, validate_triangles
+from .errors import (
+    DegenerateLength,
+    DegenerateTriangle,
+    FlipProducesDegenerate,
+    MetricError,
+    SelfFlip,
+)
+from .geometry import edge_half_chord, triangle_angles
+from .metric import (
+    TRIANGLE_MARGIN_REL_TOL,
+    DecoratedMetric,
+    lengths_from_inversive,
+    validate_triangles,
+)
 from .presets import preset_complex
-from .surgery import make_delaunay
+from .surgery import SurgeryEvent, delaunay_violations, make_delaunay
 
 
 @dataclass
@@ -157,3 +170,56 @@ def oracle_flip_length(metric: DecoratedMetric, edge_id: int) -> float:
     # measured from the other endpoint; reflect it below the axis.
     shared = lengths[edge_id]
     return float(np.hypot(x1 - (shared - x2), y1 + y2))
+
+
+def oracle_make_delaunay(metric: DecoratedMetric) -> list[SurgeryEvent]:
+    """Sequential reference for ``make_delaunay``: one flip at a time, worst first.
+
+    Before every flip the whole mesh is tested on an uncached copy, and the
+    most negative weight goes first, the lowest edge id among equal
+    weights.  Each flip is worked out alone, in Python floats, from a
+    whole-mesh pass of corner angles: the same law of cosines and the same
+    checks as surgery, raising the same error types, in the same order.
+    """
+    events = []
+    while True:
+        violations = delaunay_violations(metric.copy())
+        if not violations:
+            return events
+        worst = min(w for _, w in violations)
+        edge_id = min(e for e, w in violations if w == worst)
+        events.append(_oracle_flip(metric, edge_id, worst, len(events)))
+
+
+def _oracle_flip(
+    metric: DecoratedMetric, edge_id: int, weight: float, ordinal: int
+) -> SurgeryEvent:
+    mesh = metric.mesh
+    (t1, e1), (t2, e2) = mesh.edge(edge_id).sides
+    if t1 == t2:
+        raise SelfFlip(f"edge {edge_id} has both sides on triangle {t1}")
+    tri1, tri2 = mesh.triangles[[t1, t2]].tolist()
+    i, j, k, l = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3], tri2[(e2 + 2) % 3]
+
+    def side(t: int, e: int) -> float:
+        return float(metric.effective_lengths[mesh.slot_edge((t, e % 3))])
+
+    l_jk, l_ki, l_il, l_lj = side(t1, e1 + 1), side(t1, e1 + 2), side(t2, e2 + 1), side(t2, e2 + 2)
+    angles = triangle_angles(metric)
+    theta_i = float(angles[t1, e1]) + float(angles[t2, (e2 + 1) % 3])
+    theta_j = float(angles[t1, (e1 + 1) % 3]) + float(angles[t2, e2])
+    new = float(np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * float(np.cos(theta_i))))
+    threshold = TRIANGLE_MARGIN_REL_TOL * max(new, l_jk, l_ki, l_il, l_lj)
+    for a, b in ((l_lj, l_jk), (l_ki, l_il)):
+        if not min(a + b - new, b + new - a, new + a - b) > threshold:
+            raise FlipProducesDegenerate(f"flip of edge {edge_id} would create a thin triangle")
+    if not max(theta_i, theta_j) < pi:
+        raise FlipProducesDegenerate(f"flip of edge {edge_id} would leave its quad")
+    mesh.flip(edge_id)
+    try:
+        metric.rebase_edge(edge_id, new)
+    except DegenerateLength as exc:
+        raise FlipProducesDegenerate(f"flip of edge {edge_id} cannot be rebased") from exc
+    rk, rl = float(metric.effective_radii[k]), float(metric.effective_radii[l])
+    inversive = (new * new - rk * rk - rl * rl) / (2.0 * rk * rl)
+    return SurgeryEvent(nan, ordinal, edge_id, (i, j), (k, l), new, weight, inversive)

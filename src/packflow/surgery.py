@@ -1,4 +1,4 @@
-"""Weighted Delaunay maintenance by edge flips.
+"""Weighted Delaunay maintenance by edge flips, made in rounds.
 
 A flip replaces the two triangles over an edge by the opposite diagonal of
 their quad.  The new diagonal length follows from the two faces' corner
@@ -11,10 +11,18 @@ flips, Fisher, Springborn, Schroeder, Bobenko 2007).  Flips are triggered
 by the sign of d1 + d2 (the cotangent-weight numerator), never by
 trigonometry.
 
-``make_delaunay`` flips the most negative weight first, the lowest edge id
-among equal weights.  After one whole-mesh test it recomputes and retests
-only the two faces (angles included) and five edges that each flip
-rewrites, so the curvature after surgery sums patched angles.
+``make_delaunay`` flips in rounds.  A round takes every violating edge
+whose (weight, edge id) rank is the lowest among the violating edges on
+both of its faces.  No two of these share a face, and the most negative
+weight is always among them, so every round makes progress.  The round
+checks all its quads at once, rewrites them with one
+``DeltaComplex.flip_many``, reruns the per-face kernel on the rewritten
+faces only and retests the edges on them, so the curvature after surgery
+sums patched angles.  Flips that share no face commute, and the weighted
+Delaunay tessellation is unique (Bobenko, Lutz), so on generic input the
+rounds end where flipping the worst edge one at a time ends.  Within a
+round, events are numbered in (weight, edge id) order.  Each round is
+one ``flip_metric`` call, which flips any one edge or face-disjoint set.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .errors import (
     SurgeryBudgetExceeded,
 )
 from .geometry import _edge_terms, _faces, _terms, delaunay_terms, edge_half_chord, triangle_angles
+from .mesh import DeltaComplex
 from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, triangle_margins
 from .metric import _effective_data, _scaled_lengths
 
@@ -82,12 +91,12 @@ def _weights(metric: DecoratedMetric, dsum: np.ndarray, edges) -> np.ndarray:
 
 def flip_metric(
     metric: DecoratedMetric,
-    edge_id: int,
+    edges,
     *,
     flow_time: float = nan,
     ordinal: int = 0,
-) -> tuple[DecoratedMetric, SurgeryEvent]:
-    """Flip one edge, updating the complex and the stored lengths in place.
+) -> tuple[DecoratedMetric, list[SurgeryEvent]]:
+    """Flip ``edges`` (one id or several, no two on one face) in place; one event each, in order.
 
     The faces over the edge i -> j are (i, j, k) and (j, i, l).  The new
     diagonal closes the triangle (k, i, l) whose angle at i is the quad
@@ -98,73 +107,95 @@ def flip_metric(
     Its base length is chosen so the current scale factors reproduce that
     distance exactly.  That is an isometry only if the diagonal runs inside
     the quad, so unless both quad angles theta_i and theta_j are below pi
-    the flip raises FlipProducesDegenerate naming the larger one.
+    the flip raises FlipProducesDegenerate naming the larger one.  Every
+    check runs on all the quads before the complex changes; if an edge
+    fails one, the edges before it are flipped and the error names it, as
+    flipping them one at a time in this order would.  Each event records
+    its edge's weight before the flip; all are nan if one of the edges'
+    half chords is imaginary.
     """
-    (t1, e1), (t2, e2) = metric.mesh.edge(edge_id).sides
-    if t1 == t2:
-        raise SelfFlip(
-            f"edge {edge_id} has both sides on triangle {t1}; flip undefined"
-        )
+    mesh = metric.mesh
+    edges = np.atleast_1d(mesh._edge_ids(edges))
     try:
-        pre_weight = float(_weights(metric, delaunay_terms(metric)[0], [edge_id])[0])
+        pre_weights = _weights(metric, delaunay_terms(metric)[0], edges)
     except ImaginaryChord:
-        pre_weight = nan
-    # rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
-    slots = [[3 * t + (e + c) % 3 for c in range(3)] for t, e in ((t1, e1), (t2, e2))]
-    sides = metric.effective_lengths[metric.mesh.slot_edge_array().ravel()[slots]]
-    (_, l_jk, l_ki), (_, l_il, l_lj) = sides.tolist()
-    (at_i, at_j, _), (at_j2, at_i2, _) = triangle_angles(metric).ravel()[slots].tolist()
+        pre_weights = np.full(edges.size, nan)
+    t, e = np.divmod(mesh.edge_sides_array()[edges], 3)
+    # per quad, rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
+    slots = 3 * t[:, :, None] + (e[:, :, None] + np.arange(3)) % 3
+    (_, l_jk, l_ki), (_, l_il, l_lj) = np.moveaxis(
+        metric.effective_lengths[mesh.slot_edge_array().ravel()[slots]], 0, -1
+    )
+    (at_i, at_j, _), (at_j2, at_i2, _) = np.moveaxis(triangle_angles(metric).ravel()[slots], 0, -1)
+    (i, j, k), (_, _, l) = np.moveaxis(mesh.triangles.ravel()[slots], 0, -1)
     theta_i, theta_j = at_i + at_i2, at_j + at_j2
-    new_length = float(np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i)))
+    new_length = np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i))
 
-    margins = triangle_margins(np.array([[l_lj, l_jk, new_length], [l_ki, l_il, new_length]]))
-    thin = margins[~(margins > TRIANGLE_MARGIN_REL_TOL * max(new_length, l_jk, l_ki, l_il, l_lj))]
-    if thin.size:
+    # the two new triangles (l, j, k) and (k, i, l) of each quad, shape (B, 2, 3)
+    new_sides = np.moveaxis(np.array([[l_lj, l_jk, new_length], [l_ki, l_il, new_length]]), -1, 0)
+    margins = triangle_margins(new_sides)
+    thin = ~(margins > TRIANGLE_MARGIN_REL_TOL * new_sides.max(axis=(1, 2))[:, None])
+    outside = ~(np.maximum(theta_i, theta_j) < np.pi)
+    self_glued = t[:, 0] == t[:, 1]
+    failed = np.flatnonzero(self_glued | thin.any(axis=1) | outside)
+    n = failed[0] if failed.size else edges.size
+
+    events = []
+    if n:
+        done, new = edges[:n], new_length[:n]
+        lengths, radii = metric.effective_lengths.copy(), metric.effective_radii
+        mesh.flip_many(done)
+        try:
+            metric.rebase_edge(done, new)
+        except DegenerateLength as exc:
+            raise FlipProducesDegenerate(
+                f"a flip cannot be expressed at the current scale factors: {exc}"
+            ) from exc
+        # the new state differs in these edges' lengths only
+        lengths[done] = _scaled_lengths(metric, metric.conformal_factors, done)
+        metric.remember(_effective_data, (lengths, radii))
+        rk, rl = radii[k[:n]], radii[l[:n]]
+        inversive = (new * new - rk * rk - rl * rl) / (2.0 * rk * rl)
+        rows = zip(done.tolist(), i.tolist(), j.tolist(), k.tolist(), l.tolist(),
+                   new.tolist(), pre_weights.tolist(), inversive.tolist())
+        for m, (edge_id, a, b, c, d, length, weight, inv) in enumerate(rows):
+            event = SurgeryEvent(
+                flow_time, ordinal + m, edge_id, (a, b), (c, d), length, weight, inv
+            )
+            if not event.inversive_in_packing_range:
+                logger.warning(
+                    "flip %d created edge %d with inversive distance %.6g <= 1",
+                    event.ordinal,
+                    edge_id,
+                    inv,
+                )
+            events.append(event)
+    if n == edges.size:
+        return metric, events
+
+    edge_id = int(edges[n])
+    if self_glued[n]:
+        raise SelfFlip(f"edge {edge_id} has both sides on triangle {t[n, 0]}; flip undefined")
+    if thin[n].any():
         raise FlipProducesDegenerate(
-            f"flip of edge {edge_id} would create a triangle with margin {thin[0]:.3e}"
+            f"flip of edge {edge_id} would create a triangle with margin"
+            f" {margins[n][thin[n]][0]:.3e}"
         )
-    tri1, tri2 = metric.mesh.triangles[[t1, t2]].tolist()
-    i, j, k, l = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3], tri2[(e2 + 2) % 3]
-    if not max(theta_i, theta_j) < np.pi:
-        vertex, angle = (i, theta_i) if theta_i >= theta_j else (j, theta_j)
-        raise FlipProducesDegenerate(
-            f"flip of edge {edge_id} would leave its quad: the quad angle at vertex"
-            f" {vertex} is {angle:.6f} rad, not below pi"
-        )
-
-    lengths, radii = metric.effective_lengths.copy(), metric.effective_radii
-    metric.mesh.flip(edge_id)
-    try:
-        metric.rebase_edge(edge_id, new_length)
-    except DegenerateLength as exc:
-        raise FlipProducesDegenerate(
-            f"flip of edge {edge_id} cannot be expressed at the current scale factors: {exc}"
-        ) from exc
-    # the new state differs in this edge's length only
-    lengths[[edge_id]] = _scaled_lengths(metric, metric.conformal_factors, [edge_id])
-    metric.remember(_effective_data, (lengths, radii))
-
-    new_inv = float(
-        (new_length**2 - radii[k] ** 2 - radii[l] ** 2) / (2.0 * radii[k] * radii[l])
+    vertex, angle = (i[n], theta_i[n]) if theta_i[n] >= theta_j[n] else (j[n], theta_j[n])
+    raise FlipProducesDegenerate(
+        f"flip of edge {edge_id} would leave its quad: the quad angle at vertex"
+        f" {vertex} is {angle:.6f} rad, not below pi"
     )
-    event = SurgeryEvent(
-        flow_time=flow_time,
-        ordinal=ordinal,
-        edge_id=edge_id,
-        old_endpoints=(i, j),
-        new_endpoints=(k, l),
-        new_length=new_length,
-        pre_weight=pre_weight,
-        new_inversive=new_inv,
-    )
-    if not event.inversive_in_packing_range:
-        logger.warning(
-            "flip %d created edge %d with inversive distance %.6g <= 1",
-            ordinal,
-            edge_id,
-            new_inv,
-        )
-    return metric, event
+
+
+def _independent(mesh: DeltaComplex, weights: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The violating edges ``bad`` whose (weight, id) rank is the lowest on both faces, by rank."""
+    ranked = bad[np.argsort(weights[bad], kind="stable")]
+    rank = np.full(weights.size, ranked.size)
+    rank[ranked] = np.arange(ranked.size)
+    lowest = rank[mesh.slot_edge_array()].min(axis=1)
+    faces = mesh.edge_sides_array()[ranked] // 3
+    return ranked[np.all(lowest[faces] == rank[ranked, None], axis=1)]
 
 
 def make_delaunay(
@@ -173,13 +204,14 @@ def make_delaunay(
     flow_time: float = nan,
     start_ordinal: int = 0,
 ) -> tuple[DecoratedMetric, list[SurgeryEvent]]:
-    """Flip worst-violating edges until the triangulation is weighted Delaunay.
+    """Flip violating edges in rounds until the triangulation is weighted Delaunay.
 
-    Deterministic: always flips the most negative weight first, the lowest
-    edge id among equal weights.  A second call on the result performs zero
-    flips.  Raises SurgeryBudgetExceeded if violations persist after
-    SURGERY_BUDGET_PER_EDGE flips per edge.  After the one whole-mesh test, a
-    flip recomputes and retests only its two faces and five edges.
+    Deterministic: each round flips the violating edges that rank lowest by
+    (weight, edge id) on both of their faces, the most negative weight
+    among them.  A second call on the result performs zero flips.  Raises
+    SurgeryBudgetExceeded if violations persist after
+    SURGERY_BUDGET_PER_EDGE flips per edge.  After the one whole-mesh test,
+    a round recomputes and retests only its faces and the edges on them.
     """
     budget = SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
     dsum, eps = delaunay_terms(metric)
@@ -190,25 +222,25 @@ def make_delaunay(
     weights[bad] = _weights(metric, dsum, bad)
     angles, distances, powers, dsum, eps = terms = [arr.copy() for arr in metric.memo(_terms)]
     mesh, events = metric.mesh, []
-    while True:
-        edge_id = int(np.argmin(weights))
-        if weights[edge_id] == np.inf:
-            return metric, events
+    while bad.size:
         if len(events) >= budget:
             raise SurgeryBudgetExceeded(
-                f"{np.count_nonzero(weights < np.inf)} weighted Delaunay violations remain"
-                f" after {len(events)} flips"
+                f"{bad.size} weighted Delaunay violations remain after {len(events)} flips"
             )
-        _, event = flip_metric(
-            metric, edge_id, flow_time=flow_time, ordinal=start_ordinal + len(events)
-        )
-        events.append(event)
-        faces = [t for t, _ in mesh.edge(edge_id).sides]
+        edges = _independent(mesh, weights, bad)[: budget - len(events)]
+        events += flip_metric(
+            metric, edges, flow_time=flow_time, ordinal=start_ordinal + len(events)
+        )[1]
+        faces = (mesh.edge_sides_array()[edges] // 3).ravel()
         angles[faces], distances[faces], powers[faces] = _faces(metric, faces)
-        edges = mesh.slot_edge_array()[faces].ravel()
-        sides = np.array([[3 * t + c for t, c in mesh.edge(e).sides] for e in edges.tolist()])
-        dsum[edges], eps[edges] = _edge_terms(distances, powers, sides)
+        # an outer edge of two flipped quads is retested once
+        on_faces = mesh.slot_edge_array()[faces].ravel()
+        touched = np.flatnonzero(np.bincount(on_faces, minlength=weights.size))
+        sides = mesh.edge_sides_array()[touched]
+        dsum[touched], eps[touched] = _edge_terms(distances, powers, sides)
         metric.remember(_terms, terms)
-        bad = edges[dsum[edges] < -eps[edges]]
-        weights[edges] = np.inf
-        weights[bad] = _weights(metric, dsum, bad)
+        retest = touched[dsum[touched] < -eps[touched]]
+        weights[touched] = np.inf
+        weights[retest] = _weights(metric, dsum, retest)
+        bad = np.flatnonzero(weights < np.inf)
+    return metric, events

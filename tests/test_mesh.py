@@ -96,6 +96,12 @@ def test_infer_gluings_rejects_self_glued_data():
         infer_gluings(1, [(0, 0, 0), (0, 0, 0)])
 
 
+def test_infer_gluings_rejects_a_non_integer_label():
+    # int() would truncate 2.9 to the valid label 2; build_complex rejects it too
+    with pytest.raises(MeshError, match="^vertex ids must be integers, not float64$"):
+        infer_gluings(3, [(0, 1, 2.9), (2, 1, 0)])
+
+
 def test_edge_ids_follow_gluing_order():
     mesh = build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS)
     assert mesh.edge(0).endpoints == (0, 1)
@@ -197,19 +203,30 @@ def test_flip_on_one_vertex_torus_stays_valid():
         assert _degrees(dup).tolist() == [6]
 
 
-def test_self_flip_is_rejected():
+def _self_glued() -> DeltaComplex:
     # assembled through the raw constructor, which skips validation: an edge
     # whose two sides sit on a single triangle has no flip quadrilateral.
     # Slot 3 t + e is side e of triangle t; the gluings are (0,0)-(0,1),
     # (0,2)-(1,0) and (1,1)-(1,2), one edge each, in that order.
     twin = [1, 0, 3, 2, 5, 4]
     edge_side = [0, 2, 4]
-    mesh = DeltaComplex(1, [(0, 0, 0), (0, 0, 0)], twin, edge_side)
+    return DeltaComplex(1, [(0, 0, 0), (0, 0, 0)], twin, edge_side)
+
+
+def test_self_flip_is_rejected():
+    mesh = _self_glued()
     assert [mesh.edge(e).sides for e in range(3)] == [
         ((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (1, 2))
     ]
     with pytest.raises(SelfFlip):
         mesh.flip(0)
+
+
+def test_flip_many_names_the_first_self_glued_edge():
+    mesh = _self_glued()
+    with pytest.raises(SelfFlip, match="^edge 2 has both sides on triangle 1;"):
+        mesh.flip_many([2, 0])
+    assert mesh.version == 0
 
 
 def test_edge_ids_outside_the_range_are_mesh_errors():
@@ -230,6 +247,36 @@ def test_edge_ids_outside_the_range_are_mesh_errors():
         assert np.array_equal(mine, theirs)
     assert mesh.version == 0
     mesh.check()
+
+
+def test_a_float_edge_id_is_a_mesh_error():
+    mesh = preset_complex("torus_grid", n=3)
+    for call in (mesh.edge, mesh.flip, lambda e: mesh.flip_many([0, e])):
+        with pytest.raises(MeshError, match="^edge ids must be integers, not float64$"):
+            call(1.5)
+    assert mesh.version == 0
+
+
+# edge sets that flip_many refuses, by the first triangle's edges a, b and E edges
+BAD_EDGE_SETS = {
+    "out of range": (lambda a, b, E: [a, E], r"^edge id {E} outside \[0, {E}\)$"),
+    "negative": (lambda a, b, E: [a, -1], r"^edge id -1 outside \[0, {E}\)$"),
+    "duplicate": (lambda a, b, E: [a, a], r"^edge {a} appears twice in one flip$"),
+    "face-sharing": (lambda a, b, E: [b, a], r"^edges {b} and {a} share triangle 0;"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EDGE_SETS))
+def test_flip_many_rejects_a_bad_edge_set_before_any_write(case):
+    mesh = preset_complex("torus_grid", n=3)
+    before = _index_arrays(mesh)
+    a, b, _ = mesh.slot_edge_array()[0].tolist()
+    edges, match = BAD_EDGE_SETS[case]
+    with pytest.raises(MeshError, match=match.format(a=a, b=b, E=mesh.num_edges)):
+        mesh.flip_many(edges(a, b, mesh.num_edges))
+    for mine, theirs in zip(_index_arrays(mesh), before):
+        assert np.array_equal(mine, theirs)
+    assert mesh.version == 0
 
 
 def test_copy_is_independent():
@@ -302,7 +349,38 @@ def _index_arrays(mesh: DeltaComplex) -> list[np.ndarray]:
         np.array(mesh.triangles),
         np.array(mesh.slot_edge_array()),
         np.array(mesh.edge_endpoints_array()),
+        mesh.edge_sides_array(),
     ]
+
+
+FLIP_MANY_MESHES = {
+    **{f"torus_grid n={n}": preset_complex("torus_grid", n=n) for n in (4, 5, 6)},
+    "icosahedron": preset_complex("icosahedron"),
+    "one_vertex_torus": preset_complex("one_vertex_torus"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FLIP_MANY_MESHES)),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+)
+def test_flip_many_equals_the_same_flips_one_at_a_time(name, picks):
+    # the picked edges, skipping any that shares a triangle with one taken before
+    mesh = FLIP_MANY_MESHES[name]
+    edges, used = [], set()
+    for pick in picks:
+        faces = {t for t, _ in mesh.edge(pick % mesh.num_edges).sides}
+        if not faces & used:
+            edges.append(pick % mesh.num_edges)
+            used |= faces
+    together, one_by_one = mesh.copy(), mesh.copy()
+    together.flip_many(edges)
+    for edge_id in edges:
+        one_by_one.flip(edge_id)
+    together.check()
+    for mine, theirs in zip(_index_arrays(together), _index_arrays(one_by_one)):
+        assert np.array_equal(mine, theirs)
 
 
 @settings(max_examples=40, deadline=None)

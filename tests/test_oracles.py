@@ -137,7 +137,7 @@ def test_flip_length_against_reflection_oracle():
             for edge_id in range(metric.mesh.num_edges):
                 ref = oracle_flip_length(metric.copy(), edge_id)
                 try:
-                    _, event = flip_metric(metric.copy(), edge_id)
+                    _, [event] = flip_metric(metric.copy(), edge_id)
                 except FlipProducesDegenerate:
                     continue
                 assert math.isclose(event.new_length, ref, rel_tol=1e-12)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packflow import (
     DecoratedMetric,
@@ -27,7 +29,7 @@ from packflow import (
 from packflow import geometry, surgery
 from packflow import metric as metric_module
 from packflow.geometry import _terms
-from packflow.oracles import RandomMetricSpec, random_metric
+from packflow.oracles import RandomMetricSpec, oracle_make_delaunay, random_metric
 
 
 def _doubled_right_triangle() -> DecoratedMetric:
@@ -53,7 +55,7 @@ def test_flip_regular_tetrahedron_edge():
     # quad is a rhombus, so the new diagonal is twice the height, 3 sqrt(2),
     # and the new inversive distance is (18 - 1 - 1) / 2 = 8
     metric = preset_metric("tetrahedron")
-    metric, event = flip_metric(metric, 0, flow_time=1.5, ordinal=3)
+    metric, [event] = flip_metric(metric, 0, flow_time=1.5, ordinal=3)
     assert math.isclose(event.new_length, 3.0 * math.sqrt(2.0), rel_tol=1e-14)
     assert math.isclose(event.new_inversive, 8.0, rel_tol=1e-12)
     assert math.isclose(event.pre_weight, 2.0, rel_tol=1e-12)
@@ -181,6 +183,33 @@ def test_flip_refuses_a_non_convex_quad():
     metric.mesh.check()
 
 
+def test_a_round_makes_the_flips_before_a_refused_one():
+    # one flip_metric call on (a, 1, b) in the state of the test above: edge a flips,
+    # edge 1 is refused by name, edge b is left alone, the same state and
+    # error as flipping a and then 1 one at a time
+    metric = random_metric(RandomMetricSpec(preset="icosahedron"), 0)
+    flip_metric(metric, 0)
+    used = {t for t, _ in metric.mesh.edge(1).sides}
+    picked = []
+    for edge_id in range(metric.mesh.num_edges):
+        faces = {t for t, _ in metric.mesh.edge(edge_id).sides}
+        if len(picked) < 2 and not faces & used:
+            try:
+                flip_metric(metric.copy(), edge_id)
+            except FlipProducesDegenerate:
+                continue
+            picked.append(edge_id)
+            used |= faces
+    (a, b), one_at_a_time = picked, metric.copy()
+    flip_metric(one_at_a_time, a)
+    refused = r"^flip of edge 1 would leave its quad: the quad angle at vertex \d+ is 3\.27"
+    with pytest.raises(FlipProducesDegenerate, match=refused):
+        flip_metric(metric, [a, 1, b])
+    assert np.array_equal(metric.mesh.triangles, one_at_a_time.mesh.triangles)
+    assert np.array_equal(metric.base_lengths, one_at_a_time.base_lengths)
+    metric.mesh.check()
+
+
 def _squeezed_torus(n: int, seed: int | None) -> DecoratedMetric:
     # inversive distance 6 on the diagonals and 1.5 on the grid edges makes
     # every diagonal violate; seed None keeps all radii equal, so every
@@ -195,17 +224,19 @@ def _squeezed_torus(n: int, seed: int | None) -> DecoratedMetric:
     return DecoratedMetric(mesh, lengths_from_inversive(mesh, radii, inversive), radii)
 
 
-def _reference_make_delaunay(metric: DecoratedMetric) -> list:
-    # the whole-mesh test on an uncached copy before every flip; the most
-    # negative weight goes first, the lowest edge id among equal weights
-    events = []
-    while True:
-        violations = delaunay_violations(metric.copy())
-        if not violations:
-            return events
-        worst = min(w for _, w in violations)
-        edge_id = min(e for e, w in violations if w == worst)
-        events.append(flip_metric(metric, edge_id, ordinal=len(events))[1])
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(3, 12))
+def test_rounds_break_ties_into_a_weighted_delaunay_isometry(n):
+    # equal radii tie every violation with every other; the rounds must
+    # still end weighted Delaunay, without moving the curvature
+    metric = _squeezed_torus(n, None)
+    k_before = curvature(metric)
+    _, events = make_delaunay(metric)
+    assert len(events) == n * n
+    assert delaunay_violations(metric.copy()) == []
+    for state in (metric, metric.copy()):
+        assert np.allclose(curvature(state), k_before, rtol=0, atol=1e-12)
+    metric.mesh.check()
 
 
 def _equivalence_inputs():
@@ -223,20 +254,23 @@ def _equivalence_inputs():
 
 
 def test_make_delaunay_matches_the_whole_mesh_reference(monkeypatch):
-    # make_delaunay patches the two flipped faces and their five edges; the
-    # reference recomputes everything before every flip.  Same flips, same
-    # triangulation, same lengths, and after every flip the memoized terms
-    # (d1 + d2, tolerance, face circles) equal a fresh whole-mesh pass; that
-    # they are memo hits, not recomputations, is the next test's job.
+    # make_delaunay flips in rounds and patches the flipped faces and the
+    # edges on them; the reference flips one edge at a time and recomputes
+    # everything before every flip.  Same flips in the same order, same
+    # triangulation, same lengths, and before every round the memoized
+    # terms (d1 + d2, tolerance, face circles) equal a fresh whole-mesh
+    # pass; that they are memo hits, not recomputations, is the next test's job.
     def check_memo(metric):
         for mine, fresh in zip(metric.memo(_terms), _terms(metric.copy())):
             assert np.array_equal(mine, fresh)
 
-    def checked_flip(metric, edge_id, **kwargs):
-        check_memo(metric)
-        return flip_metric(metric, edge_id, **kwargs)
+    flip_round = surgery.flip_metric
 
-    monkeypatch.setattr(surgery, "flip_metric", checked_flip)
+    def checked_round(metric, *args, **kwargs):
+        check_memo(metric)
+        return flip_round(metric, *args, **kwargs)
+
+    monkeypatch.setattr(surgery, "flip_metric", checked_round)
     flipped = 0
     for name, metric in _equivalence_inputs():
         mine, reference = metric.copy(), metric.copy()
@@ -244,9 +278,9 @@ def test_make_delaunay_matches_the_whole_mesh_reference(monkeypatch):
             _, events = make_delaunay(mine)
         except PackflowError as exc:
             with pytest.raises(type(exc)):
-                _reference_make_delaunay(reference)
+                oracle_make_delaunay(reference)
         else:
-            assert repr(events) == repr(_reference_make_delaunay(reference)), name
+            assert repr(events) == repr(oracle_make_delaunay(reference)), name
             check_memo(mine)
             assert delaunay_violations(mine) == []
             flipped += len(events)
@@ -257,14 +291,14 @@ def test_make_delaunay_matches_the_whole_mesh_reference(monkeypatch):
 
 def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
     # one whole-mesh pass of the per-face kernel for the entry check; every
-    # flip after it reruns the kernel on its own two faces only, however
+    # round after it reruns the kernel on its own 2B faces only, however
     # many flips there are, and the curvature after surgery sums the
     # patched angles without another pass
     from packflow import flows
 
     metric = _squeezed_torus(6, 3)
-    rows, settled = [], 0
-    faces, settle = geometry._faces, flows._settle
+    rows, rounds, settled = [], [], 0
+    faces, settle, flip_round = geometry._faces, flows._settle, surgery.flip_metric
 
     def counting_faces(m, which):
         rows.append(np.arange(m.mesh.num_triangles)[which].size)
@@ -283,14 +317,22 @@ def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
         conformal.append(m)
         return apply(m, u)
 
+    def counting_round(m, edges, **kwargs):
+        rounds.append(len(edges))
+        return flip_round(m, edges, **kwargs)
+
     monkeypatch.setattr(geometry, "_faces", counting_faces)
     monkeypatch.setattr(surgery, "_faces", counting_faces)
+    monkeypatch.setattr(surgery, "flip_metric", counting_round)
     monkeypatch.setattr(flows, "_settle", counting_settle)
     monkeypatch.setattr(metric_module, "apply_conformal", counting_conformal)
     _, events = make_delaunay(metric)
     curvature(metric)
     assert len(events) == 36
-    assert rows == [metric.mesh.num_triangles] + [2] * 36
+    # every diagonal violates and no two share a face: one round flips them all
+    assert rounds == [36]
+    assert rows == [metric.mesh.num_triangles] + [2 * b for b in rounds]
+    assert sum(rows) == metric.mesh.num_triangles + 2 * len(events)
     # a flip rescales only its own edge: the whole-mesh effective lengths
     # are computed once, for the entry check
     assert len(conformal) == 1
