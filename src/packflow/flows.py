@@ -10,20 +10,22 @@ Four velocity fields share one integrator:
 calabi and p_calabi apply the edge flux of the operators module in O(E);
 only fractional with s != 0 assembles the dense Jacobian and its spectrum.
 
-Steps are explicit Euler followed by an exact zero-sum projection, so the
-total of the scale factors is conserved to machine precision.  A trial
-step is accepted only if the state stays admissible, surgery (when on)
-succeeds, and the monitored quantities do not increase: the squared
-curvature deviation for the s-family, and the trapezoidal potential
-increment for every flow.  Admissibility is the per-face pass's margin
-gate alone: its DegenerateTriangle, like any typed metric, geometry or
-surgery error, rejects the trial.  Rejected trials halve the step, up to 30 times;
-clean steps let the next trial grow, which is what makes the slow p != 2
-flows reach tight tolerances in a bounded number of steps.  Curvature,
-margins and the per-face pass (angles, circles, Delaunay terms) are
-memoized per state (``DecoratedMetric.memo``): a trial state pays for one
-whole-mesh pass, surgery patches it, and an accepted state's curvature
-and edge weights start the next step.
+Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
+(I + hA) x = v, A = W dK/du the frozen-weight -dv/du, which damps every
+mode at any h and tends to a Newton step as h grows.  An exact zero-sum
+projection follows, so the total of the scale factors is conserved to
+machine precision.  A trial step is accepted only if the solve succeeds,
+the state stays admissible, surgery (when on) succeeds, and the monitored
+quantities do not increase: the squared curvature deviation for the
+s-family, and the trapezoidal potential increment for every flow.
+Admissibility is the per-face pass's margin gate alone: its
+DegenerateTriangle, like any typed metric, geometry, operator or surgery
+error, rejects the trial.  Rejected trials halve the step, up to 30 times;
+clean steps let the next trial grow.  Curvature, margins and the per-face
+pass (angles, circles, Delaunay terms) are memoized per state
+(``DecoratedMetric.memo``): a trial state pays for one whole-mesh pass,
+surgery patches it, and an accepted state's curvature and edge weights
+start the next step.
 """
 
 from __future__ import annotations
@@ -36,15 +38,18 @@ import numpy as np
 
 from .errors import (
     GeometryError,
+    IndefiniteOperator,
     InvalidExponent,
     InvalidFlowSetting,
     MetricError,
     NonAdmissibleTarget,
+    OperatorError,
     StepCollapse,
     SurgeryError,
 )
 from .metric import DecoratedMetric, validate_triangles
-from .operators import apply_fractional, apply_p_laplacian, calabi_energy, curvature, jacobian
+from .operators import _edge_weights, apply_p_laplacian, calabi_energy, curvature, edge_laplacian
+from .operators import fractional_powers, jacobian, solve_shifted, spectral
 from .surgery import delaunay_violations, make_delaunay
 
 logger = logging.getLogger(__name__)
@@ -56,6 +61,7 @@ MAX_HALVINGS = 30
 STEP_GROWTH = 2.0
 STEP_GROWTH_CAP = 1e8
 TARGET_SUM_TOL = 1e-9
+CG_REL_TOL = 1e-3
 
 
 @dataclass
@@ -153,13 +159,46 @@ def _potential_increment(curv: np.ndarray, target: np.ndarray, du: np.ndarray) -
 
 def velocity(metric: DecoratedMetric, config: FlowConfig) -> np.ndarray:
     """du/dt at the current state for the configured flow."""
+    return _linearization(metric, config)[0]
+
+
+def _linearization(metric: DecoratedMetric, config: FlowConfig):
+    """(v, solve): the velocity, and h -> x with (I + hA) x = v.
+
+    A = W dK/du is -dv/du with the edge weights frozen.  W is the identity
+    for ricci, (dK/du)^s for fractional (which divides by 1 + h lam^(s+1)
+    in its velocity's eigenbasis), and for p_calabi the Laplacian of the
+    edge weights (p - 1) c_e |dg_e|^(p-2), g = K - target: dK/du at p = 2,
+    and A = 0 below, where those weights are singular at dg_e = 0.  The
+    others' conjugate gradients stop at relative residual
+    CG_REL_TOL * min(1, max|g|).
+    """
     deviation = curvature(metric) - config.target
-    if config.kind == "ricci" or (config.kind == "fractional" and config.s == 0.0):
-        return -deviation
-    if config.kind == "fractional":
-        return apply_fractional(jacobian(metric), config.s, deviation)
-    p = 2.0 if config.kind == "calabi" else config.p
-    return apply_p_laplacian(metric, p, deviation)
+    if config.kind == "fractional" and config.s != 0.0:
+        vecs, lam = spectral(jacobian(metric))
+        powers = fractional_powers(lam, config.s)
+        v = -(vecs.T @ (powers * (vecs @ deviation)))
+        modes, rates = vecs @ v, powers * lam
+
+        def divide(h: float) -> np.ndarray:
+            shift = 1.0 + h * rates
+            if not np.all(shift > 0.0):
+                raise IndefiniteOperator(f"I + hA is singular or indefinite at h={h:.3e}")
+            return vecs.T @ (modes / shift)
+
+        return v, divide
+    rtol = CG_REL_TOL * min(1.0, float(np.max(np.abs(deviation))))
+    weights = _edge_weights(metric)
+    apply_j = edge_laplacian(metric, weights)
+    if config.kind in ("ricci", "fractional"):
+        v, apply_w = -deviation, lambda f: f
+    else:
+        p = 2.0 if config.kind == "calabi" else config.p
+        ends = metric.mesh.edge_endpoints_array()
+        jumps = np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]])
+        frozen = (p - 1.0) * weights * jumps ** (p - 2.0) if p >= 2.0 else np.zeros_like(weights)
+        v, apply_w = apply_p_laplacian(metric, p, deviation), edge_laplacian(metric, frozen)
+    return v, lambda h: solve_shifted(apply_j, apply_w, h, v, rtol)
 
 
 def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, w_inc: float) -> bool:
@@ -213,7 +252,7 @@ def step(
     flow_time: float = 0.0,
     flip_ordinal: int = 0,
 ) -> tuple[DecoratedMetric, StepRecord]:
-    """One accepted Euler step with projection, surgery, and backtracking.
+    """One accepted linearly implicit Euler step with projection, surgery, and backtracking.
 
     Does not mutate ``metric``; returns the new state and a record whose t
     and flips_total count from ``flow_time`` and ``flip_ordinal``, with the
@@ -224,20 +263,20 @@ def step(
         target_sum = float(np.sum(u0))
     k0 = curvature(metric)
     e0 = calabi_energy(k0, config.target)
-    v = velocity(metric, config)
+    _, solve = _linearization(metric, config)
     n = u0.size
 
     last_reason = "no admissible step"
     h_try = h
     for halvings in range(MAX_HALVINGS + 1):
-        u1 = u0 + h_try * v
-        u1 -= (np.sum(u1) - target_sum) / n
-        du = u1 - u0
         trial = metric.copy()
         try:
+            u1 = u0 + h_try * solve(h_try)
+            u1 -= (np.sum(u1) - target_sum) / n
+            du = u1 - u0
             trial.set_conformal_factors(u1)
             record = _settle(trial, config, flow_time, h_try, flip_ordinal)
-        except (MetricError, GeometryError, SurgeryError) as exc:
+        except (MetricError, GeometryError, OperatorError, SurgeryError) as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
             h_try *= 0.5
             continue
@@ -289,7 +328,7 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
 
     Operates on a copy of the input metric.  With surgery enabled the
     triangulation is made weighted Delaunay before the first step and
-    after every Euler update; with it disabled the triangulation is fixed
+    after every step; with it disabled the triangulation is fixed
     and violations are only counted.
     """
     _require_admissible_target(metric, config)

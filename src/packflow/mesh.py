@@ -260,7 +260,7 @@ class DeltaComplex:
 
     def check(self) -> None:
         """Re-run the structural invariants; raises on any violation."""
-        _check_labels(self.num_vertices, self._tri.ravel().tolist())
+        _check_labels(self.num_vertices, self._tri.tolist())
         _validate(self)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -270,8 +270,13 @@ class DeltaComplex:
         )
 
 
-def _check_labels(n: int, corners: Sequence[int]) -> np.ndarray:
-    """Flat corner labels as Python ints, so ids beyond int64 fail here too."""
+def _check_labels(n: int, triangles: Sequence[Sequence[int]]) -> np.ndarray:
+    """Flat corner labels of three-corner triangles, checked as Python ints
+    so that ids beyond int64 fail here too."""
+    short = [t for t, tri in enumerate(triangles) if len(tri) != 3]
+    if short:
+        raise MeshError(f"triangle {short[0]} does not have three corners")
+    corners = [c for tri in triangles for c in tri]
     if n <= 0:
         raise MeshError("num_vertices must be positive")
     if not corners:
@@ -362,10 +367,7 @@ def build_complex(
     Edge ids follow the order of ``gluings``; the arrays in a decorated
     metric are aligned with these ids.
     """
-    short = [t for t, tri in enumerate(triangles) if len(tri) != 3]
-    if short:
-        raise MeshError(f"triangle {short[0]} does not have three corners")
-    labels = _check_labels(int(num_vertices), [c for tri in triangles for c in tri])
+    labels = _check_labels(int(num_vertices), triangles)
     try:  # a non-integer entry or a ragged pair fails the conversion
         pairs = np.array(gluings, dtype=None if len(gluings) else np.int64)
         pairs = pairs.astype(np.int64, casting="safe").reshape(len(gluings), 2, 2)
@@ -394,8 +396,9 @@ def infer_gluings(num_vertices: int, triangles: Sequence[Sequence[int]]) -> Delt
     gluings and are rejected with :class:`NonSimplicial`.
     """
     tris = [tuple(tri) for tri in triangles]
-    # a fractional label such as 2.9 raises here instead of being truncated
-    _check_labels(int(num_vertices), [c for tri in tris for c in tri])
+    # a short triangle or a fractional label such as 2.9 raises here,
+    # before the side pairing indexes the corners or truncates the label
+    _check_labels(int(num_vertices), tris)
     by_pair: dict[tuple[int, int], list[Slot]] = {}
     order: list[tuple[int, int]] = []
     for t, tri in enumerate(tris):

@@ -12,7 +12,9 @@ with a one-dimensional kernel of constants on a connected surface.  The
 discrete Laplacian is minus this matrix.  Every Laplacian the flows use is
 applied edge by edge from those weights: the p-th variant replaces each
 edge difference by its (p-1)-homogeneous odd power, and p = 2 is the plain
-Laplacian of the Calabi flow.  The dense matrix is assembled only where
+Laplacian of the Calabi flow.  ``edge_laplacian`` applies any edge weights
+linearly, which is all that the conjugate gradients of the flows' linearly
+implicit steps need.  The dense matrix is assembled only where
 its spectrum is needed, for fractional powers and the finite-difference
 check; ``apply_laplacian`` on it is the reference for the edge flux.
 """
@@ -35,6 +37,7 @@ from .metric import DecoratedMetric
 EIGEN_ZERO_REL_TOL = 1e-12
 FD_STEP = 1e-6
 P_DIFF_REL_TOL = 1e-14
+CG_MAX_SWEEPS = 4
 
 def curvature(metric: DecoratedMetric) -> np.ndarray:
     """Per-vertex curvature 2*pi - (incident corner angles), shape (N,).
@@ -138,17 +141,25 @@ def apply_fractional(operator: np.ndarray, s: float, f: np.ndarray) -> np.ndarra
 
     s = 0 bypasses the decomposition and returns -f exactly (the negative
     identity), so the s = 0 flow and the curvature flow coincide bit for
-    bit.  For s != 0, eigenvalues within 1e-12 of zero relative to the
-    largest are treated as the kernel and map to zero for every s,
-    negative exponents included.  Eigenvalues below that band are real
-    negatives: an integer s powers them as usual, any other s raises
-    IndefiniteOperator, because the fractional power does not exist and
-    silently producing NaN would poison the caller.
+    bit.  For s != 0 the eigenvalues are powered by ``fractional_powers``.
     """
     f = np.asarray(f, dtype=float)
     if s == 0.0:
         return -f
     p, lam = spectral(operator)
+    return -(p.T @ (fractional_powers(lam, s) * (p @ f)))
+
+
+def fractional_powers(lam: np.ndarray, s: float) -> np.ndarray:
+    """lam ** s for ascending eigenvalues, with the kernel mapped to zero.
+
+    Eigenvalues within 1e-12 of zero relative to the largest are treated
+    as the kernel and map to zero for every s, negative exponents
+    included.  Eigenvalues below that band are real negatives: an integer
+    s powers them as usual, any other s raises IndefiniteOperator, because
+    the fractional power does not exist and silently producing NaN would
+    poison the caller.
+    """
     lam_max = float(lam[-1]) if lam.size else 0.0
     cut = EIGEN_ZERO_REL_TOL * max(lam_max, 0.0)
     negatives = int(np.sum(lam < -cut))
@@ -160,8 +171,7 @@ def apply_fractional(operator: np.ndarray, s: float, f: np.ndarray) -> np.ndarra
         )
     kernel = np.abs(lam) <= cut
     powered = np.where(kernel, 1.0, lam) ** s
-    powered = np.where(kernel, 0.0, powered)
-    return -(p.T @ (powered * (p @ f)))
+    return np.where(kernel, 0.0, powered)
 
 
 def apply_p_laplacian(metric: DecoratedMetric, p: float, f: np.ndarray) -> np.ndarray:
@@ -177,21 +187,60 @@ def apply_p_laplacian(metric: DecoratedMetric, p: float, f: np.ndarray) -> np.nd
     if not p > 1.0:
         raise InvalidExponent(f"p-Laplacian exponent must exceed 1, got {p}")
     f = np.asarray(f, dtype=float)
-    coefficients = _edge_weights(metric)
     ends = metric.mesh.edge_endpoints_array()
-    diff = f[ends[:, 1]] - f[ends[:, 0]]
-    if p >= 2.0:
-        flux = coefficients * np.abs(diff) ** (p - 2.0) * diff
-    else:
-        tiny = np.abs(diff) <= P_DIFF_REL_TOL * float(np.max(np.abs(f), initial=0.0))
-        safe = np.where(tiny, 1.0, diff)
-        flux = np.where(tiny, 0.0, coefficients * np.abs(safe) ** (p - 2.0) * safe)
-    return np.bincount(
-        ends.T.ravel(), np.concatenate([flux, -flux]), minlength=metric.mesh.num_vertices
-    )
+    jumps = np.abs(f[ends[:, 1]] - f[ends[:, 0]])
+    if p < 2.0:  # inf ** (p - 2) is 0: the limit of the odd power
+        tiny = jumps <= P_DIFF_REL_TOL * float(np.max(np.abs(f), initial=0.0))
+        jumps = np.where(tiny, np.inf, jumps)
+    return -edge_laplacian(metric, _edge_weights(metric) * jumps ** (p - 2.0))(f)
 
 
 def calabi_energy(curv: np.ndarray, target: np.ndarray) -> float:
     """Squared deviation sum((K - target)^2)."""
     diff = np.asarray(curv, dtype=float) - np.asarray(target, dtype=float)
     return float(diff @ diff)
+
+
+def edge_laplacian(metric: DecoratedMetric, weights: np.ndarray):
+    """f -> L f with (L f)_a = sum over the edges {a, b} of w_e (f_a - f_b), in O(E).
+
+    The weights (d1 + d2)/l give dK/du; loop edges contribute nothing.
+    """
+    ends, n = metric.mesh.edge_endpoints_array(), metric.mesh.num_vertices
+
+    def apply(f: np.ndarray) -> np.ndarray:
+        flux = weights * (f[ends[:, 0]] - f[ends[:, 1]])
+        return np.bincount(ends.T.ravel(), np.concatenate([flux, -flux]), minlength=n)
+
+    return apply
+
+
+def solve_shifted(apply_j, apply_w, h: float, v: np.ndarray, rtol: float) -> np.ndarray:
+    """x with (I + h W J) x = v, by conjugate gradients in the J-inner product.
+
+    With J = dK/du and W symmetric positive semidefinite, W J is
+    self-adjoint and positive semidefinite for <a, b> = a . J b, a norm on
+    the zero-sum vectors of a connected weighted Delaunay surface.  Each
+    iteration applies J and W once; it stops when the residual's J-norm
+    is rtol times v's.  A non-positive curvature or residual J-norm means
+    J is indefinite (a triangulation that is not weighted Delaunay):
+    IndefiniteOperator.  Past CG_MAX_SWEEPS * N iterations: NoConvergence.
+    """
+    x, r, jr = np.zeros_like(v), v, apply_j(v)
+    p, jp = r, jr
+    rho = rho0 = float(r @ jr)
+    limit = CG_MAX_SWEEPS * v.size
+    for _ in range(limit):
+        if not rho >= 0.0:
+            raise IndefiniteOperator(f"dK/du is indefinite: r . J r = {rho:.3e}")
+        if rho <= rtol * rtol * rho0:
+            return x
+        bp = p + h * apply_w(jp)
+        curv = float(jp @ bp)  # p . J (I + h W J) p
+        if not curv > 0.0:
+            raise IndefiniteOperator(f"I + h W J is not positive definite: {curv:.3e}")
+        x, r = x + (rho / curv) * p, r - (rho / curv) * bp
+        jr = apply_j(r)
+        rho, previous = float(r @ jr), rho
+        p, jp = r + (rho / previous) * p, jr + (rho / previous) * jp  # J p by recurrence
+    raise NoConvergence(f"conjugate gradients missed relative residual {rtol:.1e} in {limit} steps")

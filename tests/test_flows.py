@@ -192,10 +192,17 @@ def test_inadmissible_start_raises():
         run(metric, FlowConfig(kind="calabi", target=_uniform_target(metric)))
 
 
+def _far_target() -> np.ndarray:
+    # the preset tetrahedron has curvature pi everywhere; asking vertex 3
+    # for -2 moves the metric far enough that large linearly implicit
+    # steps leave the admissible cone
+    b = (4.0 * np.pi + 2.0) / 3.0
+    return np.array([b, b, b, -2.0])
+
+
 def test_step_backtracks_oversized_trial():
     metric = _seeded_tetra(7)
-    target = _uniform_target(metric)
-    config = FlowConfig(kind="calabi", target=target)
+    config = FlowConfig(kind="calabi", target=_far_target())
     new_state, rec = step(metric, config, 50.0)
     assert rec.halvings > 0
     assert rec.h < 50.0
@@ -224,21 +231,47 @@ def test_margin_gate_rejects_a_trial_through_degenerate_triangle(monkeypatch):
 
     monkeypatch.setattr(flows, "_settle", spying_settle)
     metric = preset_metric("tetrahedron")
-    config = FlowConfig(kind="ricci", target=np.array([0.5, 0.5, 0.5, 4.0 * np.pi - 1.5]))
-    new_state, rec = step(metric, config, 8.0)
+    config = FlowConfig(kind="ricci", target=_far_target())
+    new_state, rec = step(metric, config, 4.0)
     assert raised == [DegenerateTriangle, DegenerateTriangle]
     assert rec.halvings == 2
-    assert rec.h == 2.0
+    assert rec.h == 1.0
     assert validate_triangles(new_state).admissible
 
 
 def test_overflowing_trials_halve_to_step_collapse():
     # e^(2u) overflows on every trial, down to h ~ 1e3; such trials must
-    # halve like any other inadmissible one, not escape as a RuntimeWarning
+    # halve like any other inadmissible one, not escape as a RuntimeWarning.
+    # The linearly implicit step of every other kind stays bounded as h
+    # grows (it tends to a Newton step), so this takes p_calabi below
+    # p = 2, whose step is h times the velocity
     metric = random_metric(RandomMetricSpec(preset="icosahedron", delaunay=True), 3)
-    config = FlowConfig(kind="ricci", target=_uniform_target(metric))
+    config = FlowConfig(kind="p_calabi", p=1.5, target=_uniform_target(metric))
     with pytest.raises(StepCollapse, match="DegenerateLength"):
         step(metric, config, 1e12)
+
+
+def test_an_operator_error_halves_the_trial(monkeypatch):
+    # a conjugate-gradient breakdown is raised inside the trial, so the
+    # trial halves like one that fails the margin gate
+    from packflow import IndefiniteOperator, flows
+
+    solve_shifted, limit = flows.solve_shifted, 1.0
+
+    def refusing(apply_j, apply_w, h, v, rtol):
+        if h > limit:
+            raise IndefiniteOperator(f"refused h={h:g}")
+        return solve_shifted(apply_j, apply_w, h, v, rtol)
+
+    monkeypatch.setattr(flows, "solve_shifted", refusing)
+    metric = _seeded_tetra(7)
+    config = FlowConfig(kind="calabi", target=_uniform_target(metric))
+    _, rec = step(metric, config, 4.0)
+    assert rec.halvings == 2
+    assert rec.h == 1.0
+    limit = 0.0
+    with pytest.raises(StepCollapse, match="IndefiniteOperator: refused"):
+        step(metric, config, 4.0)
 
 
 def test_uniform_shift_equivariance():
@@ -299,7 +332,9 @@ def test_curvature_is_computed_once_per_trial_state(monkeypatch):
     # and the next step's start all read that pass; recomputing k0 on
     # every step, or angles apart from the circles, breaks the equality.
     # An inadmissible trial enters _settle as well and leaves it by the
-    # margin gate, before the pass, so only admissible entries count
+    # margin gate, before the pass, so only admissible entries count.
+    # Conjugate-gradient matvecs read the memoized edge weights and add no
+    # pass.  The run converges in 10 steps, so a budget of 6 ends it first
     from packflow import flows, geometry
 
     metric = preset_metric("torus_grid", n=5)
@@ -322,7 +357,118 @@ def test_curvature_is_computed_once_per_trial_state(monkeypatch):
 
     monkeypatch.setattr(geometry, "_faces", counting_faces)
     monkeypatch.setattr(flows, "_settle", counting_settle)
-    trace = run(metric, FlowConfig(kind="ricci", target=np.zeros(25), max_steps=40))
-    assert trace.steps == 40
+    trace = run(metric, FlowConfig(kind="ricci", target=np.zeros(25), max_steps=6))
+    assert trace.steps == 6
     trial_states = 1 + sum(1 + rec.halvings for rec in trace.records[1:])
     assert passes == settled == trial_states
+
+
+# -- the linearly implicit step ------------------------------------------------
+
+WILD = RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(1.05, 4.0))
+EVERY_KIND = {
+    "ricci": {"kind": "ricci"},
+    "calabi": {"kind": "calabi"},
+    "fractional-0": {"kind": "fractional", "s": 0.0},
+    "fractional-0.5": {"kind": "fractional", "s": 0.5},
+    "fractional-1": {"kind": "fractional", "s": 1.0},
+    "p_calabi-1.5": {"kind": "p_calabi", "p": 1.5},
+    "p_calabi-3": {"kind": "p_calabi", "p": 3.0},
+}
+
+
+def _random_target(metric, seed: int) -> np.ndarray:
+    # N(0, 1) per vertex, recentred to 2 pi chi / V, clipped at 2 pi - 0.3
+    # and re-summed to 2 pi chi
+    n = metric.mesh.num_vertices
+    total = 2.0 * np.pi * metric.mesh.euler_characteristic
+    target = np.random.default_rng(1000 + seed).normal(0.0, 1.0, n)
+    target = np.minimum(target - target.mean() + total / n, 2.0 * np.pi - 0.3)
+    return target + (total - target.sum()) / n
+
+
+def _dense_w(metric, settings: dict, jac: np.ndarray) -> np.ndarray:
+    """W of A = W dK/du, built from the dense Jacobian alone."""
+    n = jac.shape[0]
+    kind = settings["kind"]
+    if kind == "ricci" or (kind == "fractional" and settings["s"] == 0.0):
+        return np.eye(n)
+    if kind == "fractional":
+        lam, vecs = np.linalg.eigh(jac)
+        kernel = np.abs(lam) <= 1e-12 * lam[-1]
+        powered = np.where(kernel, 0.0, np.maximum(lam, 0.0) ** settings["s"])
+        return vecs @ np.diag(powered) @ vecs.T
+    p = settings.get("p", 2.0)
+    if p < 2.0:
+        return np.zeros((n, n))
+    from packflow import curvature
+
+    g = curvature(metric) - _uniform_target(metric)
+    a, b = np.nonzero(np.triu(jac, 1))
+    weights = (p - 1.0) * -jac[a, b] * np.abs(g[b] - g[a]) ** (p - 2.0)
+    laplacian = np.zeros((n, n))
+    laplacian[a, b] = laplacian[b, a] = -weights
+    return laplacian - np.diag(laplacian.sum(axis=1))
+
+
+@pytest.mark.parametrize("preset", ["tetrahedron", "icosahedron", "torus_grid"])
+def test_implicit_step_solves_the_dense_system(preset, monkeypatch):
+    # on simplicial meshes an edge weight is minus its Jacobian entry, so
+    # the reference never touches the edge fluxes or conjugate gradients
+    from packflow import flows, jacobian
+
+    monkeypatch.setattr(flows, "CG_REL_TOL", 1e-13)
+    spec = RandomMetricSpec(preset=preset, n=4 if preset == "torus_grid" else None, delaunay=True)
+    for seed in range(3):
+        metric = random_metric(spec, seed)
+        jac = jacobian(metric)
+        for settings in EVERY_KIND.values():
+            config = FlowConfig(target=_uniform_target(metric), **settings)
+            v, solve = flows._linearization(metric, config)
+            assert np.array_equal(v, velocity(metric, config))
+            w = _dense_w(metric, settings, jac)
+            for h in (0.1, 10.0, 1e6):
+                expected = np.linalg.solve(np.eye(len(v)) + h * w @ jac, v)
+                gap = np.max(np.abs(solve(h) - expected))
+                assert gap <= 1e-8 * np.linalg.norm(v), (seed, settings, h, gap)
+
+
+@pytest.mark.parametrize("spec", [RandomMetricSpec(), WILD], ids=["default", "wild"])
+@pytest.mark.parametrize("name", EVERY_KIND)
+def test_step_counts_stay_bounded_over_seeds(spec, name):
+    # an explicit controller parked on the stability edge: WILD seed 28
+    # ran ricci into a 20000-step budget at a median of 130
+    steps = []
+    for seed in range(40):
+        metric = random_metric(spec, seed)
+        config = FlowConfig(
+            target=_uniform_target(metric), tol=1e-8, max_steps=20_000, **EVERY_KIND[name]
+        )
+        trace = run(metric, config)
+        assert trace.converged, seed
+        steps.append(trace.steps)
+    assert max(steps) <= 10 * np.median(steps), steps
+
+
+def test_every_flow_reaches_the_same_limit():
+    # rigidity: one conformal class has one metric of a given curvature.
+    # Runs with a flip after the initial surgery are left out: where such
+    # a flip happens still depends on the flow (the crossing is not located)
+    spec = RandomMetricSpec(preset="icosahedron")
+    compared = 0
+    for seed in range(30):
+        metric = random_metric(spec, seed)
+        target = _random_target(metric, seed)
+        runs = [
+            run(metric, FlowConfig(target=target, tol=1e-9, **settings))
+            for settings in (
+                {"kind": "ricci", "h": 0.02},
+                *(EVERY_KIND[name] for name in ("ricci", "calabi", "fractional-0.5", "p_calabi-3")),
+            )
+        ]
+        if any(t.flips_total != t.records[0].flips_total for t in runs):
+            continue
+        compared += 1
+        limits = np.array([t.metric.conformal_factors for t in runs])
+        assert np.max(np.abs(limits - limits[0])) <= 1e-8, seed
+    assert compared >= 25

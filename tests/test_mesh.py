@@ -102,6 +102,13 @@ def test_infer_gluings_rejects_a_non_integer_label():
         infer_gluings(3, [(0, 1, 2.9), (2, 1, 0)])
 
 
+def test_infer_gluings_names_a_short_triangle():
+    # the side pairing would index a missing third corner; the corner
+    # check that build_complex makes runs first
+    with pytest.raises(MeshError, match="^triangle 0 does not have three corners$"):
+        infer_gluings(3, [(0, 1), (1, 0, 2), (2, 1, 0)])
+
+
 def test_edge_ids_follow_gluing_order():
     mesh = build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS)
     assert mesh.edge(0).endpoints == (0, 1)

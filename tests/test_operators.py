@@ -188,6 +188,31 @@ def test_fractional_indefinite_matrix():
     assert np.allclose(out, [-0.25, -1.0, -4.0], atol=1e-14)
 
 
+def test_edge_laplacian_applies_the_jacobian():
+    from packflow.operators import _edge_weights, edge_laplacian
+
+    rng = np.random.default_rng(4)
+    for seed in range(3):
+        metric = random_metric(RandomMetricSpec(preset="icosahedron", delaunay=True), seed)
+        apply_j = edge_laplacian(metric, _edge_weights(metric))
+        for _ in range(5):
+            f = rng.normal(size=12)
+            assert np.allclose(apply_j(f), jacobian(metric) @ f, rtol=0, atol=1e-12)
+
+
+def test_shifted_solve_refuses_an_indefinite_operator():
+    # a weighted triangle graph with one negative edge weight: its
+    # Laplacian has a negative eigenvalue, whose eigenvector has negative
+    # J-norm, so conjugate gradients in that inner product cannot start
+    from packflow.operators import solve_shifted
+
+    laplacian = np.array([[-1.0, -1.0, 2.0], [-1.0, 2.0, -1.0], [2.0, -1.0, -1.0]])
+    lam, vecs = np.linalg.eigh(laplacian)
+    assert lam[0] < 0.0
+    with pytest.raises(IndefiniteOperator):
+        solve_shifted(lambda f: laplacian @ f, lambda f: f, 1.0, vecs[:, 0], 1e-12)
+
+
 def test_p_laplacian_reduces_to_laplacian_at_two():
     metric = preset_metric("icosahedron", radius=0.7, inversive=2.4)
     rng = np.random.default_rng(3)
