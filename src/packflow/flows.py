@@ -47,16 +47,16 @@ from .errors import (
     StepCollapse,
     SurgeryError,
 )
+from .geometry import edge_weights
 from .metric import DecoratedMetric, validate_triangles
-from .operators import _edge_weights, apply_p_laplacian, calabi_energy, curvature, edge_laplacian
+from .operators import apply_p_laplacian, calabi_energy, curvature, edge_laplacian
 from .operators import fractional_powers, jacobian, solve_shifted, spectral
 from .surgery import delaunay_violations, make_delaunay
 
 logger = logging.getLogger(__name__)
 
 KINDS = ("calabi", "fractional", "p_calabi", "ricci")
-DEFAULT_STEP_BY_KIND = {"ricci": 0.1}
-DEFAULT_STEP = 0.01
+DEFAULT_STEP = 0.1
 MAX_HALVINGS = 30
 STEP_GROWTH = 2.0
 STEP_GROWTH_CAP = 1e8
@@ -68,8 +68,9 @@ CG_REL_TOL = 1e-3
 class FlowConfig:
     """Everything a run needs besides the metric itself.
 
-    ``h = None`` picks the per-kind default (0.1 for ricci, 0.01 for the
-    rest).  After a step that needed no halving the trial step doubles.
+    ``h = None`` starts every kind at DEFAULT_STEP: the linearly implicit
+    step damps every mode at any h, so no kind needs a smaller one.  After
+    a step that needed no halving the trial step doubles.
     """
 
     kind: str
@@ -98,9 +99,7 @@ class FlowConfig:
 
     @property
     def initial_step(self) -> float:
-        if self.h is not None:
-            return self.h
-        return DEFAULT_STEP_BY_KIND.get(self.kind, DEFAULT_STEP)
+        return DEFAULT_STEP if self.h is None else self.h
 
 
 @dataclass
@@ -188,7 +187,7 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
 
         return v, divide
     rtol = CG_REL_TOL * min(1.0, float(np.max(np.abs(deviation))))
-    weights = _edge_weights(metric)
+    weights = edge_weights(metric)
     apply_j = edge_laplacian(metric, weights)
     if config.kind in ("ricci", "fractional"):
         v, apply_w = -deviation, lambda f: f

@@ -2,18 +2,22 @@
 to the three vertex circles.
 
 Everything flows from effective lengths and radii.  The orthogonal circle
-of a face (center = the point with equal power with respect to all three
-vertex circles, squared radius = that common power) intersects each side
-in a chord whose half-length depends only on the edge, which is what makes
-the cotangent weights well defined on the glued surface:
+of a face has its center at the point with equal power with respect to
+all three vertex circles; that common power is its squared radius, a
+negative one when the circles overlap.  One per-edge weight drives the
+weighted Delaunay test, the Jacobian and every Laplacian:
 
-    weight of edge e  =  (d1 + d2) / half_chord(e)
+    weight of edge e  =  (d1 + d2) / l_e
 
 with d1, d2 the distances from the two neighboring face centers to the
-edge line, signed positive toward the opposite corner.  No face is laid
-out in the plane: side e runs from corner e to corner e+1 with length l_e,
-the center's foot on it lies a_e = (l_e^2 + r_e^2 - r_{e+1}^2) / (2 l_e)
-from corner e, and its foot on the side arriving at corner e lies
+edge line, signed positive toward the opposite corner.  It is defined
+for every admissible metric, overlapping circles included, and its sign
+is the Delaunay test's.
+
+No face is laid out in the plane: side e runs from corner e to corner e+1
+with length l_e, the center's foot on it lies
+a_e = (l_e^2 + r_e^2 - r_{e+1}^2) / (2 l_e) from corner e, and its foot
+on the side arriving at corner e lies
 b_e = (l_{e-1}^2 + r_e^2 - r_{e-1}^2) / (2 l_{e-1}) from corner e.  With A_e
 the angle at corner e, from the law of cosines
 
@@ -28,8 +32,9 @@ behind the triangle-margin gate, and surgery reruns it on the two faces a
 flip rewrites.  Behind the gate the cosine ratio leaves [-1, 1] by
 roundoff only, so a clip, not a guard, keeps arccos defined.  Curvature
 sums the angles, a flip reads its quad angles, and ``delaunay_terms``
-gives d1 + d2 per edge: the Delaunay test reads its sign, and the
-operators divide it by the edge length.
+gives d1 + d2 per edge: the Delaunay test reads its sign, and
+``edge_weights`` divides it by the edge length for surgery's ranking and
+the operators.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ def edge_half_chord(length, r_a, r_b):
 
     Computed from the edge alone: with m the equal-power point of the two
     endpoint circles on the line, the squared half-chord is m^2 - r_a^2.
-    Real exactly when the circles neither cross nor touch (|I| > 1).
+    Real exactly when the circles neither cross nor touch (|I| > 1), so
+    only the plane-geometry oracle reads it, never the weights.
     """
     length = np.asarray(length, dtype=float)
     r_a = np.asarray(r_a, dtype=float)
@@ -107,7 +113,7 @@ def delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     """(d1 + d2, tolerance) per edge for the weighted Delaunay test.
 
     d1 + d2 is the sum of the two neighboring signed distances: the
-    numerator of the cotangent weight, carrying its sign, so the test reads
+    numerator of ``edge_weights``, carrying its sign, so the test reads
     it without square roots or trigonometry.  An edge is treated as
     violating only when d1 + d2 < -tolerance, with the tolerance scaled by
     the orthogonal-circle size of the two incident faces (their
@@ -116,6 +122,12 @@ def delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     step share one pass; surgery patches it flip by flip.
     """
     return metric.memo(_terms)[3:]
+
+
+def edge_weights(metric: DecoratedMetric, edges=slice(None)) -> np.ndarray:
+    """(d1 + d2) / l of ``edges`` (all by default): the weight surgery ranks
+    flips by and the coefficient of the Jacobian and every Laplacian."""
+    return delaunay_terms(metric)[0][edges] / metric.effective_lengths[edges]
 
 
 def _terms(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:

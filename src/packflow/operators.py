@@ -31,7 +31,7 @@ from .errors import (
     NoConvergence,
     StepLeavesAdmissible,
 )
-from .geometry import delaunay_terms, triangle_angles
+from .geometry import edge_weights, triangle_angles
 from .metric import DecoratedMetric
 
 EIGEN_ZERO_REL_TOL = 1e-12
@@ -62,12 +62,6 @@ def gauss_bonnet_residual(metric: DecoratedMetric) -> float:
     return float(np.sum(curvature(metric)) - 2.0 * np.pi * metric.mesh.euler_characteristic)
 
 
-def _edge_weights(metric: DecoratedMetric) -> np.ndarray:
-    """Per-edge coefficient (d1 + d2) / l of the Jacobian and every Laplacian."""
-    dsum, _ = delaunay_terms(metric)
-    return dsum / metric.effective_lengths
-
-
 def jacobian(metric: DecoratedMetric) -> np.ndarray:
     """Dense symmetric dK/du, shape (N, N), from the edge weights (d1 + d2)/l.
 
@@ -77,7 +71,7 @@ def jacobian(metric: DecoratedMetric) -> np.ndarray:
     On a triangulation that is not weighted Delaunay some off-diagonal
     entries may be positive.
     """
-    coeff = _edge_weights(metric)
+    coeff = edge_weights(metric)
     ends = metric.mesh.edge_endpoints_array()
     n = metric.mesh.num_vertices
     a, b = ends[:, 0], ends[:, 1]
@@ -192,7 +186,7 @@ def apply_p_laplacian(metric: DecoratedMetric, p: float, f: np.ndarray) -> np.nd
     if p < 2.0:  # inf ** (p - 2) is 0: the limit of the odd power
         tiny = jumps <= P_DIFF_REL_TOL * float(np.max(np.abs(f), initial=0.0))
         jumps = np.where(tiny, np.inf, jumps)
-    return -edge_laplacian(metric, _edge_weights(metric) * jumps ** (p - 2.0))(f)
+    return -edge_laplacian(metric, edge_weights(metric) * jumps ** (p - 2.0))(f)
 
 
 def calabi_energy(curv: np.ndarray, target: np.ndarray) -> float:

@@ -8,8 +8,9 @@ diagonal.  The flip is an isometry of the surface exactly when both quad
 angles at the old endpoints are below pi, so only then is it made:
 curvature and area are untouched, only the triangulation changes (intrinsic
 flips, Fisher, Springborn, Schroeder, Bobenko 2007).  Flips are triggered
-by the sign of d1 + d2 (the cotangent-weight numerator), never by
-trigonometry.
+by the sign of d1 + d2, never by trigonometry, and ranked by the edge
+weight (d1 + d2)/l that the operators use, which is defined for every
+admissible metric, overlapping vertex circles included.
 
 ``make_delaunay`` flips in rounds.  A round takes every violating edge
 whose (weight, edge id) rank is the lowest among the violating edges on
@@ -33,14 +34,8 @@ from math import nan
 
 import numpy as np
 
-from .errors import (
-    DegenerateLength,
-    FlipProducesDegenerate,
-    ImaginaryChord,
-    SelfFlip,
-    SurgeryBudgetExceeded,
-)
-from .geometry import _edge_terms, _faces, _terms, delaunay_terms, edge_half_chord, triangle_angles
+from .errors import DegenerateLength, FlipProducesDegenerate, SelfFlip, SurgeryBudgetExceeded
+from .geometry import _edge_terms, _faces, _terms, delaunay_terms, edge_weights, triangle_angles
 from .mesh import DeltaComplex
 from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, triangle_margins
 from .metric import _effective_data, _scaled_lengths
@@ -71,22 +66,15 @@ class SurgeryEvent:
 def delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float]]:
     """Edges failing the weighted Delaunay condition, worst first.
 
-    Returns (edge id, cotangent weight) pairs by ascending weight, then id.
-    The test itself is on d1 + d2 against a scale-relative tolerance; the
-    weight is only evaluated on the violating edges, so intact edges can
-    never raise chord errors.  An inadmissible metric raises
-    DegenerateTriangle naming its worst face and margin.
+    Returns (edge id, weight (d1 + d2)/l) pairs by ascending weight, then
+    id.  The test itself is on d1 + d2 against a scale-relative tolerance.
+    An inadmissible metric raises DegenerateTriangle naming its worst face
+    and margin.
     """
     dsum, eps = delaunay_terms(metric)
     bad = np.flatnonzero(dsum < -eps)
-    weights = _weights(metric, dsum, bad)
+    weights = edge_weights(metric, bad)
     return [(int(bad[i]), float(weights[i])) for i in np.argsort(weights, kind="stable")]
-
-
-def _weights(metric: DecoratedMetric, dsum: np.ndarray, edges) -> np.ndarray:
-    """Cotangent weights of ``edges``: d1 + d2 over the half chord."""
-    r = metric.effective_radii[metric.mesh.edge_endpoints_array()[edges]]
-    return dsum[edges] / edge_half_chord(metric.effective_lengths[edges], r[:, 0], r[:, 1])
 
 
 def flip_metric(
@@ -111,15 +99,11 @@ def flip_metric(
     check runs on all the quads before the complex changes; if an edge
     fails one, the edges before it are flipped and the error names it, as
     flipping them one at a time in this order would.  Each event records
-    its edge's weight before the flip; all are nan if one of the edges'
-    half chords is imaginary.
+    its edge's weight (d1 + d2)/l before the flip.
     """
     mesh = metric.mesh
     edges = np.atleast_1d(mesh._edge_ids(edges))
-    try:
-        pre_weights = _weights(metric, delaunay_terms(metric)[0], edges)
-    except ImaginaryChord:
-        pre_weights = np.full(edges.size, nan)
+    pre_weights = edge_weights(metric, edges)
     t, e = np.divmod(mesh.edge_sides_array()[edges], 3)
     # per quad, rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
     slots = 3 * t[:, :, None] + (e[:, :, None] + np.arange(3)) % 3
@@ -219,7 +203,7 @@ def make_delaunay(
     if bad.size == 0:
         return metric, []
     weights = np.full(dsum.size, np.inf)
-    weights[bad] = _weights(metric, dsum, bad)
+    weights[bad] = edge_weights(metric, bad)
     angles, distances, powers, dsum, eps = terms = [arr.copy() for arr in metric.memo(_terms)]
     mesh, events = metric.mesh, []
     while bad.size:
@@ -241,6 +225,6 @@ def make_delaunay(
         metric.remember(_terms, terms)
         retest = touched[dsum[touched] < -eps[touched]]
         weights[touched] = np.inf
-        weights[retest] = _weights(metric, dsum, retest)
+        weights[retest] = edge_weights(metric, retest)
         bad = np.flatnonzero(weights < np.inf)
     return metric, events

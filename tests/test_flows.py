@@ -21,6 +21,7 @@ from packflow import (
     validate_triangles,
     velocity,
 )
+from packflow.flows import DEFAULT_STEP, KINDS
 from packflow.oracles import RandomMetricSpec, random_metric
 
 
@@ -76,9 +77,10 @@ def test_config_validation():
 
 
 def test_default_step_sizes():
+    # one default for every kind; an explicit h still overrides it
     target = np.full(4, np.pi)
-    assert FlowConfig(kind="ricci", target=target).initial_step == 0.1
-    assert FlowConfig(kind="calabi", target=target).initial_step == 0.01
+    for kind in KINDS:
+        assert FlowConfig(kind=kind, target=target).initial_step == DEFAULT_STEP == 0.1
     assert FlowConfig(kind="calabi", target=target, h=0.5).initial_step == 0.5
 
 

@@ -189,12 +189,13 @@ def test_fractional_indefinite_matrix():
 
 
 def test_edge_laplacian_applies_the_jacobian():
-    from packflow.operators import _edge_weights, edge_laplacian
+    from packflow.geometry import edge_weights
+    from packflow.operators import edge_laplacian
 
     rng = np.random.default_rng(4)
     for seed in range(3):
         metric = random_metric(RandomMetricSpec(preset="icosahedron", delaunay=True), seed)
-        apply_j = edge_laplacian(metric, _edge_weights(metric))
+        apply_j = edge_laplacian(metric, edge_weights(metric))
         for _ in range(5):
             f = rng.normal(size=12)
             assert np.allclose(apply_j(f), jacobian(metric) @ f, rtol=0, atol=1e-12)

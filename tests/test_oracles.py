@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from packflow import DecoratedMetric, curvature, preset_complex, triangle_angles
+from packflow import DecoratedMetric, curvature, jacobian, preset_complex, triangle_angles
 from packflow import validate_triangles
 from packflow.geometry import delaunay_terms, face_circles
 from packflow.metric import triangle_side_lengths
@@ -127,6 +127,23 @@ def test_delaunay_predicate_against_angle_oracle():
                     marked += 1
     assert disagreed == 0
     assert marked > 30
+
+
+def test_surgery_weight_is_the_operators_edge_weight():
+    # surgery ranks flips by the weight (d1 + d2)/l the Jacobian is built
+    # from: on a simplicial mesh it is minus the off-diagonal entry of
+    # dK/du, and the angle oracle agrees that the edge violates
+    checked = 0
+    for seed in range(40):
+        metric = random_metric(WILD[1], seed)
+        jac = jacobian(metric)
+        ends = metric.mesh.edge_endpoints_array()
+        for edge_id, weight in delaunay_violations(metric):
+            a, b = ends[edge_id]
+            assert math.isclose(weight, -jac[a, b], rel_tol=1e-12), (seed, edge_id)
+            assert not oracle_delaunay_via_angles(metric, edge_id), (seed, edge_id)
+            checked += 1
+    assert checked == 43
 
 
 def test_flip_length_against_reflection_oracle():
