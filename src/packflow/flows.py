@@ -20,8 +20,12 @@ quantities do not increase: the squared curvature deviation for the
 s-family, and the trapezoidal potential increment for every flow.
 Admissibility is the per-face pass's margin gate alone: its
 DegenerateTriangle, like any typed metric, geometry, operator or surgery
-error, rejects the trial.  Rejected trials halve the step, up to 30 times;
-clean steps let the next trial grow.  Curvature, margins and the per-face
+error, rejects the trial.  Rejected trials halve the step, up to 30 times,
+and the next step starts from the accepted h.  After a clean step the next
+trial is h * STEP_GROWTH * max(1, e_prev / e), e the max|K - target| of the
+last two accepted states, up to STEP_GROWTH_CAP: switched evolution
+relaxation (Mulder-van Leer 1985) with doubling as a floor, which grows h
+into the Newton regime in a few steps.  Curvature, margins and the per-face
 pass (angles, circles, Delaunay terms) are memoized per state
 (``DecoratedMetric.memo``): a trial state pays for one whole-mesh pass,
 surgery patches it, and an accepted state's curvature and edge weights
@@ -59,7 +63,7 @@ KINDS = ("calabi", "fractional", "p_calabi", "ricci")
 DEFAULT_STEP = 0.1
 MAX_HALVINGS = 30
 STEP_GROWTH = 2.0
-STEP_GROWTH_CAP = 1e8
+STEP_GROWTH_CAP = 1e12   # a tol below round-off would otherwise grow h without bound
 TARGET_SUM_TOL = 1e-9
 CG_REL_TOL = 1e-3
 
@@ -70,7 +74,8 @@ class FlowConfig:
 
     ``h = None`` starts every kind at DEFAULT_STEP: the linearly implicit
     step damps every mode at any h, so no kind needs a smaller one.  After
-    a step that needed no halving the trial step doubles.
+    a step that needed no halving the trial step grows by STEP_GROWTH times
+    the factor by which that step cut max|K - target|, if above 1.
     """
 
     kind: str
@@ -364,7 +369,9 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
         rec.w_est = last.w_est + rec.w_increment
         records.append(rec)
         if rec.halvings == 0:
-            h_try = min(h_try * STEP_GROWTH, STEP_GROWTH_CAP)
+            # an error of exactly 0 converges at the next check, whatever h_try is
+            contraction = last.max_curv_err / rec.max_curv_err if rec.max_curv_err else 1.0
+            h_try = min(h_try * STEP_GROWTH * max(1.0, contraction), STEP_GROWTH_CAP)
         else:
             h_try = rec.h
 

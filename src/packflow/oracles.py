@@ -3,7 +3,8 @@
 Everything here deliberately avoids the fast paths of the library: angles
 and orthogonal circles come from explicit plane coordinates, the Delaunay
 predicate from summed intersection angles, flip lengths from a reflected
-layout, and surgery from one flip at a time after a whole-mesh test.
+layout, and surgery from one flip at a time after a whole-mesh test that
+lays every face out.
 Tests compare the production code against these.
 """
 
@@ -21,7 +22,7 @@ from .errors import (
     MetricError,
     SelfFlip,
 )
-from .geometry import edge_half_chord, triangle_angles
+from .geometry import DELAUNAY_REL_TOL, edge_half_chord, triangle_angles
 from .metric import (
     TRIANGLE_MARGIN_REL_TOL,
     DecoratedMetric,
@@ -29,7 +30,7 @@ from .metric import (
     validate_triangles,
 )
 from .presets import preset_complex
-from .surgery import SurgeryEvent, delaunay_violations, make_delaunay
+from .surgery import SurgeryEvent, make_delaunay
 
 
 @dataclass
@@ -172,23 +173,50 @@ def oracle_flip_length(metric: DecoratedMetric, edge_id: int) -> float:
     return float(np.hypot(x1 - (shared - x2), y1 + y2))
 
 
+def oracle_delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float]]:
+    """Weighted Delaunay violations, worst first, from ``oracle_face_circle`` alone.
+
+    Every face is laid out and its orthogonal circle solved for; an edge
+    sums its two faces' signed distances d1 + d2 and violates when that
+    sum is below -DELAUNAY_REL_TOL times the larger sqrt|power| of the two
+    faces.  Returns (edge id, (d1 + d2)/l) by ascending weight, then id.
+    Raises DegenerateTriangle on an inadmissible metric.
+    """
+    metric = metric.copy()   # no memoized state
+    validate_triangles(metric).require()
+    mesh = metric.mesh
+    lengths, radii = metric.effective_lengths, metric.effective_radii
+    circles = [
+        oracle_face_circle(lengths[sides], radii[corners])
+        for sides, corners in zip(mesh.slot_edge_array(), mesh.triangles)
+    ]
+    violations = []
+    for edge_id in range(mesh.num_edges):
+        sides = mesh.edge(edge_id).sides
+        dsum = sum(float(circles[t][2][e]) for t, e in sides)
+        scale = max(abs(circles[t][1]) for t, _ in sides)
+        if dsum < -DELAUNAY_REL_TOL * np.sqrt(scale):
+            violations.append((edge_id, dsum / float(lengths[edge_id])))
+    return sorted(violations, key=lambda v: (v[1], v[0]))
+
+
 def oracle_make_delaunay(metric: DecoratedMetric) -> list[SurgeryEvent]:
     """Sequential reference for ``make_delaunay``: one flip at a time, worst first.
 
-    Before every flip the whole mesh is tested on an uncached copy, and the
-    most negative weight goes first, the lowest edge id among equal
-    weights.  Each flip is worked out alone, in Python floats, from a
-    whole-mesh pass of corner angles: the same law of cosines and the same
-    checks as surgery, raising the same error types, in the same order.
+    Before every flip the whole mesh is tested by
+    ``oracle_delaunay_violations``, and the most negative weight goes
+    first, the lowest edge id among equal weights.  Each flip is worked out
+    alone, in Python floats, from a whole-mesh pass of corner angles: the
+    same law of cosines and the same checks as surgery, raising the same
+    error types, in the same order.
     """
     events = []
     while True:
-        violations = delaunay_violations(metric.copy())
+        violations = oracle_delaunay_violations(metric)
         if not violations:
             return events
-        worst = min(w for _, w in violations)
-        edge_id = min(e for e, w in violations if w == worst)
-        events.append(_oracle_flip(metric, edge_id, worst, len(events)))
+        edge_id, weight = violations[0]
+        events.append(_oracle_flip(metric, edge_id, weight, len(events)))
 
 
 def _oracle_flip(

@@ -147,7 +147,7 @@ def flip_metric(
                 flow_time, ordinal + m, edge_id, (a, b), (c, d), length, weight, inv
             )
             if not event.inversive_in_packing_range:
-                logger.warning(
+                logger.debug(
                     "flip %d created edge %d with inversive distance %.6g <= 1",
                     event.ordinal,
                     edge_id,

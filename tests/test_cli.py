@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,26 @@ def test_flow_pipeline(bumpy_file, tmp_path, capsys):
     final = parse_dpm(out_path.read_text())
     assert np.max(np.abs(curvature(final.metric) - np.pi)) < 1e-8
     assert final.target is not None
+
+
+def test_flow_through_a_flip_to_overlapping_circles_keeps_stderr_empty():
+    # the flip the run starts with gives inversive distance 0.81, which is
+    # correct surgery output, so the default log level prints nothing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(MESHES.parent / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    argv = ["flow", str(MESHES / "tetra_overlap.dpm"), "--target", "uniform", "--flow", "ricci"]
+    done = subprocess.run(
+        [sys.executable, "-m", "packflow", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == EXIT_OK
+    assert "flips: 1" in done.stdout
+    assert done.stderr == ""
 
 
 def test_flow_budget_exit_code(bumpy_file):

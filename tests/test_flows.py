@@ -21,7 +21,7 @@ from packflow import (
     validate_triangles,
     velocity,
 )
-from packflow.flows import DEFAULT_STEP, KINDS
+from packflow.flows import DEFAULT_STEP, KINDS, STEP_GROWTH, STEP_GROWTH_CAP
 from packflow.oracles import RandomMetricSpec, random_metric
 
 
@@ -336,7 +336,8 @@ def test_curvature_is_computed_once_per_trial_state(monkeypatch):
     # An inadmissible trial enters _settle as well and leaves it by the
     # margin gate, before the pass, so only admissible entries count.
     # Conjugate-gradient matvecs read the memoized edge weights and add no
-    # pass.  The run converges in 10 steps, so a budget of 6 ends it first
+    # pass.  The run converges in 6 steps; a budget of 6 keeps the count
+    # fixed should a change to the controller lengthen it
     from packflow import flows, geometry
 
     metric = preset_metric("torus_grid", n=5)
@@ -450,6 +451,57 @@ def test_step_counts_stay_bounded_over_seeds(spec, name):
         assert trace.converged, seed
         steps.append(trace.steps)
     assert max(steps) <= 10 * np.median(steps), steps
+    if EVERY_KIND[name]["kind"] in ("ricci", "calabi", "fractional"):
+        # h grown by the observed contraction reaches the Newton regime in
+        # a few steps: medians of 5-6 measured on both specs, against
+        # 9-10 when it only doubled
+        assert np.median(steps) <= 6, steps
+
+
+def _assert_controller(trace, config):
+    recs = trace.records
+    assert recs[1].h == config.initial_step * 0.5 ** recs[1].halvings
+    for prev, rec, nxt in zip(recs, recs[1:], recs[2:]):
+        if rec.halvings:
+            trial = rec.h
+        else:
+            contraction = prev.max_curv_err / rec.max_curv_err
+            trial = min(rec.h * STEP_GROWTH * max(1.0, contraction), STEP_GROWTH_CAP)
+        assert nxt.h == trial * 0.5 ** nxt.halvings, (nxt.step, nxt.h, trial)
+
+
+@pytest.mark.parametrize("name", ["ricci", "p_calabi-1.5"])
+def test_step_grows_by_the_observed_contraction(name):
+    # after a clean step the next trial is h STEP_GROWTH max(1, e_prev / e)
+    # up to the cap; after a step that halved it is that step's h.  ricci
+    # takes no halvings and grows by more than STEP_GROWTH; p_calabi(1.5)
+    # (A = 0, explicit) halves every other step
+    metric = random_metric(WILD, 0)
+    config = FlowConfig(target=_uniform_target(metric), tol=1e-8, **EVERY_KIND[name])
+    trace = run(metric, config)
+    assert trace.converged
+    _assert_controller(trace, config)
+    recs = trace.records[1:]
+    if name == "ricci":
+        assert not any(rec.halvings for rec in recs)
+        assert any(b.h > STEP_GROWTH * a.h for a, b in zip(recs, recs[1:]))
+    else:
+        assert any(rec.halvings for rec in recs) and not all(rec.halvings for rec in recs)
+
+
+def test_step_growth_cap_keeps_an_unreachable_tolerance_finite():
+    # below round-off the error stalls while p_calabi(3), which has no
+    # energy test, accepts every trial: h climbs to the cap and the run
+    # ends by its budget.  Uncapped, h passes 1e45 by step 100, and before
+    # step 120 no halving of it gives an acceptable step: StepCollapse
+    metric = random_metric(RandomMetricSpec(preset="icosahedron"), 0)
+    target = _uniform_target(metric)
+    config = FlowConfig(kind="p_calabi", p=3.0, target=target, tol=1e-30, max_steps=150)
+    trace = run(metric, config)
+    assert trace.termination == "budget"
+    assert trace.steps == 150
+    assert max(rec.h for rec in trace.records) == STEP_GROWTH_CAP
+    _assert_controller(trace, config)
 
 
 def test_every_flow_reaches_the_same_limit():
