@@ -11,13 +11,17 @@ calabi and p_calabi apply the edge flux of the operators module in O(E);
 only fractional with s != 0 assembles the dense Jacobian and its spectrum.
 
 Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
-(I + hA) x = v, A = W dK/du the frozen-weight -dv/du, which damps every
-mode at any h and tends to a Newton step as h grows.  An exact zero-sum
-projection follows, so the total of the scale factors is conserved to
-machine precision.  A trial step is accepted only if the solve succeeds,
-the state stays admissible, surgery (when on) succeeds, and the monitored
-quantities do not increase: the squared curvature deviation for the
-s-family, and the trapezoidal potential increment for every flow.
+(I + hA) x = v / sigma, A = W dK/du, which damps every mode at any h and
+tends to a Newton step as h grows.  sigma = 1 except for p_calabi above
+p = 2, whose rate scales as sigma = max|dg_e|^(p-2), g = K - target: there
+the step is calabi's in the rate-normalised time tau, dt = dtau / sigma,
+and h and t are tau throughout.  An exact zero-sum projection follows, so
+the total of the scale factors is conserved to machine precision.  A
+trial step is accepted only if the solve succeeds, the state stays
+admissible, surgery (when on) succeeds, and the monitored quantities do
+not increase: the squared curvature deviation for the s-family, and the
+trapezoidal potential increment for every flow.  A trial already at the
+round-off floor of max|K - target| skips that test.
 Admissibility is the per-face pass's margin gate alone: its
 DegenerateTriangle, like any typed metric, geometry, operator or surgery
 error, rejects the trial.  Rejected trials halve the step, up to 30 times,
@@ -66,6 +70,7 @@ STEP_GROWTH = 2.0
 STEP_GROWTH_CAP = 1e12   # a tol below round-off would otherwise grow h without bound
 TARGET_SUM_TOL = 1e-9
 CG_REL_TOL = 1e-3
+ROUNDOFF_FLOOR = 64 * np.finfo(float).eps * 2.0 * np.pi  # max|K - target| within round-off of 0
 
 
 @dataclass
@@ -109,7 +114,11 @@ class FlowConfig:
 
 @dataclass
 class StepRecord:
-    """One accepted step (or the initial snapshot, with h = 0)."""
+    """One accepted step (or the initial snapshot, with h = 0).
+
+    h and t are in the flow's time, except for p_calabi above p = 2,
+    where they are in its rate-normalised time tau (see ``_linearization``).
+    """
 
     step: int
     t: float
@@ -167,14 +176,17 @@ def velocity(metric: DecoratedMetric, config: FlowConfig) -> np.ndarray:
 
 
 def _linearization(metric: DecoratedMetric, config: FlowConfig):
-    """(v, solve): the velocity, and h -> x with (I + hA) x = v.
+    """(v, solve): the velocity, and h -> x with (I + hA) x = v / sigma.
 
-    A = W dK/du is -dv/du with the edge weights frozen.  W is the identity
-    for ricci, (dK/du)^s for fractional (which divides by 1 + h lam^(s+1)
-    in its velocity's eigenbasis), and for p_calabi the Laplacian of the
-    edge weights (p - 1) c_e |dg_e|^(p-2), g = K - target: dK/du at p = 2,
-    and A = 0 below, where those weights are singular at dg_e = 0.  The
-    others' conjugate gradients stop at relative residual
+    A = W dK/du.  W is the identity for ricci, (dK/du)^s for fractional
+    (which divides by 1 + h lam^(s+1) in its velocity's eigenbasis), and
+    dK/du for calabi and for p_calabi from p = 2 on; below p = 2, A = 0
+    (explicit Euler).  Above p = 2 the p-flow's rate scales with
+    sigma = (max over the edges of |g_b - g_a|)^(p-2), g = K - target, and
+    h is a step in the rate-normalised time tau, dt = dtau / sigma: the
+    orbit is the flow's, and h, its halvings and its growth act on tau.
+    sigma = 1 for every other kind, and where g is constant.  The
+    conjugate gradients stop at relative residual
     CG_REL_TOL * min(1, max|g|).
     """
     deviation = curvature(metric) - config.target
@@ -192,17 +204,19 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
 
         return v, divide
     rtol = CG_REL_TOL * min(1.0, float(np.max(np.abs(deviation))))
-    weights = edge_weights(metric)
-    apply_j = edge_laplacian(metric, weights)
+    apply_j = edge_laplacian(metric, edge_weights(metric))
+    sigma = 1.0
     if config.kind in ("ricci", "fractional"):
         v, apply_w = -deviation, lambda f: f
     else:
         p = 2.0 if config.kind == "calabi" else config.p
-        ends = metric.mesh.edge_endpoints_array()
-        jumps = np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]])
-        frozen = (p - 1.0) * weights * jumps ** (p - 2.0) if p >= 2.0 else np.zeros_like(weights)
-        v, apply_w = apply_p_laplacian(metric, p, deviation), edge_laplacian(metric, frozen)
-    return v, lambda h: solve_shifted(apply_j, apply_w, h, v, rtol)
+        v = apply_p_laplacian(metric, p, deviation)
+        apply_w = apply_j if p >= 2.0 else np.zeros_like
+        if p > 2.0:
+            ends = metric.mesh.edge_endpoints_array()
+            spread = np.max(np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]]))
+            sigma = float(spread ** (p - 2.0)) or 1.0  # 1 where g is constant, or on underflow
+    return v, lambda h: solve_shifted(apply_j, apply_w, h, v / sigma, rtol)
 
 
 def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, w_inc: float) -> bool:
@@ -290,7 +304,9 @@ def step(
             _potential_increment(k0, config.target, du)
             + _potential_increment(curvature(trial), config.target, du)
         )
-        if not _monotone_ok(config, e0, e1, w_inc):
+        # at the round-off floor the monitored quantities move by round-off alone
+        at_floor = record.max_curv_err <= ROUNDOFF_FLOOR
+        if not at_floor and not _monotone_ok(config, e0, e1, w_inc):
             last_reason = (
                 f"monotonicity rejected h={h_try:.3e}"
                 f" (energy {e0:.6e} -> {e1:.6e}, potential increment {w_inc:.3e})"

@@ -390,28 +390,27 @@ def _random_target(metric, seed: int) -> np.ndarray:
     return target + (total - target.sum()) / n
 
 
-def _dense_w(metric, settings: dict, jac: np.ndarray) -> np.ndarray:
-    """W of A = W dK/du, built from the dense Jacobian alone."""
+def _dense_w(metric, settings: dict, jac: np.ndarray) -> tuple[np.ndarray, float]:
+    """W of A = W dK/du and the scale sigma of the right-hand side v / sigma,
+    built from the dense Jacobian alone."""
     n = jac.shape[0]
     kind = settings["kind"]
     if kind == "ricci" or (kind == "fractional" and settings["s"] == 0.0):
-        return np.eye(n)
+        return np.eye(n), 1.0
     if kind == "fractional":
         lam, vecs = np.linalg.eigh(jac)
         kernel = np.abs(lam) <= 1e-12 * lam[-1]
         powered = np.where(kernel, 0.0, np.maximum(lam, 0.0) ** settings["s"])
-        return vecs @ np.diag(powered) @ vecs.T
+        return vecs @ np.diag(powered) @ vecs.T, 1.0
     p = settings.get("p", 2.0)
     if p < 2.0:
-        return np.zeros((n, n))
+        return np.zeros((n, n)), 1.0
     from packflow import curvature
 
+    # above p = 2 the step is calabi's in the time tau, dt = dtau / sigma
     g = curvature(metric) - _uniform_target(metric)
     a, b = np.nonzero(np.triu(jac, 1))
-    weights = (p - 1.0) * -jac[a, b] * np.abs(g[b] - g[a]) ** (p - 2.0)
-    laplacian = np.zeros((n, n))
-    laplacian[a, b] = laplacian[b, a] = -weights
-    return laplacian - np.diag(laplacian.sum(axis=1))
+    return jac, np.max(np.abs(g[b] - g[a])) ** (p - 2.0)
 
 
 @pytest.mark.parametrize("preset", ["tetrahedron", "icosahedron", "torus_grid"])
@@ -429,11 +428,11 @@ def test_implicit_step_solves_the_dense_system(preset, monkeypatch):
             config = FlowConfig(target=_uniform_target(metric), **settings)
             v, solve = flows._linearization(metric, config)
             assert np.array_equal(v, velocity(metric, config))
-            w = _dense_w(metric, settings, jac)
+            w, sigma = _dense_w(metric, settings, jac)
             for h in (0.1, 10.0, 1e6):
-                expected = np.linalg.solve(np.eye(len(v)) + h * w @ jac, v)
+                expected = np.linalg.solve(np.eye(len(v)) + h * w @ jac, v / sigma)
                 gap = np.max(np.abs(solve(h) - expected))
-                assert gap <= 1e-8 * np.linalg.norm(v), (seed, settings, h, gap)
+                assert gap <= 1e-8 * np.linalg.norm(v / sigma), (seed, settings, h, gap)
 
 
 @pytest.mark.parametrize("spec", [RandomMetricSpec(), WILD], ids=["default", "wild"])
@@ -456,6 +455,36 @@ def test_step_counts_stay_bounded_over_seeds(spec, name):
         # a few steps: medians of 5-6 measured on both specs, against
         # 9-10 when it only doubled
         assert np.median(steps) <= 6, steps
+    if name == "p_calabi-3":
+        # calabi's step in the rate-normalised time: medians 11 / 17.5,
+        # against 28 / 29 with the frozen p-weights
+        assert np.median(steps) <= 18, steps
+
+
+@pytest.mark.parametrize("spec", [RandomMetricSpec(), WILD], ids=["default", "wild"])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 10.0])
+def test_p_calabi_steps_stay_bounded_over_seeds(spec, p):
+    # with the frozen p-weights A scaled as max|dg|^(p-2), so h had to
+    # outgrow the cap: p = 4 took a median of 465 steps on the default
+    # spec and p = 4.5 did not converge in 20000
+    steps = []
+    for seed in range(40):
+        metric = random_metric(spec, seed)
+        target = _uniform_target(metric)
+        trace = run(metric, FlowConfig(kind="p_calabi", p=p, target=target, tol=1e-8, max_steps=300))
+        assert trace.converged, seed
+        steps.append(trace.steps)
+    assert max(steps) <= 10 * np.median(steps), steps
+
+
+def test_p_two_runs_calabi_bitwise():
+    # sigma = 1 and W = dK/du at p = 2: the same step, flips included
+    metric = random_metric(WILD, 3)
+    target = _uniform_target(metric)
+    calabi = run(metric, FlowConfig(kind="calabi", target=target))
+    p_two = run(metric, FlowConfig(kind="p_calabi", p=2.0, target=target))
+    assert calabi.records == p_two.records
+    assert np.array_equal(calabi.metric.conformal_factors, p_two.metric.conformal_factors)
 
 
 def _assert_controller(trace, config):
@@ -489,14 +518,17 @@ def test_step_grows_by_the_observed_contraction(name):
         assert any(rec.halvings for rec in recs) and not all(rec.halvings for rec in recs)
 
 
-def test_step_growth_cap_keeps_an_unreachable_tolerance_finite():
-    # below round-off the error stalls while p_calabi(3), which has no
-    # energy test, accepts every trial: h climbs to the cap and the run
-    # ends by its budget.  Uncapped, h passes 1e45 by step 100, and before
-    # step 120 no halving of it gives an acceptable step: StepCollapse
+@pytest.mark.parametrize("name", ["ricci", "calabi", "fractional-0.5", "p_calabi-3"])
+def test_step_growth_cap_keeps_an_unreachable_tolerance_finite(name):
+    # below round-off the error stalls while every trial at the round-off
+    # floor is accepted: h climbs to the cap and the run ends by its
+    # budget.  Uncapped, h passes 1e45 by step 100, and before step 120 no
+    # halving of it gives an acceptable step; without the floor the
+    # monotonicity test rejects round-off increases at every h that 30
+    # halvings from the cap reach: StepCollapse either way
     metric = random_metric(RandomMetricSpec(preset="icosahedron"), 0)
     target = _uniform_target(metric)
-    config = FlowConfig(kind="p_calabi", p=3.0, target=target, tol=1e-30, max_steps=150)
+    config = FlowConfig(target=target, tol=1e-30, max_steps=150, **EVERY_KIND[name])
     trace = run(metric, config)
     assert trace.termination == "budget"
     assert trace.steps == 150
