@@ -79,7 +79,7 @@ def _resolve_target(args, doc) -> np.ndarray:
         except json.JSONDecodeError:
             raw = None
         if isinstance(raw, list):
-            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw):
+            if not set(map(type, raw)) <= {int, float}:
                 raise SchemaError(f"target file {args.target!r} must hold numbers only")
             if len(raw) != n:
                 raise SchemaError(f"target file holds {len(raw)} values, expected {n}")

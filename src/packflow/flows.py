@@ -32,8 +32,8 @@ relaxation (Mulder-van Leer 1985) with doubling as a floor, which grows h
 into the Newton regime in a few steps.  Curvature, margins and the per-face
 pass (angles, circles, Delaunay terms) are memoized per state
 (``DecoratedMetric.memo``): a trial state pays for one whole-mesh pass,
-surgery patches it, and an accepted state's curvature and edge weights
-start the next step.
+plus one per round of flips that surgery makes, and an accepted state's
+curvature and edge weights start the next step.
 """
 
 from __future__ import annotations

@@ -87,9 +87,7 @@ def _number_array(obj: dict, key: str, length: int, *, optional: bool = False) -
             return None
         raise SchemaError(f"missing field {key!r}")
     raw = obj[key]
-    if not isinstance(raw, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw
-    ):
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
         raise SchemaError(f"field {key!r} must be an array of numbers")
     if len(raw) != length:
         raise SchemaError(f"field {key!r} has length {len(raw)}, expected {length}")

@@ -28,8 +28,8 @@ the angle at corner e, from the law of cosines
 
 (Glickenstein, JDG 2011).  One kernel evaluates angles, distances and
 powers face by face; it runs on the whole mesh once per metric state,
-behind the triangle-margin gate, and surgery reruns it on the two faces a
-flip rewrites.  Behind the gate the cosine ratio leaves [-1, 1] by
+behind the triangle-margin gate, so surgery pays for one more pass per
+round of flips.  Behind the gate the cosine ratio leaves [-1, 1] by
 roundoff only, so a clip, not a guard, keeps arccos defined.  Curvature
 sums the angles, a flip reads its quad angles, and ``delaunay_terms``
 gives d1 + d2 per edge: the Delaunay test reads its sign, and
@@ -119,7 +119,7 @@ def delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     the orthogonal-circle size of the two incident faces (their
     |power|^(1/2), a length).  Computed once per state of the metric, so
     the Delaunay check of an accepted trial and the operators of the next
-    step share one pass; surgery patches it flip by flip.
+    step share one pass.
     """
     return metric.memo(_terms)[3:]
 

@@ -137,14 +137,10 @@ class DecoratedMetric:
         scale factors; a flip, new scale factors or a rebased edge starts a
         new one.  The arrays are handed out read-only.
         """
-        hit = self._memo.get(compute)
-        if hit is None or hit[0] != self._state_key():
-            self.remember(compute, compute(self))
-        return self._memo[compute][1]
-
-    def remember(self, compute, value: tuple[np.ndarray, ...]) -> None:
-        """Record ``value`` as ``compute(self)`` for the current state, as read-only views."""
-        self._memo[compute] = (self._state_key(), tuple(map(_read_only, value)))
+        key, hit = self._state_key(), self._memo.get(compute)
+        if hit is None or hit[0] != key:
+            hit = self._memo[compute] = (key, tuple(map(_read_only, compute(self))))
+        return hit[1]
 
     @property
     def effective_lengths(self) -> np.ndarray:
@@ -208,12 +204,7 @@ def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray,
     non-positive ones.
     """
     u = np.asarray(u, dtype=float)
-    return _scaled_lengths(metric, u, slice(None)), np.exp(u) * metric.radii
-
-
-def _scaled_lengths(metric: DecoratedMetric, u: np.ndarray, edges) -> np.ndarray:
-    """``apply_conformal``'s effective lengths, for the edge ids or slice ``edges``."""
-    ends = metric.mesh.edge_endpoints_array()[edges]
+    ends = metric.mesh.edge_endpoints_array()
     ua, ub = u[ends[:, 0]], u[ends[:, 1]]
     ra, rb = metric.radii[ends[:, 0]], metric.radii[ends[:, 1]]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -221,10 +212,10 @@ def _scaled_lengths(metric: DecoratedMetric, u: np.ndarray, edges) -> np.ndarray
         sq = (
             (np.exp(2.0 * ua) - eab) * ra * ra
             + (np.exp(2.0 * ub) - eab) * rb * rb
-            + eab * metric.base_lengths[edges] ** 2
+            + eab * metric.base_lengths**2
         )
     what = "scaled squared length non-positive or non-finite on edges"
-    return np.sqrt(_positive(sq, DegenerateLength, what))
+    return np.sqrt(_positive(sq, DegenerateLength, what)), np.exp(u) * metric.radii
 
 
 def inversive_from_lengths(metric: DecoratedMetric) -> np.ndarray:

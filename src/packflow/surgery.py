@@ -16,14 +16,14 @@ admissible metric, overlapping vertex circles included.
 whose (weight, edge id) rank is the lowest among the violating edges on
 both of its faces.  No two of these share a face, and the most negative
 weight is always among them, so every round makes progress.  The round
-checks all its quads at once, rewrites them with one
-``DeltaComplex.flip_many``, reruns the per-face kernel on the rewritten
-faces only and retests the edges on them, so the curvature after surgery
-sums patched angles.  Flips that share no face commute, and the weighted
-Delaunay tessellation is unique (Bobenko, Lutz), so on generic input the
-rounds end where flipping the worst edge one at a time ends.  Within a
-round, events are numbered in (weight, edge id) order.  Each round is
-one ``flip_metric`` call, which flips any one edge or face-disjoint set.
+checks all its quads at once and rewrites them with one
+``DeltaComplex.flip_many``; the flipped state is a new metric state, so
+the next round's test reads its own whole-mesh pass.  Flips that share
+no face commute, and the weighted Delaunay tessellation is unique
+(Bobenko, Lutz), so on generic input the rounds end where flipping the
+worst edge one at a time ends.  Within a round, events are numbered in
+(weight, edge id) order.  Each round is one ``flip_metric`` call, which
+flips any one edge or face-disjoint set.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from math import nan
 import numpy as np
 
 from .errors import DegenerateLength, FlipProducesDegenerate, SelfFlip, SurgeryBudgetExceeded
-from .geometry import _edge_terms, _faces, _terms, delaunay_terms, edge_weights, triangle_angles
+from .geometry import delaunay_terms, edge_weights, triangle_angles
 from .mesh import DeltaComplex
 from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, triangle_margins
-from .metric import _effective_data, _scaled_lengths
 
 logger = logging.getLogger(__name__)
 
@@ -127,7 +126,7 @@ def flip_metric(
     events = []
     if n:
         done, new = edges[:n], new_length[:n]
-        lengths, radii = metric.effective_lengths.copy(), metric.effective_radii
+        radii = metric.effective_radii
         mesh.flip_many(done)
         try:
             metric.rebase_edge(done, new)
@@ -135,9 +134,6 @@ def flip_metric(
             raise FlipProducesDegenerate(
                 f"a flip cannot be expressed at the current scale factors: {exc}"
             ) from exc
-        # the new state differs in these edges' lengths only
-        lengths[done] = _scaled_lengths(metric, metric.conformal_factors, done)
-        metric.remember(_effective_data, (lengths, radii))
         rk, rl = radii[k[:n]], radii[l[:n]]
         inversive = (new * new - rk * rk - rl * rl) / (2.0 * rk * rl)
         rows = zip(done.tolist(), i.tolist(), j.tolist(), k.tolist(), l.tolist(),
@@ -194,37 +190,23 @@ def make_delaunay(
     (weight, edge id) on both of their faces, the most negative weight
     among them.  A second call on the result performs zero flips.  Raises
     SurgeryBudgetExceeded if violations persist after
-    SURGERY_BUDGET_PER_EDGE flips per edge.  After the one whole-mesh test,
-    a round recomputes and retests only its faces and the edges on them.
+    SURGERY_BUDGET_PER_EDGE flips per edge.  Every round, and the stop,
+    reads the ``delaunay_terms`` of the current state: one whole-mesh pass
+    on entry and one after each round, whose margin gate raises
+    DegenerateTriangle should a round leave a face too thin for it.
     """
     budget = SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
-    dsum, eps = delaunay_terms(metric)
-    bad = np.flatnonzero(dsum < -eps)
-    if bad.size == 0:
-        return metric, []
-    weights = np.full(dsum.size, np.inf)
-    weights[bad] = edge_weights(metric, bad)
-    angles, distances, powers, dsum, eps = terms = [arr.copy() for arr in metric.memo(_terms)]
-    mesh, events = metric.mesh, []
-    while bad.size:
+    events = []
+    while True:
+        dsum, eps = delaunay_terms(metric)
+        bad = np.flatnonzero(dsum < -eps)
+        if bad.size == 0:
+            return metric, events
         if len(events) >= budget:
             raise SurgeryBudgetExceeded(
                 f"{bad.size} weighted Delaunay violations remain after {len(events)} flips"
             )
-        edges = _independent(mesh, weights, bad)[: budget - len(events)]
+        edges = _independent(metric.mesh, edge_weights(metric), bad)[: budget - len(events)]
         events += flip_metric(
             metric, edges, flow_time=flow_time, ordinal=start_ordinal + len(events)
         )[1]
-        faces = (mesh.edge_sides_array()[edges] // 3).ravel()
-        angles[faces], distances[faces], powers[faces] = _faces(metric, faces)
-        # an outer edge of two flipped quads is retested once
-        on_faces = mesh.slot_edge_array()[faces].ravel()
-        touched = np.flatnonzero(np.bincount(on_faces, minlength=weights.size))
-        sides = mesh.edge_sides_array()[touched]
-        dsum[touched], eps[touched] = _edge_terms(distances, powers, sides)
-        metric.remember(_terms, terms)
-        retest = touched[dsum[touched] < -eps[touched]]
-        weights[touched] = np.inf
-        weights[retest] = edge_weights(metric, retest)
-        bad = np.flatnonzero(weights < np.inf)
-    return metric, events

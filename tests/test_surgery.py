@@ -276,13 +276,13 @@ def _assert_same_events(mine, reference, name):
 
 
 def test_make_delaunay_matches_the_whole_mesh_reference(monkeypatch):
-    # make_delaunay flips in rounds and patches the flipped faces and the
-    # edges on them; the reference flips one edge at a time and, before
+    # make_delaunay flips in rounds and tests each round's result with the
+    # per-face kernel; the reference flips one edge at a time and, before
     # every flip, tests and ranks every edge from laid-out faces, not from
-    # the per-face kernel.  Same flips in the same order, same
-    # triangulation, same lengths, and before every round the memoized
-    # terms (d1 + d2, tolerance, face circles) equal a fresh whole-mesh
-    # pass; that they are memo hits, not recomputations, is the next test's job.
+    # the kernel.  Same flips in the same order, same triangulation, same
+    # lengths, and before every round the memoized terms (d1 + d2,
+    # tolerance, face circles) equal a fresh whole-mesh pass on a copy, so
+    # no round reads terms of the state before it
     def check_memo(metric):
         for mine, fresh in zip(metric.memo(_terms), _terms(metric.copy())):
             assert np.array_equal(mine, fresh)
@@ -310,6 +310,42 @@ def test_make_delaunay_matches_the_whole_mesh_reference(monkeypatch):
         assert np.array_equal(mine.mesh.triangles, reference.mesh.triangles), name
         assert np.array_equal(mine.base_lengths, reference.base_lengths), name
     assert flipped > 600
+
+
+# inputs whose surgery takes more than one round: an edge starts to
+# violate only after a flip on a neighbouring face
+TORUS6 = RandomMetricSpec(preset="torus_grid", n=6, u_range=0.9, inversive_range=(1.05, 4.0))
+MULTI_ROUND = [
+    (TORUS6, 21, 3),
+    (TORUS6, 13, 2),
+    (RandomMetricSpec(preset="torus_grid", n=8, u_range=1.2), 56, 3),
+]
+
+
+@pytest.mark.parametrize("spec, seed, num_rounds", MULTI_ROUND)
+def test_multi_round_surgery_ends_where_the_sequential_reference_ends(
+    spec, seed, num_rounds, monkeypatch
+):
+    # a later round may flip an edge that the reference, ranking every
+    # edge before every flip, flips earlier (seed 21: edges 69 and 107
+    # trade places), so the event order may differ; the flips made and the
+    # triangulation and lengths they end at may not
+    rounds, flip_round = [], surgery.flip_metric
+
+    def counting_round(m, edges, **kwargs):
+        rounds.append(len(edges))
+        return flip_round(m, edges, **kwargs)
+
+    monkeypatch.setattr(surgery, "flip_metric", counting_round)
+    metric = random_metric(spec, seed)
+    reference = metric.copy()
+    _, events = make_delaunay(metric)
+    expected = oracle_make_delaunay(reference)
+    assert len(rounds) == num_rounds
+    assert sorted(e.edge_id for e in events) == sorted(e.edge_id for e in expected)
+    assert np.array_equal(metric.mesh.triangles, reference.mesh.triangles)
+    assert np.array_equal(metric.effective_lengths, reference.effective_lengths)
+    assert delaunay_violations(metric) == []
 
 
 def test_a_flip_to_an_inversive_distance_below_one_is_not_a_warning(caplog):
@@ -373,10 +409,9 @@ def test_every_flow_converges_through_overlapping_circles(preset, seed):
 
 
 def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
-    # one whole-mesh pass of the per-face kernel for the entry check; every
-    # round after it reruns the kernel on its own 2B faces only, however
-    # many flips there are, and the curvature after surgery sums the
-    # patched angles without another pass
+    # one whole-mesh pass of the per-face kernel for the entry check and
+    # one after every round, however many flips the round makes; the
+    # curvature after surgery reads the last round's pass
     from packflow import flows
 
     metric = _squeezed_torus(6, 3)
@@ -405,7 +440,6 @@ def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
         return flip_round(m, edges, **kwargs)
 
     monkeypatch.setattr(geometry, "_faces", counting_faces)
-    monkeypatch.setattr(surgery, "_faces", counting_faces)
     monkeypatch.setattr(surgery, "flip_metric", counting_round)
     monkeypatch.setattr(flows, "_settle", counting_settle)
     monkeypatch.setattr(metric_module, "apply_conformal", counting_conformal)
@@ -414,21 +448,22 @@ def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
     assert len(events) == 36
     # every diagonal violates and no two share a face: one round flips them all
     assert rounds == [36]
-    assert rows == [metric.mesh.num_triangles] + [2 * b for b in rounds]
-    assert sum(rows) == metric.mesh.num_triangles + 2 * len(events)
-    # a flip rescales only its own edge: the whole-mesh effective lengths
-    # are computed once, for the entry check
-    assert len(conformal) == 1
+    assert rows == [72, 72]
+    # the effective lengths are computed once per state: on entry and
+    # after the round
+    assert len(conformal) == 2
     # in a run that flips mid-flow (the tetrahedron driven toward the
     # curvature of a spread that is Delaunay only after a flip), every
-    # trial state that reaches surgery costs exactly one whole-mesh pass,
-    # flipped or not
+    # trial state that reaches surgery costs one whole-mesh pass, and
+    # every round one more
     spread = preset_metric("tetrahedron")
     spread.set_conformal_factors(1.02 * np.array([1.0, 1.0, -1.0, -1.0]))
     make_delaunay(spread)
     rows.clear()
+    rounds.clear()
     trace = run(preset_metric("tetrahedron"), FlowConfig(kind="ricci", target=curvature(spread)))
     assert trace.converged
     assert trace.records[0].flips == 0 < trace.flips_total
-    assert rows.count(4) == settled
-    assert set(rows) == {4, 2}
+    assert set(rows) == {4}
+    assert rows.count(4) == settled + len(rounds)
+    assert (settled, len(rounds)) == (8, 1)
