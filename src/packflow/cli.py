@@ -76,14 +76,19 @@ def _resolve_target(args, doc) -> np.ndarray:
             text = fh.read()
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # parse_dpm names the fault
             raw = None
         if isinstance(raw, list):
             if not set(map(type, raw)) <= {int, float}:
                 raise SchemaError(f"target file {args.target!r} must hold numbers only")
             if len(raw) != n:
                 raise SchemaError(f"target file holds {len(raw)} values, expected {n}")
-            return np.array(raw, dtype=float)
+            try:
+                return np.array(raw, dtype=float)
+            except OverflowError:
+                raise SchemaError(
+                    f"target file {args.target!r} holds a number beyond the float range"
+                ) from None
         inner = parse_dpm(text)
         if inner.target is None:
             raise SchemaError(f"target file {args.target!r} carries no target_curvature")

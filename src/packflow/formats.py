@@ -20,12 +20,22 @@ written with 17 significant digits, so emit -> parse is bit-exact and
 parse -> emit is a fixed point.  Supplying inversive distances demands
 every value > 1 (the packing hypothesis on initial data); edge lengths
 carry no such restriction.
+
+Both directions work on whole arrays.  Parsing checks each field's types
+with one flat pass per nesting level and converts it with one
+``np.array`` call; emission writes each block (triangles, gluings, each
+number array) through one ``%`` template, and ``"%.17g" % x`` is
+``format(x, ".17g")``.  Input the JSON reader itself refuses (an integer
+literal of more digits than the interpreter converts, nesting past its
+recursion limit) raises DpmSyntaxError, and an integer beyond the float
+range in a number array raises SchemaError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -91,41 +101,56 @@ def _number_array(obj: dict, key: str, length: int, *, optional: bool = False) -
         raise SchemaError(f"field {key!r} must be an array of numbers")
     if len(raw) != length:
         raise SchemaError(f"field {key!r} has length {len(raw)}, expected {length}")
-    values = np.array(raw, dtype=float)
-    if not np.all(np.isfinite(values)):
+    try:
+        values = np.array(raw, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
         raise SchemaError(f"field {key!r} must hold finite numbers only")
     return values
 
 
-def _int_rows(obj: dict, key: str, shape: tuple[int, ...], what: str) -> list:
-    """The list at ``key``; SchemaError names its first row not of ``shape`` with int leaves."""
+def _int_rows(obj: dict, key: str, shape: tuple[int, ...], what: str) -> np.ndarray | list:
+    """The list at ``key`` as an int64 array of rows of ``shape``; SchemaError names
+    its first row not of ``shape`` with int leaves.  Rows holding an id beyond
+    int64 are handed on as they are, for the mesh checks to name the id."""
     rows = _require(obj, key, list)
-    if not _nested_ints(rows, shape):
-        i = next(i for i, row in enumerate(rows) if not _nested_ints([row], shape))
+    leaves = _int_leaves(rows, shape)
+    if leaves is None:
+        i = next(i for i, row in enumerate(rows) if _int_leaves([row], shape) is None)
         raise SchemaError(f"field {key!r}[{i}] must be {what}")
-    return rows
+    try:
+        return np.array(leaves, dtype=np.int64).reshape(-1, *shape)
+    except OverflowError:
+        return rows
 
 
-def _nested_ints(rows: list, shape: tuple[int, ...]) -> bool:
-    """Whether every row nests lists of ``shape`` over ints, not bools; one flat walk per level."""
+def _int_leaves(rows: list, shape: tuple[int, ...]) -> list | None:
+    """The int leaves of rows that nest lists of ``shape`` over ints (not bools),
+    flattened; None if a row does not.  One flat pass per level."""
     for width in shape:
         if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {width}:
-            return False
-        rows = [v for row in rows for v in row]
-    return set(map(type, rows)) <= {int}
+            return None
+        rows = list(chain.from_iterable(rows))
+    return rows if set(map(type, rows)) <= {int} else None
 
 
 def parse_dpm(text: str) -> DpmDocument:
     """Parse and validate a dpm-1 document.
 
-    Syntax problems raise DpmSyntaxError with line and column; structural
-    problems raise SchemaError naming the field; mesh and metric problems
-    raise the usual validation errors carrying ids.
+    Syntax problems raise DpmSyntaxError, with line and column where the
+    JSON reader gives them; structural problems raise SchemaError naming
+    the field; mesh and metric problems raise the usual validation errors
+    carrying ids.
     """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DpmSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError:  # an integer literal beyond the interpreter's digit limit
+        raise DpmSyntaxError("integer literal with too many digits") from None
+    except RecursionError:
+        raise DpmSyntaxError("arrays or objects nested too deeply") from None
     if not isinstance(raw, dict):
         raise SchemaError("top level must be a JSON object")
     fmt = _require(raw, "format", str)
@@ -165,10 +190,14 @@ def parse_dpm(text: str) -> DpmDocument:
 # -- emission -------------------------------------------------------------------
 
 
+def _rows(template: str, sep: str, rows: np.ndarray) -> str:
+    """``rows`` written through one ``%`` template: ``template`` per row, joined by ``sep``."""
+    return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def _numbers(values) -> str:
     """A one-line JSON array of floats with 17 significant digits."""
-    floats = np.asarray(values, dtype=float).tolist()
-    return "[" + ", ".join(format(x, ".17g") for x in floats) + "]"
+    return "[" + _rows("%.17g", ", ", np.asarray(values, dtype=float)) + "]"
 
 
 def emit_dpm(metric: DecoratedMetric, target: np.ndarray | None = None) -> str:
@@ -181,11 +210,9 @@ def emit_dpm(metric: DecoratedMetric, target: np.ndarray | None = None) -> str:
     their own, and each number array on one line.
     """
     mesh = metric.mesh
-    triangles = ",\n".join("    [%d, %d, %d]" % tuple(tri) for tri in mesh.triangles.tolist())
-    sides = np.stack(np.divmod(mesh.edge_sides_array(), 3), axis=-1).reshape(-1, 4)
-    gluings = ",\n".join(
-        "    [\n      [%d, %d],\n      [%d, %d]\n    ]" % tuple(row) for row in sides.tolist()
-    )
+    triangles = _rows("    [%d, %d, %d]", ",\n", mesh.triangles)
+    sides = np.stack(np.divmod(mesh.edge_sides_array(), 3), axis=-1)
+    gluings = _rows("    [\n      [%d, %d],\n      [%d, %d]\n    ]", ",\n", sides)
     fields = [
         f'"format": "{FORMAT_NAME}"',
         f'"num_vertices": {mesh.num_vertices}',

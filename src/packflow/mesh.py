@@ -8,10 +8,15 @@ construction.  Nothing assumes the triangulation is simplicial: loops
 (both endpoints the same vertex) and multiple edges between one vertex
 pair are legal, which is what surgery on small flat tori produces.
 
-Vertex labels name marked points.  Construction checks the gluing in one
-array pass, including that the corner orbits it forces match the labels
-one-to-one, so a label always means one point of the surface;
-``build_complex`` rejects a non-integer vertex id or slot, never truncates.
+Vertex labels name marked points.  Construction is whole-array passes with
+no Python loop per triangle or side: ``build_complex`` converts triangles
+and gluings (nested lists or integer arrays) once and checks them,
+including that the corner orbits the gluing forces match the labels
+one-to-one (pointer doubling), so a label always means one point of the
+surface, and that the faces are connected (hooking and pointer jumping).
+``infer_gluings`` pairs the sides by one sort of their vertex pairs.  Python
+walks the input only to name the first bad triangle; a non-integer vertex
+id or slot is rejected, never truncated.
 
 Storage is flat integer arrays, halfedge style.  Side ``e`` of triangle
 ``t`` is slot ``s = 3 t + e`` (corner ``c`` of ``t`` shares the numbering).
@@ -260,7 +265,7 @@ class DeltaComplex:
 
     def check(self) -> None:
         """Re-run the structural invariants; raises on any violation."""
-        _check_labels(self.num_vertices, self._tri.tolist())
+        _check_labels(self.num_vertices, self._tri)
         _validate(self)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -271,25 +276,35 @@ class DeltaComplex:
 
 
 def _check_labels(n: int, triangles: Sequence[Sequence[int]]) -> np.ndarray:
-    """Flat corner labels of three-corner triangles, checked as Python ints
-    so that ids beyond int64 fail here too."""
-    short = [t for t, tri in enumerate(triangles) if len(tri) != 3]
-    if short:
-        raise MeshError(f"triangle {short[0]} does not have three corners")
-    corners = [c for tri in triangles for c in tri]
+    """Corner labels of three-corner triangles as an (F, 3) int64 array.
+
+    One conversion and whole-array checks; the input is walked in Python only
+    to name the first bad triangle, by its own value, so that ids beyond int64
+    (which the conversion turns into floats or objects) are named exactly.
+    """
+    try:
+        tris = np.array(triangles)
+    except ValueError:  # ragged rows
+        tris = None
+    if len(triangles) and (tris is None or tris.shape[1:] != (3,)):
+        short = next((t for t, tri in enumerate(triangles) if len(tri) != 3), None)
+        if short is None:
+            raise MeshError("vertex ids must be integers")
+        raise MeshError(f"triangle {short} does not have three corners")
     if n <= 0:
         raise MeshError("num_vertices must be positive")
-    if not corners:
+    if not len(triangles):
         raise MeshError("no triangles")
-    if n > len(corners):
-        raise UnusedVertex(f"{n} vertex labels but only {len(corners)} corners to use them")
-    if min(corners) < 0 or max(corners) >= n:
-        s = next(s for s, c in enumerate(corners) if not 0 <= c < n)
-        raise MeshError(f"triangle {s // 3} references vertex {corners[s]} outside [0, {n})")
-    labels = np.array(corners)  # in range and n <= 3F, so int64 unless not all ints
-    if labels.dtype.kind not in "iu":
-        raise MeshError(f"vertex ids must be integers, not {labels.dtype}")
-    missing = np.flatnonzero(np.bincount(labels, minlength=n) == 0)
+    if n > tris.size:
+        raise UnusedVertex(f"{n} vertex labels but only {tris.size} corners to use them")
+    outside = (tris < 0) | (tris >= n)
+    if outside.any():
+        t, e = divmod(int(np.argmax(outside)), 3)
+        raise MeshError(f"triangle {t} references vertex {triangles[t][e]} outside [0, {n})")
+    if tris.dtype.kind not in "iu":
+        raise MeshError(f"vertex ids must be integers, not {tris.dtype}")
+    labels = tris.astype(np.int64, copy=False)  # in range and n <= 3F
+    missing = np.flatnonzero(np.bincount(labels.ravel(), minlength=n) == 0)
     if missing.size:
         raise UnusedVertex(f"vertex labels never used: {missing.tolist()}")
     return labels
@@ -338,17 +353,22 @@ def _validate(mesh: DeltaComplex) -> None:
             f"vertex label {np.argmax(orbits > 1)} names two distinct points of the surface"
         )
 
-    # connectivity through shared edges
-    across = (twin // 3).reshape(-1, 3).tolist()
-    seen, stack = {0}, [0]
-    while stack:
-        for t in across[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    if len(seen) != mesh.num_triangles:
+    # connectivity through shared edges: hook each face's root onto the least
+    # root across its sides, jump pointers until every face points at a root,
+    # and repeat until no side joins two roots
+    across = (twin // 3).reshape(-1, 3)
+    root = np.arange(mesh.num_triangles)
+    while True:
+        low = np.minimum(root, root[across].min(axis=1))
+        if np.array_equal(low, root):
+            break
+        np.minimum.at(root, root.copy(), low)  # indices copied: the call writes root
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    reached = np.count_nonzero(root == root[0])
+    if reached != mesh.num_triangles:
         raise DisconnectedSurface(
-            f"only {len(seen)} of {mesh.num_triangles} triangles reachable from triangle 0"
+            f"only {reached} of {mesh.num_triangles} triangles reachable from triangle 0"
         )
 
     if mesh.euler_characteristic % 2 != 0:
@@ -364,16 +384,17 @@ def build_complex(
 ) -> DeltaComplex:
     """Assemble and validate a closed surface from explicit side gluings.
 
-    Edge ids follow the order of ``gluings``; the arrays in a decorated
-    metric are aligned with these ids.
+    ``triangles`` (F, 3) and ``gluings`` (E, 2, 2) are nested sequences or
+    integer arrays.  Edge ids follow the order of ``gluings``; the arrays in
+    a decorated metric are aligned with these ids.
     """
     labels = _check_labels(int(num_vertices), triangles)
     try:  # a non-integer entry or a ragged pair fails the conversion
         pairs = np.array(gluings, dtype=None if len(gluings) else np.int64)
-        pairs = pairs.astype(np.int64, casting="safe").reshape(len(gluings), 2, 2)
+        pairs = pairs.astype(np.int64, casting="safe", copy=False).reshape(len(gluings), 2, 2)
     except (TypeError, ValueError):
         raise UnmatchedSlot("gluings must be pairs of (triangle, side) slots of integers") from None
-    outside = np.any((pairs < 0) | (pairs >= [len(triangles), 3]), axis=2)
+    outside = np.any((pairs < 0) | (pairs >= [len(labels), 3]), axis=2)
     if outside.any():
         slot = tuple(pairs.reshape(-1, 2)[np.argmax(outside)].tolist())
         raise UnmatchedSlot(f"gluing references slot {slot} outside the complex")
@@ -393,28 +414,24 @@ def infer_gluings(num_vertices: int, triangles: Sequence[Sequence[int]]) -> Delt
 
     Every unordered vertex pair must appear on exactly two sides.  The
     one-vertex torus and other self-glued configurations need explicit
-    gluings and are rejected with :class:`NonSimplicial`.
+    gluings and are rejected with :class:`NonSimplicial`.  Edge ids follow
+    the first side of each pair in slot order.
     """
-    tris = [tuple(tri) for tri in triangles]
     # a short triangle or a fractional label such as 2.9 raises here,
     # before the side pairing indexes the corners or truncates the label
-    _check_labels(int(num_vertices), tris)
-    by_pair: dict[tuple[int, int], list[Slot]] = {}
-    order: list[tuple[int, int]] = []
-    for t, tri in enumerate(tris):
-        for e in range(3):
-            a, b = tri[e], tri[(e + 1) % 3]
-            key = (min(a, b), max(a, b))
-            if key not in by_pair:
-                by_pair[key] = []
-                order.append(key)
-            by_pair[key].append((t, e))
-    gluings = []
-    for key in order:
-        slots = by_pair[key]
-        if len(slots) != 2:
-            raise NonSimplicial(
-                f"vertex pair {key} appears on {len(slots)} sides; gluings must be explicit"
-            )
-        gluings.append((slots[0], slots[1]))
-    return build_complex(num_vertices, tris, gluings)
+    n = int(num_vertices)
+    labels = _check_labels(n, triangles)
+    tails, heads = labels.ravel(), labels[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    _, pair_of, uses = np.unique(lo * n + hi, return_inverse=True, return_counts=True)
+    # the first side of a bad pair in slot order is that of the first bad pair met
+    lone = np.flatnonzero(uses[pair_of] != 2)
+    if lone.size:
+        s = lone[0]
+        raise NonSimplicial(
+            f"vertex pair {(lo.item(s), hi.item(s))} appears on {uses[pair_of[s]]} sides;"
+            " gluings must be explicit"
+        )
+    sides = np.argsort(pair_of, kind="stable").reshape(-1, 2)
+    sides = sides[np.argsort(sides[:, 0])]
+    return build_complex(num_vertices, labels, np.stack(np.divmod(sides, 3), axis=-1))

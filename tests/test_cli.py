@@ -200,6 +200,47 @@ def test_vertex_id_outside_the_range_is_one_error_line(tmp_path, capsys, vertex)
     assert err == f"error: triangle 0 references vertex {vertex} outside [0, 4)\n"
 
 
+TETRA_RADII = '"radii": [1,'
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        ("1" + "0" * 400, "field 'radii' must hold finite numbers only"),
+        ("7" * 5000, "integer literal with too many digits"),
+        ("[" * 100_000, "arrays or objects nested too deeply"),
+    ],
+    ids=["400 digits", "5000 digits", "deep nesting"],
+)
+def test_numbers_beyond_the_readers_limits_are_one_error_line(tmp_path, capsys, radius, message):
+    text = (MESHES / "tetra_sym.dpm").read_text()
+    assert TETRA_RADII in text
+    path = tmp_path / "huge.dpm"
+    path.write_text(text.replace(TETRA_RADII, '"radii": [' + radius + ",", 1))
+    assert main(["validate", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("[1, 2, 3, 1" + "0" * 400 + "]", "holds a number beyond the float range"),
+        ("[1, 2, 3, " + "7" * 5000 + "]", "integer literal with too many digits"),
+        ("[" * 100_000, "arrays or objects nested too deeply"),
+    ],
+    ids=["400 digits", "5000 digits", "deep nesting"],
+)
+def test_target_file_beyond_the_readers_limits_is_one_error_line(
+    bumpy_file, tmp_path, capsys, values, message
+):
+    target_path = tmp_path / "target.json"
+    target_path.write_text(values)
+    assert main(["flow", str(bumpy_file), "--target", str(target_path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_bad_file_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.dpm"
     path.write_text('{"format": "dpm-1"')

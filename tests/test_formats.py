@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from packflow import (
     InvalidInversiveDistance,
     InvalidParams,
     SchemaError,
+    build_complex,
     curvature,
     emit_dpm,
     generate,
@@ -27,6 +29,8 @@ from packflow import (
 )
 from packflow.formats import TRACE_COLUMNS
 from packflow.oracles import RandomMetricSpec, random_metric
+
+MESH_DIR = Path(__file__).resolve().parents[1] / "meshes"
 
 TETRA_DOC = """{
   "format": "dpm-1",
@@ -119,6 +123,21 @@ def test_schema_errors_name_the_field():
     glued = [[0, 0], [2, 2]]
     for bad in ([[True, 0], [2, 2]], [[0, 1.0], [2, 2]], [[0, 1, 2], [2, 2]], "pair", 7):
         reject(lambda d: d.update(gluings=[glued, bad]), "field 'gluings'[1] must be")
+    # an integer literal beyond the float range converts to no finite number
+    reject(lambda d: d.update(radii=[1.0, 10**400, 1.0, 1.0]), "'radii' must hold finite")
+    reject(lambda d: d.update(inversive_distances=[2, 2, 2, 2, 2, -(10**400)]), "'inversive")
+    reject(lambda d: d.update(target_curvature=[10**309, 0.0, 0.0, 0.0]), "'target")
+
+
+def test_json_beyond_the_decoder_limits_is_a_syntax_error():
+    # CPython reads no integer literal of more than 4300 digits and no
+    # nesting deeper than its recursion limit; both end in DpmSyntaxError
+    long_int = TETRA_DOC.replace('"radii": [1.0,', '"radii": [' + "7" * 5000 + ",")
+    with pytest.raises(DpmSyntaxError, match="^integer literal with too many digits$"):
+        parse_dpm(long_int)
+    deep = TETRA_DOC.replace('"radii": [1.0,', '"radii": [' + "[" * 100_000 + ",")
+    with pytest.raises(DpmSyntaxError, match="^arrays or objects nested too deeply$"):
+        parse_dpm(deep)
 
 
 
@@ -188,10 +207,7 @@ def test_generated_documents_parse_for_every_preset():
 
 
 def test_bundled_meshes_parse():
-    from pathlib import Path
-
-    mesh_dir = Path(__file__).resolve().parents[1] / "meshes"
-    files = sorted(mesh_dir.glob("*.dpm"))
+    files = sorted(MESH_DIR.glob("*.dpm"))
     assert len(files) >= 6
     for path in files:
         text = path.read_text()
@@ -199,10 +215,22 @@ def test_bundled_meshes_parse():
         # every bundled file is the emitter's own output
         assert emit_dpm(doc.metric) == text
 
-    tetra = parse_dpm((mesh_dir / "tetra_sym.dpm").read_text())
+    tetra = parse_dpm((MESH_DIR / "tetra_sym.dpm").read_text())
     assert tetra.mesh.num_vertices == 4
     assert tetra.mesh.num_edges == 6
     assert tetra.mesh.euler_characteristic == 2
+
+
+def test_parse_builds_the_complex_that_python_lists_build():
+    # parse_dpm hands build_complex int64 arrays; the lists of the same
+    # document must give the same storage
+    for path in sorted(MESH_DIR.glob("*.dpm")):
+        raw = json.loads(path.read_text())
+        mesh = parse_dpm(path.read_text()).mesh
+        ref = build_complex(raw["num_vertices"], raw["triangles"], raw["gluings"])
+        for mine, theirs in ((mesh._tri, ref._tri), (mesh._twin, ref._twin),
+                             (mesh._edge_side, ref._edge_side)):
+            assert np.array_equal(mine, theirs), path.name
 
 
 def test_trace_csv_layout():
@@ -255,3 +283,58 @@ def test_emit_parse_emit_is_a_fixed_point(preset, seed, with_target):
         assert emit_dpm(doc.metric, doc.target) == text, stage
         assert np.array_equal(doc.metric.effective_lengths, metric.effective_lengths), stage
         assert np.array_equal(doc.metric.effective_radii, metric.effective_radii), stage
+
+
+# -- emission against a per-number reference ---------------------------------------
+
+
+def _reference_emit(metric, target=None) -> str:
+    """emit_dpm written with one format call per number and one per row."""
+    def numbers(values):
+        return "[" + ", ".join(format(x, ".17g") for x in np.asarray(values, float).tolist()) + "]"
+
+    mesh = metric.mesh
+    triangles = ",\n".join("    [%d, %d, %d]" % tuple(tri) for tri in mesh.triangles.tolist())
+    gluings = ",\n".join(
+        "    [\n      [%d, %d],\n      [%d, %d]\n    ]" % (*divmod(a, 3), *divmod(b, 3))
+        for a, b in mesh.edge_sides_array().tolist()
+    )
+    fields = [
+        '"format": "dpm-1"',
+        f'"num_vertices": {mesh.num_vertices}',
+        f'"triangles": [\n{triangles}\n  ]',
+        f'"gluings": [\n{gluings}\n  ]',
+        f'"edge_lengths": {numbers(metric.effective_lengths)}',
+        f'"radii": {numbers(metric.effective_radii)}',
+    ]
+    if target is not None:
+        fields.append(f'"target_curvature": {numbers(target)}')
+    return "{\n" + ",\n".join("  " + field for field in fields) + "\n}\n"
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -3.0, 2.0**53, 1e16, 1e17, 123456789012345678.0, 0.1]
+
+
+@pytest.mark.parametrize(
+    "preset, kwargs",
+    [("tetrahedron", {}), ("octahedron", {"radius": 3.0}), ("icosahedron", {"inversive": 1.5}),
+     ("torus_grid", {"n": 5}), ("one_vertex_torus", {})],
+)
+def test_emit_matches_a_per_number_reference_on_presets(preset, kwargs):
+    metric = preset_metric(preset, **kwargs)
+    n = metric.mesh.num_vertices
+    # integral floats, signed zeros, the least subnormal and the largest double
+    target = np.resize(EDGE_VALUES, n)
+    assert emit_dpm(metric) == _reference_emit(metric)
+    assert emit_dpm(metric, target) == _reference_emit(metric, target)
+
+
+@pytest.mark.parametrize("preset", sorted(ROUND_TRIP_SPECS))
+@pytest.mark.parametrize("seed", range(4))
+def test_emit_matches_a_per_number_reference_on_random_metrics(preset, seed):
+    metric = random_metric(ROUND_TRIP_SPECS[preset], seed)
+    target = np.random.default_rng(seed).normal(size=metric.mesh.num_vertices)
+    assert emit_dpm(metric, target) == _reference_emit(metric, target)
+    make_delaunay(metric)
+    assert emit_dpm(metric) == _reference_emit(metric)

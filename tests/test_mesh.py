@@ -516,3 +516,126 @@ def test_malformed_gluings_raise_mesh_errors(name, fault, data):
         triangles[row][data.draw(st.integers(0, 2))] += 0.9
     with pytest.raises(MeshError):
         build_complex(mesh.num_vertices, triangles, gluings)
+
+
+# -- whole-array construction against per-side and per-face loop references ---------
+
+def _preset_data(name: str, n: int = 3) -> tuple[int, list, list]:
+    """Vertex count, triangles and gluings of a preset (``n`` sizes torus_grid), as lists."""
+    mesh = preset_complex(name, n=n)
+    gluings = [[list(side) for side in mesh.edge(e).sides] for e in range(mesh.num_edges)]
+    return mesh.num_vertices, mesh.triangles.tolist(), gluings
+
+
+def _shuffled(triangles: list, gluings: list, rng) -> tuple[list, list]:
+    """The same complex with its face ids permuted."""
+    new_id = rng.permutation(len(triangles)).tolist()
+    moved = [None] * len(triangles)
+    for t, tri in enumerate(triangles):
+        moved[new_id[t]] = tri
+    return moved, [[[new_id[t], e] for t, e in pair] for pair in gluings]
+
+
+def _disjoint_union(names, rng) -> tuple[int, list, list]:
+    """The presets side by side with their labels offset and face ids interleaved."""
+    vertices, triangles, gluings = 0, [], []
+    for name in names:
+        n, tris, pairs = _preset_data(name)
+        faces = len(triangles)
+        triangles += [[c + vertices for c in tri] for tri in tris]
+        gluings += [[[t + faces, e] for t, e in pair] for pair in pairs]
+        vertices += n
+    return (vertices, *_shuffled(triangles, gluings, rng))
+
+
+def _bfs_reached(num_faces: int, gluings: list) -> int:
+    """Faces reachable from face 0 across glued sides, breadth first."""
+    across = [[] for _ in range(num_faces)]
+    for (t1, _), (t2, _) in gluings:
+        across[t1].append(t2)
+        across[t2].append(t1)
+    seen, queue = {0}, [0]
+    for t in queue:
+        for u in across[t]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("tetrahedron", "icosahedron"),
+        ("icosahedron", "tetrahedron"),
+        ("torus_grid", "octahedron", "one_vertex_torus"),
+        ("icosahedron", "icosahedron", "tetrahedron"),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_disjoint_unions_are_disconnected_with_the_reached_count_of_a_bfs(names, seed):
+    n, triangles, gluings = _disjoint_union(names, np.random.default_rng(seed))
+    reached = _bfs_reached(len(triangles), gluings)
+    assert reached < len(triangles)
+    message = f"^only {reached} of {len(triangles)} triangles reachable from triangle 0$"
+    with pytest.raises(DisconnectedSurface, match=message):
+        build_complex(n, triangles, gluings)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_shuffled_torus_is_connected(seed):
+    n, triangles, gluings = _preset_data("torus_grid", n=16)
+    triangles, gluings = _shuffled(triangles, gluings, np.random.default_rng(seed))
+    mesh = build_complex(n, triangles, gluings)
+    assert mesh.num_triangles == 2 * 16 * 16
+
+
+def _loop_gluings(triangles: list) -> list:
+    """Gluings by a per-side dict walk: each unordered vertex pair's two sides, in
+    the order the pairs are first met; NonSimplicial as infer_gluings words it."""
+    by_pair: dict[tuple[int, int], list] = {}
+    for t, tri in enumerate(triangles):
+        for e in range(3):
+            a, b = tri[e], tri[(e + 1) % 3]
+            by_pair.setdefault((min(a, b), max(a, b)), []).append((t, e))
+    for key, slots in by_pair.items():
+        if len(slots) != 2:
+            raise NonSimplicial(
+                f"vertex pair {key} appears on {len(slots)} sides; gluings must be explicit"
+            )
+    return list(by_pair.values())
+
+
+def _storage(mesh: DeltaComplex) -> list[np.ndarray]:
+    return [mesh._tri, mesh._twin, mesh._edge_side]
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "icosahedron", "torus_grid"])
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_infer_gluings_matches_the_loop_reference(name, seed):
+    n, triangles, _ = _preset_data(name, n=7)
+    if seed is not None:
+        order = np.random.default_rng(seed).permutation(len(triangles))
+        triangles = [triangles[t] for t in order]
+    inferred = infer_gluings(n, triangles)
+    explicit = build_complex(n, triangles, _loop_gluings(triangles))
+    for mine, theirs in zip(_storage(inferred), _storage(explicit)):
+        assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize(
+    "n, triangles",
+    [
+        (1, [(0, 0, 0), (0, 0, 0)]),
+        # two tetrahedra sharing the face (0, 1, 2): its three pairs sit on four sides
+        (5, TETRA_FACES + [(0, 2, 1), (4, 1, 2), (4, 2, 0), (4, 0, 1)]),
+        # the pair (0, 1) on one side only comes after the pair (1, 2) on three
+        (4, [(1, 2, 3), (2, 1, 3), (1, 2, 0), (0, 1, 3)]),
+    ],
+)
+def test_infer_gluings_names_the_first_bad_pair_as_the_loop_reference(n, triangles):
+    with pytest.raises(NonSimplicial) as expected:
+        _loop_gluings(triangles)
+    with pytest.raises(NonSimplicial) as err:
+        infer_gluings(n, triangles)
+    assert str(err.value) == str(expected.value)
