@@ -106,17 +106,21 @@ class StepLeavesAdmissible(OperatorError):
 
 
 class NoConvergence(OperatorError):
-    """The symmetric eigensolver failed to converge."""
+    """The symmetric eigensolver failed to converge, or conjugate gradients
+    ran past CG_MAX_SWEEPS * N iterations."""
 
 
 class InvalidExponent(OperatorError):
-    """p-Laplacian exponent outside (1, inf)."""
+    """p-Laplacian exponent outside (1, inf), or a non-finite fractional order s."""
 
 
 class IndefiniteOperator(OperatorError):
-    """Fractional power of a matrix with genuinely negative eigenvalues.
+    """dK/du or I + hA is not positive definite where a solve needs it.
 
-    Happens when the Jacobian is assembled on a triangulation that
+    Raised for a fractional power of a matrix with genuinely negative
+    eigenvalues, for a conjugate gradient breakdown in ``solve_shifted``,
+    and for a fractional step whose divisor 1 + h lam^(s+1) is not
+    positive.  Happens when dK/du is assembled on a triangulation that
     violates the weighted Delaunay condition and surgery is disabled.
     """
 

@@ -1,27 +1,30 @@
 """Time integration of the curvature flows in the log scale factors.
 
-Four velocity fields share one integrator:
+The flows come in two families, and four names select them:
 
-    calabi        du/dt = p-laplacian(K - target)  (p_calabi with p = 2)
-    fractional(s) du/dt = -(dK/du)^s (K - target)
-    p_calabi(p)   du/dt = p-laplacian(K - target)
-    ricci         du/dt = -(K - target)            (fractional with s = 0)
+    fractional(s) du/dt = -(dK/du)^s (K - target)   the s-family
+    p_calabi(p)   du/dt = p-laplacian(K - target)    the p-family
+    ricci         fractional at s = 0
+    calabi        p_calabi at p = 2
 
-calabi and p_calabi apply the edge flux of the operators module in O(E);
-only fractional with s != 0 assembles the dense Jacobian and its spectrum.
+``FlowConfig`` resolves a name once, so the integrator reads only the
+family and its exponent.  The p-family applies the edge flux of the
+operators module in O(E); only the s-family with s != 0 assembles the
+dense Jacobian and its spectrum.
 
 Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
 (I + hA) x = v / sigma, A = W dK/du, which damps every mode at any h and
-tends to a Newton step as h grows.  sigma = 1 except for p_calabi above
-p = 2, whose rate scales as sigma = max|dg_e|^(p-2), g = K - target: there
-the step is calabi's in the rate-normalised time tau, dt = dtau / sigma,
-and h and t are tau throughout.  An exact zero-sum projection follows, so
-the total of the scale factors is conserved to machine precision.  A
-trial step is accepted only if the solve succeeds, the state stays
-admissible, surgery (when on) succeeds, and the monitored quantities do
-not increase: the squared curvature deviation for the s-family, and the
-trapezoidal potential increment for every flow.  A trial already at the
-round-off floor of max|K - target| skips that test.
+tends to a Newton step as h grows.  sigma = 1 except for the p-family
+above p = 2, whose rate scales as sigma = max|dg_e|^(p-2), g = K - target:
+there the step is calabi's in the rate-normalised time tau, dt = dtau /
+sigma, and h and t are tau throughout.  An exact zero-sum projection
+follows, so the total of the scale factors is conserved to machine
+precision.  A trial step is accepted only if the solve succeeds, the state
+stays admissible, surgery (when on) succeeds, and the monitored quantities
+do not increase: the squared curvature deviation wherever p = 2 (the
+whole s-family and calabi), and the trapezoidal potential increment for
+every flow.  A trial already at the round-off floor of max|K - target|
+skips that test.
 Admissibility is the per-face pass's margin gate alone: its
 DegenerateTriangle, like any typed metric, geometry, operator or surgery
 error, rejects the trial.  Rejected trials halve the step, up to 30 times,
@@ -63,7 +66,14 @@ from .surgery import delaunay_violations, make_delaunay
 
 logger = logging.getLogger(__name__)
 
-KINDS = ("calabi", "fractional", "p_calabi", "ricci")
+# each kind's family, named by the field of its exponent ("s": fractional of
+# order s, "p": p-th Calabi), and the exponent an alias pins
+KINDS = {
+    "calabi": ("p", 2.0),
+    "fractional": ("s", None),
+    "p_calabi": ("p", None),
+    "ricci": ("s", 0.0),
+}
 DEFAULT_STEP = 0.1
 MAX_HALVINGS = 30
 STEP_GROWTH = 2.0
@@ -77,6 +87,9 @@ ROUNDOFF_FLOOR = 64 * np.finfo(float).eps * 2.0 * np.pi  # max|K - target| withi
 class FlowConfig:
     """Everything a run needs besides the metric itself.
 
+    ``kind`` keeps the caller's name.  The integrator reads ``family``, s
+    and p alone: an alias pins its family's exponent, and the other
+    family's exponent is fixed at its neutral value (s = 0 or p = 2).
     ``h = None`` starts every kind at DEFAULT_STEP: the linearly implicit
     step damps every mode at any h, so no kind needs a smaller one.  After
     a step that needed no halving the trial step grows by STEP_GROWTH times
@@ -94,11 +107,17 @@ class FlowConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InvalidFlowSetting(f"unknown flow kind {self.kind!r}; expected one of {KINDS}")
+            raise InvalidFlowSetting(
+                f"unknown flow kind {self.kind!r}; expected one of {tuple(KINDS)}"
+            )
         self.target = np.asarray(self.target, dtype=float)
-        if self.kind == "p_calabi" and not 1.0 < self.p < np.inf:
+        family, pinned = KINDS[self.kind]
+        self.s, self.p = (self.s, 2.0) if family == "s" else (0.0, self.p)
+        if pinned is not None:
+            setattr(self, family, pinned)
+        if not 1.0 < self.p < np.inf:
             raise InvalidExponent(f"p_calabi needs p in (1, inf), got {self.p}")
-        if self.kind == "fractional" and not np.isfinite(self.s):
+        if not np.isfinite(self.s):
             raise InvalidExponent(f"fractional needs a finite order s, got {self.s}")
         if self.h is not None and not 0.0 < self.h < np.inf:
             raise InvalidFlowSetting(f"step size must be positive and finite, got {self.h}")
@@ -106,6 +125,10 @@ class FlowConfig:
             raise InvalidFlowSetting(f"tolerance must be positive, got {self.tol}")
         if not self.max_steps >= 0:
             raise InvalidFlowSetting(f"step budget must be at least 0, got {self.max_steps}")
+
+    @property
+    def family(self) -> str:
+        return KINDS[self.kind][0]
 
     @property
     def initial_step(self) -> float:
@@ -144,7 +167,6 @@ class FlowTrace:
     metric: DecoratedMetric
     target: np.ndarray
     kind: str
-    flips_total: int
     initial_violations: int = 0
 
     @property
@@ -159,15 +181,9 @@ class FlowTrace:
     def final_max_curv_err(self) -> float:
         return self.records[-1].max_curv_err if self.records else nan
 
-
-def _potential_increment(curv: np.ndarray, target: np.ndarray, du: np.ndarray) -> float:
-    """Integrand sample dot(K - target, du) of the flow potential.
-
-    The engine averages this at both step endpoints for the trapezoidal
-    potential estimate accumulated into the trace.
-    """
-    diff = np.asarray(curv, dtype=float) - np.asarray(target, dtype=float)
-    return float(diff @ np.asarray(du, dtype=float))
+    @property
+    def flips_total(self) -> int:
+        return self.records[-1].flips_total if self.records else 0
 
 
 def velocity(metric: DecoratedMetric, config: FlowConfig) -> np.ndarray:
@@ -178,19 +194,18 @@ def velocity(metric: DecoratedMetric, config: FlowConfig) -> np.ndarray:
 def _linearization(metric: DecoratedMetric, config: FlowConfig):
     """(v, solve): the velocity, and h -> x with (I + hA) x = v / sigma.
 
-    A = W dK/du.  W is the identity for ricci, (dK/du)^s for fractional
-    (which divides by 1 + h lam^(s+1) in its velocity's eigenbasis), and
-    dK/du for calabi and for p_calabi from p = 2 on; below p = 2, A = 0
-    (explicit Euler).  Above p = 2 the p-flow's rate scales with
+    A = W dK/du.  In the s-family W is (dK/du)^s, which divides by
+    1 + h lam^(s+1) in its velocity's eigenbasis, or the identity at s = 0.
+    In the p-family W is dK/du from p = 2 on; below p = 2, A = 0 (explicit
+    Euler).  Above p = 2 the p-flow's rate scales with
     sigma = (max over the edges of |g_b - g_a|)^(p-2), g = K - target, and
     h is a step in the rate-normalised time tau, dt = dtau / sigma: the
     orbit is the flow's, and h, its halvings and its growth act on tau.
-    sigma = 1 for every other kind, and where g is constant.  The
-    conjugate gradients stop at relative residual
-    CG_REL_TOL * min(1, max|g|).
+    sigma = 1 everywhere else, and where g is constant.  The conjugate
+    gradients stop at relative residual CG_REL_TOL * min(1, max|g|).
     """
     deviation = curvature(metric) - config.target
-    if config.kind == "fractional" and config.s != 0.0:
+    if config.family == "s" and config.s != 0.0:
         vecs, lam = spectral(jacobian(metric))
         powers = fractional_powers(lam, config.s)
         v = -(vecs.T @ (powers * (vecs @ deviation)))
@@ -206,10 +221,10 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     rtol = CG_REL_TOL * min(1.0, float(np.max(np.abs(deviation))))
     apply_j = edge_laplacian(metric, edge_weights(metric))
     sigma = 1.0
-    if config.kind in ("ricci", "fractional"):
+    if config.family == "s":
         v, apply_w = -deviation, lambda f: f
     else:
-        p = 2.0 if config.kind == "calabi" else config.p
+        p = config.p
         v = apply_p_laplacian(metric, p, deviation)
         apply_w = apply_j if p >= 2.0 else np.zeros_like
         if p > 2.0:
@@ -220,41 +235,47 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
 
 
 def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, w_inc: float) -> bool:
-    if w_inc > 0.0:
-        return False
-    if config.kind == "p_calabi":
-        return True
-    return energy_after <= energy_before
+    # the squared curvature deviation decreases along the flows with p = 2
+    return not w_inc > 0.0 and (config.p != 2.0 or energy_after <= energy_before)
 
 
 def _settle(
-    state: DecoratedMetric, config: FlowConfig, flow_time: float, h: float, flip_ordinal: int
+    state: DecoratedMetric, config: FlowConfig, last: StepRecord | None = None, h: float = 0.0,
+    halvings: int = 0, g0: np.ndarray | None = None, du: np.ndarray | None = None,
 ) -> StepRecord:
-    """Run surgery (when on) in place on the state that a step of size h
-    from ``flow_time`` reached, and return the state's record.
+    """Run surgery (when on) in place on ``state`` and return its finished record.
 
-    An inadmissible state raises DegenerateTriangle at its first curvature
-    read.  The step index, halvings and the potential increment stay 0 for
-    the caller to stamp.
+    A step of size h, after ``halvings`` halvings, moved u by du from the
+    state of record ``last`` (None: a run's start), where K - target was
+    g0; without du, ``state`` is a run's start.  The record counts on from
+    ``last``.  An inadmissible state raises DegenerateTriangle at its
+    first curvature read.
     """
+    step0, t0, flips0, w0 = (0, 0.0, 0, 0.0)
+    if last is not None:
+        step0, t0, flips0, w0 = last.step, last.t, last.flips_total, last.w_est
     k = curvature(state)
     flips, jump = 0, 0.0
     if config.surgery:
-        _, events = make_delaunay(state, flow_time=flow_time + h, start_ordinal=flip_ordinal)
+        _, events = make_delaunay(state, flow_time=t0 + h, start_ordinal=flips0)
         if events:
             k_before, k = k, curvature(state)
             flips, jump = len(events), float(np.max(np.abs(k - k_before)))
+    g = k - config.target
+    w_inc = 0.0
+    if du is not None:  # a step: counted, with a trapezoidal sample of the flow potential
+        step0, w_inc = step0 + 1, 0.5 * (float(g0 @ du) + float(g @ du))
     return StepRecord(
-        step=0,
-        t=flow_time + h,
+        step=step0,
+        t=t0 + h,
         h=h,
-        halvings=0,
-        max_curv_err=float(np.max(np.abs(k - config.target))),
+        halvings=halvings,
+        max_curv_err=float(np.max(np.abs(g))),
         calabi_energy=calabi_energy(k, config.target),
-        w_increment=0.0,
-        w_est=0.0,
+        w_increment=w_inc,
+        w_est=w0 + w_inc,
         flips=flips,
-        flips_total=flip_ordinal + flips,
+        flips_total=flips0 + flips,
         min_margin=float(np.min(validate_triangles(state).margins)),
         curvature_jump=jump,
         sum_u=float(np.sum(state.conformal_factors)),
@@ -265,22 +286,21 @@ def step(
     metric: DecoratedMetric,
     config: FlowConfig,
     h: float,
-    *,
+    last: StepRecord | None = None,
     target_sum: float | None = None,
-    flow_time: float = 0.0,
-    flip_ordinal: int = 0,
 ) -> tuple[DecoratedMetric, StepRecord]:
     """One accepted linearly implicit Euler step with projection, surgery, and backtracking.
 
-    Does not mutate ``metric``; returns the new state and a record whose t
-    and flips_total count from ``flow_time`` and ``flip_ordinal``, with the
-    step index and the cumulative potential left for the caller to stamp.
+    Does not mutate ``metric``; returns the new state and its record,
+    counted on from ``last``, the record of ``metric`` (see ``_settle``).
+    The step projects onto the scale factor total ``target_sum``, by
+    default that of ``metric``.
     """
     u0 = np.array(metric.conformal_factors)
     if target_sum is None:
         target_sum = float(np.sum(u0))
     k0 = curvature(metric)
-    e0 = calabi_energy(k0, config.target)
+    g0, e0 = k0 - config.target, calabi_energy(k0, config.target)
     _, solve = _linearization(metric, config)
     n = u0.size
 
@@ -291,19 +311,14 @@ def step(
         try:
             u1 = u0 + h_try * solve(h_try)
             u1 -= (np.sum(u1) - target_sum) / n
-            du = u1 - u0
             trial.set_conformal_factors(u1)
-            record = _settle(trial, config, flow_time, h_try, flip_ordinal)
+            record = _settle(trial, config, last, h_try, halvings, g0, u1 - u0)
         except (MetricError, GeometryError, OperatorError, SurgeryError) as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
             h_try *= 0.5
             continue
 
-        e1 = record.calabi_energy
-        w_inc = 0.5 * (
-            _potential_increment(k0, config.target, du)
-            + _potential_increment(curvature(trial), config.target, du)
-        )
+        e1, w_inc = record.calabi_energy, record.w_increment
         # at the round-off floor the monitored quantities move by round-off alone
         at_floor = record.max_curv_err <= ROUNDOFF_FLOOR
         if not at_floor and not _monotone_ok(config, e0, e1, w_inc):
@@ -313,9 +328,6 @@ def step(
             )
             h_try *= 0.5
             continue
-
-        record.halvings = halvings
-        record.w_increment = record.w_est = w_inc
         return trial, record
 
     raise StepCollapse(
@@ -362,7 +374,7 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
                 "surgery disabled: %d weighted Delaunay violations at the start",
                 initial_violations,
             )
-    records = [_settle(state, config, 0.0, 0.0, 0)]
+    records = [_settle(state, config)]
 
     h_try = config.initial_step
     while True:
@@ -373,16 +385,7 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
         if last.step >= config.max_steps:
             termination = "budget"
             break
-        state, rec = step(
-            state,
-            config,
-            h_try,
-            target_sum=target_sum,
-            flow_time=last.t,
-            flip_ordinal=last.flips_total,
-        )
-        rec.step = last.step + 1
-        rec.w_est = last.w_est + rec.w_increment
+        state, rec = step(state, config, h_try, last, target_sum)
         records.append(rec)
         if rec.halvings == 0:
             # an error of exactly 0 converges at the next check, whatever h_try is
@@ -397,6 +400,5 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
         metric=state,
         target=config.target,
         kind=config.kind,
-        flips_total=records[-1].flips_total,
         initial_violations=initial_violations,
     )

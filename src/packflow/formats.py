@@ -82,10 +82,6 @@ def _require(obj: dict, key: str, kind, where: str = "document"):
     if key not in obj:
         raise SchemaError(f"missing field {key!r} in {where}")
     val = obj[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise SchemaError(f"field {key!r} must be a number")
-        return float(val)
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"field {key!r} must be {kind.__name__}, got {type(val).__name__}")
     return val
@@ -244,17 +240,12 @@ def generate(
 
 
 def write_trace_csv(trace, sink: IO[str]) -> None:
-    """Write the accepted-step history as CSV with the fixed column set."""
+    """Write the accepted-step history as CSV with the fixed column set.
+
+    Each column is the ``StepRecord`` field of its lower-cased name, written
+    with 17 significant digits (which writes the int columns as ``str`` does).
+    """
     sink.write(",".join(TRACE_COLUMNS) + "\n")
     for rec in trace.records:
-        row = (
-            str(rec.step),
-            format(rec.t, ".17g"),
-            format(rec.max_curv_err, ".17g"),
-            format(rec.calabi_energy, ".17g"),
-            format(rec.w_est, ".17g"),
-            str(rec.flips_total),
-            format(rec.min_margin, ".17g"),
-            format(rec.h, ".17g"),
-        )
+        row = (format(getattr(rec, col.lower()), ".17g") for col in TRACE_COLUMNS)
         sink.write(",".join(row) + "\n")

@@ -139,6 +139,32 @@ def test_flow_target_from_array_file(bumpy_file, tmp_path):
     assert code == EXIT_OK
 
 
+def test_flow_target_file_of_the_wrong_length_is_one_error_line(bumpy_file, tmp_path, capsys):
+    target_path = tmp_path / "target.json"
+    target_path.write_text(json.dumps([np.pi] * 3))
+    assert main(["flow", str(bumpy_file), "--target", str(target_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: target file holds 3 values, expected 4\n"
+
+
+def test_flow_target_from_a_dpm_file(bumpy_file, tmp_path, capsys):
+    # a dpm target file lends its target_curvature, and one without it is an error
+    doc = json.loads(bumpy_file.read_text())
+    target_path = tmp_path / "target.dpm"
+    target_path.write_text(json.dumps(doc))
+    assert main(["flow", str(bumpy_file), "--target", str(target_path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: target file {str(target_path)!r} carries no target_curvature\n"
+    target = np.pi + np.array([0.3, -0.3, 0.1, -0.1])
+    doc["target_curvature"] = target.tolist()
+    target_path.write_text(json.dumps(doc))
+    out = tmp_path / "flat.dpm"
+    argv = ["flow", str(bumpy_file), "--target", str(target_path), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    flat = parse_dpm(out.read_text())
+    assert np.array_equal(flat.target, target)
+    assert np.max(np.abs(curvature(flat.metric) - target)) < 1e-8
+
+
 @pytest.mark.parametrize("values", [["a", "b", "c", "d"], [True, 1.0, 1.0, 1.0], [[1.0]] * 4])
 def test_flow_target_file_of_non_numbers_is_a_schema_error(bumpy_file, tmp_path, capsys, values):
     target_path = tmp_path / "target.json"

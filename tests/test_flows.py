@@ -93,17 +93,27 @@ def test_ricci_velocity_is_curvature_deviation():
     assert np.allclose(v, -(curvature(metric) - target), atol=0)
 
 
-def test_fractional_zero_equals_ricci_bitwise():
+def test_kinds_resolve_to_two_families():
+    # an alias pins its family's exponent over the caller's, the other
+    # family's exponent is neutral, and the kind keeps the caller's name
+    target = np.full(4, np.pi)
+    resolved = {
+        "ricci": ("s", 0.0, 2.0),
+        "fractional": ("s", 0.7, 2.0),
+        "calabi": ("p", 0.0, 2.0),
+        "p_calabi": ("p", 0.0, 3.5),
+    }
+    for kind, (family, s, p) in resolved.items():
+        config = FlowConfig(kind=kind, target=target, s=0.7, p=3.5)
+        assert (config.kind, config.family, config.s, config.p) == (kind, family, s, p)
+    # the exponent a kind does not read is never checked: a setting that
+    # only another kind would refuse is accepted and replaced
+    assert FlowConfig(kind="calabi", target=target, p=0.5).p == 2.0
+    assert FlowConfig(kind="ricci", target=target, s=math.nan).s == 0.0
+    assert FlowConfig(kind="fractional", target=target, p=math.inf).p == 2.0
+    assert FlowConfig(kind="p_calabi", target=target, s=math.nan).s == 0.0
     metric = _seeded_tetra(5)
-    target = _uniform_target(metric)
-    a = velocity(metric, FlowConfig(kind="ricci", target=target))
-    b = velocity(metric, FlowConfig(kind="fractional", target=target, s=0.0))
-    assert np.array_equal(a, b)
-    ta = run(metric, FlowConfig(kind="ricci", target=target))
-    tb = run(metric, FlowConfig(kind="fractional", target=target, s=0.0, h=0.1))
-    assert ta.converged and tb.converged
-    assert np.array_equal(ta.metric.conformal_factors, tb.metric.conformal_factors)
-    assert ta.steps == tb.steps
+    assert run(metric, FlowConfig(kind="ricci", target=_uniform_target(metric))).kind == "ricci"
 
 
 def test_fractional_one_approximates_calabi():
@@ -477,14 +487,72 @@ def test_p_calabi_steps_stay_bounded_over_seeds(spec, p):
     assert max(steps) <= 10 * np.median(steps), steps
 
 
-def test_p_two_runs_calabi_bitwise():
-    # sigma = 1 and W = dK/du at p = 2: the same step, flips included
-    metric = random_metric(WILD, 3)
+ALIAS_SPECS = {
+    "default": RandomMetricSpec(),
+    "wild": WILD,
+    "torus_grid": RandomMetricSpec(preset="torus_grid", n=6),
+}
+
+
+def _assert_alias_runs_bitwise(alias: dict, general: dict) -> None:
+    # an alias resolves to its general kind at the pinned exponent, so the
+    # two runs are one code path: equal records, flips included.  Random
+    # targets flip mid-flow on most WILD seeds
+    flipped = 0
+    for name, spec in ALIAS_SPECS.items():
+        for seed in range(20):
+            metric = random_metric(spec, seed)
+            target = _random_target(metric, seed)
+            a = run(metric, FlowConfig(target=target, tol=1e-9, **alias))
+            b = run(metric, FlowConfig(target=target, tol=1e-9, **general))
+            assert a.converged and a.records == b.records, (name, seed)
+            assert np.array_equal(a.metric.conformal_factors, b.metric.conformal_factors)
+            assert (a.kind, b.kind) == (alias["kind"], general["kind"])
+            flipped += a.flips_total > a.records[0].flips_total
+    assert flipped >= 5
+
+
+def test_fractional_zero_equals_ricci_bitwise():
+    metric = _seeded_tetra(5)
     target = _uniform_target(metric)
-    calabi = run(metric, FlowConfig(kind="calabi", target=target))
-    p_two = run(metric, FlowConfig(kind="p_calabi", p=2.0, target=target))
-    assert calabi.records == p_two.records
-    assert np.array_equal(calabi.metric.conformal_factors, p_two.metric.conformal_factors)
+    a = velocity(metric, FlowConfig(kind="ricci", target=target))
+    b = velocity(metric, FlowConfig(kind="fractional", target=target, s=0.0))
+    assert np.array_equal(a, b)
+    _assert_alias_runs_bitwise({"kind": "ricci"}, {"kind": "fractional", "s": 0.0})
+
+
+def test_p_two_runs_calabi_bitwise():
+    # sigma = 1 and W = dK/du at p = 2, and both run the energy test
+    _assert_alias_runs_bitwise({"kind": "calabi"}, {"kind": "p_calabi", "p": 2.0})
+
+
+def test_step_counts_on_from_the_record_it_is_given():
+    # one record path: a step taken by hand from a run's state and last
+    # record, at the controller's next h, is the run's own next record,
+    # step index, t, flips and potential included.  Without a record a
+    # step counts from a run's start
+    metric = random_metric(WILD, 4)
+    config = FlowConfig(kind="ricci", target=_random_target(metric, 4), tol=1e-9)
+    full = run(metric, config)
+    assert full.converged and full.flips_total > full.records[0].flips_total
+    for prev, rec in zip(full.records, full.records[1:]):
+        assert (rec.step, rec.t) == (prev.step + 1, prev.t + rec.h)
+        assert rec.flips_total == prev.flips_total + rec.flips
+        assert rec.w_est == prev.w_est + rec.w_increment
+    target_sum = float(np.sum(metric.conformal_factors))
+    for k in range(1, full.steps):
+        config.max_steps = k
+        part = run(metric, config)
+        prev, rec = part.records[-2:]
+        h = rec.h
+        if not rec.halvings:
+            contraction = prev.max_curv_err / rec.max_curv_err
+            h = min(h * STEP_GROWTH * max(1.0, contraction), STEP_GROWTH_CAP)
+        _, by_hand = step(part.metric, config, h, rec, target_sum)
+        assert by_hand == full.records[k + 1], k
+    _, first = step(metric, config, 0.1)
+    assert (first.step, first.t, first.w_est) == (1, first.h, first.w_increment)
+    assert first.flips_total == first.flips
 
 
 def _assert_controller(trace, config):

@@ -24,8 +24,10 @@ from packflow import (
     generate,
     make_delaunay,
     parse_dpm,
+    preset_complex,
     preset_metric,
     run,
+    write_trace_csv,
 )
 from packflow.formats import TRACE_COLUMNS
 from packflow.oracles import RandomMetricSpec, random_metric
@@ -194,6 +196,28 @@ def test_generate_rejects_unknown_preset():
         generate("dodecahedron")
 
 
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [
+        ({"n": 2}, "torus_grid needs n >= 3, got 2"),
+        ({"n": None}, "torus_grid needs n >= 3, got None"),
+        ({"n": 4, "radius": 0.0}, "radius must be positive, got 0.0"),
+        ({"n": 4, "radius": -1.0}, "radius must be positive, got -1.0"),
+        ({"n": 4, "radius": float("nan")}, "radius must be positive, got nan"),
+        ({"n": 4, "inversive": 1.0}, "inversive distance must exceed 1 on initial data, got 1.0"),
+        ({"n": 4, "inversive": 0.5}, "inversive distance must exceed 1 on initial data, got 0.5"),
+    ],
+)
+def test_presets_reject_bad_parameters(kwargs, message):
+    for make in (preset_metric, generate):
+        with pytest.raises(InvalidParams) as info:
+            make("torus_grid", **kwargs)
+        assert str(info.value) == message
+    if set(kwargs) == {"n"}:
+        with pytest.raises(InvalidParams, match="torus_grid needs n >= 3"):
+            preset_complex("torus_grid", n=kwargs["n"])
+
+
 def test_generated_documents_parse_for_every_preset():
     for preset, kwargs in (
         ("tetrahedron", {}),
@@ -253,6 +277,27 @@ def test_trace_csv_layout():
     assert int(last[0]) == trace.steps
     assert float(last[2]) == trace.final_max_curv_err
     assert int(last[5]) == trace.flips_total
+
+
+def test_trace_csv_matches_a_per_field_reference():
+    # every column is its record field with 17 significant digits, which
+    # writes the int columns as str does: checked on a run with flips and
+    # tau-time h, against the columns spelled out one by one
+    metric = random_metric(RandomMetricSpec(preset="icosahedron", u_range=0.7,
+                                            inversive_range=(1.05, 4.0)), 3)
+    n = metric.mesh.num_vertices
+    trace = run(metric, FlowConfig(kind="p_calabi", p=3.0, target=np.full(n, 4.0 * np.pi / n)))
+    assert trace.flips_total > 0
+    sink = io.StringIO()
+    write_trace_csv(trace, sink)
+    expected = ["step,t,max_curv_err,calabi_energy,W_est,flips_total,min_margin,h"]
+    for rec in trace.records:
+        floats = (rec.t, rec.max_curv_err, rec.calabi_energy, rec.w_est)
+        expected.append(",".join([
+            str(rec.step), *(format(x, ".17g") for x in floats),
+            str(rec.flips_total), format(rec.min_margin, ".17g"), format(rec.h, ".17g"),
+        ]))
+    assert sink.getvalue() == "\n".join(expected) + "\n"
 
 
 # -- property: emit -> parse -> emit is a byte-exact fixed point ------------------

@@ -163,6 +163,19 @@ def test_build_rejects_split_vertex_label():
         build_complex(4, faces, gluings)
 
 
+def test_build_rejects_one_label_on_two_points():
+    # the octahedron with label 5 renamed 0: the gluings and orientations
+    # are the preset's own, so only the label check can refuse it, and the
+    # two antipodal points now share label 0
+    octahedron = preset_complex("octahedron")
+    faces = np.where(octahedron.triangles == 5, 0, octahedron.triangles).tolist()
+    gluings = np.stack(np.divmod(octahedron.edge_sides_array(), 3), axis=-1).tolist()
+    with pytest.raises(InconsistentVertexLabels) as info:
+        build_complex(5, faces, gluings)
+    assert type(info.value) is InconsistentVertexLabels
+    assert str(info.value) == "vertex label 0 names two distinct points of the surface"
+
+
 def test_flip_moves_diagonal_and_keeps_counts():
     mesh = infer_gluings(4, TETRA_FACES)
     before = (mesh.num_vertices, mesh.num_edges, mesh.num_triangles)
