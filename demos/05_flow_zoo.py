@@ -3,8 +3,9 @@
 All four reach the zero-curvature metric; they differ in the operator
 turning curvature deviation into velocity.  The direct flow uses the
 deviation itself, the second-order flow multiplies by the curvature
-Jacobian, the fractional family interpolates through its spectral powers,
-and the p family replaces the quadratic edge energy by a p-th power.
+Jacobian, the fractional family interpolates through its powers, taken on
+the Ritz values of a Lanczos basis of that Jacobian, and the p family
+replaces the quadratic edge energy by a p-th power.
 """
 
 import numpy as np

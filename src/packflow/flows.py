@@ -8,9 +8,10 @@ The flows come in two families, and four names select them:
     calabi        p_calabi at p = 2
 
 ``FlowConfig`` resolves a name once, so the integrator reads only the
-family and its exponent.  The p-family applies the edge flux of the
-operators module in O(E); only the s-family with s != 0 assembles the
-dense Jacobian and its spectrum.
+family and its exponent.  Both families apply dK/du as the edge flux of
+the operators module in O(E): the p-family through conjugate gradients,
+the s-family with s != 0 through one Lanczos basis per step.  No flow
+assembles the dense Jacobian or its spectrum.
 
 Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
 (I + hA) x = v / sigma, A = W dK/du, which damps every mode at any h and
@@ -49,7 +50,6 @@ import numpy as np
 
 from .errors import (
     GeometryError,
-    IndefiniteOperator,
     InvalidExponent,
     InvalidFlowSetting,
     MetricError,
@@ -61,7 +61,7 @@ from .errors import (
 from .geometry import edge_weights
 from .metric import DecoratedMetric, validate_triangles
 from .operators import apply_p_laplacian, calabi_energy, curvature, edge_laplacian
-from .operators import fractional_powers, jacobian, solve_shifted, spectral
+from .operators import fractional_solve, solve_shifted
 from .surgery import delaunay_violations, make_delaunay
 
 logger = logging.getLogger(__name__)
@@ -188,38 +188,33 @@ class FlowTrace:
 
 def velocity(metric: DecoratedMetric, config: FlowConfig) -> np.ndarray:
     """du/dt at the current state for the configured flow."""
-    return _linearization(metric, config)[0]
+    return _linearization(metric, config)[0]()
 
 
 def _linearization(metric: DecoratedMetric, config: FlowConfig):
-    """(v, solve): the velocity, and h -> x with (I + hA) x = v / sigma.
+    """(velocity, solve): v on demand, and h -> x with (I + hA) x = v / sigma.
 
-    A = W dK/du.  In the s-family W is (dK/du)^s, which divides by
-    1 + h lam^(s+1) in its velocity's eigenbasis, or the identity at s = 0.
+    A = W dK/du.  In the s-family W is (dK/du)^s, or the identity at
+    s = 0.  For s != 0, ``fractional_solve`` builds one Lanczos basis of
+    dK/du from g = K - target and evaluates x = -(dK/du)^s g / (1 + h
+    (dK/du)^(s+1)) on its Ritz values, extending the basis until x at the
+    h solved moves by at most the tolerance below; v is x at h = 0, read
+    from the same basis only when asked for, so a step never forms it.
     In the p-family W is dK/du from p = 2 on; below p = 2, A = 0 (explicit
     Euler).  Above p = 2 the p-flow's rate scales with
-    sigma = (max over the edges of |g_b - g_a|)^(p-2), g = K - target, and
-    h is a step in the rate-normalised time tau, dt = dtau / sigma: the
-    orbit is the flow's, and h, its halvings and its growth act on tau.
-    sigma = 1 everywhere else, and where g is constant.  The conjugate
-    gradients stop at relative residual CG_REL_TOL * min(1, max|g|).
+    sigma = (max over the edges of |g_b - g_a|)^(p-2), and h is a step in
+    the rate-normalised time tau, dt = dtau / sigma: the orbit is the
+    flow's, and h, its halvings and its growth act on tau.  sigma = 1
+    everywhere else, and where g is constant.  Conjugate gradients stop at
+    relative residual CG_REL_TOL * min(1, max|g|), and the Lanczos basis
+    at that relative change of x between two checkpoints.
     """
     deviation = curvature(metric) - config.target
-    if config.family == "s" and config.s != 0.0:
-        vecs, lam = spectral(jacobian(metric))
-        powers = fractional_powers(lam, config.s)
-        v = -(vecs.T @ (powers * (vecs @ deviation)))
-        modes, rates = vecs @ v, powers * lam
-
-        def divide(h: float) -> np.ndarray:
-            shift = 1.0 + h * rates
-            if not np.all(shift > 0.0):
-                raise IndefiniteOperator(f"I + hA is singular or indefinite at h={h:.3e}")
-            return vecs.T @ (modes / shift)
-
-        return v, divide
     rtol = CG_REL_TOL * min(1.0, float(np.max(np.abs(deviation))))
     apply_j = edge_laplacian(metric, edge_weights(metric))
+    if config.family == "s" and config.s != 0.0:
+        solve = fractional_solve(apply_j, deviation, config.s, rtol)
+        return lambda: solve(0.0), solve
     sigma = 1.0
     if config.family == "s":
         v, apply_w = -deviation, lambda f: f
@@ -231,7 +226,7 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
             ends = metric.mesh.edge_endpoints_array()
             spread = np.max(np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]]))
             sigma = float(spread ** (p - 2.0)) or 1.0  # 1 where g is constant, or on underflow
-    return v, lambda h: solve_shifted(apply_j, apply_w, h, v / sigma, rtol)
+    return lambda: v, lambda h: solve_shifted(apply_j, apply_w, h, v / sigma, rtol)
 
 
 def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, w_inc: float) -> bool:

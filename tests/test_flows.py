@@ -338,6 +338,32 @@ def test_fractional_half_converges_on_torus():
     assert math.isclose(trace.records[-1].sum_u, float(np.sum(u)), abs_tol=1e-9)
 
 
+def test_fractional_run_never_forms_a_dense_operator(monkeypatch):
+    # the fractional step runs on a Lanczos basis of the edge Laplacian:
+    # no dense Jacobian, no spectral decomposition and no V x V eigh
+    from packflow import flows, operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fractional flow reached the dense operator")
+
+    eigh, sizes = np.linalg.eigh, []
+
+    def counting_eigh(matrix, *args, **kwargs):
+        sizes.append(len(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    for name in ("jacobian", "spectral"):
+        monkeypatch.setattr(operators, name, refuse)
+        monkeypatch.setattr(flows, name, refuse, raising=False)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    metric = preset_metric("torus_grid", n=12)
+    u = np.random.default_rng(5).uniform(-0.2, 0.2, 144)
+    metric.set_conformal_factors(u - u.mean())
+    trace = run(metric, FlowConfig(kind="fractional", s=0.5, target=np.zeros(144), tol=1e-8))
+    assert trace.converged
+    assert sizes and max(sizes) < 144, sizes
+
+
 def test_curvature_is_computed_once_per_trial_state(monkeypatch):
     # every trial state that passes the margin check costs exactly one
     # whole-mesh pass of the per-face kernel: its curvature, Delaunay check
@@ -410,7 +436,7 @@ def _dense_w(metric, settings: dict, jac: np.ndarray) -> tuple[np.ndarray, float
     if kind == "fractional":
         lam, vecs = np.linalg.eigh(jac)
         kernel = np.abs(lam) <= 1e-12 * lam[-1]
-        powered = np.where(kernel, 0.0, np.maximum(lam, 0.0) ** settings["s"])
+        powered = np.where(kernel, 0.0, np.where(kernel, 1.0, lam) ** settings["s"])
         return vecs @ np.diag(powered) @ vecs.T, 1.0
     p = settings.get("p", 2.0)
     if p < 2.0:
@@ -423,20 +449,27 @@ def _dense_w(metric, settings: dict, jac: np.ndarray) -> tuple[np.ndarray, float
     return jac, np.max(np.abs(g[b] - g[a])) ** (p - 2.0)
 
 
-@pytest.mark.parametrize("preset", ["tetrahedron", "icosahedron", "torus_grid"])
-def test_implicit_step_solves_the_dense_system(preset, monkeypatch):
+@pytest.mark.parametrize(
+    "preset, n",
+    [("tetrahedron", None), ("icosahedron", None), ("torus_grid", 4), ("torus_grid", 12)],
+    ids=["tetrahedron", "icosahedron", "torus_grid", "torus_grid-12"],
+)
+def test_implicit_step_solves_the_dense_system(preset, n, monkeypatch):
     # on simplicial meshes an edge weight is minus its Jacobian entry, so
-    # the reference never touches the edge fluxes or conjugate gradients
+    # the reference never touches the edge fluxes, conjugate gradients or
+    # Lanczos vectors; at V = 144 the fractional step stops before its
+    # Krylov space is spanned, so it must stop on x at the h solved
     from packflow import flows, jacobian
 
     monkeypatch.setattr(flows, "CG_REL_TOL", 1e-13)
-    spec = RandomMetricSpec(preset=preset, n=4 if preset == "torus_grid" else None, delaunay=True)
+    spec = RandomMetricSpec(preset=preset, n=n, delaunay=True)
     for seed in range(3):
         metric = random_metric(spec, seed)
         jac = jacobian(metric)
-        for settings in EVERY_KIND.values():
+        for settings in [*EVERY_KIND.values(), {"kind": "fractional", "s": -0.5}]:
             config = FlowConfig(target=_uniform_target(metric), **settings)
-            v, solve = flows._linearization(metric, config)
+            velocity_of, solve = flows._linearization(metric, config)
+            v = velocity_of()
             assert np.array_equal(v, velocity(metric, config))
             w, sigma = _dense_w(metric, settings, jac)
             for h in (0.1, 10.0, 1e6):
