@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidParams, PackflowError, SchemaError
-from .flows import KINDS, FlowConfig, run
+from .flows import DEFAULT_STEP, KINDS, FlowConfig, run
 from .formats import generate, parse_dpm, emit_dpm, write_trace_csv
 from .metric import validate_triangles
 from .operators import curvature, fd_jacobian, gauss_bonnet_residual, jacobian
@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0, help="p-flow exponent (> 1)")
     p.add_argument("--target", default=None,
                    help="'uniform', or a JSON file (array of N values, or dpm with target_curvature)")
-    p.add_argument("--step", type=float, default=None, help="initial step size")
+    p.add_argument("--step", type=float, default=None,
+                   help=f"initial step size (default {DEFAULT_STEP:g})")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--no-surgery", action="store_true", help="keep the triangulation fixed")

@@ -33,8 +33,14 @@ and the next step starts from the accepted h.  After a clean step the next
 trial is h * STEP_GROWTH * max(1, e_prev / e), e the max|K - target| of the
 last two accepted states, up to STEP_GROWTH_CAP: switched evolution
 relaxation (Mulder-van Leer 1985) with doubling as a floor, which grows h
-into the Newton regime in a few steps.  Curvature, margins and the per-face
-pass (angles, circles, Delaunay terms) are memoized per state
+into the Newton regime in a few steps.  The first trial is DEFAULT_STEP
+= 1, past the small h where the step barely contracts (pseudo-transient
+continuation, Kelley-Keyes 1998), so ricci, calabi and fractional take
+about four steps.  Each step's linear solve is only as accurate as the
+run needs: its tolerance is an inexact-Newton forcing term
+(Eisenstat-Walker 1996) that tightens as max|K - target| falls but never
+past what tol can see (see ``_linearization``).  Curvature, margins and
+the per-face pass (angles, circles, Delaunay terms) are memoized per state
 (``DecoratedMetric.memo``): a trial state pays for one whole-mesh pass,
 plus one per round of flips that surgery makes, and an accepted state's
 curvature and edge weights start the next step.
@@ -74,7 +80,7 @@ KINDS = {
     "p_calabi": ("p", None),
     "ricci": ("s", 0.0),
 }
-DEFAULT_STEP = 0.1
+DEFAULT_STEP = 1.0
 MAX_HALVINGS = 30
 STEP_GROWTH = 2.0
 STEP_GROWTH_CAP = 1e12   # a tol below round-off would otherwise grow h without bound
@@ -90,8 +96,10 @@ class FlowConfig:
     ``kind`` keeps the caller's name.  The integrator reads ``family``, s
     and p alone: an alias pins its family's exponent, and the other
     family's exponent is fixed at its neutral value (s = 0 or p = 2).
-    ``h = None`` starts every kind at DEFAULT_STEP: the linearly implicit
-    step damps every mode at any h, so no kind needs a smaller one.  After
+    ``h = None`` starts every kind at DEFAULT_STEP = 1: the linearly
+    implicit step damps every mode at any h, so no kind needs a smaller
+    one, and at h = 0.1 it barely contracts.  ``tol`` also bounds each
+    step's linear solve (see ``_linearization``).  After
     a step that needed no halving the trial step grows by STEP_GROWTH times
     the factor by which that step cut max|K - target|, if above 1.
     """
@@ -206,11 +214,18 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     the rate-normalised time tau, dt = dtau / sigma: the orbit is the
     flow's, and h, its halvings and its growth act on tau.  sigma = 1
     everywhere else, and where g is constant.  Conjugate gradients stop at
-    relative residual CG_REL_TOL * min(1, max|g|), and the Lanczos basis
-    at that relative change of x between two checkpoints.
+    relative residual rtol, and the Lanczos basis at that relative change
+    of x between two checkpoints, with the forcing term
+    rtol = min(CG_REL_TOL, max(CG_REL_TOL e, 0.1 tol / e)), e = max|g|:
+    a step solved to rtol leaves a linear error of about rtol e, which is
+    CG_REL_TOL e^2 for e < 1, quadratic like the Newton step that large h
+    tends to, until that falls to tol / 10, below what ``tol`` can see,
+    where the solve stops tightening.  At e = 0, g = 0 and rtol = 0:
+    x = 0, with no division by e.
     """
     deviation = curvature(metric) - config.target
-    rtol = CG_REL_TOL * min(1.0, float(np.max(np.abs(deviation))))
+    e = float(np.max(np.abs(deviation)))
+    rtol = min(CG_REL_TOL, max(CG_REL_TOL * e, 0.1 * config.tol / e)) if e else 0.0
     apply_j = edge_laplacian(metric, edge_weights(metric))
     if config.family == "s" and config.s != 0.0:
         solve = fractional_solve(apply_j, deviation, config.s, rtol)
