@@ -17,8 +17,11 @@ Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
 (I + hA) x = v / sigma, A = W dK/du, which damps every mode at any h and
 tends to a Newton step as h grows.  sigma = 1 except for the p-family
 above p = 2, whose rate scales as sigma = max|dg_e|^(p-2), g = K - target:
-there the step is calabi's in the rate-normalised time tau, dt = dtau /
-sigma, and h and t are tau throughout.  An exact zero-sum projection
+there h and t are the rate-normalised time tau, dt = dtau / sigma, and W
+weighs each edge of dK/du by its own rate relative to the fastest,
+floored at RATE_FLOOR, so the step tends to Newton's there too.  Any W
+keeps the step consistent (a W-method), so small steps follow the flow
+and the limit is the flow's.  An exact zero-sum projection
 follows, so the total of the scale factors is conserved to machine
 precision.  A trial step is accepted only if the solve succeeds, the state
 stays admissible, surgery (when on) succeeds, and the monitored quantities
@@ -28,29 +31,33 @@ every flow.  A trial already at the round-off floor of max|K - target|
 skips that test.
 Admissibility is the per-face pass's margin gate alone: its
 DegenerateTriangle, like any typed metric, geometry, operator or surgery
-error, rejects the trial.  Rejected trials halve the step, up to 30 times,
-and the next step starts from the accepted h.  After a clean step the next
+error, rejects the trial and halves the step.  A trial that fails the
+monotone test instead takes sqrt(h) while h > 4, and halves below: h grew
+geometrically, so this bisects log h, and a rejection at the growth cap
+reaches a small h.  A step takes up to 30 rejections of either kind, and
+the next step starts from the accepted h.  After a clean step the next
 trial is h * STEP_GROWTH * max(1, e_prev / e), e the max|K - target| of the
 last two accepted states, up to STEP_GROWTH_CAP: switched evolution
 relaxation (Mulder-van Leer 1985) with doubling as a floor, which grows h
 into the Newton regime in a few steps.  The first trial is DEFAULT_STEP
 = 1, past the small h where the step barely contracts (pseudo-transient
 continuation, Kelley-Keyes 1998), so ricci, calabi and fractional take
-about four steps.  Each step's linear solve is only as accurate as the
-run needs: its tolerance is an inexact-Newton forcing term
-(Eisenstat-Walker 1996) that tightens as max|K - target| falls but never
-past what tol can see (see ``_linearization``).  Curvature, margins and
-the per-face pass (angles, circles, Delaunay terms) are memoized per state
-(``DecoratedMetric.memo``): a trial state pays for one whole-mesh pass,
-plus one per round of flips that surgery makes, and an accepted state's
-curvature and edge weights start the next step.
+about four steps, and p_calabi(3) about six.  Each step's linear solve is
+only as accurate as the run needs: its tolerance is an inexact-Newton
+forcing term (Eisenstat-Walker 1996) that tightens as max|K - target|
+falls but never past what tol can see (see ``_linearization``).
+Curvature, margins and the per-face pass (angles, circles, Delaunay
+terms) are memoized per state (``DecoratedMetric.memo``): a trial state
+pays for one whole-mesh pass, plus one per round of flips that surgery
+makes, and an accepted state's curvature and edge weights start the next
+step.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import nan
+from math import nan, sqrt
 
 import numpy as np
 
@@ -81,11 +88,12 @@ KINDS = {
     "ricci": ("s", 0.0),
 }
 DEFAULT_STEP = 1.0
-MAX_HALVINGS = 30
+MAX_HALVINGS = 30  # rejected trials per step: halvings, or square roots above h = 4
 STEP_GROWTH = 2.0
 STEP_GROWTH_CAP = 1e12   # a tol below round-off would otherwise grow h without bound
 TARGET_SUM_TOL = 1e-9
 CG_REL_TOL = 1e-3
+RATE_FLOOR = 0.25  # least relative p-rate of an edge in the p-family's W, above p = 2
 ROUNDOFF_FLOOR = 64 * np.finfo(float).eps * 2.0 * np.pi  # max|K - target| within round-off of 0
 
 
@@ -149,6 +157,8 @@ class StepRecord:
 
     h and t are in the flow's time, except for p_calabi above p = 2,
     where they are in its rate-normalised time tau (see ``_linearization``).
+    ``halvings`` counts the step's rejected trials, each a halving of h or,
+    for a failed monotone test above h = 4, its square root.
     """
 
     step: int
@@ -208,12 +218,19 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     (dK/du)^(s+1)) on its Ritz values, extending the basis until x at the
     h solved moves by at most the tolerance below; v is x at h = 0, read
     from the same basis only when asked for, so a step never forms it.
-    In the p-family W is dK/du from p = 2 on; below p = 2, A = 0 (explicit
+    In the p-family W is dK/du at p = 2; below p = 2, A = 0 (explicit
     Euler).  Above p = 2 the p-flow's rate scales with
     sigma = (max over the edges of |g_b - g_a|)^(p-2), and h is a step in
     the rate-normalised time tau, dt = dtau / sigma: the orbit is the
     flow's, and h, its halvings and its growth act on tau.  sigma = 1
-    everywhere else, and where g is constant.  Conjugate gradients stop at
+    everywhere else, and where g is constant.  There W is the edge
+    Laplacian on the weights c_e of dK/du times
+    max((|g_b - g_a| / max)^(p-2), RATE_FLOOR), the floor also on every
+    edge with c_e < 0.  v / sigma is -W g on the edges above the floor, so
+    h x tends to the Newton step -(dK/du)^+ g where no edge is floored; the
+    floor bounds how much slower than dK/du any edge moves, which keeps the
+    conjugate gradients short, and W - RATE_FLOOR dK/du has weights >= 0,
+    so W is semidefinite wherever dK/du is.  Conjugate gradients stop at
     relative residual rtol, and the Lanczos basis at that relative change
     of x between two checkpoints, with the forcing term
     rtol = min(CG_REL_TOL, max(CG_REL_TOL e, 0.1 tol / e)), e = max|g|:
@@ -226,7 +243,8 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     deviation = curvature(metric) - config.target
     e = float(np.max(np.abs(deviation)))
     rtol = min(CG_REL_TOL, max(CG_REL_TOL * e, 0.1 * config.tol / e)) if e else 0.0
-    apply_j = edge_laplacian(metric, edge_weights(metric))
+    weights = edge_weights(metric)
+    apply_j = edge_laplacian(metric, weights)
     if config.family == "s" and config.s != 0.0:
         solve = fractional_solve(apply_j, deviation, config.s, rtol)
         return lambda: solve(0.0), solve
@@ -239,8 +257,13 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
         apply_w = apply_j if p >= 2.0 else np.zeros_like
         if p > 2.0:
             ends = metric.mesh.edge_endpoints_array()
-            spread = np.max(np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]]))
+            jumps = np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]])
+            spread = np.max(jumps)
             sigma = float(spread ** (p - 2.0)) or 1.0  # 1 where g is constant, or on underflow
+            if spread > 0.0:
+                rates = np.maximum((jumps / spread) ** (p - 2.0), RATE_FLOOR)
+                rates[weights < 0.0] = RATE_FLOOR  # so W - RATE_FLOOR J has weights >= 0
+                apply_w = edge_laplacian(metric, weights * rates)
     return lambda: v, lambda h: solve_shifted(apply_j, apply_w, h, v / sigma, rtol)
 
 
@@ -336,7 +359,9 @@ def step(
                 f"monotonicity rejected h={h_try:.3e}"
                 f" (energy {e0:.6e} -> {e1:.6e}, potential increment {w_inc:.3e})"
             )
-            h_try *= 0.5
+            # h grew geometrically, so bisect log h back down: from the cap
+            # 1e12 -> 1e6 -> 1e3 -> 31.6 -> 5.6 -> 2.4, then halve
+            h_try = sqrt(h_try) if h_try > 4.0 else 0.5 * h_try
             continue
         return trial, record
 

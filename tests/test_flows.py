@@ -23,7 +23,7 @@ from packflow import (
     validate_triangles,
     velocity,
 )
-from packflow.flows import DEFAULT_STEP, KINDS, STEP_GROWTH, STEP_GROWTH_CAP
+from packflow.flows import DEFAULT_STEP, KINDS, MAX_HALVINGS, STEP_GROWTH, STEP_GROWTH_CAP
 from packflow.oracles import RandomMetricSpec, random_metric
 
 
@@ -268,6 +268,30 @@ def test_overflowing_trials_halve_to_step_collapse():
         step(metric, config, 1e12)
 
 
+def test_a_rejection_at_the_growth_cap_reaches_a_small_step(monkeypatch):
+    # h grows geometrically up to the cap, so a monotonicity rejection takes
+    # sqrt(h) above h = 4 and halves below: with the potential test rejecting
+    # every h >= 1, 1e12 -> 1e6 -> 1e3 -> 31.6 -> 5.6 -> 2.4 -> 1.2 -> 0.59
+    # takes 7 rejections, where 30 halvings of the cap stop at 931
+    from dataclasses import replace
+
+    from packflow import flows
+
+    settle = flows._settle
+
+    def rejecting_settle(state, config, last, h, *args):
+        record = settle(state, config, last, h, *args)
+        return replace(record, w_increment=1.0) if h >= 1.0 else record
+
+    monkeypatch.setattr(flows, "_settle", rejecting_settle)
+    metric = _seeded_tetra(7)
+    config = FlowConfig(kind="calabi", target=_uniform_target(metric))
+    _, rec = step(metric, config, STEP_GROWTH_CAP)
+    assert rec.h < 1.0 and rec.halvings <= MAX_HALVINGS
+    assert rec.halvings == 7
+    assert rec.h == pytest.approx(STEP_GROWTH_CAP ** (1 / 32) / 4, rel=1e-12)
+
+
 def test_an_operator_error_halves_the_trial(monkeypatch):
     # a conjugate-gradient breakdown is raised inside the trial, so the
     # trial halves like one that fails the margin gate
@@ -448,12 +472,20 @@ def _dense_w(metric, settings: dict, jac: np.ndarray) -> tuple[np.ndarray, float
     p = settings.get("p", 2.0)
     if p < 2.0:
         return np.zeros((n, n)), 1.0
-    from packflow import curvature
+    from packflow import curvature, flows
 
-    # above p = 2 the step is calabi's in the time tau, dt = dtau / sigma
+    # above p = 2 the step is in the time tau, dt = dtau / sigma, and W is
+    # the Laplacian on the Jacobian's edge weights times each edge's p-rate
+    # relative to the fastest, floored at RATE_FLOOR, and at the floor on
+    # the edges of negative weight
     g = curvature(metric) - _uniform_target(metric)
     a, b = np.nonzero(np.triu(jac, 1))
-    return jac, np.max(np.abs(g[b] - g[a])) ** (p - 2.0)
+    jumps = np.abs(g[b] - g[a])
+    rates = np.maximum((jumps / np.max(jumps)) ** (p - 2.0), flows.RATE_FLOOR)
+    rates[jac[a, b] > 0.0] = flows.RATE_FLOOR
+    w = np.zeros_like(jac)
+    w[a, b] = w[b, a] = jac[a, b] * rates
+    return w - np.diag(w.sum(axis=1)), np.max(jumps) ** (p - 2.0)
 
 
 @pytest.mark.parametrize(
@@ -582,6 +614,12 @@ def test_exact_state_stays_put(name):
             assert (record.h, record.halvings) == (h, 0)
 
 
+P_STEP_MEDIANS = {
+    "default": {2.5: 5, 3.0: 6, 4.0: 8, 6.0: 10, 10.0: 12},
+    "wild": {2.5: 6, 3.0: 8, 4.0: 12, 6.0: 21, 10.0: 33},
+}
+
+
 @pytest.mark.parametrize("spec", [RandomMetricSpec(), WILD], ids=["default", "wild"])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 10.0])
 def test_p_calabi_steps_stay_bounded_over_seeds(spec, p):
@@ -596,6 +634,81 @@ def test_p_calabi_steps_stay_bounded_over_seeds(spec, p):
         assert trace.converged, seed
         steps.append(trace.steps)
     assert max(steps) <= 10 * np.median(steps), steps
+    # W on each edge's own p-rate, floored, tends to the Newton step: medians
+    # of 4 / 5 / 7.5 / 9 / 11 (default) and 5 / 7 / 11 / 19 / 30 (WILD) at
+    # p = 2.5 / 3 / 4 / 6 / 10, against 9 / 10 / 12 / 16 / 23 and
+    # 12 / 17 / 25 / 32.5 / 51 with W = dK/du
+    bounds = P_STEP_MEDIANS["wild" if spec == WILD else "default"]
+    assert np.median(steps) <= bounds[p], steps
+
+
+@pytest.mark.parametrize(
+    "preset, n", [("icosahedron", None), ("torus_grid", 4)], ids=["icosahedron", "torus_grid"]
+)
+def test_p_step_tends_to_the_newton_step(preset, n, monkeypatch):
+    # with no rate floor, W is the p-Laplacian on the rates of v itself, so
+    # v / sigma = -W g and h x(h) = -(I / h + W J)^-1 W g tends to the
+    # Newton step -J^+ g as h grows, at every p
+    from packflow import flows, jacobian
+
+    monkeypatch.setattr(flows, "RATE_FLOOR", 0.0)
+    monkeypatch.setattr(flows, "CG_REL_TOL", 1e-13)
+    spec = RandomMetricSpec(preset=preset, n=n, delaunay=True)
+    h = 1e10
+    for seed in range(3):
+        metric = random_metric(spec, seed)
+        target = _uniform_target(metric)
+        newton = -np.linalg.pinv(jacobian(metric)) @ (curvature(metric) - target)
+        for p in (3.0, 6.0):
+            config = FlowConfig(kind="p_calabi", p=p, target=target)
+            _, solve = flows._linearization(metric, config)
+            gap = np.max(np.abs(h * solve(h) - newton))
+            assert gap <= config.tol * np.max(np.abs(newton)), (seed, p, gap)
+
+
+OBTUSE = RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(-0.9, 1.0))
+
+
+def test_p_step_refuses_an_indefinite_jacobian():
+    # obtuse overlaps (inversive distance below 0) make dK/du indefinite on
+    # OBTUSE seed 19, which is not weighted Delaunay.  With surgery off the
+    # p-family refuses it at every h, as calabi does, rather than step
+    from packflow import IndefiniteOperator, flows, jacobian
+
+    metric = random_metric(OBTUSE, 19)
+    assert np.linalg.eigvalsh(jacobian(metric))[0] < -1.0
+    for name in ("calabi", "p_calabi-3"):
+        config = FlowConfig(target=_uniform_target(metric), surgery=False, **EVERY_KIND[name])
+        _, solve = flows._linearization(metric, config)
+        for h in (1e-3, 1.0, 1e6):
+            with pytest.raises(IndefiniteOperator):
+                solve(h)
+        with pytest.raises(StepCollapse, match="IndefiniteOperator"):
+            run(metric, config)
+
+
+def test_p_step_solves_wherever_the_jacobian_is_semidefinite():
+    # an edge of negative weight keeps the floor rate, so W - RATE_FLOOR J
+    # has weights >= 0 and W is semidefinite wherever dK/du is.  On the
+    # OBTUSE states of seeds 0-299 with negative weights and a semidefinite
+    # dK/du, W with the p-rate on those edges too was indefinite in 12 of
+    # 528 (seed, p) pairs, and conjugate gradients refused it
+    from packflow import flows, jacobian
+    from packflow.geometry import edge_weights
+
+    checked = 0
+    for seed in range(80):
+        metric = random_metric(OBTUSE, seed)
+        lam = np.linalg.eigvalsh(jacobian(metric))
+        if lam[0] < -1e-9 * lam[-1] or not np.any(edge_weights(metric) < 0.0):
+            continue
+        checked += 1
+        for p in (3.0, 6.0):
+            config = FlowConfig(kind="p_calabi", p=p, target=_uniform_target(metric), surgery=False)
+            _, solve = flows._linearization(metric, config)
+            for h in (1.0, 1e6):
+                assert np.all(np.isfinite(solve(h))), (seed, p, h)
+    assert checked >= 50
 
 
 ALIAS_SPECS = {
