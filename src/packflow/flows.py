@@ -23,11 +23,16 @@ floored at RATE_FLOOR, so the step tends to Newton's there too.  Any W
 keeps the step consistent (a W-method), so small steps follow the flow
 and the limit is the flow's.  An exact zero-sum projection
 follows, so the total of the scale factors is conserved to machine
-precision.  A trial step is accepted only if the solve succeeds, the state
-stays admissible, surgery (when on) succeeds, and the monitored quantities
-do not increase: the squared curvature deviation wherever p = 2 (the
-whole s-family and calabi), and the trapezoidal potential increment for
-every flow.  A trial already at the round-off floor of max|K - target|
+precision.  Surgery (when on) flips every edge where the step's straight
+segment of scale factors, u0 + s h x, crosses the weighted Delaunay
+boundary, at its crossing (``surgery.flip_along``), so the run stays in
+its decorated conformal class and every kind and step size reach one
+limit, up to an edge that crosses and crosses back within one step,
+which is not seen.  A trial step is accepted only if the solve succeeds,
+the state stays admissible, surgery (when on) succeeds, and the monitored
+quantities do not increase: the squared curvature deviation wherever
+p = 2 (the whole s-family and calabi), and the trapezoidal potential
+increment for every flow.  A trial already at the round-off floor of max|K - target|
 skips that test.
 Admissibility is the per-face pass's margin gate alone: its
 DegenerateTriangle, like any typed metric, geometry, operator or surgery
@@ -40,17 +45,20 @@ trial is h * STEP_GROWTH * max(1, e_prev / e), e the max|K - target| of the
 last two accepted states, up to STEP_GROWTH_CAP: switched evolution
 relaxation (Mulder-van Leer 1985) with doubling as a floor, which grows h
 into the Newton regime in a few steps.  The first trial is DEFAULT_STEP
-= 1, past the small h where the step barely contracts (pseudo-transient
-continuation, Kelley-Keyes 1998), so ricci, calabi and fractional take
-about four steps, and p_calabi(3) about six.  Each step's linear solve is
-only as accurate as the run needs: its tolerance is an inexact-Newton
-forcing term (Eisenstat-Walker 1996) that tightens as max|K - target|
-falls but never past what tol can see (see ``_linearization``).
+= 10, long enough that it damps even the slowest mode of dK/du, by
+1 / (1 + h lam_1) with lam_1 = 0.113 on a bumpy torus of 400 vertices
+(pseudo-transient continuation, Kelley-Keyes 1998), so ricci, calabi and
+fractional take about three steps, and p_calabi(3) five or six.  Each
+step's linear solve is only as accurate as the run needs: its tolerance
+is an inexact-Newton forcing term (Eisenstat-Walker 1996) that tightens
+as max|K - target| falls but never past what tol can see (see
+``_linearization``).
 Curvature, margins and the per-face pass (angles, circles, Delaunay
 terms) are memoized per state (``DecoratedMetric.memo``): a trial state
-pays for one whole-mesh pass, plus one per round of flips that surgery
-makes, and an accepted state's curvature and edge weights start the next
-step.
+pays for one whole-mesh pass, plus, for a flip located inside the step,
+one per bisection of the step's segment and one at its end, and one per
+round of ``make_delaunay``, and an accepted state's
+curvature and edge weights start the next step.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ from .geometry import edge_weights
 from .metric import DecoratedMetric, validate_triangles
 from .operators import apply_p_laplacian, calabi_energy, curvature, edge_laplacian
 from .operators import fractional_solve, solve_shifted
-from .surgery import delaunay_violations, make_delaunay
+from .surgery import delaunay_violations, flip_along, make_delaunay
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +95,8 @@ KINDS = {
     "p_calabi": ("p", None),
     "ricci": ("s", 0.0),
 }
-DEFAULT_STEP = 1.0
-MAX_HALVINGS = 30  # rejected trials per step: halvings, or square roots above h = 4
+DEFAULT_STEP = 10.0
+MAX_HALVINGS = 30  # rejected trials per step; each halves h, or takes its square root above h = 4
 STEP_GROWTH = 2.0
 STEP_GROWTH_CAP = 1e12   # a tol below round-off would otherwise grow h without bound
 TARGET_SUM_TOL = 1e-9
@@ -104,10 +112,11 @@ class FlowConfig:
     ``kind`` keeps the caller's name.  The integrator reads ``family``, s
     and p alone: an alias pins its family's exponent, and the other
     family's exponent is fixed at its neutral value (s = 0 or p = 2).
-    ``h = None`` starts every kind at DEFAULT_STEP = 1: the linearly
+    ``h = None`` starts every kind at DEFAULT_STEP = 10: the linearly
     implicit step damps every mode at any h, so no kind needs a smaller
-    one, and at h = 0.1 it barely contracts.  ``tol`` also bounds each
-    step's linear solve (see ``_linearization``).  After
+    one, and at h = 1 a mode of dK/du with eigenvalue 0.113 keeps 0.9 of
+    itself.  ``tol`` also bounds each step's linear solve (see
+    ``_linearization``).  After
     a step that needed no halving the trial step grows by STEP_GROWTH times
     the factor by which that step cut max|K - target|, if above 1.
     """
@@ -278,22 +287,28 @@ def _settle(
 ) -> StepRecord:
     """Run surgery (when on) in place on ``state`` and return its finished record.
 
-    A step of size h, after ``halvings`` halvings, moved u by du from the
-    state of record ``last`` (None: a run's start), where K - target was
-    g0; without du, ``state`` is a run's start.  The record counts on from
-    ``last``.  An inadmissible state raises DegenerateTriangle at its
-    first curvature read.
+    A step of size h, after ``halvings`` rejected trials, moved u by du
+    from the state of record ``last`` (None: a run's start), where
+    K - target was g0; surgery flips the edges du crosses at their
+    crossings, then any that still violate.  Without du, ``state`` is a
+    run's start.  The record counts on from ``last``; its curvature jump is
+    across the flips at the end alone, which are isometries.  An
+    inadmissible state raises DegenerateTriangle at its first whole-mesh
+    read.
     """
     step0, t0, flips0, w0 = (0, 0.0, 0, 0.0)
     if last is not None:
         step0, t0, flips0, w0 = last.step, last.t, last.flips_total, last.w_est
+    events, jump = [], 0.0
+    if config.surgery and du is not None:
+        _, events = flip_along(state, du, flow_time=(t0, h), start_ordinal=flips0)
     k = curvature(state)
-    flips, jump = 0, 0.0
     if config.surgery:
-        _, events = make_delaunay(state, flow_time=t0 + h, start_ordinal=flips0)
-        if events:
+        _, more = make_delaunay(state, flow_time=t0 + h, start_ordinal=flips0 + len(events))
+        if more:
             k_before, k = k, curvature(state)
-            flips, jump = len(events), float(np.max(np.abs(k - k_before)))
+            events, jump = events + more, float(np.max(np.abs(k - k_before)))
+    flips = len(events)
     g = k - config.target
     w_inc = 0.0
     if du is not None:  # a step: counted, with a trapezoidal sample of the flow potential
@@ -366,7 +381,8 @@ def step(
         return trial, record
 
     raise StepCollapse(
-        f"no acceptable step after {MAX_HALVINGS} halvings from h={h:.3e}; last failure: {last_reason}"
+        f"no acceptable step: {MAX_HALVINGS + 1} rejected trials from h={h:.3e};"
+        f" last failure: {last_reason}"
     )
 
 
@@ -395,8 +411,8 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
 
     Operates on a copy of the input metric.  With surgery enabled the
     triangulation is made weighted Delaunay before the first step and
-    after every step; with it disabled the triangulation is fixed
-    and violations are only counted.
+    kept so along every step, each flip at its crossing; with it
+    disabled the triangulation is fixed and violations are only counted.
     """
     _require_admissible_target(metric, config)
     state = metric.copy()

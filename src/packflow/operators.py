@@ -41,6 +41,7 @@ EIGEN_ZERO_REL_TOL = 1e-12
 FD_STEP = 1e-6
 P_DIFF_REL_TOL = 1e-14
 CG_MAX_SWEEPS = 4
+DOT_ROUNDOFF = 64 * np.finfo(float).eps  # r . J r within this times |r| |J r| is round-off
 LANCZOS_BLOCK = 8   # Lanczos steps to the first checkpoint, and the fewest between two
 
 def curvature(metric: DecoratedMetric) -> np.ndarray:
@@ -222,18 +223,20 @@ def solve_shifted(apply_j, apply_w, h: float, v: np.ndarray, rtol: float) -> np.
     self-adjoint and positive semidefinite for <a, b> = a . J b, a norm on
     the zero-sum vectors of a connected weighted Delaunay surface.  Each
     iteration applies J and W once; it stops when the residual's J-norm
-    is rtol times v's.  A non-positive curvature or residual J-norm means
-    J is indefinite (a triangulation that is not weighted Delaunay):
-    IndefiniteOperator.  Past CG_MAX_SWEEPS * N iterations: NoConvergence.
+    is rtol times v's, or is zero: r . J r within the dot product's own
+    rounding, DOT_ROUNDOFF |r| |J r|, of 0.  A non-positive curvature, or a
+    residual J-norm negative beyond that rounding, means J is indefinite (a
+    triangulation that is not weighted Delaunay): IndefiniteOperator.  Past
+    CG_MAX_SWEEPS * N iterations: NoConvergence.
     """
     x, r, jr = np.zeros_like(v), v, apply_j(v)
     p, jp = r, jr
     rho = rho0 = float(r @ jr)
     limit = CG_MAX_SWEEPS * v.size
     for _ in range(limit):
-        if not rho >= 0.0:
-            raise IndefiniteOperator(f"dK/du is indefinite: r . J r = {rho:.3e}")
-        if rho <= rtol * rtol * rho0:
+        if not rho > rtol * rtol * rho0:
+            if not rho >= -DOT_ROUNDOFF * float(np.linalg.norm(r) * np.linalg.norm(jr)):
+                raise IndefiniteOperator(f"dK/du is indefinite: r . J r = {rho:.3e}")
             return x
         bp = p + h * apply_w(jp)
         curv = float(jp @ bp)  # p . J (I + h W J) p

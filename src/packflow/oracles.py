@@ -3,8 +3,10 @@
 Everything here deliberately avoids the fast paths of the library: angles
 and orthogonal circles come from explicit plane coordinates, the Delaunay
 predicate from summed intersection angles, flip lengths from a reflected
-layout, and surgery from one flip at a time after a whole-mesh test that
-lays every face out.
+layout, surgery from one flip at a time after a whole-mesh test that
+lays every face out, and the limit of the flows from Newton's method on
+laid-out curvature, its flips located by a scan of that test along each
+step and bisection.
 Tests compare the production code against these.
 """
 
@@ -29,8 +31,11 @@ from .metric import (
     lengths_from_inversive,
     validate_triangles,
 )
+from .operators import fd_jacobian
 from .presets import preset_complex
 from .surgery import SurgeryEvent, make_delaunay
+
+ORACLE_WALK_POINTS = 64  # points of a path at which oracle_walk tests before it bisects
 
 
 @dataclass
@@ -251,3 +256,88 @@ def _oracle_flip(
     rk, rl = float(metric.effective_radii[k]), float(metric.effective_radii[l])
     inversive = (new * new - rk * rk - rl * rl) / (2.0 * rk * rl)
     return SurgeryEvent(nan, ordinal, edge_id, (i, j), (k, l), new, weight, inversive)
+
+
+def oracle_curvature(metric: DecoratedMetric) -> np.ndarray:
+    """2 pi minus the angle sum at each vertex, from ``oracle_angles_via_layout`` per face."""
+    lengths, mesh = metric.effective_lengths, metric.mesh
+    k = np.full(mesh.num_vertices, 2.0 * pi)
+    for sides, corners in zip(mesh.slot_edge_array(), mesh.triangles):
+        np.subtract.at(k, corners, oracle_angles_via_layout(*lengths[sides]))
+    return k
+
+
+def oracle_located_newton(
+    metric: DecoratedMetric, target: np.ndarray, tol: float = 1e-12
+) -> DecoratedMetric:
+    """The metric of curvature ``target`` in the decorated conformal class of ``metric``.
+
+    Newton's method on ``oracle_curvature`` with the central-difference
+    Jacobian ``fd_jacobian``: a step is delta = -J^+ g with zero
+    sum, halved until the walked state is admissible and max|g| falls.
+    ``oracle_walk`` flips each edge where the step crosses it, so the
+    result stays in the class that ``oracle_make_delaunay`` starts from.
+    Flows whose mid-flow flips are located must reach the same metric.
+    Raises RuntimeError when Newton stalls or takes 100 steps.
+    """
+    state = metric.copy()
+    oracle_make_delaunay(state)
+    error = float(np.max(np.abs(oracle_curvature(state) - target)))
+    for _ in range(100):
+        if error < tol:
+            return state
+        delta = -np.linalg.pinv(fd_jacobian(state)) @ (oracle_curvature(state) - target)
+        delta -= np.mean(delta)
+        for _ in range(40):
+            trial = state.copy()
+            try:
+                oracle_walk(trial, delta)
+                trial_error = float(np.max(np.abs(oracle_curvature(trial) - target)))
+            except (MetricError, FlipProducesDegenerate):
+                trial_error = np.inf
+            if trial_error < error:
+                state, error = trial, trial_error
+                break
+            delta = 0.5 * delta
+        else:
+            break
+    raise RuntimeError(f"located Newton stalled at max|K - target| = {error:.3e}")
+
+
+def oracle_walk(metric: DecoratedMetric, delta: np.ndarray) -> None:
+    """Move u to u + delta, flipping where the straight path first violates.
+
+    ``oracle_delaunay_violations`` runs at ORACLE_WALK_POINTS evenly spaced
+    points of what remains of the path, its end the last (a state that is
+    not admissible counts as violating).  From the first that violates, s
+    is bisected back toward the point before it, down to a bracket of
+    2^-60; the worst edge is flipped at the bracket's violating end, and
+    the rest of delta is walked on the new triangulation.  So an edge
+    that crosses and crosses back inside the path is flipped both times,
+    unless both crossings fall between two neighbouring points.
+    """
+    u = np.array(metric.conformal_factors)
+    points = np.arange(1, ORACLE_WALK_POINTS + 1) / ORACLE_WALK_POINTS
+    while True:
+        for hi in points:
+            metric.set_conformal_factors(u + hi * delta)
+            if _oracle_violates(metric):
+                break
+        else:
+            return
+        lo = hi - 1.0 / ORACLE_WALK_POINTS
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            metric.set_conformal_factors(u + mid * delta)
+            lo, hi = (lo, mid) if _oracle_violates(metric) else (mid, hi)
+        u, delta = u + hi * delta, (1.0 - hi) * delta
+        metric.set_conformal_factors(u)
+        edge_id, weight = oracle_delaunay_violations(metric)[0]
+        _oracle_flip(metric, edge_id, weight, 0)
+
+
+def _oracle_violates(metric: DecoratedMetric) -> bool:
+    try:
+        return bool(oracle_delaunay_violations(metric))
+    except MetricError:
+        return True

@@ -24,6 +24,17 @@ no face commute, and the weighted Delaunay tessellation is unique
 worst edge one at a time ends.  Within a round, events are numbered in
 (weight, edge id) order.  Each round is one ``flip_metric`` call, which
 flips any one edge or face-disjoint set.
+
+``flip_along`` makes the flips a flow step needs.  A step moves the scale
+factors along a straight segment, and a flip made only at its end would
+keep the inversive distance of wherever the step overshot the weighted
+Delaunay boundary, so each run would leave the decorated conformal class
+by its own overshoot.  Each edge is instead flipped where the segment
+crosses it, with d1 + d2 within the Delaunay tolerance of zero: there the
+old and the new diagonal both bound faces with one orthogonal circle, and
+the flip keeps the class.  The crossing is found by bisecting the segment
+on whole-mesh passes once its end violates, so an edge that crosses and
+crosses back inside one step is not seen.
 """
 
 from __future__ import annotations
@@ -34,7 +45,13 @@ from math import nan
 
 import numpy as np
 
-from .errors import DegenerateLength, FlipProducesDegenerate, SelfFlip, SurgeryBudgetExceeded
+from .errors import (
+    DegenerateLength,
+    FlipProducesDegenerate,
+    MetricError,
+    SelfFlip,
+    SurgeryBudgetExceeded,
+)
 from .geometry import delaunay_terms, edge_weights, triangle_angles
 from .mesh import DeltaComplex
 from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, triangle_margins
@@ -42,6 +59,7 @@ from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, triangle_margins
 logger = logging.getLogger(__name__)
 
 SURGERY_BUDGET_PER_EDGE = 100
+CROSSING_BISECTIONS = 60  # halvings of the segment that locate one crossing, at most
 
 
 @dataclass
@@ -210,3 +228,70 @@ def make_delaunay(
         events += flip_metric(
             metric, edges, flow_time=flow_time, ordinal=start_ordinal + len(events)
         )[1]
+
+
+def flip_along(
+    metric: DecoratedMetric,
+    du: np.ndarray,
+    *,
+    flow_time: tuple[float, float] = (0.0, 1.0),
+    start_ordinal: int = 0,
+) -> tuple[DecoratedMetric, list[SurgeryEvent]]:
+    """Flip each edge where the segment of scale factors that ``metric`` ends crosses it.
+
+    ``metric`` holds the end u1 of the straight segment u1 - (1 - s) du,
+    s in [0, 1], whose start is weighted Delaunay and whose end passes
+    the margin gate on the start's triangulation (else DegenerateTriangle
+    from the end's whole-mesh pass).  While the end violates, s is
+    bisected, from the last flip on, on whole-mesh passes down to a
+    crossing: a state where no edge violates and some edge's d1 + d2 lies
+    in [-tolerance, -tolerance / 2), within the Delaunay tolerance of zero
+    and on the violating side by more than round-off, so the flipped
+    diagonal starts out clearly Delaunay.  A state that is no
+    triangulation counts as past the crossing.  The worst edge there is
+    flipped from that state's pass, which keeps the decorated conformal
+    class, and the rest of the segment is walked on the new
+    triangulation; should a face stop being a triangle before any
+    crossing, the pass at the bracket's end raises its MetricError.  The
+    metric ends at u1 again.  Only the end is tested, so an edge that
+    crosses and crosses back inside the segment is not seen.  An event at
+    s carries the flow time t0 + s h for ``flow_time`` (t0, h).  Raises
+    SurgeryBudgetExceeded like ``make_delaunay``.
+    """
+    u1 = np.array(metric.conformal_factors)
+    budget = SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
+    events, lo = [], 0.0
+    while True:
+        dsum, eps = delaunay_terms(metric)
+        if not np.any(dsum < -eps):
+            return metric, events
+        if len(events) >= budget:
+            raise SurgeryBudgetExceeded(
+                f"the segment's end still violates after {len(events)} flips along it"
+            )
+        hi = 1.0
+        for _ in range(CROSSING_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            metric.set_conformal_factors(u1 - (1.0 - mid) * du)
+            try:
+                dsum, eps = delaunay_terms(metric)
+            except MetricError:
+                hi = mid
+                continue
+            if np.all(dsum >= -0.5 * eps):
+                lo = mid
+                continue
+            hi = mid
+            if np.all(dsum >= -eps):
+                break
+        else:
+            metric.set_conformal_factors(u1 - (1.0 - hi) * du)
+        dsum, eps = delaunay_terms(metric)
+        crossed = np.flatnonzero(dsum < -0.5 * eps)
+        edge = crossed[np.argmin(edge_weights(metric, crossed))]
+        events += flip_metric(
+            metric, [edge], flow_time=flow_time[0] + hi * flow_time[1],
+            ordinal=start_ordinal + len(events),
+        )[1]
+        lo = hi
+        metric.set_conformal_factors(u1)

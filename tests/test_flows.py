@@ -80,12 +80,13 @@ def test_config_validation():
 
 def test_default_step_sizes():
     # one default for every kind; an explicit h still overrides it.  The
-    # linearly implicit step damps every mode at any h, and h = 1 is past
-    # the regime where it barely contracts: h = 0.1 and 0.3 spent two of
-    # six steps cutting max|K - target| from 1 to 0.3 on a bumpy torus
+    # linearly implicit step damps every mode at any h, and a mode of
+    # dK/du with eigenvalue lam only by 1 / (1 + h lam): on a bumpy torus of
+    # 400 vertices the slowest has lam = 0.113, so h = 1 spent one of four
+    # steps cutting max|K - target| from 1 to 0.18, and h = 10 takes three
     target = np.full(4, np.pi)
     for kind in KINDS:
-        assert FlowConfig(kind=kind, target=target).initial_step == DEFAULT_STEP == 1.0
+        assert FlowConfig(kind=kind, target=target).initial_step == DEFAULT_STEP == 10.0
     assert FlowConfig(kind="calabi", target=target, h=0.5).initial_step == 0.5
 
 
@@ -401,9 +402,9 @@ def test_curvature_is_computed_once_per_trial_state(monkeypatch):
     # An inadmissible trial enters _settle as well and leaves it by the
     # margin gate, before the pass, so only admissible entries count.
     # Conjugate-gradient matvecs read the memoized edge weights and add no
-    # pass.  The run converges in 4 steps from h = 1 (max|K - target|
-    # 0.86 -> 0.15 -> 4.1e-3 -> 3.6e-6 -> 1.8e-12, no halvings); a budget
-    # of 4 keeps the count fixed should a change to the controller
+    # pass.  The run converges in 3 steps from h = 10 (max|K - target|
+    # 0.86 -> 2.7e-2 -> 4.8e-5 -> 1.3e-10, no halvings); a budget
+    # of 3 keeps the count fixed should a change to the controller
     # lengthen it
     from packflow import flows, geometry
 
@@ -427,8 +428,8 @@ def test_curvature_is_computed_once_per_trial_state(monkeypatch):
 
     monkeypatch.setattr(geometry, "_faces", counting_faces)
     monkeypatch.setattr(flows, "_settle", counting_settle)
-    trace = run(metric, FlowConfig(kind="ricci", target=np.zeros(25), max_steps=4))
-    assert trace.steps == 4
+    trace = run(metric, FlowConfig(kind="ricci", target=np.zeros(25), max_steps=3))
+    assert trace.steps == 3
     trial_states = 1 + sum(1 + rec.halvings for rec in trace.records[1:])
     assert passes == settled == trial_states
 
@@ -828,25 +829,121 @@ def test_step_growth_cap_keeps_an_unreachable_tolerance_finite(name):
     _assert_controller(trace, config)
 
 
+def test_a_round_off_residual_is_not_an_indefinite_operator(monkeypatch):
+    # at the growth cap ricci's conjugate gradients meet r . J r = -6.5e-64
+    # on a state at the round-off floor: a zero J-norm, within the dot
+    # product's own rounding, so the solve has converged; it used to raise
+    # IndefiniteOperator and reject the trial
+    from packflow import IndefiniteOperator, flows
+
+    solve_shifted, raised = flows.solve_shifted, []
+
+    def watching(*args):
+        try:
+            return solve_shifted(*args)
+        except IndefiniteOperator as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(flows, "solve_shifted", watching)
+    metric = random_metric(RandomMetricSpec(preset="icosahedron"), 0)
+    config = FlowConfig(kind="ricci", target=_uniform_target(metric), tol=1e-30, max_steps=150)
+    trace = run(metric, config)
+    assert trace.termination == "budget"
+    assert raised == []
+    assert not any(rec.halvings for rec in trace.records)
+
+
+def _bumpy_torus():
+    # the bumpy torus of the CI convergence check: torus_grid n = 20 (V = 400)
+    # as `packflow generate` writes it, u from default_rng(1), recentred
+    metric = preset_metric("torus_grid", n=20)
+    u = np.random.default_rng(1).uniform(-0.2, 0.2, metric.mesh.num_vertices)
+    metric.set_conformal_factors(u - u.mean())
+    return metric
+
+
+@pytest.mark.parametrize(
+    "settings, steps",
+    [
+        ({"kind": "ricci"}, 3),
+        ({"kind": "calabi", "tol": 1e-6}, 3),
+        ({"kind": "fractional", "s": 0.5, "tol": 1e-6}, 3),
+        ({"kind": "p_calabi", "p": 3.0, "tol": 1e-6}, 6),
+    ],
+    ids=["ricci", "calabi", "fractional-0.5", "p_calabi-3"],
+)
+def test_a_bumpy_torus_converges_in_three_steps_from_the_default_step(settings, steps):
+    # from h = 10 the first step damps the slowest mode of dK/du (eigenvalue
+    # 0.113) by 1 / (1 + h 0.113), and the rest converge quadratically: three
+    # steps, where h = 1 took four; p_calabi(3) takes six, where it took seven
+    metric = _bumpy_torus()
+    trace = run(metric, FlowConfig(target=_uniform_target(metric), **settings))
+    assert trace.converged
+    assert trace.steps <= steps, [rec.max_curv_err for rec in trace.records]
+
+
 def test_every_flow_reaches_the_same_limit():
-    # rigidity: one conformal class has one metric of a given curvature.
-    # Runs with a flip after the initial surgery are left out: where such
-    # a flip happens still depends on the flow (the crossing is not located)
-    spec = RandomMetricSpec(preset="icosahedron")
-    compared = 0
-    for seed in range(30):
-        metric = random_metric(spec, seed)
-        target = _random_target(metric, seed)
-        runs = [
-            run(metric, FlowConfig(target=target, tol=1e-9, **settings))
-            for settings in (
-                {"kind": "ricci", "h": 0.02},
-                *(EVERY_KIND[name] for name in ("ricci", "calabi", "fractional-0.5", "p_calabi-3")),
-            )
-        ]
-        if any(t.flips_total != t.records[0].flips_total for t in runs):
-            continue
-        compared += 1
-        limits = np.array([t.metric.conformal_factors for t in runs])
-        assert np.max(np.abs(limits - limits[0])) <= 1e-8, seed
-    assert compared >= 25
+    # rigidity: one decorated conformal class has one metric of a given
+    # curvature.  Flips made where a step crosses the weighted Delaunay
+    # boundary keep the class, so every kind, from h = 1 and from the
+    # default h, and ricci at a small h, reach the limit of Newton's method
+    # with its own crossings located by bisection; seeds that flip mid-flow
+    # included (the default spec's seed 28, most WILD seeds)
+    from packflow.oracles import oracle_located_newton
+
+    kinds = [EVERY_KIND[name] for name in ("ricci", "calabi", "fractional-0.5", "p_calabi-3")]
+    for spec, seeds, least in ((RandomMetricSpec(preset="icosahedron"), 30, 1), (WILD, 12, 50)):
+        mid_flow = 0
+        for seed in range(seeds):
+            metric = random_metric(spec, seed)
+            target = _random_target(metric, seed)
+            limit = oracle_located_newton(metric, target).conformal_factors
+            for settings in [{"kind": "ricci", "h": 0.02}, *({**k, "h": 1.0} for k in kinds), *kinds]:
+                trace = run(metric, FlowConfig(target=target, tol=1e-9, **settings))
+                assert trace.converged, (spec.preset, seed, settings)
+                mid_flow += trace.flips_total - trace.records[0].flips
+                gap = np.max(np.abs(trace.metric.conformal_factors - limit))
+                assert gap <= 1e-8, (spec, seed, settings, gap)
+        assert mid_flow >= least, spec
+
+
+def test_every_mid_flow_flip_is_made_at_its_crossing(monkeypatch):
+    # a located flip happens where its edge's d1 + d2 is within the Delaunay
+    # tolerance of 0, on the violating side; its event carries that time,
+    # inside its trial's step and after the trial's earlier flips.  Each
+    # trial is checked on its own, so a rejected trial's flips count too
+    from packflow import flows, surgery
+    from packflow.geometry import delaunay_terms
+
+    flip_metric, flip_along, trials, done = surgery.flip_metric, flows.flip_along, [], []
+
+    def checking(metric, edges, **kwargs):
+        if trials:
+            (edge,), (dsum, eps) = edges, delaunay_terms(metric)
+            trials[-1][1].append((kwargs["flow_time"], float(dsum[edge]), float(eps[edge])))
+        return flip_metric(metric, edges, **kwargs)
+
+    def walking(metric, du, **kwargs):
+        trials.append((kwargs["flow_time"], []))
+        try:
+            return flip_along(metric, du, **kwargs)
+        finally:
+            done.append(trials.pop())
+
+    monkeypatch.setattr(surgery, "flip_metric", checking)
+    monkeypatch.setattr(flows, "flip_along", walking)
+    count = 0
+    for seed in range(6):
+        metric = random_metric(WILD, seed)
+        done.clear()
+        trace = run(metric, FlowConfig(kind="ricci", target=_random_target(metric, seed), tol=1e-9))
+        assert trace.converged
+        for (t0, h), located in done:
+            for flow_time, dsum, eps in located:
+                assert -eps <= dsum < 0.0, (seed, flow_time, dsum, eps)
+            times = [t for t, _, _ in located]
+            assert times == sorted(times)
+            assert all(t0 < t <= t0 + h for t in times)
+            count += len(located)
+    assert count >= 5

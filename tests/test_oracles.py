@@ -15,9 +15,12 @@ from packflow.metric import triangle_side_lengths
 from packflow.oracles import (
     RandomMetricSpec,
     oracle_angles_via_layout,
+    oracle_curvature,
     oracle_delaunay_via_angles,
+    oracle_delaunay_violations,
     oracle_face_circle,
     oracle_flip_length,
+    oracle_located_newton,
     random_metric,
 )
 from packflow.surgery import delaunay_violations, flip_metric
@@ -69,6 +72,32 @@ def test_angles_against_layout_oracle():
         ref = oracle_angles_via_layout(*sides)
         assert np.allclose(mine, ref, rtol=0, atol=1e-11)
         checked += 1
+
+
+def test_laid_out_curvature_is_the_curvature():
+    for spec in SPECS + WILD:
+        for seed in range(4):
+            metric = random_metric(spec, seed)
+            assert np.allclose(oracle_curvature(metric), curvature(metric), rtol=0, atol=1e-12)
+
+
+def test_located_newton_reaches_its_target_in_a_delaunay_state():
+    # the reference limit of the flows: laid-out curvature at the target, a
+    # triangulation the laid-out test passes, and sum(u) kept; on WILD seed 0
+    # its steps cross edges on the way
+    spec = WILD[1]
+    for seed in range(3):
+        metric = random_metric(spec, seed)
+        n = metric.mesh.num_vertices
+        target = np.random.default_rng(seed).normal(0.0, 0.5, n)
+        target += (4.0 * math.pi - target.sum()) / n
+        limit = oracle_located_newton(metric, target, tol=1e-11)
+        assert np.max(np.abs(oracle_curvature(limit) - target)) < 1e-11
+        assert oracle_delaunay_violations(limit) == []
+        assert math.isclose(
+            float(np.sum(limit.conformal_factors)), float(np.sum(metric.conformal_factors)),
+            abs_tol=1e-9,
+        )
 
 
 def test_curvature_angles_against_oracle_per_face():

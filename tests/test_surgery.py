@@ -454,10 +454,13 @@ def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
     assert len(conformal) == 2
     # in a run that flips mid-flow (the tetrahedron driven toward the
     # curvature of a spread that is Delaunay only after a flip), every
-    # trial state that reaches surgery costs one whole-mesh pass, and
-    # every round one more.  The run takes 6 steps from h = 1 with no
-    # halvings and flips one edge in one round on its first step, so 7
-    # settled states: the start and one per step
+    # trial state that reaches surgery costs one whole-mesh pass, and a flip
+    # located inside a step one pass per bisection of the step's segment
+    # (the flip reads the last) plus one at the segment's end on the new
+    # triangulation.  The run takes 5 steps from h = 10: the first trial
+    # leaves the admissible cone, before any pass, and halves, and h = 5
+    # flips one edge at its crossing after 39 bisections, so 6 settled
+    # states (the start and one per step) and 6 + 39 + 1 passes
     spread = preset_metric("tetrahedron")
     spread.set_conformal_factors(1.02 * np.array([1.0, 1.0, -1.0, -1.0]))
     make_delaunay(spread)
@@ -467,5 +470,42 @@ def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
     assert trace.converged
     assert trace.records[0].flips == 0 < trace.flips_total
     assert set(rows) == {4}
-    assert rows.count(4) == settled + len(rounds)
-    assert (settled, len(rounds)) == (7, 1)
+    assert (settled, len(rounds), len(rows)) == (6, 1, 46)
+
+
+def test_flips_along_a_step_are_made_where_the_laid_out_test_first_fails():
+    # flip_along bisects the segment on whole-mesh passes from the end's
+    # violation; the reference scans the laid-out test at points along the
+    # segment, bisects from the first that fails and flips the worst edge
+    # there: the same flips, the same triangulation and the same edge
+    # lengths at the end.  Each event carries its crossing as the flow time
+    # t0 + s h
+    from packflow.oracles import oracle_walk
+    from packflow.surgery import flip_along
+
+    spec = RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(1.05, 4.0))
+    compared = 0
+    for seed in range(40):
+        start = random_metric(spec, seed)
+        make_delaunay(start)
+        n = start.mesh.num_vertices
+        target = np.random.default_rng(seed).normal(0.0, 1.0, n)
+        target += (4.0 * np.pi - target.sum()) / n
+        du = -0.3 * (curvature(start) - target)
+        fast, reference = start.copy(), start.copy()
+        fast.set_conformal_factors(start.conformal_factors + du)
+        try:
+            _, events = flip_along(fast, du, flow_time=(2.0, 0.5))
+            validate_triangles(fast).require()
+        except PackflowError:
+            continue
+        if not events:
+            continue
+        oracle_walk(reference, du)
+        compared += 1
+        assert np.array_equal(fast.mesh.triangles, reference.mesh.triangles), seed
+        assert np.allclose(fast.effective_lengths, reference.effective_lengths, rtol=0, atol=1e-9)
+        assert np.array_equal(fast.conformal_factors, start.conformal_factors + du)
+        times = [event.flow_time for event in events]
+        assert times == sorted(times) and 2.0 < times[0] and times[-1] < 2.5, seed
+    assert compared >= 8
