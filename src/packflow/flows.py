@@ -5,12 +5,12 @@ The flows come in two families, and four names select them:
     fractional(s) du/dt = -(dK/du)^s (K - target)   the s-family
     p_calabi(p)   du/dt = p-laplacian(K - target)    the p-family
     ricci         fractional at s = 0
-    calabi        p_calabi at p = 2
+    calabi        fractional at s = 1, and p_calabi at p = 2
 
 ``FlowConfig`` resolves a name once, so the integrator reads only the
 family and its exponent.  Both families apply dK/du as the edge flux of
-the operators module in O(E): the p-family through conjugate gradients,
-the s-family with s != 0 through one Lanczos basis per step.  No flow
+the operators module in O(E): ricci and p > 2 through conjugate
+gradients, s != 0 through one Lanczos basis per step.  No flow
 assembles the dense Jacobian or its spectrum.
 
 Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
@@ -31,7 +31,7 @@ limit, up to an edge that crosses and crosses back within one step,
 which is not seen.  A trial step is accepted only if the solve succeeds,
 the state stays admissible, surgery (when on) succeeds, and the monitored
 quantities do not increase: the squared curvature deviation wherever
-p = 2 (the whole s-family and calabi), and the trapezoidal potential
+p = 2 (the whole s-family), and the trapezoidal potential
 increment for every flow.  A trial already at the round-off floor of max|K - target|
 skips that test.
 Admissibility is the per-face pass's margin gate alone: its
@@ -56,8 +56,8 @@ as max|K - target| falls but never past what tol can see (see
 Curvature, margins and the per-face pass (angles, circles, Delaunay
 terms) are memoized per state (``DecoratedMetric.memo``): a trial state
 pays for one whole-mesh pass, plus, for a flip located inside the step,
-one per bisection of the step's segment and one at its end, and one per
-round of ``make_delaunay``, and an accepted state's
+one per bisection of the step's segment and one at its end; a run's
+start pays one per round of ``make_delaunay``; and an accepted state's
 curvature and edge weights start the next step.
 """
 
@@ -90,7 +90,7 @@ logger = logging.getLogger(__name__)
 # each kind's family, named by the field of its exponent ("s": fractional of
 # order s, "p": p-th Calabi), and the exponent an alias pins
 KINDS = {
-    "calabi": ("p", 2.0),
+    "calabi": ("s", 1.0),
     "fractional": ("s", None),
     "p_calabi": ("p", None),
     "ricci": ("s", 0.0),
@@ -111,7 +111,8 @@ class FlowConfig:
 
     ``kind`` keeps the caller's name.  The integrator reads ``family``, s
     and p alone: an alias pins its family's exponent, and the other
-    family's exponent is fixed at its neutral value (s = 0 or p = 2).
+    family's exponent is fixed at its neutral value (p = 2 or s = 0),
+    except that p_calabi at p = 2 is calabi, s = 1: p == 2 is the s-family.
     ``h = None`` starts every kind at DEFAULT_STEP = 10: the linearly
     implicit step damps every mode at any h, so no kind needs a smaller
     one, and at h = 1 a mode of dK/du with eigenvalue 0.113 keeps 0.9 of
@@ -137,7 +138,7 @@ class FlowConfig:
             )
         self.target = np.asarray(self.target, dtype=float)
         family, pinned = KINDS[self.kind]
-        self.s, self.p = (self.s, 2.0) if family == "s" else (0.0, self.p)
+        self.s, self.p = (self.s, 2.0) if family == "s" else (1.0 if self.p == 2.0 else 0.0, self.p)
         if pinned is not None:
             setattr(self, family, pinned)
         if not 1.0 < self.p < np.inf:
@@ -153,7 +154,7 @@ class FlowConfig:
 
     @property
     def family(self) -> str:
-        return KINDS[self.kind][0]
+        return "s" if self.p == 2.0 else "p"
 
     @property
     def initial_step(self) -> float:
@@ -227,8 +228,9 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     (dK/du)^(s+1)) on its Ritz values, extending the basis until x at the
     h solved moves by at most the tolerance below; v is x at h = 0, read
     from the same basis only when asked for, so a step never forms it.
-    In the p-family W is dK/du at p = 2; below p = 2, A = 0 (explicit
-    Euler).  Above p = 2 the p-flow's rate scales with
+    At s = 1 (calabi) 1 + h theta^2 > 0, so the step exists even where
+    dK/du is indefinite.  The p-family has p != 2; below p = 2, A = 0 and
+    x = v (explicit Euler).  Above p = 2 the p-flow's rate scales with
     sigma = (max over the edges of |g_b - g_a|)^(p-2), and h is a step in
     the rate-normalised time tau, dt = dtau / sigma: the orbit is the
     flow's, and h, its halvings and its growth act on tau.  sigma = 1
@@ -254,25 +256,23 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     rtol = min(CG_REL_TOL, max(CG_REL_TOL * e, 0.1 * config.tol / e)) if e else 0.0
     weights = edge_weights(metric)
     apply_j = edge_laplacian(metric, weights)
-    if config.family == "s" and config.s != 0.0:
-        solve = fractional_solve(apply_j, deviation, config.s, rtol)
-        return lambda: solve(0.0), solve
-    sigma = 1.0
     if config.family == "s":
-        v, apply_w = -deviation, lambda f: f
-    else:
-        p = config.p
-        v = apply_p_laplacian(metric, p, deviation)
-        apply_w = apply_j if p >= 2.0 else np.zeros_like
-        if p > 2.0:
-            ends = metric.mesh.edge_endpoints_array()
-            jumps = np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]])
-            spread = np.max(jumps)
-            sigma = float(spread ** (p - 2.0)) or 1.0  # 1 where g is constant, or on underflow
-            if spread > 0.0:
-                rates = np.maximum((jumps / spread) ** (p - 2.0), RATE_FLOOR)
-                rates[weights < 0.0] = RATE_FLOOR  # so W - RATE_FLOOR J has weights >= 0
-                apply_w = edge_laplacian(metric, weights * rates)
+        if config.s != 0.0:
+            solve = fractional_solve(apply_j, deviation, config.s, rtol)
+            return lambda: solve(0.0), solve
+        v = -deviation
+        return lambda: v, lambda h: solve_shifted(apply_j, lambda f: f, h, v, rtol)
+    p = config.p
+    v = apply_p_laplacian(metric, p, deviation)
+    if p < 2.0:  # A = 0: the step is explicit
+        return lambda: v, lambda h: v
+    ends = metric.mesh.edge_endpoints_array()
+    jumps = np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]])
+    spread = np.max(jumps)
+    sigma = float(spread ** (p - 2.0)) or 1.0  # 1 where g is constant, or on underflow
+    rates = np.maximum((jumps / (spread or 1.0)) ** (p - 2.0), RATE_FLOOR)
+    rates[weights < 0.0] = RATE_FLOOR  # so W - RATE_FLOOR J has weights >= 0
+    apply_w = edge_laplacian(metric, weights * rates)
     return lambda: v, lambda h: solve_shifted(apply_j, apply_w, h, v / sigma, rtol)
 
 
@@ -290,11 +290,11 @@ def _settle(
     A step of size h, after ``halvings`` rejected trials, moved u by du
     from the state of record ``last`` (None: a run's start), where
     K - target was g0; surgery flips the edges du crosses at their
-    crossings, then any that still violate.  Without du, ``state`` is a
-    run's start.  The record counts on from ``last``; its curvature jump is
-    across the flips at the end alone, which are isometries.  An
-    inadmissible state raises DegenerateTriangle at its first whole-mesh
-    read.
+    crossings, which leaves none violating.  Without du, ``state`` is a
+    run's start, and ``make_delaunay`` flips every violating edge.  The
+    record counts on from ``last``; its curvature jump is across a start's
+    flips, which are isometries.  An inadmissible state raises
+    DegenerateTriangle at its first whole-mesh read.
     """
     step0, t0, flips0, w0 = (0, 0.0, 0, 0.0)
     if last is not None:
@@ -303,11 +303,11 @@ def _settle(
     if config.surgery and du is not None:
         _, events = flip_along(state, du, flow_time=(t0, h), start_ordinal=flips0)
     k = curvature(state)
-    if config.surgery:
-        _, more = make_delaunay(state, flow_time=t0 + h, start_ordinal=flips0 + len(events))
-        if more:
+    if config.surgery and du is None:
+        _, events = make_delaunay(state, flow_time=t0, start_ordinal=flips0)
+        if events:
             k_before, k = k, curvature(state)
-            events, jump = events + more, float(np.max(np.abs(k - k_before)))
+            jump = float(np.max(np.abs(k - k_before)))
     flips = len(events)
     g = k - config.target
     w_inc = 0.0

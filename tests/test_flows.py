@@ -101,35 +101,29 @@ def test_ricci_velocity_is_curvature_deviation():
 
 def test_kinds_resolve_to_two_families():
     # an alias pins its family's exponent over the caller's, the other
-    # family's exponent is neutral, and the kind keeps the caller's name
+    # family's exponent is neutral, and the kind keeps the caller's name.
+    # calabi is fractional at s = 1, and so is p_calabi at p = 2: p == 2
+    # is the s-family, and the p-family runs only p != 2
     target = np.full(4, np.pi)
     resolved = {
         "ricci": ("s", 0.0, 2.0),
         "fractional": ("s", 0.7, 2.0),
-        "calabi": ("p", 0.0, 2.0),
+        "calabi": ("s", 1.0, 2.0),
         "p_calabi": ("p", 0.0, 3.5),
     }
     for kind, (family, s, p) in resolved.items():
         config = FlowConfig(kind=kind, target=target, s=0.7, p=3.5)
         assert (config.kind, config.family, config.s, config.p) == (kind, family, s, p)
+    config = FlowConfig(kind="p_calabi", target=target, s=0.7, p=2.0)
+    assert (config.kind, config.family, config.s, config.p) == ("p_calabi", "s", 1.0, 2.0)
     # the exponent a kind does not read is never checked: a setting that
     # only another kind would refuse is accepted and replaced
     assert FlowConfig(kind="calabi", target=target, p=0.5).p == 2.0
     assert FlowConfig(kind="ricci", target=target, s=math.nan).s == 0.0
     assert FlowConfig(kind="fractional", target=target, p=math.inf).p == 2.0
-    assert FlowConfig(kind="p_calabi", target=target, s=math.nan).s == 0.0
+    assert FlowConfig(kind="p_calabi", target=target, s=math.nan, p=3.0).s == 0.0
     metric = _seeded_tetra(5)
     assert run(metric, FlowConfig(kind="ricci", target=_uniform_target(metric))).kind == "ricci"
-
-
-def test_fractional_one_approximates_calabi():
-    # s = 1 goes through the eigendecomposition, calabi multiplies directly
-    for seed in range(5):
-        metric = _seeded_tetra(seed)
-        target = _uniform_target(metric)
-        a = velocity(metric, FlowConfig(kind="calabi", target=target))
-        b = velocity(metric, FlowConfig(kind="fractional", target=target, s=1.0))
-        assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_p_two_matches_calabi_velocity():
@@ -295,7 +289,8 @@ def test_a_rejection_at_the_growth_cap_reaches_a_small_step(monkeypatch):
 
 def test_an_operator_error_halves_the_trial(monkeypatch):
     # a conjugate-gradient breakdown is raised inside the trial, so the
-    # trial halves like one that fails the margin gate
+    # trial halves like one that fails the margin gate; ricci reaches the
+    # conjugate gradients, and calabi, on the Lanczos basis, does not
     from packflow import IndefiniteOperator, flows
 
     solve_shifted, limit = flows.solve_shifted, 1.0
@@ -307,7 +302,7 @@ def test_an_operator_error_halves_the_trial(monkeypatch):
 
     monkeypatch.setattr(flows, "solve_shifted", refusing)
     metric = _seeded_tetra(7)
-    config = FlowConfig(kind="calabi", target=_uniform_target(metric))
+    config = FlowConfig(kind="ricci", target=_uniform_target(metric))
     _, rec = step(metric, config, 4.0)
     assert rec.halvings == 2
     assert rec.h == 1.0
@@ -547,8 +542,8 @@ def test_step_counts_stay_bounded_over_seeds(spec, name):
 FORCED_KINDS = ["ricci", "calabi", "fractional-0.5", "p_calabi-3"]
 
 
-def _counted_runs(monkeypatch, cg_rel_tol: float) -> dict:
-    """Steps per seed and edge-flux applies per kind, at one CG_REL_TOL."""
+def _count_applies(monkeypatch) -> list[int]:
+    """A one-item list that counts every apply of dK/du (or W) by the flows."""
     from packflow import flows
 
     laplacian, applies = flows.edge_laplacian, [0]
@@ -563,6 +558,14 @@ def _counted_runs(monkeypatch, cg_rel_tol: float) -> dict:
         return counted
 
     monkeypatch.setattr(flows, "edge_laplacian", counting_laplacian)
+    return applies
+
+
+def _counted_runs(monkeypatch, cg_rel_tol: float) -> dict:
+    """Steps per seed and edge-flux applies per kind, at one CG_REL_TOL."""
+    from packflow import flows
+
+    applies = _count_applies(monkeypatch)
     monkeypatch.setattr(flows, "CG_REL_TOL", cg_rel_tol)
     counts = {}
     for name in FORCED_KINDS:
@@ -673,7 +676,11 @@ OBTUSE = RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(-0
 def test_p_step_refuses_an_indefinite_jacobian():
     # obtuse overlaps (inversive distance below 0) make dK/du indefinite on
     # OBTUSE seed 19, which is not weighted Delaunay.  With surgery off the
-    # p-family refuses it at every h, as calabi does, rather than step
+    # p-family refuses it at every h rather than step.  calabi, fractional
+    # at s = 1, solves with I + h (dK/du)^2, positive definite for any
+    # symmetric dK/du, so its step exists at every h; the run still
+    # collapses, on the monotonicity test (down to h = 5.9e-9), as the flow
+    # cannot lower the energy there
     from packflow import IndefiniteOperator, flows, jacobian
 
     metric = random_metric(OBTUSE, 19)
@@ -682,9 +689,13 @@ def test_p_step_refuses_an_indefinite_jacobian():
         config = FlowConfig(target=_uniform_target(metric), surgery=False, **EVERY_KIND[name])
         _, solve = flows._linearization(metric, config)
         for h in (1e-3, 1.0, 1e6):
-            with pytest.raises(IndefiniteOperator):
-                solve(h)
-        with pytest.raises(StepCollapse, match="IndefiniteOperator"):
+            if name == "calabi":
+                assert np.all(np.isfinite(solve(h))), h
+            else:
+                with pytest.raises(IndefiniteOperator):
+                    solve(h)
+        reason = "monotonicity rejected" if name == "calabi" else "IndefiniteOperator"
+        with pytest.raises(StepCollapse, match=reason):
             run(metric, config)
 
 
@@ -747,8 +758,13 @@ def test_fractional_zero_equals_ricci_bitwise():
 
 
 def test_p_two_runs_calabi_bitwise():
-    # sigma = 1 and W = dK/du at p = 2, and both run the energy test
+    # p_calabi at p = 2 resolves to the s-family at s = 1, as calabi does
     _assert_alias_runs_bitwise({"kind": "calabi"}, {"kind": "p_calabi", "p": 2.0})
+
+
+def test_fractional_one_runs_calabi_bitwise():
+    # calabi is the fractional Calabi flow at s = 1: one Lanczos path
+    _assert_alias_runs_bitwise({"kind": "calabi"}, {"kind": "fractional", "s": 1.0})
 
 
 def test_step_counts_on_from_the_record_it_is_given():
@@ -854,10 +870,10 @@ def test_a_round_off_residual_is_not_an_indefinite_operator(monkeypatch):
     assert not any(rec.halvings for rec in trace.records)
 
 
-def _bumpy_torus():
-    # the bumpy torus of the CI convergence check: torus_grid n = 20 (V = 400)
-    # as `packflow generate` writes it, u from default_rng(1), recentred
-    metric = preset_metric("torus_grid", n=20)
+def _bumpy_torus(n: int = 20):
+    # the bumpy torus of the CI convergence check: torus_grid n (20 there,
+    # V = 400) as `packflow generate` writes it, u from default_rng(1), recentred
+    metric = preset_metric("torus_grid", n=n)
     u = np.random.default_rng(1).uniform(-0.2, 0.2, metric.mesh.num_vertices)
     metric.set_conformal_factors(u - u.mean())
     return metric
@@ -881,6 +897,18 @@ def test_a_bumpy_torus_converges_in_three_steps_from_the_default_step(settings, 
     trace = run(metric, FlowConfig(target=_uniform_target(metric), **settings))
     assert trace.converged
     assert trace.steps <= steps, [rec.max_curv_err for rec in trace.records]
+
+
+def test_calabi_solves_on_the_lanczos_basis(monkeypatch):
+    # calabi is fractional at s = 1: one Lanczos basis of dK/du per step,
+    # reused by every trial h.  On the bumpy torus at n = 40 (V = 1600) it
+    # applies dK/du 138 times per run; conjugate gradients on
+    # I + h (dK/du)^2 took 836 in as many steps
+    applies = _count_applies(monkeypatch)
+    metric = _bumpy_torus(40)
+    trace = run(metric, FlowConfig(kind="calabi", target=_uniform_target(metric), tol=1e-6))
+    assert trace.converged
+    assert applies[0] <= 300, applies[0]
 
 
 def test_every_flow_reaches_the_same_limit():
