@@ -19,7 +19,8 @@ tends to a Newton step as h grows.  sigma = 1 except for the p-family
 above p = 2, whose rate scales as sigma = max|dg_e|^(p-2), g = K - target:
 there h and t are the rate-normalised time tau, dt = dtau / sigma, and W
 weighs each edge of dK/du by its own rate relative to the fastest,
-floored at RATE_FLOOR, so the step tends to Newton's there too.  Any W
+floored at RATE_FLOOR, less one rank-one term that takes the floor back
+off along g, so the step tends to Newton's there too.  Any W
 keeps the step consistent (a W-method), so small steps follow the flow
 and the limit is the flow's.  An exact zero-sum projection
 follows, so the total of the scale factors is conserved to machine
@@ -35,8 +36,9 @@ p = 2 (the whole s-family), and the trapezoidal potential
 increment for every flow.  A trial already at the round-off floor of max|K - target|
 skips that test.
 Admissibility is the per-face pass's margin gate alone: its
-DegenerateTriangle, like any typed metric, geometry, operator or surgery
-error, rejects the trial and halves the step.  A trial that fails the
+DegenerateTriangle, like any typed mesh, metric, geometry, operator or
+surgery error (a located flip of a self-glued edge raises SelfFlip),
+rejects the trial and halves the step.  A trial that fails the
 monotone test instead takes sqrt(h) while h > 4, and halves below: h grew
 geometrically, so this bisects log h, and a rejection at the growth cap
 reaches a small h.  A step takes up to 30 rejections of either kind, and
@@ -48,7 +50,7 @@ into the Newton regime in a few steps.  The first trial is DEFAULT_STEP
 = 10, long enough that it damps even the slowest mode of dK/du, by
 1 / (1 + h lam_1) with lam_1 = 0.113 on a bumpy torus of 400 vertices
 (pseudo-transient continuation, Kelley-Keyes 1998), so ricci, calabi and
-fractional take about three steps, and p_calabi(3) five or six.  Each
+fractional take about three steps, and p_calabi three or four at any p.  Each
 step's linear solve is only as accurate as the run needs: its tolerance
 is an inexact-Newton forcing term (Eisenstat-Walker 1996) that tightens
 as max|K - target| falls but never past what tol can see (see
@@ -73,6 +75,7 @@ from .errors import (
     GeometryError,
     InvalidExponent,
     InvalidFlowSetting,
+    MeshError,
     MetricError,
     NonAdmissibleTarget,
     OperatorError,
@@ -237,11 +240,15 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     everywhere else, and where g is constant.  There W is the edge
     Laplacian on the weights c_e of dK/du times
     max((|g_b - g_a| / max)^(p-2), RATE_FLOOR), the floor also on every
-    edge with c_e < 0.  v / sigma is -W g on the edges above the floor, so
-    h x tends to the Newton step -(dK/du)^+ g where no edge is floored; the
-    floor bounds how much slower than dK/du any edge moves, which keeps the
-    conjugate gradients short, and W - RATE_FLOOR dK/du has weights >= 0,
-    so W is semidefinite wherever dK/du is.  Conjugate gradients stop at
+    edge with c_e < 0; the floor bounds how much slower than dK/du any edge
+    moves, which keeps the conjugate gradients short, and W - RATE_FLOOR
+    dK/du has weights >= 0, so W is semidefinite wherever dK/du is.  Where
+    every c_e >= 0, what the floor adds, D = W - W_exact (W_exact on the
+    unfloored rates), is semidefinite, and W - D g (D g)^T / g.D g has
+    W g = W_exact g = -v / sigma, so h x tends to the Newton step
+    -(dK/du)^+ g at every p; by Cauchy-Schwarz that W still dominates
+    W_exact, which is semidefinite wherever dK/du is.  g.D g = 0 means
+    D g = 0, and W g is already -v / sigma.  Conjugate gradients stop at
     relative residual rtol, and the Lanczos basis at that relative change
     of x between two checkpoints, with the forcing term
     rtol = min(CG_REL_TOL, max(CG_REL_TOL e, 0.1 tol / e)), e = max|g|:
@@ -270,9 +277,14 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     jumps = np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]])
     spread = np.max(jumps)
     sigma = float(spread ** (p - 2.0)) or 1.0  # 1 where g is constant, or on underflow
-    rates = np.maximum((jumps / (spread or 1.0)) ** (p - 2.0), RATE_FLOOR)
+    exact = (jumps / (spread or 1.0)) ** (p - 2.0)
+    rates = np.maximum(exact, RATE_FLOOR)
     rates[weights < 0.0] = RATE_FLOOR  # so W - RATE_FLOOR J has weights >= 0
-    apply_w = edge_laplacian(metric, weights * rates)
+    apply_floored = edge_laplacian(metric, weights * rates)
+    dg = edge_laplacian(metric, weights * (rates - exact))(deviation)  # what the floor adds to W g
+    gdg, apply_w = float(deviation @ dg), apply_floored
+    if gdg > 0.0 and np.all(weights >= 0.0):  # D >= 0, so W - D g (D g)^T / g.D g >= W_exact
+        apply_w = lambda f: apply_floored(f) - dg * (float(dg @ f) / gdg)
     return lambda: v, lambda h: solve_shifted(apply_j, apply_w, h, v / sigma, rtol)
 
 
@@ -361,7 +373,7 @@ def step(
             u1 -= (np.sum(u1) - target_sum) / n
             trial.set_conformal_factors(u1)
             record = _settle(trial, config, last, h_try, halvings, g0, u1 - u0)
-        except (MetricError, GeometryError, OperatorError, SurgeryError) as exc:
+        except (MeshError, MetricError, GeometryError, OperatorError, SurgeryError) as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
             h_try *= 0.5
             continue
