@@ -9,18 +9,18 @@ The flows come in two families, and four names select them:
 
 ``FlowConfig`` resolves a name once, so the integrator reads only the
 family and its exponent.  Both families apply dK/du as the edge flux of
-the operators module in O(E): ricci and p > 2 through conjugate
+the operators module in O(E): ricci and the p-family through conjugate
 gradients, s != 0 through one Lanczos basis per step.  No flow
 assembles the dense Jacobian or its spectrum.
 
 Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
 (I + hA) x = v / sigma, A = W dK/du, which damps every mode at any h and
 tends to a Newton step as h grows.  sigma = 1 except for the p-family
-above p = 2, whose rate scales as sigma = max|dg_e|^(p-2), g = K - target:
+(p != 2), whose rate scales as sigma = max|dg_e|^(p-2), g = K - target:
 there h and t are the rate-normalised time tau, dt = dtau / sigma, and W
-weighs each edge of dK/du by its own rate relative to the fastest,
-floored at RATE_FLOOR, less one rank-one term that takes the floor back
-off along g, so the step tends to Newton's there too.  Any W
+is a multiple of the identity less one rank-one term, chosen so that W g
+is the p-flow's own rate: the step tends to Newton's there too, and
+costs a conjugate gradient of ricci's.  Any W
 keeps the step consistent (a W-method), so small steps follow the flow
 and the limit is the flow's.  An exact zero-sum projection
 follows, so the total of the scale factors is conserved to machine
@@ -49,8 +49,8 @@ relaxation (Mulder-van Leer 1985) with doubling as a floor, which grows h
 into the Newton regime in a few steps.  The first trial is DEFAULT_STEP
 = 10, long enough that it damps even the slowest mode of dK/du, by
 1 / (1 + h lam_1) with lam_1 = 0.113 on a bumpy torus of 400 vertices
-(pseudo-transient continuation, Kelley-Keyes 1998), so ricci, calabi and
-fractional take about three steps, and p_calabi three or four at any p.  Each
+(pseudo-transient continuation, Kelley-Keyes 1998), so every kind takes
+about three steps there, p_calabi at any p.  Each
 step's linear solve is only as accurate as the run needs: its tolerance
 is an inexact-Newton forcing term (Eisenstat-Walker 1996) that tightens
 as max|K - target| falls but never past what tol can see (see
@@ -84,7 +84,7 @@ from .errors import (
 )
 from .geometry import edge_weights
 from .metric import DecoratedMetric, validate_triangles
-from .operators import apply_p_laplacian, calabi_energy, curvature, edge_laplacian
+from .operators import calabi_energy, curvature, edge_laplacian, p_rates
 from .operators import fractional_solve, solve_shifted
 from .surgery import delaunay_violations, flip_along, make_delaunay
 
@@ -104,7 +104,6 @@ STEP_GROWTH = 2.0
 STEP_GROWTH_CAP = 1e12   # a tol below round-off would otherwise grow h without bound
 TARGET_SUM_TOL = 1e-9
 CG_REL_TOL = 1e-3
-RATE_FLOOR = 0.25  # least relative p-rate of an edge in the p-family's W, above p = 2
 ROUNDOFF_FLOOR = 64 * np.finfo(float).eps * 2.0 * np.pi  # max|K - target| within round-off of 0
 
 
@@ -168,8 +167,8 @@ class FlowConfig:
 class StepRecord:
     """One accepted step (or the initial snapshot, with h = 0).
 
-    h and t are in the flow's time, except for p_calabi above p = 2,
-    where they are in its rate-normalised time tau (see ``_linearization``).
+    h and t are in the flow's time, except for p_calabi (p != 2), where
+    they are in its rate-normalised time tau (see ``_linearization``).
     ``halvings`` counts the step's rejected trials, each a halving of h or,
     for a failed monotone test above h = 4, its square root.
     """
@@ -232,23 +231,24 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     h solved moves by at most the tolerance below; v is x at h = 0, read
     from the same basis only when asked for, so a step never forms it.
     At s = 1 (calabi) 1 + h theta^2 > 0, so the step exists even where
-    dK/du is indefinite.  The p-family has p != 2; below p = 2, A = 0 and
-    x = v (explicit Euler).  Above p = 2 the p-flow's rate scales with
-    sigma = (max over the edges of |g_b - g_a|)^(p-2), and h is a step in
-    the rate-normalised time tau, dt = dtau / sigma: the orbit is the
-    flow's, and h, its halvings and its growth act on tau.  sigma = 1
-    everywhere else, and where g is constant.  There W is the edge
-    Laplacian on the weights c_e of dK/du times
-    max((|g_b - g_a| / max)^(p-2), RATE_FLOOR), the floor also on every
-    edge with c_e < 0; the floor bounds how much slower than dK/du any edge
-    moves, which keeps the conjugate gradients short, and W - RATE_FLOOR
-    dK/du has weights >= 0, so W is semidefinite wherever dK/du is.  Where
-    every c_e >= 0, what the floor adds, D = W - W_exact (W_exact on the
-    unfloored rates), is semidefinite, and W - D g (D g)^T / g.D g has
-    W g = W_exact g = -v / sigma, so h x tends to the Newton step
-    -(dK/du)^+ g at every p; by Cauchy-Schwarz that W still dominates
-    W_exact, which is semidefinite wherever dK/du is.  g.D g = 0 means
-    D g = 0, and W g is already -v / sigma.  Conjugate gradients stop at
+    dK/du is indefinite.  The p-family has p != 2.  Its velocity is the
+    edge Laplacian of g on the weights c_e |g_b - g_a|^(p-2) of
+    ``p_rates``, which scale with sigma = (max over the edges of
+    |g_b - g_a|)^(p-2), and h is a step in the rate-normalised time tau,
+    dt = dtau / sigma: the orbit is the flow's, and h, its halvings and
+    its growth act on tau.  sigma = 1 where g is constant, and where the
+    power underflows.  W_exact, the edge Laplacian on those weights over
+    sigma, has v / sigma = -W_exact g, and alpha, twice the largest sum
+    of their absolute values at a vertex, bounds its spectrum
+    (Gershgorin), so D' = alpha I - W_exact is semidefinite and
+    D' g = alpha g + v / sigma costs no apply.  Where every c_e >= 0 and
+    g.D' g > 0, W = alpha I - D' g (D' g)^T / g.D' g: W g = W_exact g =
+    -v / sigma, so h x tends to the Newton step -(dK/du)^+ g at every p,
+    and by Cauchy-Schwarz W dominates W_exact, semidefinite there.
+    Elsewhere W = alpha I: g.D' g = 0 means D' g = 0, so W g is already
+    -v / sigma, and an edge with c_e < 0 leaves W_exact without a sign.
+    I + h W dK/du is ricci's I + h alpha dK/du but in one direction, so
+    each conjugate gradient applies dK/du once.  Conjugate gradients stop at
     relative residual rtol, and the Lanczos basis at that relative change
     of x between two checkpoints, with the forcing term
     rtol = min(CG_REL_TOL, max(CG_REL_TOL e, 0.1 tol / e)), e = max|g|:
@@ -270,22 +270,18 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
         v = -deviation
         return lambda: v, lambda h: solve_shifted(apply_j, lambda f: f, h, v, rtol)
     p = config.p
-    v = apply_p_laplacian(metric, p, deviation)
-    if p < 2.0:  # A = 0: the step is explicit
-        return lambda: v, lambda h: v
+    rates, spread = p_rates(metric, p, deviation)
+    v = -edge_laplacian(metric, rates)(deviation)
+    # 1 where g is constant, or on underflow
+    sigma = float(spread ** (p - 2.0) if spread else 0.0) or 1.0
+    scaled = v / sigma  # -W_exact g
     ends = metric.mesh.edge_endpoints_array()
-    jumps = np.abs(deviation[ends[:, 1]] - deviation[ends[:, 0]])
-    spread = np.max(jumps)
-    sigma = float(spread ** (p - 2.0)) or 1.0  # 1 where g is constant, or on underflow
-    exact = (jumps / (spread or 1.0)) ** (p - 2.0)
-    rates = np.maximum(exact, RATE_FLOOR)
-    rates[weights < 0.0] = RATE_FLOOR  # so W - RATE_FLOOR J has weights >= 0
-    apply_floored = edge_laplacian(metric, weights * rates)
-    dg = edge_laplacian(metric, weights * (rates - exact))(deviation)  # what the floor adds to W g
-    gdg, apply_w = float(deviation @ dg), apply_floored
-    if gdg > 0.0 and np.all(weights >= 0.0):  # D >= 0, so W - D g (D g)^T / g.D g >= W_exact
-        apply_w = lambda f: apply_floored(f) - dg * (float(dg @ f) / gdg)
-    return lambda: v, lambda h: solve_shifted(apply_j, apply_w, h, v / sigma, rtol)
+    alpha = 2.0 * float(np.max(np.bincount(ends.ravel(), np.repeat(np.abs(rates), 2)))) / sigma
+    dg = alpha * deviation + scaled  # D' g
+    gdg, apply_w = float(deviation @ dg), lambda f: alpha * f
+    if gdg > 0.0 and np.all(weights >= 0.0):  # W_exact >= 0, so W >= W_exact >= 0
+        apply_w = lambda f: alpha * f - dg * (float(dg @ f) / gdg)
+    return lambda: v, lambda h: solve_shifted(apply_j, apply_w, h, scaled, rtol)
 
 
 def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, w_inc: float) -> bool:

@@ -178,20 +178,31 @@ def apply_p_laplacian(metric: DecoratedMetric, p: float, f: np.ndarray) -> np.nd
     accumulated antisymmetrically, so the result always sums to zero.
 
     At p = 2 this is the Laplacian of the Calabi flow in O(E), equal to
-    ``apply_laplacian(jacobian(metric), f)`` up to roundoff.  For p < 2 the
-    odd power is singular at equal values and is extended by its limit 0
-    whenever |f_b - f_a| <= 1e-14 ||f||.  Exponents p <= 1 are rejected.
-    Loop edges contribute nothing (the difference is zero).
+    ``apply_laplacian(jacobian(metric), f)`` up to roundoff.  It is the
+    edge Laplacian on the weights of ``p_rates``.  Loop edges contribute
+    nothing (the difference is zero).
+    """
+    f = np.asarray(f, dtype=float)
+    return -edge_laplacian(metric, p_rates(metric, p, f)[0])(f)
+
+
+def p_rates(metric: DecoratedMetric, p: float, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per edge c_e |f_b - f_a|^(p-2), the weights on which the p-th
+    Laplacian of f is the edge Laplacian of f, and max |f_b - f_a|.
+
+    For p < 2 the odd power is singular at equal values and is extended by
+    its limit 0: an edge with |f_b - f_a| <= 1e-14 ||f|| weighs 0.
+    Exponents p <= 1 are rejected.
     """
     if not p > 1.0:
         raise InvalidExponent(f"p-Laplacian exponent must exceed 1, got {p}")
-    f = np.asarray(f, dtype=float)
     ends = metric.mesh.edge_endpoints_array()
     jumps = np.abs(f[ends[:, 1]] - f[ends[:, 0]])
+    spread = np.max(jumps)
     if p < 2.0:  # inf ** (p - 2) is 0: the limit of the odd power
         tiny = jumps <= P_DIFF_REL_TOL * float(np.max(np.abs(f), initial=0.0))
         jumps = np.where(tiny, np.inf, jumps)
-    return -edge_laplacian(metric, edge_weights(metric) * jumps ** (p - 2.0))(f)
+    return edge_weights(metric) * jumps ** (p - 2.0), spread
 
 
 def calabi_energy(curv: np.ndarray, target: np.ndarray) -> float:
