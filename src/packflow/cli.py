@@ -41,8 +41,9 @@ def _cmd_validate(args) -> int:
     report = validate_triangles(doc.metric)
     print(f"triangles: {doc.mesh.num_triangles}  edges: {doc.mesh.num_edges}"
           f"  vertices: {doc.mesh.num_vertices}  chi: {doc.mesh.euler_characteristic}")
+    face = report.worst_triangle
     print(f"min triangle margin: {np.min(report.margins):.12g}"
-          f"  (threshold {report.threshold:.3g}, worst face {report.worst_triangle})")
+          f"  (worst face {face}, threshold {report.threshold[face]:.3g})")
     if report.admissible:
         violations = delaunay_violations(doc.metric)
         if violations:

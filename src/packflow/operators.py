@@ -15,11 +15,11 @@ edge difference by its (p-1)-homogeneous odd power, and p = 2 is the plain
 Laplacian of the Calabi flow.  ``edge_laplacian`` applies any edge weights
 linearly, which is all that the flows' linearly implicit steps need: the
 conjugate gradients of ``solve_shifted`` and the Lanczos basis of
-``fractional_solve``, whose Ritz values ``fractional_powers`` powers.  No
-flow assembles the dense matrix: ``packflow jacobian-check`` compares it
-with the finite-difference one, and ``spectral``, ``apply_laplacian`` and
-``apply_fractional`` on it are the references for the edge flux and the
-Lanczos basis.
+``fractional_solve`` (the fractional velocity, and the step at s < 0),
+whose Ritz values ``fractional_powers`` powers.  No flow assembles the
+dense matrix: ``packflow jacobian-check`` compares it with the
+finite-difference one, and ``spectral``, ``apply_laplacian`` and
+``apply_fractional`` on it are the dense references.
 """
 
 from __future__ import annotations

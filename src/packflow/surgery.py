@@ -135,7 +135,7 @@ def flip_metric(
     # the two new triangles (l, j, k) and (k, i, l) of each quad, shape (B, 2, 3)
     new_sides = np.moveaxis(np.array([[l_lj, l_jk, new_length], [l_ki, l_il, new_length]]), -1, 0)
     margins = triangle_margins(new_sides)
-    thin = ~(margins > TRIANGLE_MARGIN_REL_TOL * new_sides.max(axis=(1, 2))[:, None])
+    thin = ~(margins > TRIANGLE_MARGIN_REL_TOL * new_sides.max(axis=2))
     outside = ~(np.maximum(theta_i, theta_j) < np.pi)
     self_glued = t[:, 0] == t[:, 1]
     failed = np.flatnonzero(self_glued | thin.any(axis=1) | outside)

@@ -298,8 +298,7 @@ def test_a_rejection_at_the_growth_cap_reaches_a_small_step(monkeypatch):
 
 def test_an_operator_error_halves_the_trial(monkeypatch):
     # a conjugate-gradient breakdown is raised inside the trial, so the
-    # trial halves like one that fails the margin gate; ricci reaches the
-    # conjugate gradients, and calabi, on the Lanczos basis, does not
+    # trial halves like one that fails the margin gate
     from packflow import IndefiniteOperator, flows
 
     solve_shifted, limit = flows.solve_shifted, 1.0
@@ -487,39 +486,44 @@ def _random_target(metric, seed: int) -> np.ndarray:
 def _dense_w(metric, settings: dict, jac: np.ndarray) -> tuple[np.ndarray, float]:
     """W of A = W dK/du and the scale sigma of the right-hand side v / sigma,
     built from the dense Jacobian alone."""
+    from packflow import curvature
+
     n = jac.shape[0]
-    kind = settings["kind"]
-    if kind != "p_calabi":
-        s = {"ricci": 0.0, "calabi": 1.0}.get(kind, settings.get("s"))
+    g = curvature(metric) - _uniform_target(metric)
+    a, b = np.nonzero(np.triu(jac, 1))
+    if settings["kind"] == "p_calabi":
+        # the p-family steps in the time tau, dt = dtau / sigma, sigma the
+        # largest edge jump of g to the power p - 2.  R is the Laplacian on
+        # the Jacobian's edge weights times each edge's p-rate relative to
+        # that jump (0 on a tiny jump below p = 2), and beta twice the
+        # largest absolute row sum of its off-diagonal
+        p = settings["p"]
+        jumps = np.abs(g[b] - g[a])
+        tiny = (jumps <= 1e-14 * np.max(np.abs(g))) & (p < 2.0)
+        rates = np.where(tiny, 0.0, (np.where(tiny, 1.0, jumps) / np.max(jumps)) ** (p - 2.0))
+        off = np.zeros_like(jac)
+        off[a, b] = off[b, a] = -jac[a, b] * rates
+        beta, sigma = 2.0 * np.max(np.abs(off).sum(axis=1)), np.max(jumps) ** (p - 2.0)
+        r = np.diag(off.sum(axis=1)) - off
+    else:
+        # the s-family: R = (dK/du)^s, and beta (twice the largest absolute
+        # row sum of the off-diagonal)^s bounds it for s > 0
+        s = {"ricci": 0.0, "calabi": 1.0}.get(settings["kind"], settings.get("s"))
         if s == 0.0:
             return np.eye(n), 1.0
         lam, vecs = np.linalg.eigh(jac)
         kernel = np.abs(lam) <= 1e-12 * lam[-1]
-        powered = np.where(kernel, 0.0, np.where(kernel, 1.0, lam) ** s)
-        return vecs @ np.diag(powered) @ vecs.T, 1.0
-    from packflow import curvature
-
-    # the p-family steps in the time tau, dt = dtau / sigma, sigma the
-    # largest edge jump of g to the power p - 2.  W_exact is the Laplacian
-    # on the Jacobian's edge weights times each edge's p-rate relative to
-    # that jump (0 on a tiny jump below p = 2), and alpha twice the
-    # largest absolute row sum of its off-diagonal, so D' = alpha I -
-    # W_exact is semidefinite.  Where every weight is >= 0, W is alpha I
-    # less the rank-one D' g (D' g)^T / g.D' g, so W g = W_exact g
-    p = settings["p"]
-    g = curvature(metric) - _uniform_target(metric)
-    a, b = np.nonzero(np.triu(jac, 1))
-    jumps = np.abs(g[b] - g[a])
-    tiny = (jumps <= 1e-14 * np.max(np.abs(g))) & (p < 2.0)
-    rates = np.where(tiny, 0.0, (np.where(tiny, 1.0, jumps) / np.max(jumps)) ** (p - 2.0))
-    w = np.zeros_like(jac)
-    w[a, b] = w[b, a] = -jac[a, b] * rates
-    alpha = 2.0 * np.max(np.abs(w).sum(axis=1))
-    dg = alpha * g - (np.diag(w.sum(axis=1)) - w) @ g
-    w = alpha * np.eye(n)
+        r = vecs @ np.diag(np.where(kernel, 0.0, np.where(kernel, 1.0, lam) ** s)) @ vecs.T
+        if s < 0.0:  # no bound: W = R
+            return r, 1.0
+        beta, sigma = (2.0 * np.max(np.abs(jac - np.diag(np.diag(jac))).sum(axis=1))) ** s, 1.0
+    # D' = beta I - R is semidefinite.  Where every weight is >= 0, W is
+    # beta I less the rank-one D' g (D' g)^T / g.D' g, so W g = R g
+    dg = beta * g - r @ g
+    w = beta * np.eye(n)
     if np.all(jac[a, b] <= 0.0) and g @ dg > 0.0:
         w = w - np.outer(dg, dg) / (g @ dg)
-    return w, np.max(jumps) ** (p - 2.0)
+    return w, sigma
 
 
 @pytest.mark.parametrize(
@@ -530,8 +534,9 @@ def _dense_w(metric, settings: dict, jac: np.ndarray) -> tuple[np.ndarray, float
 def test_implicit_step_solves_the_dense_system(preset, n, monkeypatch):
     # on simplicial meshes an edge weight is minus its Jacobian entry, so
     # the reference never touches the edge fluxes, conjugate gradients or
-    # Lanczos vectors; at V = 144 the fractional step stops before its
-    # Krylov space is spanned, so it must stop on x at the h solved
+    # Lanczos vectors; at V = 144 a fractional Lanczos basis stops before
+    # its Krylov space is spanned, so it must stop on the x it returns: v
+    # at s > 0, and x at the h solved at s < 0
     from packflow import flows, jacobian
 
     monkeypatch.setattr(flows, "CG_REL_TOL", 1e-13)
@@ -625,9 +630,10 @@ def test_forced_linear_solves_never_cost_a_step(monkeypatch):
     # near tol the last step solves only as finely as tol can see.  Against
     # solves tightened to 1e-10 it must keep the median and every seed within
     # one step, and apply the edge flux fewer times.  Measured: every seed
-    # equal but one p_calabi(3) WILD seed one step above and one one below.
-    # On WILD (V = 12) the fractional basis spans its Krylov space either
-    # way, so its count falls on the torus alone
+    # equal for every kind, with 1742 / 2243 / 4278 / 2212 applies (ricci /
+    # calabi / fractional(0.5) / p_calabi(3)) against
+    # 3157 / 3615 / 6746 / 3575.  On WILD (V = 12) the basis of fractional's
+    # velocity spans its Krylov space either way
     forced = _counted_runs(monkeypatch, 1e-3)
     reference = _counted_runs(monkeypatch, 1e-10)
     for name in FORCED_KINDS:
@@ -707,12 +713,13 @@ OBTUSE = RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(-0
 
 def test_p_step_refuses_an_indefinite_jacobian():
     # obtuse overlaps (inversive distance below 0) make dK/du indefinite on
-    # OBTUSE seed 19, which is not weighted Delaunay.  With surgery off the
-    # p-family refuses it at every h rather than step.  calabi, fractional
-    # at s = 1, solves with I + h (dK/du)^2, positive definite for any
-    # symmetric dK/du, so its step exists at every h; the run still
-    # collapses, on the monotonicity test (down to h = 5.9e-9), as the flow
-    # cannot lower the energy there
+    # OBTUSE seed 19, which is not weighted Delaunay.  With surgery off,
+    # calabi and the p-family refuse it at every h rather than step: an edge
+    # of negative weight leaves W = beta I, and the conjugate gradients of
+    # I + h beta dK/du meet the negative curvature, so the run collapses on
+    # IndefiniteOperator.  calabi on its Lanczos basis solved I + h
+    # (dK/du)^2, definite for any symmetric dK/du, and collapsed on the
+    # monotonicity test instead (down to h = 5.9e-9)
     from packflow import IndefiniteOperator, flows, jacobian
 
     metric = random_metric(OBTUSE, 19)
@@ -721,25 +728,24 @@ def test_p_step_refuses_an_indefinite_jacobian():
         config = FlowConfig(target=_uniform_target(metric), surgery=False, **EVERY_KIND[name])
         _, solve = flows._linearization(metric, config)
         for h in (1e-3, 1.0, 1e6):
-            if name == "calabi":
-                assert np.all(np.isfinite(solve(h))), h
-            else:
-                with pytest.raises(IndefiniteOperator):
-                    solve(h)
-        reason = "monotonicity rejected" if name == "calabi" else "IndefiniteOperator"
-        with pytest.raises(StepCollapse, match=reason):
+            with pytest.raises(IndefiniteOperator):
+                solve(h)
+        with pytest.raises(StepCollapse, match="IndefiniteOperator"):
             run(metric, config)
 
 
 def test_p_step_solves_wherever_the_jacobian_is_semidefinite():
-    # with an edge of negative weight W is alpha I, which needs no sign of
-    # the weights, so the step solves wherever dK/du is semidefinite.  On
-    # the OBTUSE states of seeds 0-299 with negative weights and a
-    # semidefinite dK/du, a W with the p-rate on those edges was indefinite
-    # in 12 of 528 (seed, p) pairs, and conjugate gradients refused it
+    # with an edge of negative weight W is beta I, which needs no sign of
+    # the weights, so the step solves wherever dK/du is semidefinite, for
+    # calabi and fractional(s > 0) as for the p-family.  On the OBTUSE
+    # states of seeds 0-299 with negative weights and a semidefinite dK/du,
+    # a W with the p-rate on those edges was indefinite in 12 of 528
+    # (seed, p) pairs, and conjugate gradients refused it
     from packflow import flows, jacobian
     from packflow.geometry import edge_weights
 
+    kinds = [{"kind": "p_calabi", "p": p} for p in (1.5, 3.0, 6.0)]
+    kinds += [{"kind": "calabi"}, {"kind": "fractional", "s": 0.5}, {"kind": "fractional", "s": 1.5}]
     checked = 0
     for seed in range(80):
         metric = random_metric(OBTUSE, seed)
@@ -747,11 +753,11 @@ def test_p_step_solves_wherever_the_jacobian_is_semidefinite():
         if lam[0] < -1e-9 * lam[-1] or not np.any(edge_weights(metric) < 0.0):
             continue
         checked += 1
-        for p in (1.5, 3.0, 6.0):
-            config = FlowConfig(kind="p_calabi", p=p, target=_uniform_target(metric), surgery=False)
+        for settings in kinds:
+            config = FlowConfig(target=_uniform_target(metric), surgery=False, **settings)
             _, solve = flows._linearization(metric, config)
             for h in (1.0, 1e6):
-                assert np.all(np.isfinite(solve(h))), (seed, p, h)
+                assert np.all(np.isfinite(solve(h))), (seed, settings, h)
     assert checked >= 50
 
 
@@ -795,7 +801,7 @@ def test_p_two_runs_calabi_bitwise():
 
 
 def test_fractional_one_runs_calabi_bitwise():
-    # calabi is the fractional Calabi flow at s = 1: one Lanczos path
+    # calabi is the fractional Calabi flow at s = 1: one code path
     _assert_alias_runs_bitwise({"kind": "calabi"}, {"kind": "fractional", "s": 1.0})
 
 
@@ -937,16 +943,22 @@ def test_a_bumpy_torus_converges_in_three_steps_from_the_default_step(settings, 
     assert trace.steps <= steps, [rec.max_curv_err for rec in trace.records]
 
 
-def test_calabi_solves_on_the_lanczos_basis(monkeypatch):
-    # calabi is fractional at s = 1: one Lanczos basis of dK/du per step,
-    # reused by every trial h.  On the bumpy torus at n = 40 (V = 1600) it
-    # applies dK/du 138 times per run; conjugate gradients on
-    # I + h (dK/du)^2 took 836 in as many steps
+def test_calabi_and_fractional_solve_at_ricci_cost(monkeypatch):
+    # calabi and fractional(s > 0) share the p-family's W, beta I less one
+    # rank-one term, so each conjugate gradient applies dK/du once and the
+    # step tends to Newton's.  On the bumpy torus at n = 40 (V = 1600)
+    # calabi applies the edge flux 88 times in 3 steps, where one Lanczos
+    # basis of dK/du per step took 138 in 4, and conjugate gradients on
+    # I + h (dK/du)^2 took 836; fractional(1.5) takes 3 steps, where the
+    # Lanczos basis took 5
     applies = _count_applies(monkeypatch)
     metric = _bumpy_torus(40)
     trace = run(metric, FlowConfig(kind="calabi", target=_uniform_target(metric), tol=1e-6))
     assert trace.converged
-    assert applies[0] <= 300, applies[0]
+    assert applies[0] <= 120, applies[0]
+    trace = run(metric, FlowConfig(kind="fractional", s=1.5, target=_uniform_target(metric), tol=1e-6))
+    assert trace.converged
+    assert trace.steps <= 3, [rec.max_curv_err for rec in trace.records]
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])

@@ -226,3 +226,46 @@ def test_apply_conformal_matches_effective_properties():
     metric.set_conformal_factors(u)
     assert np.array_equal(lengths, metric.effective_lengths)
     assert np.array_equal(radii, metric.effective_radii)
+
+
+def _nested_sphere(flat: bool = False):
+    """A sphere of 14 nested equilateral triangles, each a tenth of the one
+    around it, so the innermost (face 1) is 1e-13 the size of the
+    outermost; with ``flat`` its third corner sits on its first side.
+    Each ring between two triangles is six faces, and one face closes
+    the outermost from behind."""
+    from packflow import infer_gluings
+
+    angles = np.pi / 2 + 2 * np.pi * np.arange(3) / 3
+    points = np.concatenate([0.1**k * np.stack([np.cos(angles), np.sin(angles)], 1) for k in range(14)])
+    if flat:
+        points[41] = 0.5 * (points[39] + points[40])
+    faces = [(0, 2, 1), (39, 40, 41)]
+    for o in range(0, 39, 3):
+        for i in range(3):
+            j = (i + 1) % 3
+            faces += [(o + i, o + j, o + 3 + j), (o + i, o + 3 + j, o + 3 + i)]
+    mesh = infer_gluings(42, faces)
+    ends = mesh.edge_endpoints_array()
+    lengths = np.linalg.norm(points[ends[:, 0]] - points[ends[:, 1]], axis=1)
+    return DecoratedMetric(mesh, lengths, np.ones(42))
+
+
+def test_margin_gate_reads_each_face_on_its_own_scale():
+    # the innermost face is equilateral but 1e-13 the size of the longest
+    # edge: its margin, 1.7e-13, sat below the old threshold of 1e-12 times
+    # the mesh's longest edge, 1.7.  Against its own longest side the
+    # threshold is 1.7e-25.  Flattened onto a line, the same face is
+    # refused at its own scale, and the report names it with its own
+    # threshold
+    metric = _nested_sphere()
+    report = validate_triangles(metric)
+    assert report.admissible
+    side = np.sqrt(3) * 1e-13
+    assert report.threshold[1] == pytest.approx(1e-12 * side)
+    assert report.margins[1] == pytest.approx(side) and side < 1e-12 * np.max(metric.effective_lengths)
+    report = validate_triangles(_nested_sphere(flat=True))
+    assert not report.admissible and report.worst_triangle == 1
+    assert report.margins[1] <= report.threshold[1] == pytest.approx(1e-12 * side)
+    with pytest.raises(DegenerateTriangle, match=f"triangle 1 .*threshold {report.threshold[1]:.3e}"):
+        report.require()
