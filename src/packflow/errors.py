@@ -118,10 +118,10 @@ class IndefiniteOperator(OperatorError):
     """dK/du or I + hA is not positive definite where a solve needs it.
 
     Raised for a fractional power of a matrix with genuinely negative
-    eigenvalues, or of a Lanczos basis with negative Ritz values, for a
-    conjugate gradient breakdown in ``solve_shifted``, and for a
-    fractional step whose divisor 1 + h lam^(s+1) is not positive.  Happens when dK/du is assembled on a triangulation that
-    violates the weighted Delaunay condition and surgery is disabled.
+    eigenvalues, or of a Lanczos basis with negative Ritz values, and for
+    a conjugate gradient breakdown in ``solve_shifted``.  Happens when
+    dK/du is assembled on a triangulation that violates the weighted
+    Delaunay condition and surgery is disabled.
     """
 
 

@@ -9,17 +9,17 @@ The flows come in two families, and four names select them:
 
 ``FlowConfig`` resolves a name once, so the integrator reads only the
 family and its exponent.  Both families apply dK/du as the edge flux of
-the operators module in O(E) and step by conjugate gradients, but for
-s < 0; fractional reads its velocity off one Lanczos basis, and s < 0 its
-step too.  No flow assembles the dense Jacobian or its spectrum.
+the operators module in O(E) and step by conjugate gradients; fractional
+reads its velocity off one Lanczos basis.  No flow assembles the dense
+Jacobian or its spectrum.
 
 Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
 (I + hA) x = v / sigma, A = W dK/du, which damps every mode at any h and
 tends to a Newton step as h grows.  sigma = 1 except for the p-family
 (p != 2), whose rate scales as sigma = max|dg_e|^(p-2), g = K - target:
 there h and t are the rate-normalised time tau, dt = dtau / sigma.  W = I
-for ricci; for every bounded rate (calabi, s > 0, the p-family) it is a
-multiple of the identity less one rank-one term, so that W g is the
+for ricci; for every other kind (calabi, fractional, the p-family) it is
+a multiple of the identity less one rank-one term, so that W g is the
 flow's own rate: the step tends to Newton's at a conjugate gradient of
 ricci's cost.  Any W keeps the step consistent (a W-method), so small
 steps follow the flow and the limit is the flow's.  An exact zero-sum projection
@@ -85,7 +85,7 @@ from .errors import (
 from .geometry import edge_weights
 from .metric import DecoratedMetric, validate_triangles
 from .operators import calabi_energy, curvature, edge_laplacian, p_rates
-from .operators import fractional_solve, solve_shifted
+from .operators import fractional_velocity, solve_shifted
 from .surgery import delaunay_violations, flip_along, make_delaunay
 
 logger = logging.getLogger(__name__)
@@ -218,24 +218,26 @@ class FlowTrace:
 
 def velocity(metric: DecoratedMetric, config: FlowConfig) -> np.ndarray:
     """du/dt at the current state for the configured flow."""
-    return _linearization(metric, config)[0]()
+    return _linearization(metric, config)[0]
 
 
 def _linearization(metric: DecoratedMetric, config: FlowConfig):
-    """(velocity, solve): v on demand, and h -> x with (I + hA) x = v / sigma.
+    """(v, solve): the velocity, and h -> x with (I + hA) x = v / sigma.
 
     A = W dK/du and g = K - target.  ricci has W = I and v = -g.  Every
-    kind of order s > 0 (1 across the p-family) has v / sigma = -R g.  For
+    kind of order s != 0 (1 across the p-family) has v / sigma = -R g.  For
     calabi and the p-family R is the edge Laplacian, one apply, on the
     weights c_e |g_b - g_a|^(p-2) of ``p_rates`` (c_e at p = 2) over sigma
     = (max over the edges of |g_b - g_a|)^(p-2), and for p != 2 h is a step
     in the rate-normalised time tau, dt = dtau / sigma: the orbit is the
     flow's, and h, its halvings and its growth act on tau.  sigma = 1 where
     g is constant, where the power underflows, and for fractional(s), whose
-    R = (dK/du)^s: ``fractional_solve`` reads its v off one Lanczos basis
-    of dK/du at h = 0.  alpha, twice the largest sum of the absolute
-    weights at a vertex, bounds the edge Laplacian's spectrum (Gershgorin),
-    so beta = alpha^s bounds R's, D' = beta I - R is semidefinite, and
+    R = (dK/du)^s: ``fractional_velocity`` reads its v off one Lanczos
+    basis of dK/du.  beta bounds R.  For s > 0, alpha, twice the largest
+    sum of the absolute weights at a vertex, bounds the edge Laplacian's
+    spectrum (Gershgorin), so beta = alpha^s.  For s < 0, R is (dK/du)^s
+    on the Ritz pairs that v is read from, and beta the largest of their
+    powers.  Either way D' = beta I - R is semidefinite, and
     D' g = beta g + v / sigma costs no apply.  Where every edge weight is
     >= 0 and g.D' g > 0, W = beta I - D' g (D' g)^T / g.D' g: W g = R g =
     -v / sigma, so h x tends to the Newton step -(dK/du)^+ g, and by
@@ -243,11 +245,9 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     g.D' g = 0 means D' g = 0, so W g is already -v / sigma, and a negative
     weight leaves R without a sign.  I + h W dK/du is ricci's I + h beta
     dK/du but in one direction, so each conjugate gradient applies dK/du
-    once.  s < 0 has no bound beta: W = (dK/du)^s, and ``fractional_solve``
-    divides by 1 + h (dK/du)^(s+1) on the Ritz values of one basis for
-    every h, extending it until x at the h solved settles.  Conjugate
-    gradients stop at relative residual rtol, and a Lanczos basis at that
-    relative change of x between two checkpoints, with the forcing term
+    once.  Conjugate gradients stop at relative residual rtol, and v's
+    Lanczos basis at that relative change of v between two checkpoints,
+    with the forcing term
     rtol = min(CG_REL_TOL, max(CG_REL_TOL e, 0.1 tol / e)), e = max|g|:
     a step solved to rtol leaves a linear error of about rtol e, which is
     CG_REL_TOL e^2 for e < 1, quadratic like the Newton step that large h
@@ -261,27 +261,27 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     weights = edge_weights(metric)
     apply_j = edge_laplacian(metric, weights)
     s = config.s if config.family == "s" else 1.0  # the order of R: 1 across the p-family
-    if s < 0.0:  # (dK/du)^s has no bound beta
-        solve = fractional_solve(apply_j, deviation, s, rtol)
-        return lambda: solve(0.0), solve
     if s == 0.0:
         v = -deviation
-        return lambda: v, lambda h: solve_shifted(apply_j, lambda f: f, h, v, rtol)
+        return v, lambda h: solve_shifted(apply_j, lambda f: f, h, v, rtol)
     rates, spread = p_rates(metric, config.p, deviation)
     # 1 where g is constant, or on underflow
     sigma = float(spread ** (config.p - 2.0) if spread else 0.0) or 1.0
     if s == 1.0:  # calabi and the p-family: one apply
         v = -edge_laplacian(metric, rates)(deviation)
     else:
-        v = fractional_solve(apply_j, deviation, s, rtol)(0.0)
+        v, top = fractional_velocity(apply_j, deviation, s, rtol)
+    if s < 0.0:  # the largest Ritz value of R on the basis v is read from
+        beta = top
+    else:  # Gershgorin
+        ends = metric.mesh.edge_endpoints_array()
+        beta = (2.0 * float(np.max(np.bincount(ends.ravel(), np.repeat(np.abs(rates), 2)))) / sigma) ** s
     scaled = v / sigma  # -R g
-    ends = metric.mesh.edge_endpoints_array()
-    beta = (2.0 * float(np.max(np.bincount(ends.ravel(), np.repeat(np.abs(rates), 2)))) / sigma) ** s
     dg = beta * deviation + scaled  # D' g
     gdg, apply_w = float(deviation @ dg), lambda f: beta * f
     if gdg > 0.0 and np.all(weights >= 0.0):  # R >= 0, so W >= R >= 0
         apply_w = lambda f: beta * f - dg * (float(dg @ f) / gdg)
-    return lambda: v, lambda h: solve_shifted(apply_j, apply_w, h, scaled, rtol)
+    return v, lambda h: solve_shifted(apply_j, apply_w, h, scaled, rtol)
 
 
 def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, w_inc: float) -> bool:

@@ -14,12 +14,12 @@ applied edge by edge from those weights: the p-th variant replaces each
 edge difference by its (p-1)-homogeneous odd power, and p = 2 is the plain
 Laplacian of the Calabi flow.  ``edge_laplacian`` applies any edge weights
 linearly, which is all that the flows' linearly implicit steps need: the
-conjugate gradients of ``solve_shifted`` and the Lanczos basis of
-``fractional_solve`` (the fractional velocity, and the step at s < 0),
-whose Ritz values ``fractional_powers`` powers.  No flow assembles the
-dense matrix: ``packflow jacobian-check`` compares it with the
-finite-difference one, and ``spectral``, ``apply_laplacian`` and
-``apply_fractional`` on it are the dense references.
+conjugate gradients of ``solve_shifted``, which take every step, and the
+Lanczos basis of ``fractional_velocity``, whose Ritz values
+``fractional_powers`` powers.  No flow assembles the dense matrix:
+``packflow jacobian-check`` compares it with the finite-difference one,
+and ``spectral``, ``apply_laplacian`` and ``apply_fractional`` on it are
+the dense references.
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ def solve_shifted(apply_j, apply_w, h: float, v: np.ndarray, rtol: float) -> np.
     raise NoConvergence(f"conjugate gradients missed relative residual {rtol:.1e} in {limit} steps")
 
 
-def fractional_solve(apply_j, g: np.ndarray, s: float, rtol: float):
-    """h -> x with (I + h J^(s+1)) x = -J^s g, from one Lanczos basis of J for every h.
+def fractional_velocity(apply_j, g: np.ndarray, s: float, rtol: float) -> tuple[np.ndarray, float]:
+    """(v, top): v = -J^s g on one Lanczos basis of J, and top the largest Ritz value of J^s there.
 
     J = dK/du is symmetric with the constants in its kernel (zero row
     sums).  The basis starts from g - mean(g).  Each new vector follows the
@@ -270,83 +270,40 @@ def fractional_solve(apply_j, g: np.ndarray, s: float, rtol: float):
     cancelled most of it (Daniel-Gragg-Kaufman-Stewart), so Q stays an
     orthonormal basis of zero-sum vectors even once it spans.  After k
     steps, with T = S diag(theta) S^T the k x k tridiagonal of the process,
-    x = -|g - mean(g)| Q S f(theta) S^T e1, f(lam) = lam^s / (1 + h lam^(s+1)):
-    ``fractional_powers`` powers the Ritz values theta, so the kernel band
-    and IndefiniteOperator are the dense eigenbasis's.  At h = 0, x is the
-    fractional velocity -J^s g.  A call at h compares x at the last two
-    checkpoints of the basis and extends the basis, by a quarter of its size
-    and at least LANCZOS_BLOCK vectors, until they differ by at most rtol
-    relative or it spans its Krylov space; a later h reuses the
-    basis and extends it only if it needs more vectors.
+    v = -|g - mean(g)| Q S theta^s S^T e1: ``fractional_powers`` powers the
+    Ritz values theta, so the kernel band and IndefiniteOperator are the
+    dense eigenbasis's.  The basis grows by a quarter of its size, and at
+    least LANCZOS_BLOCK vectors, between two checkpoints, until v at the
+    last two differs by at most rtol relative or the basis spans its
+    Krylov space.  v is -R g for R = Q S diag(theta^s) S^T Q^T, whose
+    largest eigenvalue is top, so |R g|^2 <= top g.R g wherever R is
+    semidefinite.  A constant g has v = 0 and top = 0.
     """
-    return _Lanczos(apply_j, g, s, rtol).solve
-
-
-class _Lanczos:
-    """The growing basis behind ``fractional_solve``.
-
-    Row 0 of ``basis`` is the normalised constant vector and row i + 1
-    the i-th Lanczos vector.  ``ritz`` holds the Ritz pairs of T at each
-    checkpoint, the basis size at which x is evaluated.
-    """
-
-    def __init__(self, apply_j, g: np.ndarray, s: float, rtol: float):
-        n = g.size
-        start = g - np.mean(g)
-        self.apply_j, self.s, self.rtol, self.n = apply_j, s, rtol, n
-        self.norm = float(np.linalg.norm(start))
-        self.basis = np.empty((min(LANCZOS_BLOCK + 2, n + 1), n))
-        self.basis[0] = 1.0 / np.sqrt(n)
-        self.alphas: list[float] = []
-        self.betas: list[float] = []
-        self.scale = 0.0  # running estimate of |J| on the basis
-        self.spanned = False  # the basis spans its Krylov space, so x is exact in it
-        self.ritz: list[tuple[np.ndarray, np.ndarray]] = []
-        if self.norm > 0.0:
-            self.basis[1] = start / self.norm
-            self._extend(LANCZOS_BLOCK)
-
-    def solve(self, h: float) -> np.ndarray:
-        if not self.norm > 0.0:  # g is constant: -J^s g = 0
-            return np.zeros(self.n)
-        coeffs = self._coefficients(-1, h)
-        while not (self.spanned or self._settled(coeffs, h)):
-            self._extend(max(LANCZOS_BLOCK, coeffs.size // 4))
-            coeffs = self._coefficients(-1, h)
-        return coeffs @ self.basis[1 : coeffs.size + 1]
-
-    def _settled(self, coeffs: np.ndarray, h: float) -> bool:
-        """Whether x at h moved by at most rtol relative since the previous checkpoint."""
-        if len(self.ritz) < 2:
-            return False
-        gap = coeffs.copy()
-        previous = self._coefficients(-2, h)
-        gap[: previous.size] -= previous
-        return bool(np.linalg.norm(gap) <= self.rtol * np.linalg.norm(coeffs))
-
-    def _coefficients(self, checkpoint: int, h: float) -> np.ndarray:
-        """x at h in the Lanczos vectors of a checkpoint."""
-        theta, vecs = self.ritz[checkpoint]
-        powers = fractional_powers(theta, self.s)
-        shift = 1.0 + h * (powers * theta)
-        if not np.all(shift > 0.0):
-            raise IndefiniteOperator(f"I + hA is singular or indefinite at h={h:.3e}")
-        return -self.norm * (vecs @ (powers / shift * vecs[0]))
-
-    def _extend(self, more: int) -> None:
-        """Up to ``more`` Lanczos steps, then a checkpoint."""
-        k, n = len(self.alphas), self.n
+    n = g.size
+    start = g - np.mean(g)
+    norm = float(np.linalg.norm(start))
+    if not norm > 0.0:
+        return np.zeros(n), 0.0
+    # row 0 is the normalised constant vector, and row i + 1 the i-th Lanczos vector
+    basis = np.empty((min(LANCZOS_BLOCK + 2, n + 1), n))
+    basis[0], basis[1] = 1.0 / np.sqrt(n), start / norm
+    alphas: list[float] = []
+    betas: list[float] = []
+    scale = 0.0  # running estimate of |J| on the basis
+    spanned = False  # the basis spans its Krylov space, so v is exact in it
+    previous, more = None, LANCZOS_BLOCK
+    while True:
+        k = len(alphas)
         stop = min(k + more, n - 1)
-        if self.basis.shape[0] < stop + 2:
-            grown = np.empty((min(max(2 * self.basis.shape[0], stop + 2), n + 1), n))
-            grown[: k + 2] = self.basis[: k + 2]
-            self.basis = grown
-        basis = self.basis
+        if basis.shape[0] < stop + 2:
+            grown = np.empty((min(max(2 * basis.shape[0], stop + 2), n + 1), n))
+            grown[: k + 2] = basis[: k + 2]
+            basis = grown
         for j in range(k, stop):
-            q, previous = basis[j + 1], self.betas[-1] if self.betas else 0.0
-            w = self.apply_j(q)
+            q, last = basis[j + 1], betas[-1] if betas else 0.0
+            w = apply_j(q)
             alpha = float(q @ w)
-            w -= np.array((previous, alpha)) @ basis[j : j + 2]  # the three-term recurrence
+            w -= np.array((last, alpha)) @ basis[j : j + 2]  # the three-term recurrence
             head = basis[: j + 2]
             for _ in range(2):  # a second pass only if the first cancelled most of w
                 before = float(w @ w)
@@ -356,17 +313,29 @@ class _Lanczos:
                 beta = float(np.sqrt(w @ w))
                 if beta * beta > 0.5 * before:
                     break
-            self.scale = max(self.scale, abs(alpha) + previous)
-            self.alphas.append(alpha)
-            self.betas.append(beta)
-            if j + 2 == n or beta <= EIGEN_ZERO_REL_TOL * self.scale:
-                self.spanned = True
+            scale = max(scale, abs(alpha) + last)
+            alphas.append(alpha)
+            betas.append(beta)
+            if j + 2 == n or beta <= EIGEN_ZERO_REL_TOL * scale:
+                spanned = True
                 break
             basis[j + 2] = w / beta
-        k = len(self.alphas)
-        tri = np.diag(self.alphas)
-        tri[range(k - 1), range(1, k)] = tri[range(1, k), range(k - 1)] = self.betas[: k - 1]
+        k = len(alphas)
+        tri = np.diag(alphas)
+        tri[range(k - 1), range(1, k)] = tri[range(1, k), range(k - 1)] = betas[: k - 1]
         try:
-            self.ritz.append(np.linalg.eigh(tri))
+            theta, vecs = np.linalg.eigh(tri)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to provoke
             raise NoConvergence(f"symmetric eigensolver failed on the Lanczos matrix: {exc}") from exc
+        powers = fractional_powers(theta, s)
+        coeffs = -norm * (vecs @ (powers * vecs[0]))  # v in the Lanczos vectors
+        if spanned or previous is not None and _settled(coeffs, previous, rtol):
+            return coeffs @ basis[1 : k + 1], float(np.max(powers))
+        previous, more = coeffs, max(LANCZOS_BLOCK, k // 4)
+
+
+def _settled(coeffs: np.ndarray, previous: np.ndarray, rtol: float) -> bool:
+    """Whether v moved by at most rtol relative since the previous checkpoint."""
+    gap = coeffs.copy()
+    gap[: previous.size] -= previous
+    return bool(np.linalg.norm(gap) <= rtol * np.linalg.norm(coeffs))

@@ -262,8 +262,8 @@ def test_overflowing_trials_halve_to_step_collapse(monkeypatch):
     linearization = flows._linearization
 
     def explicit(metric, config):
-        velocity_of, _ = linearization(metric, config)
-        return velocity_of, lambda h: velocity_of()
+        v, _ = linearization(metric, config)
+        return v, lambda h: v
 
     monkeypatch.setattr(flows, "_linearization", explicit)
     metric = random_metric(RandomMetricSpec(preset="icosahedron", delaunay=True), 3)
@@ -394,8 +394,9 @@ def test_fractional_half_converges_on_torus():
 
 
 def test_fractional_run_never_forms_a_dense_operator(monkeypatch):
-    # the fractional step runs on a Lanczos basis of the edge Laplacian:
-    # no dense Jacobian, no spectral decomposition and no V x V eigh
+    # the fractional velocity runs on a Lanczos basis of the edge Laplacian
+    # and the step on conjugate gradients: no dense Jacobian, no spectral
+    # decomposition and no V x V eigh
     from packflow import flows, operators
 
     def refuse(*args, **kwargs):
@@ -506,17 +507,18 @@ def _dense_w(metric, settings: dict, jac: np.ndarray) -> tuple[np.ndarray, float
         beta, sigma = 2.0 * np.max(np.abs(off).sum(axis=1)), np.max(jumps) ** (p - 2.0)
         r = np.diag(off.sum(axis=1)) - off
     else:
-        # the s-family: R = (dK/du)^s, and beta (twice the largest absolute
-        # row sum of the off-diagonal)^s bounds it for s > 0
+        # the s-family: R = (dK/du)^s, bounded for s > 0 by beta = (twice the
+        # largest absolute row sum of the off-diagonal)^s, and for s < 0 by
+        # its largest eigenvalue off the kernel
         s = {"ricci": 0.0, "calabi": 1.0}.get(settings["kind"], settings.get("s"))
         if s == 0.0:
             return np.eye(n), 1.0
         lam, vecs = np.linalg.eigh(jac)
         kernel = np.abs(lam) <= 1e-12 * lam[-1]
-        r = vecs @ np.diag(np.where(kernel, 0.0, np.where(kernel, 1.0, lam) ** s)) @ vecs.T
-        if s < 0.0:  # no bound: W = R
-            return r, 1.0
-        beta, sigma = (2.0 * np.max(np.abs(jac - np.diag(np.diag(jac))).sum(axis=1))) ** s, 1.0
+        powers = np.where(kernel, 0.0, np.where(kernel, 1.0, lam) ** s)
+        r = vecs @ np.diag(powers) @ vecs.T
+        gershgorin = 2.0 * np.max(np.abs(jac - np.diag(np.diag(jac))).sum(axis=1))
+        beta, sigma = (np.max(powers) if s < 0.0 else gershgorin ** s), 1.0
     # D' = beta I - R is semidefinite.  Where every weight is >= 0, W is
     # beta I less the rank-one D' g (D' g)^T / g.D' g, so W g = R g
     dg = beta * g - r @ g
@@ -535,8 +537,8 @@ def test_implicit_step_solves_the_dense_system(preset, n, monkeypatch):
     # on simplicial meshes an edge weight is minus its Jacobian entry, so
     # the reference never touches the edge fluxes, conjugate gradients or
     # Lanczos vectors; at V = 144 a fractional Lanczos basis stops before
-    # its Krylov space is spanned, so it must stop on the x it returns: v
-    # at s > 0, and x at the h solved at s < 0
+    # its Krylov space is spanned, so it must stop on the v it returns, and
+    # at s < 0 its largest Ritz value of (dK/du)^s must be beta's
     from packflow import flows, jacobian
 
     monkeypatch.setattr(flows, "CG_REL_TOL", 1e-13)
@@ -546,8 +548,7 @@ def test_implicit_step_solves_the_dense_system(preset, n, monkeypatch):
         jac = jacobian(metric)
         for settings in [*EVERY_KIND.values(), {"kind": "fractional", "s": -0.5}]:
             config = FlowConfig(target=_uniform_target(metric), **settings)
-            velocity_of, solve = flows._linearization(metric, config)
-            v = velocity_of()
+            v, solve = flows._linearization(metric, config)
             assert np.array_equal(v, velocity(metric, config))
             w, sigma = _dense_w(metric, settings, jac)
             for h in (0.1, 10.0, 1e6):
@@ -745,7 +746,7 @@ def test_p_step_solves_wherever_the_jacobian_is_semidefinite():
     from packflow.geometry import edge_weights
 
     kinds = [{"kind": "p_calabi", "p": p} for p in (1.5, 3.0, 6.0)]
-    kinds += [{"kind": "calabi"}, {"kind": "fractional", "s": 0.5}, {"kind": "fractional", "s": 1.5}]
+    kinds += [{"kind": "calabi"}, *({"kind": "fractional", "s": s} for s in (0.5, 1.5, -0.5))]
     checked = 0
     for seed in range(80):
         metric = random_metric(OBTUSE, seed)
@@ -925,10 +926,11 @@ def _bumpy_torus(n: int = 20):
         ({"kind": "ricci"}, 3),
         ({"kind": "calabi", "tol": 1e-6}, 3),
         ({"kind": "fractional", "s": 0.5, "tol": 1e-6}, 3),
+        ({"kind": "fractional", "s": -0.5, "tol": 1e-6}, 3),
         ({"kind": "p_calabi", "p": 3.0, "tol": 1e-6}, 3),
         ({"kind": "p_calabi", "p": 1.5, "tol": 1e-6}, 3),
     ],
-    ids=["ricci", "calabi", "fractional-0.5", "p_calabi-3", "p_calabi-1.5"],
+    ids=["ricci", "calabi", "fractional-0.5", "fractional--0.5", "p_calabi-3", "p_calabi-1.5"],
 )
 def test_a_bumpy_torus_converges_in_three_steps_from_the_default_step(settings, steps):
     # from h = 10 the first step damps the slowest mode of dK/du (eigenvalue
@@ -982,11 +984,12 @@ def test_every_flow_reaches_the_same_limit():
     # boundary keep the class, so every kind, from h = 1 and from the
     # default h, and ricci at a small h, reach the limit of Newton's method
     # with its own crossings located by bisection; seeds that flip mid-flow
-    # included (the default spec's seed 28, most WILD seeds)
+    # included (the default spec's seed 28, most WILD seeds).  fractional at
+    # s < 0 too, whose beta is the largest Ritz value of (dK/du)^s
     from packflow.oracles import oracle_located_newton
 
     names = ("ricci", "calabi", "fractional-0.5", "p_calabi-3", "p_calabi-1.5")
-    kinds = [EVERY_KIND[name] for name in names]
+    kinds = [*(EVERY_KIND[name] for name in names), {"kind": "fractional", "s": -0.5}]
     for spec, seeds, least in ((RandomMetricSpec(preset="icosahedron"), 30, 1), (WILD, 12, 50)):
         mid_flow = 0
         for seed in range(seeds):

@@ -214,21 +214,20 @@ def test_shifted_solve_refuses_an_indefinite_operator():
         solve_shifted(lambda f: laplacian @ f, lambda f: f, 1.0, vecs[:, 0], 1e-12)
 
 
-def test_fractional_solve_on_an_indefinite_operator():
+def test_fractional_velocity_on_an_indefinite_operator():
     # the weighted triangle graph above: two Lanczos steps span its zero-sum
     # vectors, so the Ritz values are its nonzero eigenvalues, one negative
-    from packflow.operators import fractional_solve
+    from packflow.operators import fractional_velocity
 
     laplacian = np.array([[-1.0, -1.0, 2.0], [-1.0, 2.0, -1.0], [2.0, -1.0, -1.0]])
     g = np.array([1.0, -2.0, 0.5])
     with pytest.raises(IndefiniteOperator):
-        fractional_solve(lambda f: laplacian @ f, g, 0.5, 1e-12)(0.0)
-    # an integer exponent is a plain matrix power, as in apply_fractional
-    solve = fractional_solve(lambda f: laplacian @ f, g, 1.0, 1e-12)
-    assert np.allclose(solve(0.0), apply_fractional(laplacian, 1.0, g), rtol=0, atol=1e-14)
-    for h in (0.1, 10.0, 1e6):
-        expected = np.linalg.solve(np.eye(3) + h * laplacian @ laplacian, -(laplacian @ g))
-        assert np.allclose(solve(h), expected, rtol=0, atol=1e-14)
+        fractional_velocity(lambda f: laplacian @ f, g, 0.5, 1e-12)
+    # an integer exponent is a plain matrix power, as in apply_fractional,
+    # and top is the largest eigenvalue of that power
+    v, top = fractional_velocity(lambda f: laplacian @ f, g, 1.0, 1e-12)
+    assert np.allclose(v, apply_fractional(laplacian, 1.0, g), rtol=0, atol=1e-14)
+    assert top == pytest.approx(np.linalg.eigvalsh(laplacian)[-1], rel=1e-14)
 
 
 def test_p_laplacian_reduces_to_laplacian_at_two():
