@@ -7,7 +7,6 @@ Exit codes: 0 success (flow: converged), 2 step budget exhausted, 1 any error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidParams, PackflowError, SchemaError
 from .flows import DEFAULT_STEP, KINDS, FlowConfig, run
-from .formats import generate, parse_dpm, emit_dpm, write_trace_csv
+from .formats import emit_dpm, generate, parse_dpm, parse_target, write_trace_csv
 from .metric import validate_triangles
 from .operators import curvature, fd_jacobian, gauss_bonnet_residual, jacobian
 from .oracles import RandomMetricSpec, random_metric
@@ -75,25 +74,7 @@ def _resolve_target(args, doc) -> np.ndarray:
     if args.target is not None:
         with open(args.target, "r", encoding="utf-8") as fh:
             text = fh.read()
-        try:
-            raw = json.loads(text)
-        except (ValueError, RecursionError):  # parse_dpm names the fault
-            raw = None
-        if isinstance(raw, list):
-            if not set(map(type, raw)) <= {int, float}:
-                raise SchemaError(f"target file {args.target!r} must hold numbers only")
-            if len(raw) != n:
-                raise SchemaError(f"target file holds {len(raw)} values, expected {n}")
-            try:
-                return np.array(raw, dtype=float)
-            except OverflowError:
-                raise SchemaError(
-                    f"target file {args.target!r} holds a number beyond the float range"
-                ) from None
-        inner = parse_dpm(text)
-        if inner.target is None:
-            raise SchemaError(f"target file {args.target!r} carries no target_curvature")
-        return inner.target
+        return parse_target(text, n, args.target)
     if doc.target is not None:
         return doc.target
     raise SchemaError(

@@ -1005,6 +1005,25 @@ def test_every_flow_reaches_the_same_limit():
         assert mid_flow >= least, spec
 
 
+def test_every_kind_reaches_one_limit_on_a_random_target_at_ladder_size():
+    # rigidity at V = 1600: the ladder's random 40, seed 1, flips before
+    # the flow and mid-flow under every kind, and the limits agree.  An
+    # error of tol in K moves u by up to |J+| tol, so at tol 1e-8 the
+    # limits of these kinds differ by up to 5.4e-8 over seeds 0-9; at
+    # tol 1e-10 by at most 7.3e-10
+    spec = RandomMetricSpec(preset="torus_grid", n=40, u_range=0.5, inversive_range=(1.2, 3.0))
+    metric = random_metric(spec, 1)
+    target = _random_target(metric, 1)
+    limits = []
+    for name in ("ricci", "calabi", "fractional-0.5", "p_calabi-3"):
+        trace = run(metric, FlowConfig(target=target, tol=1e-10, **EVERY_KIND[name]))
+        assert trace.converged, name
+        assert trace.flips_total > trace.records[0].flips, name
+        limits.append(trace.metric.conformal_factors)
+    gap = np.max(np.ptp(np.stack(limits), axis=0))
+    assert gap <= 1e-8, gap
+
+
 def test_every_mid_flow_flip_is_made_at_its_crossing(monkeypatch):
     # a located flip happens where its edge's d1 + d2 is within the Delaunay
     # tolerance of 0, on the violating side; its event carries that time,
