@@ -1,24 +1,25 @@
 """Time integration of the curvature flows in the log scale factors.
 
-The flows come in two families, and four names select them:
+Four names select the flows, each by its pair (s, p): s is the order of
+the flow's rate R, p its Calabi exponent.
 
-    fractional(s) du/dt = -(dK/du)^s (K - target)   the s-family
-    p_calabi(p)   du/dt = p-laplacian(K - target)    the p-family
-    ricci         fractional at s = 0
-    calabi        fractional at s = 1, and p_calabi at p = 2
+    fractional(s) du/dt = -(dK/du)^s (K - target)   (s, 2)
+    p_calabi(p)   du/dt = p-laplacian(K - target)    (1, p)
+    ricci         fractional at s = 0                (0, 2)
+    calabi        fractional at s = 1                (1, 2), and p_calabi at p = 2
 
-``FlowConfig`` resolves a name once, so the integrator reads only the
-family and its exponent.  Both families apply dK/du as the edge flux of
-the operators module in O(E) and step by conjugate gradients; fractional
-reads its velocity off one Lanczos basis.  No flow assembles the dense
-Jacobian or its spectrum.
+``FlowConfig`` resolves a name once to its (s, p), so the integrator reads
+those two numbers alone.  Every kind applies dK/du as the edge flux of
+the operators module in O(E) and steps by conjugate gradients; an order
+s other than 0 and 1 reads its velocity off one Lanczos basis.  No flow
+assembles the dense Jacobian or its spectrum.
 
 Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
 (I + hA) x = v / sigma, A = W dK/du, which damps every mode at any h and
-tends to a Newton step as h grows.  sigma = 1 except for the p-family
-(p != 2), whose rate scales as sigma = max|dg_e|^(p-2), g = K - target:
+tends to a Newton step as h grows.  sigma = 1 except for p_calabi at
+p != 2, whose rate scales as sigma = max|dg_e|^(p-2), g = K - target:
 there h and t are the rate-normalised time tau, dt = dtau / sigma.  W = I
-for ricci; for every other kind (calabi, fractional, the p-family) it is
+for ricci; for every other kind (calabi, fractional, p_calabi) it is
 a multiple of the identity less one rank-one term, so that W g is the
 flow's own rate: the step tends to Newton's at a conjugate gradient of
 ricci's cost.  Any W keeps the step consistent (a W-method), so small
@@ -32,7 +33,7 @@ limit, up to an edge that crosses and crosses back within one step,
 which is not seen.  A trial step is accepted only if the solve succeeds,
 the state stays admissible, surgery (when on) succeeds, and the monitored
 quantities do not increase: the squared curvature deviation wherever
-p = 2 (the whole s-family), and the trapezoidal potential
+p = 2 (every kind but p_calabi at p != 2), and the trapezoidal potential
 increment for every flow.  A trial already at the round-off floor of max|K - target|
 skips that test.
 Admissibility is the per-face pass's margin gate alone: its
@@ -90,13 +91,13 @@ from .surgery import delaunay_violations, flip_along, make_delaunay
 
 logger = logging.getLogger(__name__)
 
-# each kind's family, named by the field of its exponent ("s": fractional of
-# order s, "p": p-th Calabi), and the exponent an alias pins
+# each kind's (s, p): the order s of its rate R and its Calabi exponent p,
+# None where the caller's value is kept
 KINDS = {
-    "calabi": ("s", 1.0),
-    "fractional": ("s", None),
-    "p_calabi": ("p", None),
-    "ricci": ("s", 0.0),
+    "calabi": (1.0, 2.0),
+    "fractional": (None, 2.0),
+    "p_calabi": (1.0, None),
+    "ricci": (0.0, 2.0),
 }
 DEFAULT_STEP = 10.0
 MAX_HALVINGS = 30  # rejected trials per step; each halves h, or takes its square root above h = 4
@@ -111,10 +112,10 @@ ROUNDOFF_FLOOR = 64 * np.finfo(float).eps * 2.0 * np.pi  # max|K - target| withi
 class FlowConfig:
     """Everything a run needs besides the metric itself.
 
-    ``kind`` keeps the caller's name.  The integrator reads ``family``, s
-    and p alone: an alias pins its family's exponent, and the other
-    family's exponent is fixed at its neutral value (p = 2 or s = 0),
-    except that p_calabi at p = 2 is calabi, s = 1: p == 2 is the s-family.
+    ``kind`` keeps the caller's name.  The integrator reads s and p
+    alone, and ``KINDS`` pins each kind's exponents over the caller's:
+    both for ricci (0, 2) and calabi (1, 2), p = 2 for fractional, and
+    s = 1, the order of its rate, for p_calabi, which at p = 2 is calabi.
     ``h = None`` starts every kind at DEFAULT_STEP = 10: the linearly
     implicit step damps every mode at any h, so no kind needs a smaller
     one, and at h = 1 a mode of dK/du with eigenvalue 0.113 keeps 0.9 of
@@ -139,10 +140,7 @@ class FlowConfig:
                 f"unknown flow kind {self.kind!r}; expected one of {tuple(KINDS)}"
             )
         self.target = np.asarray(self.target, dtype=float)
-        family, pinned = KINDS[self.kind]
-        self.s, self.p = (self.s, 2.0) if family == "s" else (1.0 if self.p == 2.0 else 0.0, self.p)
-        if pinned is not None:
-            setattr(self, family, pinned)
+        self.s, self.p = (v if pin is None else pin for v, pin in zip((self.s, self.p), KINDS[self.kind]))
         if not 1.0 < self.p < np.inf:
             raise InvalidExponent(f"p_calabi needs p in (1, inf), got {self.p}")
         if not np.isfinite(self.s):
@@ -153,10 +151,6 @@ class FlowConfig:
             raise InvalidFlowSetting(f"tolerance must be positive, got {self.tol}")
         if not self.max_steps >= 0:
             raise InvalidFlowSetting(f"step budget must be at least 0, got {self.max_steps}")
-
-    @property
-    def family(self) -> str:
-        return "s" if self.p == 2.0 else "p"
 
     @property
     def initial_step(self) -> float:
@@ -225,9 +219,9 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     """(v, solve): the velocity, and h -> x with (I + hA) x = v / sigma.
 
     A = W dK/du and g = K - target.  ricci has W = I and v = -g.  Every
-    kind of order s != 0 (1 across the p-family) has v / sigma = -R g.  For
-    calabi and the p-family R is the edge Laplacian, one apply, on the
-    weights c_e |g_b - g_a|^(p-2) of ``p_rates`` (c_e at p = 2) over sigma
+    kind of order s != 0 has v / sigma = -R g.  At s = 1 (calabi and
+    p_calabi) R is the edge Laplacian, one apply, on the weights
+    c_e |g_b - g_a|^(p-2) of ``p_rates`` (c_e at p = 2) over sigma
     = (max over the edges of |g_b - g_a|)^(p-2), and for p != 2 h is a step
     in the rate-normalised time tau, dt = dtau / sigma: the orbit is the
     flow's, and h, its halvings and its growth act on tau.  sigma = 1 where
@@ -260,14 +254,14 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     rtol = min(CG_REL_TOL, max(CG_REL_TOL * e, 0.1 * config.tol / e)) if e else 0.0
     weights = edge_weights(metric)
     apply_j = edge_laplacian(metric, weights)
-    s = config.s if config.family == "s" else 1.0  # the order of R: 1 across the p-family
+    s = config.s  # the order of R
     if s == 0.0:
         v = -deviation
         return v, lambda h: solve_shifted(apply_j, lambda f: f, h, v, rtol)
     rates, spread = p_rates(metric, config.p, deviation)
     # 1 where g is constant, or on underflow
     sigma = float(spread ** (config.p - 2.0) if spread else 0.0) or 1.0
-    if s == 1.0:  # calabi and the p-family: one apply
+    if s == 1.0:  # calabi and p_calabi: one apply
         v = -edge_laplacian(metric, rates)(deviation)
     else:
         v, top = fractional_velocity(apply_j, deviation, s, rtol)

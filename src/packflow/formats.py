@@ -189,23 +189,28 @@ def parse_target(text: str, num_vertices: int, name: str) -> np.ndarray:
     """The target curvature in the text of target file ``name``, decoded once.
 
     The file holds a JSON array of ``num_vertices`` numbers, or a dpm-1
-    document with target_curvature; SchemaError names what it lacks.
+    document whose target_curvature has ``num_vertices`` entries, whatever
+    the document's own vertex count; SchemaError names the file and what it
+    lacks.
     """
     return _decoded(text, lambda tree: _target(tree, num_vertices, name))
 
 
 def _target(raw, num_vertices: int, name: str) -> np.ndarray:
-    if not isinstance(raw, list):
-        target = _document(raw).target
-        if target is None:
+    if isinstance(raw, list):
+        if not set(map(type, raw)) <= {int, float}:
+            raise SchemaError(f"target file {name!r} must hold numbers only")
+        values = raw
+    else:
+        values = _document(raw).target
+        if values is None:
             raise SchemaError(f"target file {name!r} carries no target_curvature")
-        return target
-    if not set(map(type, raw)) <= {int, float}:
-        raise SchemaError(f"target file {name!r} must hold numbers only")
-    if len(raw) != num_vertices:
-        raise SchemaError(f"target file holds {len(raw)} values, expected {num_vertices}")
+    if len(values) != num_vertices:
+        raise SchemaError(
+            f"target file {name!r} holds {len(values)} values, expected {num_vertices}"
+        )
     try:
-        return np.array(raw, dtype=float)
+        return np.asarray(values, dtype=float)
     except OverflowError:
         raise SchemaError(f"target file {name!r} holds a number beyond the float range") from None
 

@@ -31,7 +31,6 @@ caller can corrupt the complex; a view follows later flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,23 +47,6 @@ from .errors import (
 )
 
 Slot = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class EdgeHandle:
-    """Stable reference to one edge of the complex.
-
-    ``sides`` are the two glued (triangle, side) slots; ``endpoints`` are
-    the vertex labels read off the first side, tail first.
-    """
-
-    id: int
-    endpoints: tuple[int, int]
-    sides: tuple[Slot, Slot]
-
-    @property
-    def is_loop(self) -> bool:
-        return self.endpoints[0] == self.endpoints[1]
 
 
 def _next_slot(s):
@@ -126,7 +108,7 @@ class DeltaComplex:
         )
         self.version = 0
 
-    # -- size and lookup ----------------------------------------------------
+    # -- size and edge ids --------------------------------------------------
 
     @property
     def num_triangles(self) -> int:
@@ -145,15 +127,6 @@ class DeltaComplex:
         """Corner labels, shape (F, 3), read-only."""
         return _read_only(self._tri)
 
-    def _slot_index(self, slot: Slot) -> int:
-        t, e = slot
-        if not (0 <= t < self.num_triangles and 0 <= e < 3):
-            raise KeyError(slot)
-        return 3 * t + e
-
-    def slot_edge(self, slot: Slot) -> int:
-        return self._edge_of.item(self._slot_index(slot))
-
     def _edge_ids(self, edges) -> np.ndarray:
         """``edges`` (one id or a sequence) as int64, or MeshError naming the first bad id."""
         ids = np.asarray(edges)
@@ -163,13 +136,6 @@ class DeltaComplex:
         if outside.any():
             raise MeshError(f"edge id {ids[outside].flat[0]} outside [0, {self.num_edges})")
         return ids.astype(np.int64)
-
-    def edge(self, edge_id: int) -> EdgeHandle:
-        edge_id = int(self._edge_ids(edge_id))
-        s1 = self._edge_side.item(edge_id)
-        s2 = self._twin.item(s1)
-        ends = (self._edge_ends.item(edge_id, 0), self._edge_ends.item(edge_id, 1))
-        return EdgeHandle(edge_id, ends, (divmod(s1, 3), divmod(s2, 3)))
 
     # -- index arrays (read-only views of the storage) ------------------------
 

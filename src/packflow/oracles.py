@@ -80,6 +80,11 @@ def random_metric(spec: RandomMetricSpec, seed: int) -> DecoratedMetric:
     )
 
 
+def _edge_slots(mesh) -> list:
+    """The (triangle, side) slots of each edge's two sides, first side first, as lists."""
+    return np.stack(np.divmod(mesh.edge_sides_array(), 3), axis=-1).tolist()
+
+
 def _oracle_layout(l01: float, l12: float, l20: float) -> np.ndarray:
     """Corner 0 at the origin, corner 1 at (l01, 0), corner 2 above the axis."""
     x = (l01 * l01 + l20 * l20 - l12 * l12) / (2.0 * l01)
@@ -136,14 +141,13 @@ def oracle_delaunay_via_angles(metric: DecoratedMetric, edge_id: int) -> bool:
     and signed distance) and checks angle1 + angle2 <= pi.  The production
     predicate never forms these angles.
     """
-    s1, s2 = metric.mesh.edge(edge_id).sides
     ends = metric.mesh.edge_endpoints_array()[edge_id]
     r = metric.effective_radii
     chord = float(
         edge_half_chord(metric.effective_lengths[edge_id], r[ends[0]], r[ends[1]])
     )
     total = 0.0
-    for t, e in (s1, s2):
+    for t, e in _edge_slots(metric.mesh)[edge_id]:
         sides = metric.effective_lengths[metric.mesh.slot_edge_array()[t]]
         d = oracle_face_circle(sides, r[metric.mesh.triangles[t]])[2][e]
         total += float(np.arctan2(chord, d))
@@ -157,21 +161,18 @@ def oracle_flip_length(metric: DecoratedMetric, edge_id: int) -> float:
     far apex reflected below it; the result is the distance between the
     two apexes.  Independent of the surgery module's quad angles.
     """
-    s1, s2 = metric.mesh.edge(edge_id).sides
     lengths = metric.effective_lengths
-    mesh = metric.mesh
+    slot_edge = metric.mesh.slot_edge_array()
 
-    def apex_xy(slot):
-        t, e = slot
-        shared = lengths[mesh.slot_edge((t, e))]
-        out_len = lengths[mesh.slot_edge((t, (e + 2) % 3))]   # apex -> tail corner
-        in_len = lengths[mesh.slot_edge((t, (e + 1) % 3))]    # head corner -> apex
+    def apex_xy(t, e):
+        shared = lengths[slot_edge[t, e]]
+        out_len = lengths[slot_edge[t, (e + 2) % 3]]   # apex -> tail corner
+        in_len = lengths[slot_edge[t, (e + 1) % 3]]    # head corner -> apex
         x = (shared * shared + out_len * out_len - in_len * in_len) / (2.0 * shared)
         y = np.sqrt(max(out_len * out_len - x * x, 0.0))
         return x, y
 
-    x1, y1 = apex_xy(s1)
-    x2, y2 = apex_xy(s2)
+    (x1, y1), (x2, y2) = (apex_xy(t, e) for t, e in _edge_slots(metric.mesh)[edge_id])
     # The second side traverses the edge backwards, so its apex abscissa is
     # measured from the other endpoint; reflect it below the axis.
     shared = lengths[edge_id]
@@ -196,8 +197,7 @@ def oracle_delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float
         for sides, corners in zip(mesh.slot_edge_array(), mesh.triangles)
     ]
     violations = []
-    for edge_id in range(mesh.num_edges):
-        sides = mesh.edge(edge_id).sides
+    for edge_id, sides in enumerate(_edge_slots(mesh)):
         dsum = sum(float(circles[t][2][e]) for t, e in sides)
         scale = max(abs(circles[t][1]) for t, _ in sides)
         if dsum < -DELAUNAY_REL_TOL * np.sqrt(scale):
@@ -228,14 +228,16 @@ def _oracle_flip(
     metric: DecoratedMetric, edge_id: int, weight: float, ordinal: int
 ) -> SurgeryEvent:
     mesh = metric.mesh
-    (t1, e1), (t2, e2) = mesh.edge(edge_id).sides
+    (t1, e1), (t2, e2) = _edge_slots(mesh)[edge_id]
     if t1 == t2:
         raise SelfFlip(f"edge {edge_id} has both sides on triangle {t1}")
     tri1, tri2 = mesh.triangles[[t1, t2]].tolist()
     i, j, k, l = tri1[e1], tri1[(e1 + 1) % 3], tri1[(e1 + 2) % 3], tri2[(e2 + 2) % 3]
 
+    slot_edge = mesh.slot_edge_array()
+
     def side(t: int, e: int) -> float:
-        return float(metric.effective_lengths[mesh.slot_edge((t, e % 3))])
+        return float(metric.effective_lengths[slot_edge[t, e % 3]])
 
     l_jk, l_ki, l_il, l_lj = side(t1, e1 + 1), side(t1, e1 + 2), side(t2, e2 + 1), side(t2, e2 + 2)
     angles = triangle_angles(metric)

@@ -145,7 +145,21 @@ def test_flow_target_file_of_the_wrong_length_is_one_error_line(bumpy_file, tmp_
     target_path = tmp_path / "target.json"
     target_path.write_text(json.dumps([np.pi] * 3))
     assert main(["flow", str(bumpy_file), "--target", str(target_path)]) == EXIT_ERROR
-    assert capsys.readouterr().err == "error: target file holds 3 values, expected 4\n"
+    err = capsys.readouterr().err
+    assert err == f"error: target file {str(target_path)!r} holds 3 values, expected 4\n"
+
+
+def test_flow_dpm_target_file_of_another_mesh_is_one_error_line(bumpy_file, tmp_path, capsys):
+    # an octahedron's target_curvature, 6 values, is checked against the
+    # tetrahedron that flows, not against the octahedron it came with
+    target_path = tmp_path / "octa.dpm"
+    assert main(["generate", "octahedron", "--out", str(target_path)]) == EXIT_OK
+    doc = json.loads(target_path.read_text())
+    doc["target_curvature"] = [2.0 * np.pi / 3.0] * 6
+    target_path.write_text(json.dumps(doc))
+    assert main(["flow", str(bumpy_file), "--target", str(target_path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: target file {str(target_path)!r} holds 6 values, expected 4\n"
 
 
 def test_flow_target_from_a_dpm_file(bumpy_file, tmp_path, capsys):

@@ -99,29 +99,29 @@ def test_ricci_velocity_is_curvature_deviation():
     assert np.allclose(v, -(curvature(metric) - target), atol=0)
 
 
-def test_kinds_resolve_to_two_families():
-    # an alias pins its family's exponent over the caller's, the other
-    # family's exponent is neutral, and the kind keeps the caller's name.
-    # calabi is fractional at s = 1, and so is p_calabi at p = 2: p == 2
-    # is the s-family, and the p-family runs only p != 2
+def test_kinds_resolve_to_their_pinned_exponents():
+    # each kind pins the exponents it does not take from the caller: its
+    # (s, p) is the order of its rate and its Calabi exponent, and the kind
+    # keeps the caller's name.  calabi is fractional at s = 1, and so is
+    # p_calabi at p = 2, with no special case
     target = np.full(4, np.pi)
     resolved = {
-        "ricci": ("s", 0.0, 2.0),
-        "fractional": ("s", 0.7, 2.0),
-        "calabi": ("s", 1.0, 2.0),
-        "p_calabi": ("p", 0.0, 3.5),
+        "ricci": (0.0, 2.0),
+        "fractional": (0.7, 2.0),
+        "calabi": (1.0, 2.0),
+        "p_calabi": (1.0, 3.5),
     }
-    for kind, (family, s, p) in resolved.items():
+    for kind, (s, p) in resolved.items():
         config = FlowConfig(kind=kind, target=target, s=0.7, p=3.5)
-        assert (config.kind, config.family, config.s, config.p) == (kind, family, s, p)
+        assert (config.kind, config.s, config.p) == (kind, s, p)
     config = FlowConfig(kind="p_calabi", target=target, s=0.7, p=2.0)
-    assert (config.kind, config.family, config.s, config.p) == ("p_calabi", "s", 1.0, 2.0)
+    assert (config.kind, config.s, config.p) == ("p_calabi", 1.0, 2.0)
     # the exponent a kind does not read is never checked: a setting that
     # only another kind would refuse is accepted and replaced
     assert FlowConfig(kind="calabi", target=target, p=0.5).p == 2.0
     assert FlowConfig(kind="ricci", target=target, s=math.nan).s == 0.0
     assert FlowConfig(kind="fractional", target=target, p=math.inf).p == 2.0
-    assert FlowConfig(kind="p_calabi", target=target, s=math.nan, p=3.0).s == 0.0
+    assert FlowConfig(kind="p_calabi", target=target, s=math.nan, p=3.0).s == 1.0
     metric = _seeded_tetra(5)
     assert run(metric, FlowConfig(kind="ricci", target=_uniform_target(metric))).kind == "ricci"
 

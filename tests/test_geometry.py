@@ -210,12 +210,9 @@ def test_edge_distance_sums_on_uniform_tetrahedron():
     terms, eps = delaunay_terms(metric)
     assert np.allclose(terms, math.sqrt(2.0), rtol=1e-12)
     # d1 + d2 is exactly the sum of the edge's two sides
-    distances = face_circles(metric)[0]
-    two_sided = [
-        distances[s1] + distances[s2]
-        for s1, s2 in (metric.mesh.edge(e).sides for e in range(metric.mesh.num_edges))
-    ]
-    assert np.array_equal(terms, two_sided)
+    distances = face_circles(metric)[0].ravel()
+    s1, s2 = metric.mesh.edge_sides_array().T
+    assert np.array_equal(terms, distances[s1] + distances[s2])
     assert np.all(eps > 0.0)
     assert np.all(terms > eps)
 

@@ -23,6 +23,7 @@ from packflow import (
     flip_metric,
     infer_gluings,
     preset_complex,
+    preset_metric,
     triangle_angles,
     triangle_areas,
 )
@@ -46,6 +47,11 @@ def test_tetrahedron_counts():
 def _degrees(mesh: DeltaComplex) -> np.ndarray:
     """Corners per vertex label; validation makes each label one corner orbit."""
     return np.bincount(mesh.triangles.ravel(), minlength=mesh.num_vertices)
+
+
+def _gluings(mesh: DeltaComplex) -> list:
+    """The (triangle, side) slots of each edge's two sides, by edge id, as lists."""
+    return np.stack(np.divmod(mesh.edge_sides_array(), 3), axis=-1).tolist()
 
 
 def test_tetrahedron_stars_are_cyclic_and_degree_three():
@@ -76,7 +82,8 @@ def test_one_vertex_torus_is_all_loops():
     assert mesh.num_vertices == 1
     assert mesh.num_edges == 3
     assert mesh.euler_characteristic == 0
-    assert all(mesh.edge(e).is_loop for e in range(3))
+    ends = mesh.edge_endpoints_array()
+    assert np.array_equal(ends[:, 0], ends[:, 1])
     assert _degrees(mesh).tolist() == [6]
 
 
@@ -85,8 +92,8 @@ def test_infer_gluings_matches_explicit_build():
     explicit = build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS)
     assert np.array_equal(inferred.triangles, explicit.triangles)
     assert inferred.num_edges == explicit.num_edges
-    ends_a = {inferred.edge(e).endpoints for e in range(3)}
-    ends_b = {explicit.edge(e).endpoints for e in range(3)}
+    ends_a = set(map(tuple, inferred.edge_endpoints_array().tolist()))
+    ends_b = set(map(tuple, explicit.edge_endpoints_array().tolist()))
     assert ends_a == ends_b
 
 
@@ -111,9 +118,7 @@ def test_infer_gluings_names_a_short_triangle():
 
 def test_edge_ids_follow_gluing_order():
     mesh = build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS)
-    assert mesh.edge(0).endpoints == (0, 1)
-    assert mesh.edge(1).endpoints == (1, 2)
-    assert mesh.edge(2).endpoints == (2, 0)
+    assert mesh.edge_endpoints_array().tolist() == [[0, 1], [1, 2], [2, 0]]
 
 
 def test_build_rejects_missing_side():
@@ -169,7 +174,7 @@ def test_build_rejects_one_label_on_two_points():
     # two antipodal points now share label 0
     octahedron = preset_complex("octahedron")
     faces = np.where(octahedron.triangles == 5, 0, octahedron.triangles).tolist()
-    gluings = np.stack(np.divmod(octahedron.edge_sides_array(), 3), axis=-1).tolist()
+    gluings = _gluings(octahedron)
     with pytest.raises(InconsistentVertexLabels) as info:
         build_complex(5, faces, gluings)
     assert type(info.value) is InconsistentVertexLabels
@@ -179,16 +184,16 @@ def test_build_rejects_one_label_on_two_points():
 def test_flip_moves_diagonal_and_keeps_counts():
     mesh = infer_gluings(4, TETRA_FACES)
     before = (mesh.num_vertices, mesh.num_edges, mesh.num_triangles)
-    old = mesh.edge(0).endpoints
-    (t1, _), (t2, _) = mesh.edge(0).sides
+    i, j = mesh.edge_endpoints_array()[0].tolist()
+    t1, t2 = (mesh.edge_sides_array()[0] // 3).tolist()
     assert mesh.flip(0) is None
     mesh.check()
     assert (mesh.num_vertices, mesh.num_edges, mesh.num_triangles) == before
-    (i, j), (k, l) = old, mesh.edge(0).endpoints
+    k, l = mesh.edge_endpoints_array()[0].tolist()
     assert {k, l} == {0, 1, 2, 3} - {i, j}
     # (i, j, k) and (j, i, l) became (l, j, k) and (k, i, l), glued along k -> l
     assert mesh.triangles[[t1, t2]].tolist() == [[l, j, k], [k, i, l]]
-    assert mesh.edge(0).sides == ((t1, 2), (t2, 2))
+    assert mesh.edge_sides_array()[0].tolist() == [3 * t1 + 2, 3 * t2 + 2]
     assert mesh.version == 1
 
 
@@ -196,19 +201,19 @@ def test_flip_twice_restores_endpoints():
     mesh = preset_complex("torus_grid", n=3)
     for edge_id in (0, 5, 11):
         dup = mesh.copy()
-        first = dup.edge(edge_id).endpoints
+        first = dup.edge_endpoints_array()[edge_id].tolist()
         dup.flip(edge_id)
         dup.check()
         dup.flip(edge_id)
         dup.check()
-        assert set(dup.edge(edge_id).endpoints) == set(first)
+        assert set(dup.edge_endpoints_array()[edge_id].tolist()) == set(first)
 
 
 def test_flip_preserves_other_edge_endpoints():
     mesh = infer_gluings(4, TETRA_FACES)
-    before = {e: mesh.edge(e).endpoints for e in range(6)}
+    before = mesh.edge_endpoints_array().tolist()
     mesh.flip(2)
-    after = {e: mesh.edge(e).endpoints for e in range(6)}
+    after = mesh.edge_endpoints_array().tolist()
     changed = [e for e in range(6) if set(before[e]) != set(after[e])]
     assert changed == [2]
 
@@ -219,7 +224,7 @@ def test_flip_on_one_vertex_torus_stays_valid():
         dup = mesh.copy()
         dup.flip(edge_id)
         dup.check()
-        assert dup.edge(edge_id).endpoints == (0, 0)
+        assert dup.edge_endpoints_array()[edge_id].tolist() == [0, 0]
         assert _degrees(dup).tolist() == [6]
 
 
@@ -235,9 +240,7 @@ def _self_glued() -> DeltaComplex:
 
 def test_self_flip_is_rejected():
     mesh = _self_glued()
-    assert [mesh.edge(e).sides for e in range(3)] == [
-        ((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (1, 2))
-    ]
+    assert _gluings(mesh) == [[[0, 0], [0, 1]], [[0, 2], [1, 0]], [[1, 1], [1, 2]]]
     with pytest.raises(SelfFlip):
         mesh.flip(0)
 
@@ -254,26 +257,30 @@ def test_edge_ids_outside_the_range_are_mesh_errors():
     # must not leak an IndexError
     metric = random_metric(FLIP_SPECS["torus_grid"], 0)
     mesh = metric.mesh
-    before = _index_arrays(mesh)
+    before, lengths = _index_arrays(mesh), metric.base_lengths.copy()
     for edge_id in (-1, mesh.num_edges):
         match = rf"^edge id {edge_id} outside \[0, {mesh.num_edges}\)$"
-        with pytest.raises(MeshError, match=match):
-            mesh.edge(edge_id)
         with pytest.raises(MeshError, match=match):
             mesh.flip(edge_id)
         with pytest.raises(MeshError, match=match):
             flip_metric(metric, edge_id)
+        with pytest.raises(MeshError, match=match):
+            metric.rebase_edge(edge_id, 1.0)
     for mine, theirs in zip(_index_arrays(mesh), before):
         assert np.array_equal(mine, theirs)
+    assert np.array_equal(metric.base_lengths, lengths)
     assert mesh.version == 0
     mesh.check()
 
 
 def test_a_float_edge_id_is_a_mesh_error():
-    mesh = preset_complex("torus_grid", n=3)
-    for call in (mesh.edge, mesh.flip, lambda e: mesh.flip_many([0, e])):
+    metric = preset_metric("torus_grid", n=3)
+    mesh, lengths = metric.mesh, metric.base_lengths.copy()
+    calls = (mesh.flip, lambda e: mesh.flip_many([0, e]), lambda e: metric.rebase_edge(e, 1.0))
+    for call in calls:
         with pytest.raises(MeshError, match="^edge ids must be integers, not float64$"):
             call(1.5)
+    assert np.array_equal(metric.base_lengths, lengths)
     assert mesh.version == 0
 
 
@@ -303,7 +310,7 @@ def test_copy_is_independent():
     mesh = infer_gluings(4, TETRA_FACES)
     dup = mesh.copy()
     dup.flip(0)
-    assert mesh.edge(0).endpoints == (0, 1)
+    assert mesh.edge_endpoints_array()[0].tolist() == [0, 1]
     assert mesh.version == 0
     assert dup.version == 1
     mesh.check()
@@ -360,8 +367,8 @@ def _flip_is_well_shaped(before, after, edge_id: int) -> bool:
     every accepted flip is an isometry; the tight bound is asserted while
     the new triangles are well shaped.
     """
-    (t1, _), (t2, _) = before.mesh.edge(edge_id).sides
-    return triangle_angles(after)[[t1, t2]].min() > ISOMETRY_MIN_ANGLE
+    faces = before.mesh.edge_sides_array()[edge_id] // 3
+    return triangle_angles(after)[faces].min() > ISOMETRY_MIN_ANGLE
 
 
 def _index_arrays(mesh: DeltaComplex) -> list[np.ndarray]:
@@ -390,7 +397,7 @@ def test_flip_many_equals_the_same_flips_one_at_a_time(name, picks):
     mesh = FLIP_MANY_MESHES[name]
     edges, used = [], set()
     for pick in picks:
-        faces = {t for t, _ in mesh.edge(pick % mesh.num_edges).sides}
+        faces = set((mesh.edge_sides_array()[pick % mesh.num_edges] // 3).tolist())
         if not faces & used:
             edges.append(pick % mesh.num_edges)
             used |= faces
@@ -425,7 +432,7 @@ def test_random_flip_sequences_keep_the_complex_consistent(preset, seed, picks):
         fresh = build_complex(
             mesh.num_vertices,
             mesh.triangles,
-            [mesh.edge(e).sides for e in range(mesh.num_edges)],
+            _gluings(mesh),
         )
         for mine, theirs in zip(_index_arrays(mesh), _index_arrays(fresh)):
             assert np.array_equal(mine, theirs)
@@ -502,7 +509,7 @@ def test_malformed_gluings_raise_mesh_errors(name, fault, data):
     # fractional entry is one that int() would truncate back to a valid id
     mesh = FUZZ_MESHES[name]
     triangles = mesh.triangles.tolist()
-    gluings = [[list(side) for side in mesh.edge(e).sides] for e in range(mesh.num_edges)]
+    gluings = _gluings(mesh)
     i = data.draw(st.integers(0, mesh.num_edges - 1), label="gluing")
     k = data.draw(st.integers(0, 1), label="side")
     slot = gluings[i][k]
@@ -536,7 +543,7 @@ def test_malformed_gluings_raise_mesh_errors(name, fault, data):
 def _preset_data(name: str, n: int = 3) -> tuple[int, list, list]:
     """Vertex count, triangles and gluings of a preset (``n`` sizes torus_grid), as lists."""
     mesh = preset_complex(name, n=n)
-    gluings = [[list(side) for side in mesh.edge(e).sides] for e in range(mesh.num_edges)]
+    gluings = _gluings(mesh)
     return mesh.num_vertices, mesh.triangles.tolist(), gluings
 
 

@@ -192,7 +192,7 @@ def test_copy_is_deep():
     dup.set_conformal_factors([0.3, -0.1, -0.1, -0.1])
     dup.mesh.flip(0)
     assert np.all(metric.conformal_factors == 0.0)
-    assert metric.mesh.edge(0).endpoints == (0, 1)
+    assert metric.mesh.edge_endpoints_array()[0].tolist() == [0, 1]
 
 
 def test_conformal_factors_view_is_read_only():

@@ -107,9 +107,7 @@ def test_curvature_angles_against_oracle_per_face():
         n = metric.mesh.num_vertices
         angle_sum = np.zeros(n)
         for t, (i, j, k) in enumerate(metric.mesh.triangles):
-            l01 = lengths[metric.mesh.slot_edge((t, 0))]
-            l12 = lengths[metric.mesh.slot_edge((t, 1))]
-            l20 = lengths[metric.mesh.slot_edge((t, 2))]
+            l01, l12, l20 = lengths[metric.mesh.slot_edge_array()[t]]
             a = oracle_angles_via_layout(l01, l12, l20)
             angle_sum[i] += a[0]
             angle_sum[j] += a[1]
