@@ -11,8 +11,9 @@ the flow's rate R, p its Calabi exponent.
 ``FlowConfig`` resolves a name once to its (s, p), so the integrator reads
 those two numbers alone.  Every kind applies dK/du as the edge flux of
 the operators module in O(E) and steps by conjugate gradients; an order
-s other than 0 and 1 reads its velocity off one Lanczos basis.  No flow
-assembles the dense Jacobian or its spectrum.
+s other than 0 and 1 reads its velocity off one Lanczos basis, on which
+its conjugate gradients start.  No flow assembles the dense Jacobian or
+its spectrum.
 
 Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
 (I + hA) x = v / sigma, A = W dK/du, which damps every mode at any h and
@@ -239,9 +240,15 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     g.D' g = 0 means D' g = 0, so W g is already -v / sigma, and a negative
     weight leaves R without a sign.  I + h W dK/du is ricci's I + h beta
     dK/du but in one direction, so each conjugate gradient applies dK/du
-    once.  Conjugate gradients stop at relative residual rtol, and v's
-    Lanczos basis at that relative change of v between two checkpoints,
-    with the forcing term
+    once.  For fractional(s), with Q the rows of v's basis, T its
+    tridiagonal, c = Q v / sigma and d = Q D' g, the conjugate gradients
+    start at the Galerkin solution x0 = Q^T y of
+    (I + h (beta T - d d^T T / g.D' g)) y = c, without the d term where
+    W = beta I: g, v and D' g lie in the span of Q and the constants, so
+    x0 costs no apply, and the conjugate gradients check it and finish it
+    if it falls short.  Conjugate gradients stop at relative residual
+    rtol of v / sigma, from any start, and v's Lanczos basis at that
+    relative change of v between two compared values, with the forcing term
     rtol = min(CG_REL_TOL, max(CG_REL_TOL e, 0.1 tol / e)), e = max|g|:
     a step solved to rtol leaves a linear error of about rtol e, which is
     CG_REL_TOL e^2 for e < 1, quadratic like the Newton step that large h
@@ -264,7 +271,7 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     if s == 1.0:  # calabi and p_calabi: one apply
         v = -edge_laplacian(metric, rates)(deviation)
     else:
-        v, top = fractional_velocity(apply_j, deviation, s, rtol)
+        v, top, basis, tri = fractional_velocity(apply_j, deviation, s, rtol)
     if s < 0.0:  # the largest Ritz value of R on the basis v is read from
         beta = top
     else:  # Gershgorin
@@ -273,9 +280,17 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     scaled = v / sigma  # -R g
     dg = beta * deviation + scaled  # D' g
     gdg, apply_w = float(deviation @ dg), lambda f: beta * f
-    if gdg > 0.0 and np.all(weights >= 0.0):  # R >= 0, so W >= R >= 0
+    rank_one = gdg > 0.0 and np.all(weights >= 0.0)
+    if rank_one:  # R >= 0, so W >= R >= 0
         apply_w = lambda f: beta * f - dg * (float(dg @ f) / gdg)
-    return v, lambda h: solve_shifted(apply_j, apply_w, h, scaled, rtol)
+    if s == 1.0 or not basis.size:
+        return v, lambda h: solve_shifted(apply_j, apply_w, h, scaled, rtol)
+    # Q W dK/du Q^T = (beta I - d d^T / g.D' g) T: the Galerkin system on v's basis
+    c, d = basis @ scaled, basis @ dg
+    wt = beta * tri - (np.outer(d, d @ tri) / gdg if rank_one else 0.0)
+    return v, lambda h: solve_shifted(
+        apply_j, apply_w, h, scaled, rtol, np.linalg.solve(np.eye(c.size) + h * wt, c) @ basis
+    )
 
 
 def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, w_inc: float) -> bool:

@@ -16,10 +16,12 @@ Laplacian of the Calabi flow.  ``edge_laplacian`` applies any edge weights
 linearly, which is all that the flows' linearly implicit steps need: the
 conjugate gradients of ``solve_shifted``, which take every step, and the
 Lanczos basis of ``fractional_velocity``, whose Ritz values
-``fractional_powers`` powers.  No flow assembles the dense matrix:
-``packflow jacobian-check`` compares it with the finite-difference one,
-and ``spectral``, ``apply_laplacian`` and ``apply_fractional`` on it are
-the dense references.
+``fractional_powers`` powers, and on which a fractional step's conjugate
+gradients start (augmented CG, Erhel-Guyomarc'h 2000), so that they only
+check or finish the Galerkin solution there.  No flow assembles the dense
+matrix: ``packflow jacobian-check`` compares it with the finite-difference
+one, and ``spectral``, ``apply_laplacian`` and ``apply_fractional`` on it
+are the dense references.
 """
 
 from __future__ import annotations
@@ -227,7 +229,9 @@ def edge_laplacian(metric: DecoratedMetric, weights: np.ndarray):
     return apply
 
 
-def solve_shifted(apply_j, apply_w, h: float, v: np.ndarray, rtol: float) -> np.ndarray:
+def solve_shifted(
+    apply_j, apply_w, h: float, v: np.ndarray, rtol: float, x0: np.ndarray | None = None
+) -> np.ndarray:
     """x with (I + h W J) x = v, by conjugate gradients in the J-inner product.
 
     With J = dK/du and W symmetric positive semidefinite, W J is
@@ -235,14 +239,24 @@ def solve_shifted(apply_j, apply_w, h: float, v: np.ndarray, rtol: float) -> np.
     the zero-sum vectors of a connected weighted Delaunay surface.  Each
     iteration applies J and W once; it stops when the residual's J-norm
     is rtol times v's, or is zero: r . J r within the dot product's own
-    rounding, DOT_ROUNDOFF |r| |J r|, of 0.  A non-positive curvature, or a
-    residual J-norm negative beyond that rounding, means J is indefinite (a
-    triangulation that is not weighted Delaunay): IndefiniteOperator.  Past
-    CG_MAX_SWEEPS * N iterations: NoConvergence.
+    rounding, DOT_ROUNDOFF |r| |J r|, of 0.  The iteration starts at x0
+    (default 0), whose residual costs two applies of J besides v's own;
+    the stop stays relative to v's J-norm, so a start that already meets
+    it returns as it is, and one that falls short is finished.  A
+    non-positive curvature, or a residual J-norm negative beyond that
+    rounding, means J is indefinite (a triangulation that is not weighted
+    Delaunay): IndefiniteOperator.  Past CG_MAX_SWEEPS * N iterations:
+    NoConvergence.
     """
-    x, r, jr = np.zeros_like(v), v, apply_j(v)
+    r, jr = v, apply_j(v)
+    rho0 = float(r @ jr)
+    if x0 is None:
+        x = np.zeros_like(v)
+    else:
+        x, r = x0, v - x0 - h * apply_w(apply_j(x0))
+        jr = apply_j(r)
     p, jp = r, jr
-    rho = rho0 = float(r @ jr)
+    rho = float(r @ jr)
     limit = CG_MAX_SWEEPS * v.size
     for _ in range(limit):
         if not rho > rtol * rtol * rho0:
@@ -260,30 +274,36 @@ def solve_shifted(apply_j, apply_w, h: float, v: np.ndarray, rtol: float) -> np.
     raise NoConvergence(f"conjugate gradients missed relative residual {rtol:.1e} in {limit} steps")
 
 
-def fractional_velocity(apply_j, g: np.ndarray, s: float, rtol: float) -> tuple[np.ndarray, float]:
-    """(v, top): v = -J^s g on one Lanczos basis of J, and top the largest Ritz value of J^s there.
+def fractional_velocity(
+    apply_j, g: np.ndarray, s: float, rtol: float
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """(v, top, Q, T): v = -J^s g on one Lanczos basis Q of J, top the
+    largest Ritz value of J^s there, and T the tridiagonal of the process.
 
     J = dK/du is symmetric with the constants in its kernel (zero row
     sums).  The basis starts from g - mean(g).  Each new vector follows the
     three-term recurrence and is then orthogonalised against the whole
     basis and the constants, by a second Gram-Schmidt pass where the first
     cancelled most of it (Daniel-Gragg-Kaufman-Stewart), so Q stays an
-    orthonormal basis of zero-sum vectors even once it spans.  After k
-    steps, with T = S diag(theta) S^T the k x k tridiagonal of the process,
-    v = -|g - mean(g)| Q S theta^s S^T e1: ``fractional_powers`` powers the
-    Ritz values theta, so the kernel band and IndefiniteOperator are the
-    dense eigenbasis's.  The basis grows by a quarter of its size, and at
-    least LANCZOS_BLOCK vectors, between two checkpoints, until v at the
-    last two differs by at most rtol relative or the basis spans its
-    Krylov space.  v is -R g for R = Q S diag(theta^s) S^T Q^T, whose
+    orthonormal basis of zero-sum vectors even once it spans.  Its k rows
+    are the Lanczos vectors, and T = Q J Q^T = S diag(theta) S^T is k x k.
+    v = -|g - mean(g)| Q^T S theta^s S^T e1: ``fractional_powers`` powers
+    the Ritz values theta, so the kernel band and IndefiniteOperator are the
+    dense eigenbasis's.  The first checkpoint comes after LANCZOS_BLOCK
+    steps, and compares v with its value on the leading (k - 2) x (k - 2)
+    block of T; the basis then grows by a quarter of its size, and at
+    least LANCZOS_BLOCK vectors, between two checkpoints.  It stops once v
+    at two compared values differs by at most rtol relative, or once the
+    basis spans its Krylov space.  g and v lie in the span of Q and the
+    constants, which is what lets a solve start from Q at no apply.  v is -R g for R = Q^T S diag(theta^s) S^T Q, whose
     largest eigenvalue is top, so |R g|^2 <= top g.R g wherever R is
-    semidefinite.  A constant g has v = 0 and top = 0.
+    semidefinite.  A constant g has v = 0, top = 0 and an empty basis.
     """
     n = g.size
     start = g - np.mean(g)
     norm = float(np.linalg.norm(start))
     if not norm > 0.0:
-        return np.zeros(n), 0.0
+        return np.zeros(n), 0.0, np.empty((0, n)), np.empty((0, 0))
     # row 0 is the normalised constant vector, and row i + 1 the i-th Lanczos vector
     basis = np.empty((min(LANCZOS_BLOCK + 2, n + 1), n))
     basis[0], basis[1] = 1.0 / np.sqrt(n), start / norm
@@ -323,19 +343,26 @@ def fractional_velocity(apply_j, g: np.ndarray, s: float, rtol: float) -> tuple[
         k = len(alphas)
         tri = np.diag(alphas)
         tri[range(k - 1), range(1, k)] = tri[range(1, k), range(k - 1)] = betas[: k - 1]
-        try:
-            theta, vecs = np.linalg.eigh(tri)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to provoke
-            raise NoConvergence(f"symmetric eigensolver failed on the Lanczos matrix: {exc}") from exc
-        powers = fractional_powers(theta, s)
-        coeffs = -norm * (vecs @ (powers * vecs[0]))  # v in the Lanczos vectors
-        if spanned or previous is not None and _settled(coeffs, previous, rtol):
-            return coeffs @ basis[1 : k + 1], float(np.max(powers))
+        coeffs, top = _ritz_velocity(tri, norm, s)  # v in the Lanczos vectors
+        if previous is None and not spanned:  # two steps back, on the same basis
+            previous = _ritz_velocity(tri[: k - 2, : k - 2], norm, s)[0]
+        if spanned or _settled(coeffs, previous, rtol):
+            return coeffs @ basis[1 : k + 1], top, basis[1 : k + 1], tri
         previous, more = coeffs, max(LANCZOS_BLOCK, k // 4)
 
 
+def _ritz_velocity(tri: np.ndarray, norm: float, s: float) -> tuple[np.ndarray, float]:
+    """v in the Lanczos vectors of the tridiagonal tri, and the largest Ritz value of J^s."""
+    try:
+        theta, vecs = np.linalg.eigh(tri)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to provoke
+        raise NoConvergence(f"symmetric eigensolver failed on the Lanczos matrix: {exc}") from exc
+    powers = fractional_powers(theta, s)
+    return -norm * (vecs @ (powers * vecs[0])), float(np.max(powers))
+
+
 def _settled(coeffs: np.ndarray, previous: np.ndarray, rtol: float) -> bool:
-    """Whether v moved by at most rtol relative since the previous checkpoint."""
+    """Whether v moved by at most rtol relative since the value it is compared with."""
     gap = coeffs.copy()
     gap[: previous.size] -= previous
     return bool(np.linalg.norm(gap) <= rtol * np.linalg.norm(coeffs))

@@ -631,9 +631,9 @@ def test_forced_linear_solves_never_cost_a_step(monkeypatch):
     # near tol the last step solves only as finely as tol can see.  Against
     # solves tightened to 1e-10 it must keep the median and every seed within
     # one step, and apply the edge flux fewer times.  Measured: every seed
-    # equal for every kind, with 1742 / 2243 / 4278 / 2212 applies (ricci /
+    # equal for every kind, with 1742 / 2243 / 2405 / 2212 applies (ricci /
     # calabi / fractional(0.5) / p_calabi(3)) against
-    # 3157 / 3615 / 6746 / 3575.  On WILD (V = 12) the basis of fractional's
+    # 3157 / 3615 / 4057 / 3575.  On WILD (V = 12) the basis of fractional's
     # velocity spans its Krylov space either way
     forced = _counted_runs(monkeypatch, 1e-3)
     reference = _counted_runs(monkeypatch, 1e-10)
@@ -951,8 +951,8 @@ def test_calabi_and_fractional_solve_at_ricci_cost(monkeypatch):
     # step tends to Newton's.  On the bumpy torus at n = 40 (V = 1600)
     # calabi applies the edge flux 88 times in 3 steps, where one Lanczos
     # basis of dK/du per step took 138 in 4, and conjugate gradients on
-    # I + h (dK/du)^2 took 836; fractional(1.5) takes 3 steps, where the
-    # Lanczos basis took 5
+    # I + h (dK/du)^2 took 836; fractional(1.5) takes 3 steps and 102
+    # applies, where the Lanczos basis took 5 steps
     applies = _count_applies(monkeypatch)
     metric = _bumpy_torus(40)
     trace = run(metric, FlowConfig(kind="calabi", target=_uniform_target(metric), tol=1e-6))
@@ -961,6 +961,21 @@ def test_calabi_and_fractional_solve_at_ricci_cost(monkeypatch):
     trace = run(metric, FlowConfig(kind="fractional", s=1.5, target=_uniform_target(metric), tol=1e-6))
     assert trace.converged
     assert trace.steps <= 3, [rec.max_curv_err for rec in trace.records]
+
+
+@pytest.mark.parametrize("s, bound", [(0.5, 110), (-0.5, 150)])
+def test_fractional_steps_on_one_krylov_process(s, bound, monkeypatch):
+    # the conjugate gradients start from the Galerkin solution on the
+    # Lanczos basis v was read from, so they only check it or finish it.
+    # On the bumpy torus at n = 40 (V = 1600) fractional(0.5) applies the
+    # edge flux 95 times and fractional(-0.5) 132, where a Krylov space
+    # rebuilt from zero by the conjugate gradients took 160 and 222
+    applies = _count_applies(monkeypatch)
+    metric = _bumpy_torus(40)
+    trace = run(metric, FlowConfig(kind="fractional", s=s, target=_uniform_target(metric), tol=1e-6))
+    assert trace.converged
+    assert trace.steps <= 3, [rec.max_curv_err for rec in trace.records]
+    assert applies[0] <= bound, applies[0]
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])

@@ -224,10 +224,96 @@ def test_fractional_velocity_on_an_indefinite_operator():
     with pytest.raises(IndefiniteOperator):
         fractional_velocity(lambda f: laplacian @ f, g, 0.5, 1e-12)
     # an integer exponent is a plain matrix power, as in apply_fractional,
-    # and top is the largest eigenvalue of that power
-    v, top = fractional_velocity(lambda f: laplacian @ f, g, 1.0, 1e-12)
+    # and top is the largest eigenvalue of that power; the two Lanczos
+    # vectors are orthonormal, zero-sum, and carry the operator as T
+    v, top, basis, tri = fractional_velocity(lambda f: laplacian @ f, g, 1.0, 1e-12)
     assert np.allclose(v, apply_fractional(laplacian, 1.0, g), rtol=0, atol=1e-14)
     assert top == pytest.approx(np.linalg.eigvalsh(laplacian)[-1], rel=1e-14)
+    assert basis.shape == (2, 3) and tri.shape == (2, 2)
+    assert np.allclose(basis @ basis.T, np.eye(2), rtol=0, atol=1e-14)
+    assert np.allclose(basis.sum(axis=1), 0.0, rtol=0, atol=1e-14)
+    assert np.allclose(basis @ laplacian @ basis.T, tri, rtol=0, atol=1e-14)
+
+
+def _random_deviation(metric, seed: int) -> np.ndarray:
+    # K - target for an N(0, 1) target recentred to 2 pi chi / V
+    n = metric.mesh.num_vertices
+    target = np.random.default_rng(1000 + seed).normal(0.0, 1.0, n)
+    return curvature(metric) - (target - target.mean() + 2.0 * np.pi * metric.mesh.euler_characteristic / n)
+
+
+@pytest.mark.parametrize(
+    "preset, n", [("torus_grid", 6), ("torus_grid", 11), ("icosahedron", None)],
+    ids=["torus_grid-6", "torus_grid-11", "icosahedron"],
+)
+def test_fractional_velocity_meets_its_tolerance_at_the_first_checkpoint(preset, n):
+    # the first checkpoint compares v on LANCZOS_BLOCK vectors with v on
+    # the leading block of two fewer, so a basis may stop there; v must
+    # still be within rtol of the dense -(dK/du)^s g.  Measured: the worst
+    # ratio to rtol is 0.10 (0.01 when the first checkpoint could not stop)
+    from packflow.geometry import edge_weights
+    from packflow.operators import LANCZOS_BLOCK, edge_laplacian, fractional_velocity
+
+    spec, sizes = RandomMetricSpec(preset=preset, n=n, delaunay=True), set()
+    for seed in range(8):
+        metric = random_metric(spec, seed)
+        g, jac = _random_deviation(metric, seed), jacobian(metric)
+        apply_j = edge_laplacian(metric, edge_weights(metric))
+        for s in (0.5, 1.5, -0.5, -1.5):
+            exact = apply_fractional(jac, s, g)
+            for rtol in (1e-3, 1e-4, 1e-6):
+                v, _, basis, _ = fractional_velocity(apply_j, g, s, rtol)
+                gap = np.linalg.norm(v - exact)
+                assert gap <= rtol * np.linalg.norm(exact), (seed, s, rtol, gap)
+                sizes.add(basis.shape[0])
+    if preset == "torus_grid":  # some bases stop at the first checkpoint
+        assert LANCZOS_BLOCK in sizes, sorted(sizes)
+
+
+def test_shifted_solve_from_a_start_stops_relative_to_v():
+    # (I + h W J) x = v on the Jacobian of a random grid torus, W = 2 I.  A start
+    # at the dense solution is checked and returned; a poor start ends
+    # within rtol of the zero start's solution; and a start whose residual
+    # already meets rtol of v's J-norm is returned as it is, which a stop
+    # relative to the start's own residual would not do
+    from packflow.operators import solve_shifted
+
+    metric = random_metric(RandomMetricSpec(preset="torus_grid", n=6, delaunay=True), 3)
+    jac, n, h, rtol = jacobian(metric), metric.mesh.num_vertices, 3.0, 1e-6
+    v = _random_deviation(metric, 3)
+    v -= v.mean()
+    applies = [0]
+
+    def apply_j(f):
+        applies[0] += 1
+        return jac @ f
+
+    def apply_w(f):
+        return 2.0 * f
+
+    def jnorm(f):
+        return math.sqrt(f @ jac @ f)
+
+    exact = np.linalg.solve(np.eye(n) + h * 2.0 * jac, v)
+    x = solve_shifted(apply_j, apply_w, h, v, rtol, exact)
+    assert x is exact and applies[0] == 3  # v's J-norm, the start's residual, its J-norm
+    zero_start = solve_shifted(apply_j, apply_w, h, v, rtol)
+    # both residuals are within rtol of v's J-norm, and (I + h W J)^-1 does
+    # not stretch the J-norm, so the two solutions are within twice that
+    poor = np.random.default_rng(5).normal(size=n)
+    poor -= poor.mean()
+    x = solve_shifted(apply_j, apply_w, h, v, rtol, poor)
+    assert jnorm(x - zero_start) <= 2.0 * rtol * jnorm(v), jnorm(x - zero_start)
+    assert jnorm(v - x - h * 2.0 * jac @ x) <= rtol * jnorm(v)
+    # a start whose residual is half rtol of v's J-norm: the conjugate
+    # gradients take no step, where a stop relative to the start's own
+    # residual would cut it by rtol
+    wanted = 0.5 * rtol * jnorm(v) / jnorm(poor) * poor
+    near = exact - np.linalg.solve(np.eye(n) + h * 2.0 * jac, wanted)
+    assert jnorm(v - near - h * 2.0 * jac @ near) == pytest.approx(jnorm(wanted), rel=1e-6)
+    applies[0] = 0
+    assert solve_shifted(apply_j, apply_w, h, v, rtol, near) is near
+    assert applies[0] == 3
 
 
 def test_p_laplacian_reduces_to_laplacian_at_two():
