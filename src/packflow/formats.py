@@ -21,29 +21,40 @@ parse -> emit is a fixed point.  Supplying inversive distances demands
 every value > 1 (the packing hypothesis on initial data); edge lengths
 carry no such restriction.
 
-Both directions work on whole arrays.  Parsing checks each field's types
-with one flat pass per nesting level and converts it with one
-``np.array`` call; emission writes each block (triangles, gluings, each
+Both directions work on whole arrays.  Parsing reads the triangles and
+gluings straight from the text into int64 arrays, with a few whole-array
+passes over the bytes (``_read_int_rows``), and ``json.loads`` reads only
+the skeleton left with a marker string where each stood; each number
+array is converted from that tree with one ``np.array`` call.  The text
+reader only recognises input.  On anything else (a backslash or a
+non-ASCII byte, an id with a sign, a leading zero or more than 18
+digits, a malformed block, a duplicate key) the whole text goes to
+``json.loads`` and the int rows are checked with one flat pass per
+nesting level, so every error, with its message and position, comes
+from that path.  Emission writes each block (triangles, gluings, each
 number array) through one ``%`` template, and ``"%.17g" % x`` is
-``format(x, ".17g")``.  Input the JSON reader itself refuses (an integer
-literal of more digits than the interpreter converts, nesting past its
-recursion limit) raises DpmSyntaxError, and an integer beyond the float
-range in a number array raises SchemaError.
+``format(x, ".17g")``.  Input the JSON reader itself
+refuses (an integer literal of more digits than the interpreter
+converts, nesting past its recursion limit) raises DpmSyntaxError, and an
+integer beyond the float range in a number array raises SchemaError.
 
 Text is decoded, and its tree converted to arrays, with the cyclic
-garbage collector paused (``_decoded``).  ``json.loads`` builds one list
-per array, about 4,400 for a V = 400 document.  With the collector on,
-every few hundred of them start a collection that promotes the
-half-built tree, and every ~20 parses one of these is a full collection
-of the whole heap.  A JSON tree holds no reference cycles, so the
-collector has nothing to find in it.  It resumes on every exit, only if
-it was on at entry, and on a normal exit only after the tree is dropped.
+garbage collector paused (``_decoded``).  Read whole by ``json.loads``, a
+V = 400 document builds one list per array, about 4,400; with its
+triangles and gluings read from the text, it builds the lists of its
+number arrays only.  With the collector on, every few hundred lists
+start a collection that promotes the half-built tree, and every ~20
+parses one of these is a full collection of the whole heap.  A JSON
+tree holds no reference cycles, so the collector has nothing to find in
+it.  It resumes on every exit, only if it was on at entry, and on a
+normal exit only after the tree is dropped.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Callable
@@ -119,7 +130,11 @@ def _number_array(obj: dict, key: str, length: int, *, optional: bool = False) -
 def _int_rows(obj: dict, key: str, shape: tuple[int, ...], what: str) -> np.ndarray | list:
     """The list at ``key`` as an int64 array of rows of ``shape``; SchemaError names
     its first row not of ``shape`` with int leaves.  Rows holding an id beyond
-    int64 are handed on as they are, for the mesh checks to name the id."""
+    int64 are handed on as they are, for the mesh checks to name the id.  Rows
+    that ``_read_int_rows`` read from the text are already such an array."""
+    rows = obj.get(key)
+    if isinstance(rows, np.ndarray):
+        return rows
     rows = _require(obj, key, list)
     leaves = _int_leaves(rows, shape)
     if leaves is None:
@@ -141,6 +156,95 @@ def _int_leaves(rows: list, shape: tuple[int, ...]) -> list | None:
     return rows if set(map(type, rows)) <= {int} else None
 
 
+# the skeleton of one row of each field _read_int_rows reads, and its shape
+_ROWS = {"triangles": (b"[,,]", (3,)), "gluings": (b"[[,],[,]]", (2, 2))}
+_COLON_BRACKET = re.compile(r"[ \t\n\r]*:[ \t\n\r]*\[")
+_WHITESPACE = b" \t\n\r"
+_DIGITS = b"0123456789"
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_MARK = "\x7f"  # a marker string is _MARK + its key; a text holding _MARK declines
+
+
+def _read_int_rows(text: str) -> dict | None:
+    """``json.loads(text)`` with triangles and gluings read straight from the
+    text into int64 arrays; None where this declines.
+
+    Each of the two values that ``_int_span`` reads as rows is replaced by a
+    marker string, and ``json.loads`` reads the skeleton that is left.  A
+    marker that comes back as the top-level value of its key stood where
+    a JSON value goes, so the whole text reads as the skeleton does with
+    the rows in its place.  This declines on a backslash, a non-ASCII or
+    DEL byte, a skeleton ``json.loads`` refuses, and a marker that does not
+    come back (a duplicate key drops it); it never raises, so every error
+    comes from the JSON path on the whole text.
+    """
+    if not text.isascii() or "\\" in text or _MARK in text:
+        return None
+    spans = []  # from the "[" after each key to the last "]" before the next quote
+    for key in _ROWS:
+        at = text.find(f'"{key}"')
+        value = _COLON_BRACKET.match(text, at + len(key) + 2) if at >= 0 else None
+        if value:
+            lo = value.end() - 1
+            end = text.find('"', lo)
+            spans.append((lo, text.rfind("]", lo, end if end >= 0 else len(text)) + 1, key))
+    arrays, skeleton = {}, text
+    for lo, hi, key in sorted(spans, reverse=True):  # the last first: offsets hold
+        rows = _int_span(text[lo:hi].encode(), *_ROWS[key])
+        if rows is not None:
+            arrays[key] = rows
+            skeleton = f'{skeleton[:lo]}"{_MARK}{key}"{skeleton[hi:]}'
+    if not arrays:
+        return None
+    try:
+        tree = json.loads(skeleton)
+    except (ValueError, RecursionError):
+        return None
+    if type(tree) is not dict or any(tree.get(key) != _MARK + key for key in arrays):
+        return None
+    tree.update(arrays)
+    return tree
+
+
+def _int_span(span: bytes, row: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The int64 rows of ``shape`` that the JSON text ``span`` spells, or None
+    unless it is exactly a JSON array of such rows (``row`` is one row with
+    its numbers deleted) of numbers ``0|[1-9][0-9]*`` of at most 18 digits.
+
+    Whole-array passes: whitespace and then digits are deleted with
+    ``bytes.translate`` and what is left is compared with the rows'
+    skeleton; masks over the bytes place each digit run in a value slot;
+    ``np.add.reduceat`` sums each run's digits over powers of ten.
+    """
+    packed = span.translate(None, _WHITESPACE)
+    skeleton = packed.translate(None, _DIGITS)
+    count = (len(skeleton) - 1) // (len(row) + 1)
+    if count < 1 or skeleton != b"[" + b",".join([row] * count) + b"]":
+        return None  # an empty array is left to the JSON path
+    numbers = count * np.prod(shape)
+    chars = np.frombuffer(packed, np.uint8)
+    values = chars - 48  # a digit's value; 10 or more on "[", "]" and ","
+    digit = values < 10
+    first = digit[1:] & ~digit[:-1]  # at i: a run of digits starts at i + 1
+    last = digit[:-1] & ~digit[1:]  # at i: a run ends at i
+    spaced = np.frombuffer(span, np.uint8) - 48 < 10
+    if (
+        np.count_nonzero(first) != numbers  # a slot left empty
+        or np.count_nonzero(spaced[1:] & ~spaced[:-1]) != numbers  # "1 2" reads as "12"
+        or np.any(first & (chars[:-1] == 93))  # a number after "]"
+        or np.any(last & (chars[1:] == 91))  # a number before "["
+        or np.any(first[:-1] & (values[1:-1] == 0) & digit[2:])  # a leading zero
+    ):
+        return None
+    starts, ends = np.flatnonzero(first) + 1, np.flatnonzero(last)
+    lengths = ends + 1 - starts
+    if lengths.max() > 18:
+        return None
+    at = np.flatnonzero(digit)
+    terms = _POW10[np.repeat(ends, lengths) - at] * values[at]
+    return np.add.reduceat(terms, np.cumsum(lengths) - lengths).reshape(-1, *shape)
+
+
 def _decoded(text: str, read: Callable):
     """``read`` applied to the JSON tree of ``text``, with the cyclic collector paused.
 
@@ -159,14 +263,16 @@ def _decoded(text: str, read: Callable):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            tree = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DpmSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-        except ValueError:  # an integer literal beyond the interpreter's digit limit
-            raise DpmSyntaxError("integer literal with too many digits") from None
-        except RecursionError:
-            raise DpmSyntaxError("arrays or objects nested too deeply") from None
+        tree = _read_int_rows(text)
+        if tree is None:
+            try:
+                tree = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise DpmSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+            except ValueError:  # an integer literal beyond the interpreter's digit limit
+                raise DpmSyntaxError("integer literal with too many digits") from None
+            except RecursionError:
+                raise DpmSyntaxError("arrays or objects nested too deeply") from None
         return read(tree)
     finally:
         tree = None  # dropped before the collector resumes

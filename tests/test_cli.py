@@ -230,9 +230,10 @@ def test_flow_fractional(bumpy_file):
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("vertex", [10**30, -(10**30), 2**63, 4])
+@pytest.mark.parametrize("vertex", [10**30, -(10**30), 2**63, 4, 10**18, 10**18 - 1])
 def test_vertex_id_outside_the_range_is_one_error_line(tmp_path, capsys, vertex):
-    # ids beyond int64 get the same MeshError as an in-range bad id
+    # ids beyond int64 get the same MeshError as an in-range bad id, and so do
+    # ids of 19 digits, which the text reader leaves to the JSON path, and of 18
     doc = json.loads((MESHES / "tetra_sym.dpm").read_text())
     doc["triangles"][0][1] = vertex
     path = tmp_path / "bad_vertex.dpm"

@@ -19,6 +19,7 @@ from packflow import (
     InvalidInversiveDistance,
     InvalidParams,
     MeshError,
+    PackflowError,
     SchemaError,
     build_complex,
     curvature,
@@ -31,7 +32,8 @@ from packflow import (
     run,
     write_trace_csv,
 )
-from packflow.formats import TRACE_COLUMNS
+from packflow import formats
+from packflow.formats import TRACE_COLUMNS, DpmDocument
 from packflow.oracles import RandomMetricSpec, random_metric
 
 MESH_DIR = Path(__file__).resolve().parents[1] / "meshes"
@@ -429,3 +431,174 @@ def test_emit_matches_a_per_number_reference_on_random_metrics(preset, seed):
     assert emit_dpm(metric, target) == _reference_emit(metric, target)
     make_delaunay(metric)
     assert emit_dpm(metric) == _reference_emit(metric)
+
+
+# -- triangles and gluings read from the text ------------------------------------------
+
+
+def _json_path(text: str) -> DpmDocument:
+    """parse_dpm as it reads every document that the text reader declines:
+    json.loads on the whole text, its errors mapped as formats._decoded maps them."""
+    try:
+        tree = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DpmSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError:
+        raise DpmSyntaxError("integer literal with too many digits") from None
+    except RecursionError:
+        raise DpmSyntaxError("arrays or objects nested too deeply") from None
+    return formats._document(tree)
+
+
+def _outcome(read, text: str) -> tuple:
+    """What ``read`` makes of ``text``: the parsed arrays, or the error's type,
+    message and position."""
+    try:
+        doc = read(text)
+    except PackflowError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    metric, mesh = doc.metric, doc.mesh
+    arrays = (mesh._tri, mesh._twin, mesh._edge_side, metric.base_lengths, metric.radii,
+              metric.conformal_factors, doc.target)
+    return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+def _fuzz_bases() -> list[str]:
+    texts = []
+    for preset, n in [("torus_grid", n) for n in range(3, 7)] + [("tetrahedron", None),
+                                                                  ("one_vertex_torus", None)]:
+        metric = preset_metric(preset, n=n) if n else preset_metric(preset)
+        target = np.linspace(-1.0, 1.0, metric.mesh.num_vertices)
+        for text in (emit_dpm(metric), emit_dpm(metric, target)):
+            texts += [text, json.dumps(json.loads(text))]
+    return texts
+
+
+FUZZ_BASES = _fuzz_bases()
+FUZZ_TOKENS = list('[],-0123456789 \t\n"e.') + ["true", "01", "1 2", "1234567890123456789"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(FUZZ_BASES),
+    edits=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.sampled_from(["insert", "delete", "replace"]),
+                  st.sampled_from(FUZZ_TOKENS)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_int_rows_read_from_the_text_agree_with_the_json_path(base, edits):
+    # the edits land inside the triangles and gluings blocks or just around them
+    lo, hi = base.index('"triangles"') - 5, base.index('"edge_lengths"') + 5
+    text = base
+    for where, op, token in edits:
+        at = lo + round(where * (hi - lo))
+        if op == "insert":
+            text = text[:at] + token + text[at:]
+        else:
+            text = text[:at] + (token if op == "replace" else "") + text[at + 1:]
+    assert _outcome(parse_dpm, text) == _outcome(_json_path, text)
+
+
+def _read_from_the_text_only(monkeypatch):
+    """Make the JSON path's conversion of int rows raise, so that a document
+    parses only if its triangles and gluings were read from the text."""
+    def refuse(rows, shape):
+        raise AssertionError("int rows converted from the JSON tree")
+
+    monkeypatch.setattr(formats, "_int_leaves", refuse)
+
+
+def test_every_bundled_and_generated_document_reads_its_rows_from_the_text(monkeypatch):
+    texts = [path.read_text() for path in sorted(MESH_DIR.glob("*.dpm"))]
+    texts += [generate(preset, **kwargs) for preset, kwargs in (
+        ("tetrahedron", {}), ("octahedron", {}), ("icosahedron", {}),
+        ("torus_grid", {"n": 4}), ("torus_grid", {"n": 20}), ("one_vertex_torus", {}))]
+    texts += [json.dumps(json.loads(text), separators=(",", ":")) for text in texts]
+    expected = [_outcome(_json_path, text) for text in texts]
+    _read_from_the_text_only(monkeypatch)
+    assert [_outcome(parse_dpm, text) for text in texts] == expected
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ['"note": "a \\\\ backslash"', '"note": "café"'],
+    ids=["backslash", "non-ASCII"],
+)
+def test_a_declined_document_reads_as_json(monkeypatch, extra):
+    text = (MESH_DIR / "tetra_sym.dpm").read_text().replace("{", "{" + extra + ",", 1)
+    parse_dpm(text)
+    assert _outcome(parse_dpm, text) == _outcome(_json_path, text)
+    _read_from_the_text_only(monkeypatch)
+    with pytest.raises(AssertionError, match="from the JSON tree"):
+        parse_dpm(text)
+
+
+TETRA_SYM = (MESH_DIR / "tetra_sym.dpm").read_text()
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "error", "message"),
+    [
+        ("[0, 1, 2]", "[01, 2, 3]", DpmSyntaxError, "Expecting ',' delimiter (line 5, column 7)"),
+        ("[0, 1, 2]", "[0 1, 2]", DpmSyntaxError, "Expecting ',' delimiter (line 5, column 8)"),
+        ("[0, 1, 2]", "[1 2, 2, 3]", DpmSyntaxError, "Expecting ',' delimiter (line 5, column 8)"),
+        ("[0, 1, 2]", "[1 2, , 3]", DpmSyntaxError, "Expecting ',' delimiter (line 5, column 8)"),
+        ("[0, 1, 2]", "[-, 1, 2]", DpmSyntaxError, "Expecting value (line 5, column 6)"),
+        ("[1, 3, 2]\n", "[1, 3, 2],\n", DpmSyntaxError, "Expecting value (line 9, column 3)"),
+        ("[0, 1, 2]", "[1.0, 1, 2]", SchemaError,
+         "field 'triangles'[0] must be three integer vertex ids"),
+        ("[0, 1, 2]", "[true, 1, 2]", SchemaError,
+         "field 'triangles'[0] must be three integer vertex ids"),
+        ("[0, 1, 2]", "[0, 1]", SchemaError,
+         "field 'triangles'[0] must be three integer vertex ids"),
+        ("[0, 0],\n      [2, 2]", "[0, 0],\n      [2]", SchemaError,
+         "field 'gluings'[0] must be [[t, e], [t2, e2]]"),
+        ("[0, 1, 2]", "[0, 1234567890123456789, 2]", MeshError,
+         "triangle 0 references vertex 1234567890123456789 outside [0, 4)"),
+        ("[0, 1, 2]", "[0, 123456789012345678, 2]", MeshError,
+         "triangle 0 references vertex 123456789012345678 outside [0, 4)"),
+        ("[0, 1, 2],\n    [0, 2, 3]", "[0, 1, ], 2[0, 2, 3]", DpmSyntaxError,
+         "Expecting value (line 5, column 12)"),
+        ("[0, 1, 2],\n    [0, 2, 3]", "[0, 1, ]2, [0, 2, 3]", DpmSyntaxError,
+         "Expecting value (line 5, column 12)"),
+        (TETRA_SYM[TETRA_SYM.index("[\n    [0, 1, 2]"):TETRA_SYM.index('"gluings"') - 4], "[]",
+         MeshError, "no triangles"),
+        # a duplicate key: the last one wins
+        ('"gluings"', '"triangles": [[0, 1]],\n  "gluings"', SchemaError,
+         "field 'triangles'[0] must be three integer vertex ids"),
+        ('"triangles"', '"triangles": [[0, 1]],\n  "triangles"', None, None),
+    ],
+    ids=["leading zero", "space in a number", "space in a row of three", "space and an empty slot", "lone minus", "trailing comma", "float id",
+         "bool id", "two corners", "ragged gluing", "19-digit id", "18-digit id",
+         "a number before a row", "a number after a row", "no triangles",
+         "duplicate key, bad last", "duplicate key, good last"],
+)
+def test_int_row_errors_are_the_json_paths(old, new, error, message):
+    assert old in TETRA_SYM
+    text = TETRA_SYM.replace(old, new, 1)
+    assert _outcome(parse_dpm, text) == _outcome(_json_path, text)
+    if error is None:
+        parse_dpm(text)
+    else:
+        with pytest.raises(error) as info:
+            parse_dpm(text)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("[" + TETRA_SYM + "]", "top level must be a JSON object"),
+        ('{"format": "dpm-1", "inner": ' + TETRA_SYM + "}", "missing field 'num_vertices' in document"),
+        (TETRA_SYM.replace('"radii"', '"triangles": "\x7ftriangles", "radii"'),
+         "field 'triangles' must be list, got str"),
+    ],
+    ids=["in a top-level array", "in a nested object", "a marker string in the text"],
+)
+def test_rows_that_are_not_the_documents_own_are_left_to_the_json_path(text, message):
+    with pytest.raises(SchemaError) as info:
+        parse_dpm(text)
+    assert str(info.value) == message
+    assert _outcome(parse_dpm, text) == _outcome(_json_path, text)
