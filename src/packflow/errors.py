@@ -77,10 +77,6 @@ class GeometryError(PackflowError):
     pass
 
 
-class ImaginaryChord(GeometryError):
-    """A vertex circle swallows the edge: the orthogonal-circle chord is not real."""
-
-
 # --- surgery ---------------------------------------------------------------
 
 class SurgeryError(PackflowError):

@@ -161,7 +161,8 @@ _ROWS = {"triangles": (b"[,,]", (3,)), "gluings": (b"[[,],[,]]", (2, 2))}
 _COLON_BRACKET = re.compile(r"[ \t\n\r]*:[ \t\n\r]*\[")
 _WHITESPACE = b" \t\n\r"
 _DIGITS = b"0123456789"
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_ZEROED = bytes.maketrans(_DIGITS, b"0" * len(_DIGITS))
+_UNBRACKETED = bytes.maketrans(b"[]", b"  ")
 _MARK = "\x7f"  # a marker string is _MARK + its key; a text holding _MARK declines
 
 
@@ -214,7 +215,7 @@ def _int_span(span: bytes, row: bytes, shape: tuple[int, ...]) -> np.ndarray | N
     Whole-array passes: whitespace and then digits are deleted with
     ``bytes.translate`` and what is left is compared with the rows'
     skeleton; masks over the bytes place each digit run in a value slot;
-    ``np.add.reduceat`` sums each run's digits over powers of ten.
+    with the brackets blanked, ``np.fromstring`` reads the checked numbers.
     """
     packed = span.translate(None, _WHITESPACE)
     skeleton = packed.translate(None, _DIGITS)
@@ -236,13 +237,9 @@ def _int_span(span: bytes, row: bytes, shape: tuple[int, ...]) -> np.ndarray | N
         or np.any(first[:-1] & (values[1:-1] == 0) & digit[2:])  # a leading zero
     ):
         return None
-    starts, ends = np.flatnonzero(first) + 1, np.flatnonzero(last)
-    lengths = ends + 1 - starts
-    if lengths.max() > 18:
+    if b"0" * 19 in packed.translate(_ZEROED):  # more than 18 digits
         return None
-    at = np.flatnonzero(digit)
-    terms = _POW10[np.repeat(ends, lengths) - at] * values[at]
-    return np.add.reduceat(terms, np.cumsum(lengths) - lengths).reshape(-1, *shape)
+    return np.fromstring(packed.translate(_UNBRACKETED), np.int64, sep=",").reshape(-1, *shape)
 
 
 def _decoded(text: str, read: Callable):

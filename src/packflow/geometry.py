@@ -41,30 +41,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ImaginaryChord
 from .metric import DecoratedMetric, triangle_side_lengths, validate_triangles
 
 _PREV, _NEXT = np.array([2, 0, 1]), np.array([1, 2, 0])   # side or corner e -> e-1, e+1
-
-
-def edge_half_chord(length, r_a, r_b):
-    """Half-length of the chord the orthogonal circle cuts on the edge line.
-
-    Computed from the edge alone: with m the equal-power point of the two
-    endpoint circles on the line, the squared half-chord is m^2 - r_a^2.
-    Real exactly when the circles neither cross nor touch (|I| > 1), so
-    only the plane-geometry oracle reads it, never the weights.
-    """
-    length = np.asarray(length, dtype=float)
-    r_a = np.asarray(r_a, dtype=float)
-    r_b = np.asarray(r_b, dtype=float)
-    m = (length * length + r_a * r_a - r_b * r_b) / (2.0 * length)
-    sq = m * m - r_a * r_a
-    if np.any(sq <= 0):
-        raise ImaginaryChord(
-            f"vertex circles meet the edge: squared half-chord {float(np.min(sq)):.3e} <= 0"
-        )
-    return np.sqrt(sq)
 
 
 # -- whole-surface batches -----------------------------------------------------

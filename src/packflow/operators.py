@@ -281,23 +281,29 @@ def fractional_velocity(
     largest Ritz value of J^s there, and T the tridiagonal of the process.
 
     J = dK/du is symmetric with the constants in its kernel (zero row
-    sums).  The basis starts from g - mean(g).  Each new vector follows the
-    three-term recurrence and is then orthogonalised against the whole
-    basis and the constants, by a second Gram-Schmidt pass where the first
-    cancelled most of it (Daniel-Gragg-Kaufman-Stewart), so Q stays an
-    orthonormal basis of zero-sum vectors even once it spans.  Its k rows
-    are the Lanczos vectors, and T = Q J Q^T = S diag(theta) S^T is k x k.
-    v = -|g - mean(g)| Q^T S theta^s S^T e1: ``fractional_powers`` powers
-    the Ritz values theta, so the kernel band and IndefiniteOperator are the
-    dense eigenbasis's.  The first checkpoint comes after LANCZOS_BLOCK
-    steps, and compares v with its value on the leading (k - 2) x (k - 2)
-    block of T; the basis then grows by a quarter of its size, and at
-    least LANCZOS_BLOCK vectors, between two checkpoints.  It stops once v
-    at two compared values differs by at most rtol relative, or once the
-    basis spans its Krylov space.  g and v lie in the span of Q and the
-    constants, which is what lets a solve start from Q at no apply.  v is -R g for R = Q^T S diag(theta^s) S^T Q, whose
-    largest eigenvalue is top, so |R g|^2 <= top g.R g wherever R is
-    semidefinite.  A constant g has v = 0, top = 0 and an empty basis.
+    sums).  The basis starts from g - mean(g); each new vector follows the
+    three-term recurrence and is then orthogonalised once against the
+    constants and the last two vectors, O(V) beside its apply.  So Q's k
+    rows, the Lanczos vectors, are zero-sum and orthogonal to their
+    neighbours, and T = S diag(theta) S^T is their tridiagonal.  Across the
+    basis orthogonality is lost as Ritz values converge, which in floating
+    point only adds copies of converged ones (Paige 1980): theta stays in
+    J's spectrum off the constants up to round-off, so no spurious small
+    one blows up theta^s at s < 0, and v = -|g - mean(g)| Q^T S theta^s
+    S^T e1 is as accurate as the best polynomial in J of slightly higher
+    degree (Musco-Musco-Sidford 2018).  ``fractional_powers`` powers theta,
+    so the kernel band and IndefiniteOperator are the dense eigenbasis's.
+    The first checkpoint comes after LANCZOS_BLOCK steps, and compares v
+    with its value on the leading (k - 2) x (k - 2) block of T; the basis
+    then grows by a quarter of its size, and at least LANCZOS_BLOCK
+    vectors, between two checkpoints.  It stops once v at two compared
+    values differs by at most rtol relative, once a new vector vanishes,
+    or at n - 1 vectors.  g and v lie in the span of Q and the constants,
+    which is what lets a solve start from Q at no apply.  v is -R g for
+    R = Q^T S diag(theta^s) S^T Q, whose largest eigenvalue is top where Q
+    is orthonormal (a copied Ritz value leaves it as it is), so
+    |R g|^2 <= top g.R g wherever R is semidefinite.  A constant g has
+    v = 0, top = 0 and an empty basis.
     """
     n = g.size
     start = g - np.mean(g)
@@ -310,7 +316,7 @@ def fractional_velocity(
     alphas: list[float] = []
     betas: list[float] = []
     scale = 0.0  # running estimate of |J| on the basis
-    spanned = False  # the basis spans its Krylov space, so v is exact in it
+    stopped = False  # the process ended, so v is final
     previous, more = None, LANCZOS_BLOCK
     while True:
         k = len(alphas)
@@ -324,29 +330,25 @@ def fractional_velocity(
             w = apply_j(q)
             alpha = float(q @ w)
             w -= np.array((last, alpha)) @ basis[j : j + 2]  # the three-term recurrence
-            head = basis[: j + 2]
-            for _ in range(2):  # a second pass only if the first cancelled most of w
-                before = float(w @ w)
-                drift = head @ w
-                w -= drift @ head
-                alpha += float(drift[-1])
-                beta = float(np.sqrt(w @ w))
-                if beta * beta > 0.5 * before:
-                    break
+            head = basis[[0, *range(max(1, j), j + 2)]]  # the constants and the last two
+            drift = head @ w
+            w -= drift @ head
+            alpha += float(drift[-1])
+            beta = float(np.sqrt(w @ w))
             scale = max(scale, abs(alpha) + last)
             alphas.append(alpha)
             betas.append(beta)
             if j + 2 == n or beta <= EIGEN_ZERO_REL_TOL * scale:
-                spanned = True
+                stopped = True
                 break
             basis[j + 2] = w / beta
         k = len(alphas)
         tri = np.diag(alphas)
         tri[range(k - 1), range(1, k)] = tri[range(1, k), range(k - 1)] = betas[: k - 1]
         coeffs, top = _ritz_velocity(tri, norm, s)  # v in the Lanczos vectors
-        if previous is None and not spanned:  # two steps back, on the same basis
+        if previous is None and not stopped:  # two steps back, on the same basis
             previous = _ritz_velocity(tri[: k - 2, : k - 2], norm, s)[0]
-        if spanned or _settled(coeffs, previous, rtol):
+        if stopped or _settled(coeffs, previous, rtol):
             return coeffs @ basis[1 : k + 1], top, basis[1 : k + 1], tri
         previous, more = coeffs, max(LANCZOS_BLOCK, k // 4)
 

@@ -21,10 +21,11 @@ from .errors import (
     DegenerateLength,
     DegenerateTriangle,
     FlipProducesDegenerate,
+    GeometryError,
     MetricError,
     SelfFlip,
 )
-from .geometry import DELAUNAY_REL_TOL, edge_half_chord, triangle_angles
+from .geometry import DELAUNAY_REL_TOL, triangle_angles
 from .metric import (
     TRIANGLE_MARGIN_REL_TOL,
     DecoratedMetric,
@@ -131,6 +132,30 @@ def oracle_face_circle(sides, radii) -> tuple[np.ndarray, float, np.ndarray]:
         w = center - pts[e]
         distances.append((v[0] * w[1] - v[1] * w[0]) / np.hypot(*v))
     return center, power, np.array(distances)
+
+
+class ImaginaryChord(GeometryError):
+    """A vertex circle swallows the edge: the orthogonal-circle chord is not real."""
+
+
+def edge_half_chord(length, r_a, r_b):
+    """Half-length of the chord the orthogonal circle cuts on the edge line.
+
+    Computed from the edge alone: with m the equal-power point of the two
+    endpoint circles on the line, the squared half-chord is m^2 - r_a^2.
+    Real exactly when the circles neither cross nor touch (|I| > 1), so
+    only the plane-geometry oracle reads it, never the weights.
+    """
+    length = np.asarray(length, dtype=float)
+    r_a = np.asarray(r_a, dtype=float)
+    r_b = np.asarray(r_b, dtype=float)
+    m = (length * length + r_a * r_a - r_b * r_b) / (2.0 * length)
+    sq = m * m - r_a * r_a
+    if np.any(sq <= 0):
+        raise ImaginaryChord(
+            f"vertex circles meet the edge: squared half-chord {float(np.min(sq)):.3e} <= 0"
+        )
+    return np.sqrt(sq)
 
 
 def oracle_delaunay_via_angles(metric: DecoratedMetric, edge_id: int) -> bool:

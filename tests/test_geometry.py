@@ -20,10 +20,8 @@ import pytest
 from packflow import (
     DecoratedMetric,
     DegenerateTriangle,
-    ImaginaryChord,
     apply_p_laplacian,
     curvature,
-    edge_half_chord,
     flip_metric,
     jacobian,
     preset_complex,
@@ -36,8 +34,10 @@ from packflow import geometry
 from packflow.geometry import delaunay_terms, face_circles
 from packflow.metric import triangle_side_lengths
 from packflow.oracles import (
+    ImaginaryChord,
     RandomMetricSpec,
     _oracle_layout,
+    edge_half_chord,
     oracle_angles_via_layout,
     oracle_face_circle,
     random_metric,

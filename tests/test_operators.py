@@ -270,6 +270,37 @@ def test_fractional_velocity_meets_its_tolerance_at_the_first_checkpoint(preset,
         assert LANCZOS_BLOCK in sizes, sorted(sizes)
 
 
+@pytest.mark.parametrize(
+    "preset, n, rtol, bound",
+    [("torus_grid", 20, 1e-9, 1e-9), ("torus_grid", 3, 1e-12, 1e-12), ("icosahedron", None, 1e-12, 1e-12)],
+    ids=["torus_grid-20", "torus_grid-3", "icosahedron"],
+)
+def test_fractional_velocity_is_accurate_on_a_large_or_spanning_basis(preset, n, rtol, bound):
+    # each Lanczos vector is orthogonalised against the constants and the
+    # last two only, so orthogonality across the basis is lost as it grows
+    # (up to 77 vectors at V = 400) or spans (n - 1 vectors); v must still
+    # be within bound of the dense -(dK/du)^s g, relative.  Measured: the
+    # worst ratio to bound is 0.015 at V = 400 and 0.0025 where it spans
+    from packflow.geometry import edge_weights
+    from packflow.operators import edge_laplacian, fractional_velocity
+
+    spec, sizes = RandomMetricSpec(preset=preset, n=n, delaunay=True), set()
+    for seed in range(8):
+        metric = random_metric(spec, seed)
+        g, jac = _random_deviation(metric, seed), jacobian(metric)
+        apply_j = edge_laplacian(metric, edge_weights(metric))
+        for s in (0.5, 1.5, -0.5, -1.5):
+            exact = apply_fractional(jac, s, g)
+            v, _, basis, _ = fractional_velocity(apply_j, g, s, rtol)
+            gap = np.linalg.norm(v - exact)
+            assert gap <= bound * np.linalg.norm(exact), (seed, s, gap)
+            sizes.add(basis.shape[0])
+    if n == 20:  # the basis grows large
+        assert max(sizes) >= 64, sorted(sizes)
+    else:  # the basis spans: n - 1 vectors
+        assert sizes == {metric.mesh.num_vertices - 1}, sorted(sizes)
+
+
 def test_shifted_solve_from_a_start_stops_relative_to_v():
     # (I + h W J) x = v on the Jacobian of a random grid torus, W = 2 I.  A start
     # at the dense solution is checked and returned; a poor start ends
