@@ -33,7 +33,10 @@ digits, a malformed block, a duplicate key) the whole text goes to
 nesting level, so every error, with its message and position, comes
 from that path.  Emission writes each block (triangles, gluings, each
 number array) through one ``%`` template, and ``"%.17g" % x`` is
-``format(x, ".17g")``.  Input the JSON reader itself
+``format(x, ".17g")``; the template layout is fixed.  A parsed complex
+keeps the text of the triangles and gluings blocks read from the text
+(``DeltaComplex.text_blocks``), and until it is flipped emission writes
+those two blocks back as they were read.  Input the JSON reader itself
 refuses (an integer literal of more digits than the interpreter
 converts, nesting past its recursion limit) raises DpmSyntaxError, and an
 integer beyond the float range in a number array raises SchemaError.
@@ -166,9 +169,10 @@ _UNBRACKETED = bytes.maketrans(b"[]", b"  ")
 _MARK = "\x7f"  # a marker string is _MARK + its key; a text holding _MARK declines
 
 
-def _read_int_rows(text: str) -> dict | None:
+def _read_int_rows(text: str) -> tuple[dict, dict[str, str]] | None:
     """``json.loads(text)`` with triangles and gluings read straight from the
-    text into int64 arrays; None where this declines.
+    text into int64 arrays, and the text of each block so read, by key; None
+    where this declines.
 
     Each of the two values that ``_int_span`` reads as rows is replaced by a
     marker string, and ``json.loads`` reads the skeleton that is left.  A
@@ -189,11 +193,12 @@ def _read_int_rows(text: str) -> dict | None:
             lo = value.end() - 1
             end = text.find('"', lo)
             spans.append((lo, text.rfind("]", lo, end if end >= 0 else len(text)) + 1, key))
-    arrays, skeleton = {}, text
+    arrays, blocks, skeleton = {}, {}, text
     for lo, hi, key in sorted(spans, reverse=True):  # the last first: offsets hold
-        rows = _int_span(text[lo:hi].encode(), *_ROWS[key])
+        block = text[lo:hi]
+        rows = _int_span(block.encode(), *_ROWS[key])
         if rows is not None:
-            arrays[key] = rows
+            arrays[key], blocks[key] = rows, block
             skeleton = f'{skeleton[:lo]}"{_MARK}{key}"{skeleton[hi:]}'
     if not arrays:
         return None
@@ -204,7 +209,7 @@ def _read_int_rows(text: str) -> dict | None:
     if type(tree) is not dict or any(tree.get(key) != _MARK + key for key in arrays):
         return None
     tree.update(arrays)
-    return tree
+    return tree, blocks
 
 
 def _int_span(span: bytes, row: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -243,7 +248,9 @@ def _int_span(span: bytes, row: bytes, shape: tuple[int, ...]) -> np.ndarray | N
 
 
 def _decoded(text: str, read: Callable):
-    """``read`` applied to the JSON tree of ``text``, with the cyclic collector paused.
+    """``read`` applied to the JSON tree of ``text`` and to the text of the
+    blocks ``_read_int_rows`` read (none on the JSON path), with the cyclic
+    collector paused.
 
     The pause covers ``read`` too, and when ``read`` returns the tree is
     dropped before the collector resumes: resumed with the tree still
@@ -260,7 +267,7 @@ def _decoded(text: str, read: Callable):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        tree = _read_int_rows(text)
+        tree, blocks = _read_int_rows(text) or (None, {})
         if tree is None:
             try:
                 tree = json.loads(text)
@@ -270,7 +277,7 @@ def _decoded(text: str, read: Callable):
                 raise DpmSyntaxError("integer literal with too many digits") from None
             except RecursionError:
                 raise DpmSyntaxError("arrays or objects nested too deeply") from None
-        return read(tree)
+        return read(tree, blocks)
     finally:
         tree = None  # dropped before the collector resumes
         if was_enabled:
@@ -296,7 +303,7 @@ def parse_target(text: str, num_vertices: int, name: str) -> np.ndarray:
     the document's own vertex count; SchemaError names the file and what it
     lacks.
     """
-    return _decoded(text, lambda tree: _target(tree, num_vertices, name))
+    return _decoded(text, lambda tree, _: _target(tree, num_vertices, name))
 
 
 def _target(raw, num_vertices: int, name: str) -> np.ndarray:
@@ -318,7 +325,7 @@ def _target(raw, num_vertices: int, name: str) -> np.ndarray:
         raise SchemaError(f"target file {name!r} holds a number beyond the float range") from None
 
 
-def _document(raw) -> DpmDocument:
+def _document(raw, blocks: dict[str, str] | None = None) -> DpmDocument:
     if not isinstance(raw, dict):
         raise SchemaError("top level must be a JSON object")
     fmt = _require(raw, "format", str)
@@ -330,6 +337,8 @@ def _document(raw) -> DpmDocument:
         mesh = build_complex(n, tris, _int_rows(raw, "gluings", (2, 2), "[[t, e], [t2, e2]]"))
     else:
         mesh = infer_gluings(n, tris)
+    if blocks:
+        mesh.text_blocks = (mesh.version, blocks)
 
     radii = _number_array(raw, "radii", mesh.num_vertices)
     has_lengths = "edge_lengths" in raw
@@ -363,6 +372,11 @@ def _rows(template: str, sep: str, rows: np.ndarray) -> str:
     return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
+def _int_block(template: str, rows: np.ndarray) -> str:
+    """A JSON array of int ``rows``, ``template`` per row, one row per line."""
+    return "[\n" + _rows(template, ",\n", rows) + "\n  ]"
+
+
 def _numbers(values) -> str:
     """A one-line JSON array of floats with 17 significant digits."""
     return "[" + _rows("%.17g", ", ", np.asarray(values, dtype=float)) + "]"
@@ -373,19 +387,28 @@ def emit_dpm(metric: DecoratedMetric, target: np.ndarray | None = None) -> str:
 
     The emitted document stores the effective lengths and radii with zero
     conformal factors, which is the same geometry, and survives a further
-    parse/emit round trip byte for byte.  The layout is fixed: one field
-    per line, one line per triangle, the two sides of a gluing on lines of
-    their own, and each number array on one line.
+    parse/emit round trip byte for byte.  The layout of what the templates
+    write is fixed: one field per line, one line per triangle, the two
+    sides of a gluing on lines of their own, and each number array on one
+    line.  The triangles and gluings blocks of a complex that was parsed
+    and has not been flipped since (``DeltaComplex.text_blocks``) are
+    written as they were read, in their own layout; in the emitted layout
+    that is the same text.
     """
     mesh = metric.mesh
-    triangles = _rows("    [%d, %d, %d]", ",\n", mesh.triangles)
-    sides = np.stack(np.divmod(mesh.edge_sides_array(), 3), axis=-1)
-    gluings = _rows("    [\n      [%d, %d],\n      [%d, %d]\n    ]", ",\n", sides)
+    version, kept = mesh.text_blocks or (None, {})
+    if version != mesh.version:
+        kept = {}
+    triangles = kept.get("triangles") or _int_block("    [%d, %d, %d]", mesh.triangles)
+    gluings = kept.get("gluings") or _int_block(
+        "    [\n      [%d, %d],\n      [%d, %d]\n    ]",
+        np.stack(np.divmod(mesh.edge_sides_array(), 3), axis=-1),
+    )
     fields = [
         f'"format": "{FORMAT_NAME}"',
         f'"num_vertices": {mesh.num_vertices}',
-        f'"triangles": [\n{triangles}\n  ]',
-        f'"gluings": [\n{gluings}\n  ]',
+        f'"triangles": {triangles}',
+        f'"gluings": {gluings}',
         f'"edge_lengths": {_numbers(metric.effective_lengths)}',
         f'"radii": {_numbers(metric.effective_radii)}',
     ]

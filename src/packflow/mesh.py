@@ -74,6 +74,12 @@ class DeltaComplex:
     and ``edge_side`` (the first side of each edge, whose order fixes the
     edge ids) and derives the rest; it raises :class:`UnmatchedSlot` only
     where they name a slot the derivation cannot index.
+
+    ``version`` counts flips.  ``text_blocks`` is None, or a version and
+    the dpm-1 text of the ``triangles`` and ``gluings`` blocks that this
+    complex was parsed from, as far as they were read from the text; while
+    ``version`` equals it, ``formats.emit_dpm`` writes those blocks as read.
+    A copy keeps it, and a flip bumps ``version`` past it.
     """
 
     def __init__(
@@ -107,6 +113,7 @@ class DeltaComplex:
             [corners[self._edge_side], corners[_next_slot(self._edge_side)]], axis=1
         )
         self.version = 0
+        self.text_blocks: tuple[int, dict[str, str]] | None = None
 
     # -- size and edge ids --------------------------------------------------
 

@@ -21,10 +21,13 @@ from packflow import (
     MeshError,
     PackflowError,
     SchemaError,
+    DecoratedMetric,
     build_complex,
     curvature,
     emit_dpm,
+    flip_metric,
     generate,
+    lengths_from_inversive,
     make_delaunay,
     parse_dpm,
     preset_complex,
@@ -602,3 +605,75 @@ def test_rows_that_are_not_the_documents_own_are_left_to_the_json_path(text, mes
         parse_dpm(text)
     assert str(info.value) == message
     assert _outcome(parse_dpm, text) == _outcome(_json_path, text)
+
+
+# -- triangles and gluings written back as they were read ------------------------------
+
+LAYOUTS = {"default": {}, "compact": {"separators": (",", ":")}, "indent=1": {"indent": 1}}
+
+
+def _relaid(text: str, layout: str) -> str:
+    return json.dumps(json.loads(text), **LAYOUTS[layout])
+
+
+def _kept_blocks(doc: DpmDocument) -> dict[str, str]:
+    version, blocks = doc.mesh.text_blocks
+    assert version == doc.mesh.version
+    return blocks
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_an_unflipped_complex_writes_its_blocks_as_read_in_any_layout(layout):
+    metric = random_metric(ROUND_TRIP_SPECS["torus_grid"], 3)
+    target = np.linspace(-1.0, 1.0, metric.mesh.num_vertices)
+    text = _relaid(emit_dpm(metric, target), layout)
+    doc = parse_dpm(text)
+    emitted = emit_dpm(doc.metric, doc.target)
+    assert json.loads(emitted) == json.loads(_reference_emit(doc.metric, doc.target))
+    blocks = _kept_blocks(doc)
+    assert sorted(blocks) == ["gluings", "triangles"]
+    for key, block in blocks.items():
+        assert f'"{key}": {block},' in emitted
+    assert _outcome(parse_dpm, emitted) == _outcome(parse_dpm, text)
+
+
+def _squeezed_document(n: int) -> str:
+    """A torus_grid document, compact, whose every diagonal violates the Delaunay condition."""
+    mesh = preset_complex("torus_grid", n=n)
+    radii = np.exp(np.random.default_rng(n).uniform(-0.1, 0.1, n * n))
+    a, b = mesh.edge_endpoints_array().T
+    di, dj = (b // n - a // n) % n, (b % n - a % n) % n
+    inversive = np.where((di == dj) & (di != 0), 6.0, 1.5)
+    metric = DecoratedMetric(mesh, lengths_from_inversive(mesh, radii, inversive), radii)
+    return _relaid(emit_dpm(metric), "compact")
+
+
+def test_a_flipped_complex_is_written_through_the_templates():
+    doc = parse_dpm(_squeezed_document(4))
+    delaunay, events = make_delaunay(doc.metric.copy())
+    assert events
+    assert emit_dpm(delaunay) == _reference_emit(delaunay)
+    one_flip = doc.metric.copy()
+    flip_metric(one_flip, events[0].edge_id)
+    assert emit_dpm(one_flip) == _reference_emit(one_flip)
+    emitted = emit_dpm(doc.metric)
+    assert emitted != _reference_emit(doc.metric)
+    assert json.loads(emitted) == json.loads(_reference_emit(doc.metric))
+    for key, block in _kept_blocks(doc).items():
+        assert f'"{key}": {block},' in emitted
+
+
+def test_a_document_without_gluings_keeps_its_triangles_only():
+    doc = parse_dpm(TETRA_DOC)
+    assert sorted(_kept_blocks(doc)) == ["triangles"]
+    reference = _reference_emit(doc.metric)
+    templated = reference[reference.index('"triangles"'):reference.index(',\n  "gluings"')]
+    as_read = '"triangles": [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]'
+    assert emit_dpm(doc.metric) == reference.replace(templated, as_read)
+
+
+def test_a_declined_document_is_written_through_the_templates():
+    text = _squeezed_document(3).replace("{", '{"note":"café",', 1)
+    doc = parse_dpm(text)
+    assert doc.mesh.text_blocks is None
+    assert emit_dpm(doc.metric) == _reference_emit(doc.metric)

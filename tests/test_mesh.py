@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from packflow import (
@@ -356,19 +356,20 @@ FLIP_SPECS = {
 
 # Round-off in the new diagonal grows as the flipped triangles thin out
 # (relative area error ~ 1e-16 / min_angle^2), so the 1e-12 isometry bound
-# is only asserted on flips whose new triangles keep every angle above this.
+# is only asserted on flips whose quad keeps every angle above this, before
+# and after the flip; thinner quads are held to that round-off model.
 ISOMETRY_MIN_ANGLE = 0.05
 
 
-def _flip_is_well_shaped(before, after, edge_id: int) -> bool:
-    """Whether the isometry of flipping ``edge_id`` is checked to 1e-12.
+def _quad_min_angle(before, after, edge_id: int) -> float:
+    """The least angle of the quad of ``edge_id``, before and after its flip.
 
     flip_metric refuses every flip whose new diagonal leaves the quad, so
-    every accepted flip is an isometry; the tight bound is asserted while
-    the new triangles are well shaped.
+    every accepted flip is an isometry, up to round-off that grows as the
+    quad's triangles (rewritten in place, so at the same indices) thin out.
     """
     faces = before.mesh.edge_sides_array()[edge_id] // 3
-    return triangle_angles(after)[faces].min() > ISOMETRY_MIN_ANGLE
+    return float(min(triangle_angles(before)[faces].min(), triangle_angles(after)[faces].min()))
 
 
 def _index_arrays(mesh: DeltaComplex) -> list[np.ndarray]:
@@ -416,6 +417,8 @@ def test_flip_many_equals_the_same_flips_one_at_a_time(name, picks):
     seed=st.integers(0, 2**16),
     picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
 )
+# the flip back out of a quad with a 5.2e-5 rad angle: a curvature gap of 1.07e-12
+@example(preset="icosahedron", seed=1479, picks=[55, 341654, 341654])
 def test_random_flip_sequences_keep_the_complex_consistent(preset, seed, picks):
     metric = random_metric(FLIP_SPECS[preset], seed)
     mesh0 = metric.mesh.copy()
@@ -439,8 +442,10 @@ def test_random_flip_sequences_keep_the_complex_consistent(preset, seed, picks):
         for mine, theirs in zip(_index_arrays(mesh0), before):
             assert np.array_equal(mine, theirs)
         assert mesh0.version == 0
-        if _flip_is_well_shaped(metric, trial, edge_id):
-            assert np.allclose(curvature(trial), curvature(metric), rtol=0, atol=1e-12)
+        min_angle = _quad_min_angle(metric, trial, edge_id)
+        gap = np.max(np.abs(curvature(trial) - curvature(metric)))
+        assert gap <= max(1e-12, 1e-16 / min_angle**2), (gap, min_angle)  # 1e-12 when well shaped
+        if min_angle > ISOMETRY_MIN_ANGLE:
             assert math.isclose(
                 float(np.sum(triangle_areas(trial))),
                 float(np.sum(triangle_areas(metric))),
