@@ -29,18 +29,23 @@ the angle at corner e, from the law of cosines
 (Glickenstein, JDG 2011).  One kernel evaluates angles, distances and
 powers face by face; it runs on the whole mesh once per metric state,
 behind the triangle-margin gate, so surgery pays for one more pass per
-round of flips.  Behind the gate the cosine ratio leaves [-1, 1] by
-roundoff only, so a clip, not a guard, keeps arccos defined.  Curvature
-sums the angles, a flip reads its quad angles, and ``delaunay_terms``
-gives d1 + d2 per edge: the Delaunay test reads its sign, and
-``edge_weights`` divides it by the edge length for surgery's ranking and
-the operators.
+round of flips.  It reads its faces side-major: lengths and radii are
+gathered as (3, F) columns, row e holding side or corner e of every face,
+so sides e-1 and e+1 are whole rows, and the margin gate reads the same
+gather.  Heron's rule orders each face's sides by maximum and minimum,
+which select the values a sort would, with no sort.  Behind the gate
+the cosine ratio leaves [-1, 1] by roundoff only, so a clip, not a
+guard, keeps arccos defined.  Curvature sums the angles, a flip reads
+its quad angles, and ``delaunay_terms`` gives d1 + d2 per edge: the
+Delaunay test reads its sign, and ``edge_weights`` divides it by the
+edge length for surgery's ranking and the operators.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .mesh import DeltaComplex
 from .metric import DecoratedMetric, triangle_side_lengths, validate_triangles
 
 _PREV, _NEXT = np.array([2, 0, 1]), np.array([1, 2, 0])   # side or corner e -> e-1, e+1
@@ -56,12 +61,14 @@ def triangle_angles(metric: DecoratedMetric) -> np.ndarray:
 
 def triangle_areas(metric: DecoratedMetric) -> np.ndarray:
     """Face areas by the stable form of Heron's rule."""
-    return _heron(triangle_side_lengths(metric))
+    return _heron(*triangle_side_lengths(metric).T)
 
 
-def _heron(sides: np.ndarray) -> np.ndarray:
-    sides = np.sort(sides, axis=1)
-    a, b, c = sides[:, 2], sides[:, 1], sides[:, 0]
+def _heron(l0: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """Heron's rule on the sides ordered a >= b >= c, picked by maximum and
+    minimum: the values a sort would select, with no sort."""
+    lo, hi = np.minimum(l0, l1), np.maximum(l0, l1)
+    a, b, c = np.maximum(hi, l2), np.maximum(lo, np.minimum(hi, l2)), np.minimum(lo, l2)
     sq = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
     return 0.25 * np.sqrt(np.maximum(sq, 0.0))
 
@@ -72,16 +79,23 @@ def face_circles(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _faces(metric: DecoratedMetric, faces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(angles, distances, powers) of ``faces`` alone: a row reads its own face only."""
-    l = metric.effective_lengths[metric.mesh.slot_edge_array()[faces]]
-    r = metric.effective_radii[metric.mesh.triangles[faces]]
+    """(angles, distances, powers) of ``faces`` alone: a row reads its own face only.
+
+    The sides and corners are gathered side-major, row e holding side or
+    corner e of every face, so sides e-1 and e+1 are whole rows; angles and
+    distances are written back face-major, shape (..., 3).
+    """
+    l = metric.effective_lengths[metric.mesh.slot_edge_array()[faces].T]
+    r = metric.effective_radii[metric.mesh.triangles[faces].T]
     ll, rr = l * l, r * r
-    a = (ll + rr - rr[:, _NEXT]) / (2.0 * l)
-    b = (ll[:, _PREV] + rr - rr[:, _PREV]) / (2.0 * l[:, _PREV])
-    dot = 0.5 * (ll + ll[:, _PREV] - ll[:, _NEXT])            # l_e l_{e-1} cos A_e
-    angles = np.arccos(np.clip(dot / (l * l[:, _PREV]), -1.0, 1.0))
-    distances = (b * l * l[:, _PREV] - a * dot) / (2.0 * _heron(l))[:, None]
-    powers = a[:, 0] ** 2 + distances[:, 0] ** 2 - rr[:, 0]
+    lp, llp = l[_PREV], ll[_PREV]
+    a = (ll + rr - rr[_NEXT]) / (2.0 * l)
+    b = (llp + rr - rr[_PREV]) / (2.0 * lp)
+    dot = 0.5 * (ll + llp - ll[_NEXT])                         # l_e l_{e-1} cos A_e
+    angles, distances = np.empty(l.shape[::-1]), np.empty(l.shape[::-1])
+    np.arccos(np.clip(dot / (l * lp), -1.0, 1.0), out=angles.T)
+    np.divide(b * l * lp - a * dot, 2.0 * _heron(*l), out=distances.T)
+    powers = a[0] ** 2 + distances.T[0] ** 2 - rr[0]
     return angles, distances, powers
 
 
@@ -117,11 +131,13 @@ def _terms(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
     """
     validate_triangles(metric).require()
     angles, distances, powers = _faces(metric, slice(None))
-    return angles, distances, powers, *_edge_terms(distances, powers, metric.mesh.edge_sides_array())
+    return angles, distances, powers, *_edge_terms(distances, powers, metric.mesh)
 
 
-def _edge_terms(distances: np.ndarray, powers: np.ndarray, sides: np.ndarray):
-    """(d1 + d2, tolerance) of the edges whose two sides (slots) are the rows of ``sides``."""
-    flat, scale = distances.ravel(), np.abs(powers[sides // 3])
-    tolerance = DELAUNAY_REL_TOL * np.sqrt(np.maximum(scale[:, 0], scale[:, 1]))
-    return flat[sides[:, 0]] + flat[sides[:, 1]], tolerance
+def _edge_terms(distances: np.ndarray, powers: np.ndarray, mesh: DeltaComplex):
+    """(d1 + d2, tolerance) of every edge of ``mesh``, read at its two sides (slots)."""
+    first = mesh._edge_side
+    second = mesh._twin[first]
+    flat = distances.ravel()
+    scale = np.maximum(np.abs(powers[first // 3]), np.abs(powers[second // 3]))
+    return flat[first] + flat[second], DELAUNAY_REL_TOL * np.sqrt(scale)

@@ -306,19 +306,21 @@ def _validate(mesh: DeltaComplex) -> None:
             f" ({labels[p]}->{head[p]} reversed) disagree on labels"
         )
 
-    # edge table consistent with the gluing: (edge under each side, tail, head) per row
+    # edge table consistent with the gluing: the edge under each side, tail and head
     if np.any(mesh._edge_of < 0):
         raise UnmatchedSlot("edge table does not cover every side")
-    sides, ids = mesh.edge_sides_array(), np.arange(mesh.num_edges)[:, None]
-    found = np.hstack([mesh._edge_of[sides], labels[sides[:, :1]], head[sides[:, :1]]])
-    rows = np.flatnonzero(np.any(found != np.hstack([ids, ids, mesh._edge_ends]), axis=1))
+    first, ids, ends = mesh._edge_side, np.arange(mesh.num_edges), mesh._edge_ends
+    rows = np.flatnonzero(
+        (mesh._edge_of[first] != ids) | (mesh._edge_of[twin[first]] != ids)
+        | (labels[first] != ends[:, 0]) | (head[first] != ends[:, 1])
+    )
     if rows.size:
         raise MeshError(f"edge table row {rows[0]} disagrees with the gluing")
 
     # corner orbits must match the labels one-to-one; pointer doubling marks each
     # orbit by its least corner, and glued sides agree on labels (checked above)
     rep, step = s, twin[_prev_slot(s)]
-    for _ in range((s.size - 1).bit_length()):
+    for _ in range(_orbit_rounds(labels)):
         rep, step = np.minimum(rep, rep[step]), step[step]
     orbits = np.bincount(labels[rep == s], minlength=mesh.num_vertices)
     if orbits.max() > 1:
@@ -350,6 +352,15 @@ def _validate(mesh: DeltaComplex) -> None:
         )
 
 
+def _orbit_rounds(labels: np.ndarray) -> int:
+    """Pointer-doubling rounds that cover every corner orbit: 2**rounds corners.
+
+    A corner orbit keeps one label once glued sides agree on labels, so no
+    orbit is longer than the number of corners its label has.
+    """
+    return int(np.bincount(labels).max()).bit_length()
+
+
 def build_complex(
     num_vertices: int,
     triangles: Sequence[Sequence[int]],
@@ -367,11 +378,11 @@ def build_complex(
         pairs = pairs.astype(np.int64, casting="safe", copy=False).reshape(len(gluings), 2, 2)
     except (TypeError, ValueError):
         raise UnmatchedSlot("gluings must be pairs of (triangle, side) slots of integers") from None
-    outside = np.any((pairs < 0) | (pairs >= [len(labels), 3]), axis=2)
+    outside = np.any((pairs < 0) | (pairs >= np.array([len(labels), 3])), axis=2)
     if outside.any():
         slot = tuple(pairs.reshape(-1, 2)[np.argmax(outside)].tolist())
         raise UnmatchedSlot(f"gluing references slot {slot} outside the complex")
-    slots = pairs @ [3, 1]
+    slots = 3 * pairs[..., 0] + pairs[..., 1]
     uses = np.bincount(slots.ravel(), minlength=labels.size)
     if uses.max() > 1:
         raise UnmatchedSlot(f"slot {divmod(int(np.argmax(uses > 1)), 3)} is glued more than once")

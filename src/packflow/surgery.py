@@ -121,24 +121,24 @@ def flip_metric(
     mesh = metric.mesh
     edges = np.atleast_1d(mesh._edge_ids(edges))
     pre_weights = edge_weights(metric, edges)
-    t, e = np.divmod(mesh.edge_sides_array()[edges], 3)
+    first = mesh._edge_side[edges]
+    t, e = np.divmod(np.stack([first, mesh._twin[first]]), 3)
     # per quad, rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
-    slots = 3 * t[:, :, None] + (e[:, :, None] + np.arange(3)) % 3
-    (_, l_jk, l_ki), (_, l_il, l_lj) = np.moveaxis(
-        metric.effective_lengths[mesh.slot_edge_array().ravel()[slots]], 0, -1
-    )
-    (at_i, at_j, _), (at_j2, at_i2, _) = np.moveaxis(triangle_angles(metric).ravel()[slots], 0, -1)
-    (i, j, k), (_, _, l) = np.moveaxis(mesh.triangles.ravel()[slots], 0, -1)
+    slots = 3 * t[:, None] + (e[:, None] + np.arange(3)[:, None]) % 3   # shape (2, 3, B)
+    lengths = metric.effective_lengths[mesh.slot_edge_array().ravel()[slots]]
+    (_, l_jk, l_ki), (_, l_il, l_lj) = lengths
+    (at_i, at_j, _), (at_j2, at_i2, _) = triangle_angles(metric).ravel()[slots]
+    (i, j, k), (_, _, l) = mesh.triangles.ravel()[slots]
     theta_i, theta_j = at_i + at_i2, at_j + at_j2
     new_length = np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i))
 
-    # the two new triangles (l, j, k) and (k, i, l) of each quad, shape (B, 2, 3)
-    new_sides = np.moveaxis(np.array([[l_lj, l_jk, new_length], [l_ki, l_il, new_length]]), -1, 0)
-    margins = triangle_margins(new_sides)
-    thin = ~(margins > TRIANGLE_MARGIN_REL_TOL * new_sides.max(axis=2))
+    # the two new triangles (l, j, k) and (k, i, l) of each quad, rows of shape (2, B)
+    s0, s1 = np.stack([l_lj, l_ki]), np.stack([l_jk, l_il])
+    margins = triangle_margins(s0, s1, new_length)
+    thin = ~(margins > TRIANGLE_MARGIN_REL_TOL * np.maximum(np.maximum(s0, s1), new_length))
     outside = ~(np.maximum(theta_i, theta_j) < np.pi)
-    self_glued = t[:, 0] == t[:, 1]
-    failed = np.flatnonzero(self_glued | thin.any(axis=1) | outside)
+    self_glued = t[0] == t[1]
+    failed = np.flatnonzero(self_glued | thin.any(axis=0) | outside)
     n = failed[0] if failed.size else edges.size
 
     events = []
@@ -173,11 +173,11 @@ def flip_metric(
 
     edge_id = int(edges[n])
     if self_glued[n]:
-        raise SelfFlip(f"edge {edge_id} has both sides on triangle {t[n, 0]}; flip undefined")
-    if thin[n].any():
+        raise SelfFlip(f"edge {edge_id} has both sides on triangle {t[0, n]}; flip undefined")
+    if thin[:, n].any():
         raise FlipProducesDegenerate(
             f"flip of edge {edge_id} would create a triangle with margin"
-            f" {margins[n][thin[n]][0]:.3e}"
+            f" {margins[:, n][thin[:, n]][0]:.3e}"
         )
     vertex, angle = (i[n], theta_i[n]) if theta_i[n] >= theta_j[n] else (j[n], theta_j[n])
     raise FlipProducesDegenerate(

@@ -187,6 +187,57 @@ def test_face_batches_agree_with_single_face():
         assert angles[t] == pytest.approx(geo["angles"])
 
 
+def _same_bits(mine, reference) -> bool:
+    mine, reference = np.asarray(mine), np.asarray(reference)
+    return mine.shape == reference.shape and mine.tobytes() == reference.tobytes()
+
+
+KERNEL_MESHES = [("tetrahedron", None), ("icosahedron", None), ("one_vertex_torus", None),
+                 ("torus_grid", 5)]
+
+
+@pytest.mark.parametrize("preset,n", KERNEL_MESHES)
+@pytest.mark.parametrize("seed", range(3))
+def test_the_face_kernel_reads_only_its_own_faces(preset, n, seed):
+    # a face's row of (angles, distances, powers) has the same bits whether
+    # the kernel runs on the whole mesh or on any subset holding that face:
+    # an index array in random order, a boolean mask or a single face
+    metric = random_metric(RandomMetricSpec(preset=preset, n=n, u_range=0.3), seed)
+    whole = geometry._faces(metric, slice(None))
+    memo = (triangle_angles(metric), *face_circles(metric))
+    assert all(_same_bits(a, b) for a, b in zip(whole, memo))
+    rng = np.random.default_rng(seed)
+    f = metric.mesh.num_triangles
+    subsets = [
+        rng.permutation(f)[: rng.integers(1, f + 1)],
+        rng.random(f) < 0.5,
+        int(rng.integers(f)),
+        np.array([f - 1]),
+    ]
+    for subset in subsets:
+        for mine, reference in zip(geometry._faces(metric, subset), whole):
+            assert _same_bits(mine, reference[subset]), subset
+
+
+def _sorted_heron(sides: np.ndarray) -> np.ndarray:
+    """Stable Heron on the sides sorted by ``np.sort``, a >= b >= c."""
+    sides = np.sort(sides, axis=1)
+    a, b, c = sides[:, 2], sides[:, 1], sides[:, 0]
+    sq = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    return 0.25 * np.sqrt(np.maximum(sq, 0.0))
+
+
+@pytest.mark.parametrize("preset,n", KERNEL_MESHES)
+def test_triangle_areas_match_sorted_heron_bit_for_bit(preset, n):
+    # the sides are ordered by maximum and minimum, which select the values
+    # a sort selects; ties (the equilateral preset, integer sides) included
+    for metric in (preset_metric(preset, n=n), random_metric(RandomMetricSpec(preset, n), 7)):
+        areas = triangle_areas(metric)
+        assert _same_bits(areas, _sorted_heron(triangle_side_lengths(metric)))
+    sides = np.random.default_rng(3).integers(1, 4, size=(500, 3)).astype(float)
+    assert _same_bits(geometry._heron(*sides.T), _sorted_heron(sides))
+
+
 def test_angle_sum_is_pi_per_face():
     metric = preset_metric("octahedron", radius=1.1, inversive=2.2)
     angles = triangle_angles(metric)

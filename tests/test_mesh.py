@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,11 @@ from packflow import (
     triangle_angles,
     triangle_areas,
 )
+from packflow import mesh as mesh_module
+from packflow.formats import parse_dpm
 from packflow.oracles import RandomMetricSpec, random_metric
+
+MESH_DIR = Path(__file__).resolve().parents[1] / "meshes"
 
 TETRA_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
 
@@ -179,6 +184,36 @@ def test_build_rejects_one_label_on_two_points():
         build_complex(5, faces, gluings)
     assert type(info.value) is InconsistentVertexLabels
     assert str(info.value) == "vertex label 0 names two distinct points of the surface"
+
+
+def _bipyramid17() -> DeltaComplex:
+    """The bundled 17-gon bipyramid: apexes 17 and 18 have a 17-corner orbit each."""
+    return parse_dpm((MESH_DIR / "bipyramid17.dpm").read_text()).mesh
+
+
+def test_build_rejects_one_label_on_both_apexes_of_a_bipyramid():
+    # label 18 renamed 17: every gluing and orientation is the bipyramid's
+    # own, so only the orbit check can refuse the two 17-corner orbits
+    # that now share a label
+    bipyramid = _bipyramid17()
+    faces = np.where(bipyramid.triangles == 18, 17, bipyramid.triangles).tolist()
+    with pytest.raises(InconsistentVertexLabels) as info:
+        build_complex(18, faces, _gluings(bipyramid))
+    assert str(info.value) == "vertex label 17 names two distinct points of the surface"
+
+
+def test_the_orbit_bound_has_no_round_to_spare_on_a_bipyramid(monkeypatch):
+    # 17 corners around an apex need 5 pointer-doubling rounds (2**4 = 16
+    # corners fall one short), so a bound one round lower splits each
+    # apex's orbit in two and refuses the valid complex
+    bipyramid = _bipyramid17()
+    faces, gluings = bipyramid.triangles.tolist(), _gluings(bipyramid)
+    rounds = mesh_module._orbit_rounds
+    assert rounds(bipyramid.triangles.ravel()) == 5
+    build_complex(19, faces, gluings).check()
+    monkeypatch.setattr(mesh_module, "_orbit_rounds", lambda labels: rounds(labels) - 1)
+    with pytest.raises(InconsistentVertexLabels, match="^vertex label 17 names two distinct"):
+        build_complex(19, faces, gluings)
 
 
 def test_flip_moves_diagonal_and_keeps_counts():
