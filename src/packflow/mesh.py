@@ -49,14 +49,18 @@ from .errors import (
 Slot = tuple[int, int]
 
 
-def _next_slot(s):
-    """Slot of the next side of the same triangle (scalar or array)."""
-    return s - s % 3 + (s + 1) % 3
+# row r, column e: the offset from side e of a triangle to its side (e + r) % 3
+_TURN = np.array([[0, 0, 0], [1, 1, -2], [2, -1, -1]])
 
 
-def _prev_slot(s):
-    """Slot of the previous side of the same triangle: the side arriving at corner s."""
-    return s - s % 3 + (s + 2) % 3
+def _quads(twin: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Faces (2, B) of the sides ``first`` and of their twins, and their slots (2, 3, B).
+
+    Each face's slots start at that side: the side, the next side, the previous side.
+    """
+    sides = np.concatenate([first, twin[first]]).reshape(2, -1)
+    t = sides // 3
+    return t, sides[:, None] + _TURN.take(sides - 3 * t, axis=1).swapaxes(0, 1)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -90,7 +94,7 @@ class DeltaComplex:
         edge_side: Sequence[int],
     ):
         self.num_vertices = int(num_vertices)
-        self._tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+        self._tri = np.array(triangles, dtype=np.int64, order="C").reshape(-1, 3)
         self._twin = np.array(twin, dtype=np.int64)
         self._edge_side = first = np.array(edge_side, dtype=np.int64)
         slots = self._tri.size
@@ -108,10 +112,8 @@ class DeltaComplex:
         self._edge_of = np.full(self._twin.size, -1, dtype=np.int64)
         self._edge_of[self._edge_side] = ids
         self._edge_of[self._twin[self._edge_side]] = ids
-        corners = self._tri.ravel()
-        self._edge_ends = np.stack(
-            [corners[self._edge_side], corners[_next_slot(self._edge_side)]], axis=1
-        )
+        heads = self._tri[:, [1, 2, 0]].ravel()  # the head label of each side
+        self._edge_ends = np.stack([self._tri.ravel()[first], heads[first]], axis=1)
         self.version = 0
         self.text_blocks: tuple[int, dict[str, str]] | None = None
 
@@ -182,33 +184,29 @@ class DeltaComplex:
         """
         twin, edge_of, edge_side = self._twin, self._edge_of, self._edge_side
         ids = self._edge_ids(edges).reshape(-1)
-        first = edge_side[ids]
-        second = twin[first]
-        t1, t2 = first // 3, second // 3
-        lone = np.flatnonzero(t1 == t2)
+        t, slots = _quads(twin, edge_side[ids])
+        lone = np.flatnonzero(t[0] == t[1])
         if lone.size:
             raise SelfFlip(
-                f"edge {ids[lone[0]]} has both sides on triangle {t1[lone[0]]}; flip undefined"
+                f"edge {ids[lone[0]]} has both sides on triangle {t[0, lone[0]]}; flip undefined"
             )
-        faces = np.stack([t1, t2], axis=1).ravel()
-        order = np.argsort(faces, kind="stable")
-        shared = np.flatnonzero(faces[order][1:] == faces[order][:-1])
-        if shared.size:
+        if np.bincount(t.ravel(), minlength=1).max() > 1:  # name the first pair in face order
+            faces = t.T.ravel()
+            order = np.argsort(faces, kind="stable")
+            shared = np.flatnonzero(faces[order][1:] == faces[order][:-1])
             a, b = ids[order[shared[0] : shared[0] + 2] // 2].tolist()
             raise MeshError(
                 f"edge {a} appears twice in one flip" if a == b
                 else f"edges {a} and {b} share triangle {faces[order[shared[0]]]}; flipped"
                 " edges must not share a triangle"
             )
-        corners = self._tri.ravel()
-        i, j, k = corners[first], corners[_next_slot(first)], corners[_prev_slot(first)]
-        l = corners[_prev_slot(second)]
+        corners = self._tri.reshape(-1)  # a view: the constructor stores C order
+        k, l = corners[slots[:, 2]]
 
-        # where each outer side lands: j -> k, k -> i, i -> l, l -> j
-        old = np.stack(
-            [_next_slot(first), _prev_slot(first), _next_slot(second), _prev_slot(second)]
-        )
-        new = np.stack([3 * t1 + 1, 3 * t2, 3 * t2 + 1, 3 * t1])
+        # where each outer side lands, keeping its tail: j -> k, k -> i, i -> l, l -> j
+        old = slots[:, 1:].reshape(4, -1)
+        b1, b2 = 3 * t  # the first slot of each face
+        new = np.concatenate([b1 + 1, b2, b2 + 1, b1]).reshape(4, -1)
         remap = np.arange(twin.size)
         remap[old] = new
         partners, outer = remap[twin[old]], edge_of[old]
@@ -216,14 +214,15 @@ class DeltaComplex:
         edge_of[new] = outer
         # an outer edge with both sides in the quads is written twice, with one value
         edge_side[outer] = remap[edge_side[outer]]
+        corners[new] = corners[old]
 
-        d1, d2 = 3 * t1 + 2, 3 * t2 + 2
+        # the new diagonal: k -> l on (l, j, k), l -> k on (k, i, l)
+        d1, d2 = b1 + 2, b2 + 2
         twin[d1], twin[d2] = d2, d1
         edge_of[d1] = edge_of[d2] = ids
         edge_side[ids] = d1
+        corners[d1], corners[d2] = k, l
         self._edge_ends[ids] = np.stack([k, l], axis=1)
-        self._tri[t1] = np.stack([l, j, k], axis=1)
-        self._tri[t2] = np.stack([k, i, l], axis=1)
 
         self.version += 1
 
@@ -297,7 +296,7 @@ def _validate(mesh: DeltaComplex) -> None:
             f"slot {divmod(a, 3)} glued to itself" if a == p
             else f"gluing is not an involution at {divmod(a, 3)} <-> {divmod(p, 3)}"
         )
-    head = labels[_next_slot(s)]
+    head = mesh._tri[:, [1, 2, 0]].ravel()  # the head label of each side
     twisted = np.flatnonzero((labels != head[twin]) | (head != labels[twin])).tolist()
     if twisted:
         a, p = twisted[0], twin.item(twisted[0])
@@ -319,7 +318,7 @@ def _validate(mesh: DeltaComplex) -> None:
 
     # corner orbits must match the labels one-to-one; pointer doubling marks each
     # orbit by its least corner, and glued sides agree on labels (checked above)
-    rep, step = s, twin[_prev_slot(s)]
+    rep, step = s, twin.reshape(-1, 3)[:, [2, 0, 1]].ravel()  # the twin of each previous side
     for _ in range(_orbit_rounds(labels)):
         rep, step = np.minimum(rep, rep[step]), step[step]
     orbits = np.bincount(labels[rep == s], minlength=mesh.num_vertices)
@@ -331,10 +330,10 @@ def _validate(mesh: DeltaComplex) -> None:
     # connectivity through shared edges: hook each face's root onto the least
     # root across its sides, jump pointers until every face points at a root,
     # and repeat until no side joins two roots
-    across = (twin // 3).reshape(-1, 3)
+    across = (twin // 3).reshape(-1, 3).T.copy()  # (3, F): a minimum over sides reads rows
     root = np.arange(mesh.num_triangles)
     while True:
-        low = np.minimum(root, root[across].min(axis=1))
+        low = np.minimum(root, root[across].min(axis=0))
         if np.array_equal(low, root):
             break
         np.minimum.at(root, root.copy(), low)  # indices copied: the call writes root
@@ -378,11 +377,12 @@ def build_complex(
         pairs = pairs.astype(np.int64, casting="safe", copy=False).reshape(len(gluings), 2, 2)
     except (TypeError, ValueError):
         raise UnmatchedSlot("gluings must be pairs of (triangle, side) slots of integers") from None
-    outside = np.any((pairs < 0) | (pairs >= np.array([len(labels), 3])), axis=2)
+    tri, side = pairs[..., 0], pairs[..., 1]
+    outside = (tri < 0) | (tri >= len(labels)) | (side < 0) | (side >= 3)
     if outside.any():
         slot = tuple(pairs.reshape(-1, 2)[np.argmax(outside)].tolist())
         raise UnmatchedSlot(f"gluing references slot {slot} outside the complex")
-    slots = 3 * pairs[..., 0] + pairs[..., 1]
+    slots = 3 * tri + side
     uses = np.bincount(slots.ravel(), minlength=labels.size)
     if uses.max() > 1:
         raise UnmatchedSlot(f"slot {divmod(int(np.argmax(uses > 1)), 3)} is glued more than once")

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 from math import nan
 
 import numpy as np
@@ -53,7 +54,7 @@ from .errors import (
     SurgeryBudgetExceeded,
 )
 from .geometry import delaunay_terms, edge_weights, triangle_angles
-from .mesh import DeltaComplex
+from .mesh import DeltaComplex, _quads
 from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, triangle_margins
 
 logger = logging.getLogger(__name__)
@@ -91,7 +92,8 @@ def delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float]]:
     dsum, eps = delaunay_terms(metric)
     bad = np.flatnonzero(dsum < -eps)
     weights = edge_weights(metric, bad)
-    return [(int(bad[i]), float(weights[i])) for i in np.argsort(weights, kind="stable")]
+    order = np.argsort(weights, kind="stable")
+    return list(zip(bad[order].tolist(), weights[order].tolist()))
 
 
 def flip_metric(
@@ -121,10 +123,8 @@ def flip_metric(
     mesh = metric.mesh
     edges = np.atleast_1d(mesh._edge_ids(edges))
     pre_weights = edge_weights(metric, edges)
-    first = mesh._edge_side[edges]
-    t, e = np.divmod(np.stack([first, mesh._twin[first]]), 3)
     # per quad, rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
-    slots = 3 * t[:, None] + (e[:, None] + np.arange(3)[:, None]) % 3   # shape (2, 3, B)
+    t, slots = _quads(mesh._twin, mesh._edge_side[edges])  # shapes (2, B) and (2, 3, B)
     lengths = metric.effective_lengths[mesh.slot_edge_array().ravel()[slots]]
     (_, l_jk, l_ki), (_, l_il, l_lj) = lengths
     (at_i, at_j, _), (at_j2, at_i2, _) = triangle_angles(metric).ravel()[slots]
@@ -154,20 +154,16 @@ def flip_metric(
             ) from exc
         rk, rl = radii[k[:n]], radii[l[:n]]
         inversive = (new * new - rk * rk - rl * rl) / (2.0 * rk * rl)
-        rows = zip(done.tolist(), i.tolist(), j.tolist(), k.tolist(), l.tolist(),
-                   new.tolist(), pre_weights.tolist(), inversive.tolist())
-        for m, (edge_id, a, b, c, d, length, weight, inv) in enumerate(rows):
-            event = SurgeryEvent(
-                flow_time, ordinal + m, edge_id, (a, b), (c, d), length, weight, inv
+        events = list(map(
+            SurgeryEvent, repeat(flow_time), range(ordinal, ordinal + n), done.tolist(),
+            zip(i.tolist(), j.tolist()), zip(k.tolist(), l.tolist()),
+            new.tolist(), pre_weights.tolist(), inversive.tolist(),
+        ))
+        for m in np.flatnonzero(~(inversive > 1.0)).tolist():  # not inversive_in_packing_range
+            logger.debug(
+                "flip %d created edge %d with inversive distance %.6g <= 1",
+                events[m].ordinal, events[m].edge_id, events[m].new_inversive,
             )
-            if not event.inversive_in_packing_range:
-                logger.debug(
-                    "flip %d created edge %d with inversive distance %.6g <= 1",
-                    event.ordinal,
-                    edge_id,
-                    inv,
-                )
-            events.append(event)
     if n == edges.size:
         return metric, events
 
@@ -189,11 +185,13 @@ def flip_metric(
 def _independent(mesh: DeltaComplex, weights: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """The violating edges ``bad`` whose (weight, id) rank is the lowest on both faces, by rank."""
     ranked = bad[np.argsort(weights[bad], kind="stable")]
+    own = np.arange(ranked.size)
     rank = np.full(weights.size, ranked.size)
-    rank[ranked] = np.arange(ranked.size)
-    lowest = rank[mesh.slot_edge_array()].min(axis=1)
-    faces = mesh.edge_sides_array()[ranked] // 3
-    return ranked[np.all(lowest[faces] == rank[ranked, None], axis=1)]
+    rank[ranked] = own
+    sides = rank[mesh._edge_of].reshape(-1, 3)
+    lowest = np.minimum(np.minimum(sides[:, 0], sides[:, 1]), sides[:, 2])  # per face
+    first = mesh._edge_side[ranked]
+    return ranked[(lowest[first // 3] == own) & (lowest[mesh._twin[first] // 3] == own)]
 
 
 def make_delaunay(

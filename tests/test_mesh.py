@@ -341,6 +341,68 @@ def test_flip_many_rejects_a_bad_edge_set_before_any_write(case):
     assert mesh.version == 0
 
 
+def _face_count_message(mesh: DeltaComplex, edges: list[int]) -> str:
+    # per edge in order, its two faces, first side first: the least face used
+    # twice is named, by the edges of its first two uses
+    faces = (mesh.edge_sides_array()[edges] // 3).ravel().tolist()
+    face = min(f for f in faces if faces.count(f) > 1)
+    a, b = [edges[m // 2] for m, f in enumerate(faces) if f == face][:2]
+    if a == b:
+        return f"edge {a} appears twice in one flip"
+    return f"edges {a} and {b} share triangle {face}; flipped edges must not share a triangle"
+
+
+def _two_face_sharing_pairs(mesh: DeltaComplex) -> tuple[int, int, int, int]:
+    # (a, b) share triangle 0 and (x, y) a later triangle; no face of x or y
+    # is a face of a or b
+    faces, by_slot = mesh.edge_sides_array() // 3, mesh.slot_edge_array()
+    a, b, _ = by_slot[0].tolist()
+    used = set(faces[[a, b]].ravel().tolist())
+    for t in range(mesh.num_triangles - 1, 0, -1):
+        x, y, _ = by_slot[t].tolist()
+        if not used & set(faces[[x, y]].ravel().tolist()):
+            return a, b, x, y
+    raise AssertionError("no second pair")
+
+
+@pytest.mark.parametrize("preset, n", [("torus_grid", 3), ("icosahedron", None)])
+def test_flip_many_names_the_least_shared_face_of_an_edge_set(preset, n):
+    # the face count refuses the set; the message names the least face used
+    # twice, whatever the order of the pairs or a repeated id elsewhere
+    a, b, x, y = _two_face_sharing_pairs(preset_complex(preset, n=n))
+    sets = [[a, b, x, y], [x, y, a, b], [a, x, b, y], [x, y, a, a], [a, b, x, x], [x, x, b, a]]
+    kinds = set()
+    for edges in sets:
+        metric = preset_metric(preset, n=n)
+        mesh, lengths = metric.mesh, metric.base_lengths.copy()
+        before = _index_arrays(mesh)
+        message = _face_count_message(mesh, edges)
+        kinds.add(message.split()[0])
+        for flip in (mesh.flip_many, lambda edges: flip_metric(metric, edges)):
+            with pytest.raises(MeshError) as caught:
+                flip(edges)
+            assert str(caught.value) == message
+            for mine, theirs in zip(_index_arrays(mesh), before):
+                assert np.array_equal(mine, theirs)
+            assert mesh.version == 0
+            assert np.array_equal(metric.base_lengths, lengths)
+    assert kinds == {"edge", "edges"}  # a repeated id is named, and so is a shared face
+
+
+def test_a_complex_built_from_column_major_triangles_flips_like_any_other():
+    # flips write the corner labels through a flat view of the storage, so
+    # an (F, 3) Fortran-order input must not leave the storage in that order
+    mesh = preset_complex("torus_grid", n=3)
+    sides = mesh.edge_sides_array()
+    gluings = np.stack([sides // 3, sides - 3 * (sides // 3)], axis=-1)
+    column_major = build_complex(9, np.asfortranarray(mesh.triangles), gluings)
+    for complex_ in (mesh, column_major):
+        complex_.flip_many([0, 13])
+        complex_.check()
+    for mine, theirs in zip(_index_arrays(column_major), _index_arrays(mesh)):
+        assert np.array_equal(mine, theirs)
+
+
 def test_copy_is_independent():
     mesh = infer_gluings(4, TETRA_FACES)
     dup = mesh.copy()

@@ -234,6 +234,35 @@ def _squeezed_torus(n: int, seed: int | None) -> DecoratedMetric:
     return DecoratedMetric(mesh, lengths_from_inversive(mesh, radii, inversive), radii)
 
 
+VIOLATING = {
+    "squeezed n=20 seed=1": lambda: _squeezed_torus(20, 1),
+    "squeezed n=7 tied": lambda: _squeezed_torus(7, None),
+    **{
+        f"{preset} seed={seed}": lambda preset=preset, seed=seed: random_metric(
+            RandomMetricSpec(preset=preset, n=6, u_range=0.9), seed
+        )
+        for preset, seeds in (("torus_grid", (1, 2, 7)), ("icosahedron", (0, 5, 6)))
+        for seed in seeds  # seeds whose metrics violate
+    },
+}
+
+
+@pytest.mark.parametrize("name", VIOLATING)
+def test_delaunay_violations_match_a_per_edge_reference(name):
+    # worst first, ties by id: one (int, float) pair per violating edge
+    metric = VIOLATING[name]()
+    dsum, eps = geometry.delaunay_terms(metric)
+    weights = geometry.edge_weights(metric)
+    reference = sorted(
+        ((e, float(weights[e])) for e in range(metric.mesh.num_edges) if dsum[e] < -eps[e]),
+        key=lambda pair: pair[1],
+    )
+    violations = delaunay_violations(metric)
+    assert violations, "the input has no violation"
+    assert violations == reference
+    assert [tuple(map(type, pair)) for pair in violations] == [(int, float)] * len(reference)
+
+
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(3, 12))
 def test_rounds_break_ties_into_a_weighted_delaunay_isometry(n):
@@ -372,6 +401,34 @@ def _overlapping(preset: str, seed: int) -> DecoratedMetric:
         preset=preset, inversive_range=(-0.5, 3.0), u_range=0.6, radius_range=(0.3, 2.0)
     )
     return random_metric(spec, seed)
+
+
+@pytest.mark.parametrize("seed", [84, 359])
+def test_each_flip_to_an_inversive_distance_below_one_gets_its_own_debug_record(
+    seed, caplog, monkeypatch
+):
+    # on these overlapping icosahedra a round makes two or more flips to
+    # I <= 1 among others: one record per such flip, in event order, naming
+    # its ordinal, edge and inversive distance, and none for the others
+    rounds, flip_round = [], surgery.flip_metric
+
+    def recorded_round(*args, **kwargs):
+        metric, events = flip_round(*args, **kwargs)
+        rounds.append(events)
+        return metric, events
+
+    monkeypatch.setattr(surgery, "flip_metric", recorded_round)
+    with caplog.at_level(logging.DEBUG, logger="packflow.surgery"):
+        _, events = make_delaunay(_overlapping("icosahedron", seed))
+    low = [event for event in events if not event.inversive_in_packing_range]
+    assert max(sum(not e.inversive_in_packing_range for e in r) for r in rounds) >= 2
+    assert 0 < len(low) < len(events)
+    assert [record.levelno for record in caplog.records] == [logging.DEBUG] * len(low)
+    for record, event in zip(caplog.records, low):
+        assert record.getMessage() == (
+            f"flip {event.ordinal} created edge {event.edge_id}"
+            f" with inversive distance {event.new_inversive:.6g} <= 1"
+        )
 
 
 @pytest.mark.parametrize("preset, seed", OVERLAPPING)
