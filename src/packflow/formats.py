@@ -40,27 +40,15 @@ those two blocks back as they were read.  Input the JSON reader itself
 refuses (an integer literal of more digits than the interpreter
 converts, nesting past its recursion limit) raises DpmSyntaxError, and an
 integer beyond the float range in a number array raises SchemaError.
-
-Text is decoded, and its tree converted to arrays, with the cyclic
-garbage collector paused (``_decoded``).  Read whole by ``json.loads``, a
-V = 400 document builds one list per array, about 4,400; with its
-triangles and gluings read from the text, it builds the lists of its
-number arrays only.  With the collector on, every few hundred lists
-start a collection that promotes the half-built tree, and every ~20
-parses one of these is a full collection of the whole heap.  A JSON
-tree holds no reference cycles, so the collector has nothing to find in
-it.  It resumes on every exit, only if it was on at entry, and on a
-normal exit only after the tree is dropped.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Callable
+from typing import IO
 
 import numpy as np
 
@@ -247,41 +235,20 @@ def _int_span(span: bytes, row: bytes, shape: tuple[int, ...]) -> np.ndarray | N
     return np.fromstring(packed.translate(_UNBRACKETED), np.int64, sep=",").reshape(-1, *shape)
 
 
-def _decoded(text: str, read: Callable):
-    """``read`` applied to the JSON tree of ``text`` and to the text of the
-    blocks ``_read_int_rows`` read (none on the JSON path), with the cyclic
-    collector paused.
-
-    The pause covers ``read`` too, and when ``read`` returns the tree is
-    dropped before the collector resumes: resumed with the tree still
-    live, the first allocation would start the collection that promotes
-    it.  The collector resumes on every exit, only if it was on at
-    entry.  Its state is one per process, so a parse on another thread
-    that starts inside this pause finds it off and leaves it off, and
-    this parse resumes it even if another thread turned it off
-    meanwhile.
-
-    Syntax problems raise DpmSyntaxError, with line and column where the
-    JSON reader gives them.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
+def _decode(text: str) -> tuple[object, dict[str, str]]:
+    """The JSON tree of ``text`` and the text of the blocks ``_read_int_rows``
+    read (none on the JSON path); DpmSyntaxError, with line and column where
+    the JSON reader gives them, for syntax problems."""
+    if decoded := _read_int_rows(text):
+        return decoded
     try:
-        tree, blocks = _read_int_rows(text) or (None, {})
-        if tree is None:
-            try:
-                tree = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise DpmSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-            except ValueError:  # an integer literal beyond the interpreter's digit limit
-                raise DpmSyntaxError("integer literal with too many digits") from None
-            except RecursionError:
-                raise DpmSyntaxError("arrays or objects nested too deeply") from None
-        return read(tree, blocks)
-    finally:
-        tree = None  # dropped before the collector resumes
-        if was_enabled:
-            gc.enable()
+        return json.loads(text), {}
+    except json.JSONDecodeError as exc:
+        raise DpmSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError:  # an integer literal beyond the interpreter's digit limit
+        raise DpmSyntaxError("integer literal with too many digits") from None
+    except RecursionError:
+        raise DpmSyntaxError("arrays or objects nested too deeply") from None
 
 
 def parse_dpm(text: str) -> DpmDocument:
@@ -292,7 +259,7 @@ def parse_dpm(text: str) -> DpmDocument:
     the field; mesh and metric problems raise the usual validation errors
     carrying ids.
     """
-    return _decoded(text, _document)
+    return _document(*_decode(text))
 
 
 def parse_target(text: str, num_vertices: int, name: str) -> np.ndarray:
@@ -303,7 +270,7 @@ def parse_target(text: str, num_vertices: int, name: str) -> np.ndarray:
     the document's own vertex count; SchemaError names the file and what it
     lacks.
     """
-    return _decoded(text, lambda tree, _: _target(tree, num_vertices, name))
+    return _target(_decode(text)[0], num_vertices, name)
 
 
 def _target(raw, num_vertices: int, name: str) -> np.ndarray:

@@ -27,7 +27,6 @@ from .errors import (
 from .mesh import DeltaComplex, _read_only
 
 TRIANGLE_MARGIN_REL_TOL = 1e-12
-_RADII = "radii must be positive and finite; vertices"
 
 
 @dataclass
@@ -55,7 +54,7 @@ def lengths_from_inversive(
     mesh: DeltaComplex, radii: np.ndarray, inversive: np.ndarray
 ) -> np.ndarray:
     """Edge lengths l = sqrt(r_a^2 + r_b^2 + 2 I r_a r_b), one per edge id."""
-    radii = _positive(np.asarray(radii, dtype=float), NonPositiveRadius, _RADII)
+    radii = _radii(np.asarray(radii, dtype=float))
     inversive = np.asarray(inversive, dtype=float)
     if np.any(inversive <= -1.0):
         bad = np.where(inversive <= -1.0)[0]
@@ -86,6 +85,17 @@ def _positive(values: np.ndarray, error: type[MetricError], what: str) -> np.nda
     return values
 
 
+def _radii(radii: np.ndarray) -> np.ndarray:
+    """``radii``, unless one is not positive and finite or its square overflows:
+    then NonPositiveRadius naming the first eight such vertices."""
+    _positive(radii, NonPositiveRadius, "radii must be positive and finite; vertices")
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(np.isinf(radii * radii))
+    if bad.size:
+        raise NonPositiveRadius(f"radii must have a finite square; vertices {bad.tolist()[:8]}")
+    return radii
+
+
 class DecoratedMetric:
     """A circle-decorated piecewise flat metric on a fixed complex.
 
@@ -103,7 +113,7 @@ class DecoratedMetric:
     ):
         n = mesh.num_vertices
         radii = _vector(radii, n, NonPositiveRadius, "radii")
-        self.radii = _positive(radii, NonPositiveRadius, _RADII)
+        self.radii = _radii(radii)
         l = _vector(base_lengths, mesh.num_edges, DegenerateLength, "edge lengths")
         self.base_lengths = _positive(l, DegenerateLength, "edge lengths must be positive; edges")
         self.mesh = mesh

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from packflow import (
+    DecoratedMetric,
     DegenerateTriangle,
     FlowConfig,
     InvalidExponent,
@@ -17,6 +18,9 @@ from packflow import (
     PackflowError,
     StepCollapse,
     curvature,
+    gauss_bonnet_residual,
+    infer_gluings,
+    lengths_from_inversive,
     preset_metric,
     run,
     step,
@@ -1058,6 +1062,57 @@ def test_every_kind_reaches_one_limit_on_a_random_target_at_ladder_size():
         assert trace.flips_total > trace.records[0].flips, name
         limits.append(trace.metric.conformal_factors)
     gap = np.max(np.ptp(np.stack(limits), axis=0))
+    assert gap <= 1e-8, gap
+
+
+def _torus_cover(n: int, g: int, k: int):
+    """The g-sheeted cyclic cover of the n x n grid torus, branched at the
+    row-0 vertices (0, 0) and (0, k): chi = -2(g - 1), V = g n^2 - 2(g - 1).
+
+    Vertex (i, j) of sheet s is s n^2 + i n + j, as in the grid torus.  On
+    sheet s a face of row n - 1 reads the slit-interior vertices (0, 1..k-1)
+    of sheet s + 1 mod g, the two branch points keep sheet 0's labels, and
+    the labels are compacted."""
+    grid = np.arange(g * n * n).reshape(g, n, n)
+    grid[:, 0, 0], grid[:, 0, k] = 0, k
+    faces = []
+    for s in range(g):
+        rows = np.vstack([grid[s], grid[s, :1]])  # row n is row 0, across the slit
+        rows[n, 1:k] = grid[(s + 1) % g, 0, 1:k]  # on the next sheet
+        for i in range(n):
+            for j in range(n):
+                v00, v10 = rows[i, j], rows[i + 1, j]
+                v11, v01 = rows[i + 1, (j + 1) % n], rows[i, (j + 1) % n]
+                faces += [[v00, v10, v11], [v00, v11, v01]]
+    labels, faces = np.unique(faces, return_inverse=True)
+    return infer_gluings(len(labels), faces.reshape(-1, 3))
+
+
+@pytest.mark.parametrize(
+    ("n", "g", "k", "vertices"), [(6, 2, 3, 70), (6, 3, 3, 104)], ids=["genus-2", "genus-3"]
+)
+def test_every_kind_reaches_one_limit_on_a_higher_genus_cover(n, g, k, vertices):
+    # the paper's convergence holds on closed surfaces of every genus; radii
+    # 1, inversive distances U(1.2, 3.0) and u ~ U(-0.5, 0.5), the first
+    # admissible draw from seed 1.  Every kind takes 5 steps, the genus-2
+    # cover flips 2 edges, and the limits agree within 2.1e-11
+    mesh = _torus_cover(n, g, k)
+    assert (mesh.num_vertices, mesh.euler_characteristic) == (vertices, -2 * (g - 1))
+    rng, radii = np.random.default_rng(1), np.ones(vertices)
+    while True:
+        inversive = rng.uniform(1.2, 3.0, mesh.num_edges)
+        u = rng.uniform(-0.5, 0.5, vertices)
+        metric = DecoratedMetric(mesh, lengths_from_inversive(mesh, radii, inversive), radii, u)
+        if validate_triangles(metric).admissible:
+            break
+    assert abs(gauss_bonnet_residual(metric)) <= 1e-12
+    limits = []
+    for settings in ({"kind": "ricci"}, {"kind": "calabi"}, {"kind": "fractional", "s": 0.5},
+                     {"kind": "fractional", "s": -0.5}, {"kind": "p_calabi", "p": 3.0}):
+        trace = run(metric, FlowConfig(target=_uniform_target(metric), tol=1e-10, **settings))
+        assert trace.converged and trace.steps <= 8, (settings, trace.steps)
+        limits.append(trace.metric.conformal_factors)
+    gap = np.max(np.abs(np.stack(limits) - limits[0]))
     assert gap <= 1e-8, gap
 
 

@@ -150,11 +150,23 @@ def test_json_beyond_the_decoder_limits_is_a_syntax_error():
 
 
 
-def test_parse_leaves_the_collector_as_it_found_it():
-    # parse_dpm decodes and converts with the cyclic collector paused, and
-    # resumes it on every exit, only if it was on.  With the collector
-    # running, the ~4,400 lists of a V = 400 document set off about 5.5
-    # gen0 collections per parse, and every ~20 parses a full one
+def test_parse_leaves_the_collector_as_it_found_it(monkeypatch):
+    # parse_dpm and parse_target never switch the cyclic collector, on any
+    # exit and on either path: the text reader's or json.loads on the whole
+    # text.  Read from the text, a V = 400 document builds the lists of its
+    # number arrays only, too few to set off a collection
+    sym = (MESH_DIR / "tetra_sym.dpm").read_text()
+
+    def switched():
+        raise AssertionError("the collector was switched")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gc, "disable", switched)
+        patch.setattr(gc, "enable", switched)
+        parse_dpm(sym)
+        parse_dpm(sym.replace("{", '{"note": "café",', 1))
+        target = formats.parse_target("[0.5, 1.0, 1.5, 2.0]", 4, "target.json")
+        assert np.array_equal(target, [0.5, 1.0, 1.5, 2.0])
     base = json.loads(TETRA_DOC)
     cases = [
         (TETRA_DOC, None),

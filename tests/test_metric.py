@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,25 @@ def test_radii_must_be_positive():
         lengths_from_inversive(mesh, np.array([1.0, 0.0, 1.0]), np.full(3, 2.0))
     with pytest.raises(NonPositiveRadius):
         DecoratedMetric(mesh, np.full(3, 2.0), np.array([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("layout", ["inversive_distances", "edge_lengths"])
+def test_a_radius_whose_square_overflows_is_refused(layout):
+    # r^2 of 1e200 overflows, and an inf square would reach the lengths or
+    # the face circles (where d1 + d2 turns NaN and passes the weighted
+    # Delaunay check), so it is refused where the radii enter, naming them
+    doc = json.loads((Path(__file__).resolve().parents[1] / "meshes" / "tetra_sym.dpm").read_text())
+    if layout == "inversive_distances":
+        del doc["edge_lengths"]
+        doc["inversive_distances"] = [2.0] * 6
+    doc["radii"][1] = 1e200
+    with pytest.raises(NonPositiveRadius, match=r"^radii must have a finite square; vertices \[1\]$"):
+        parse_dpm(json.dumps(doc))
+    mesh = build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS)
+    with pytest.raises(NonPositiveRadius, match=r"vertices \[0, 2\]$"):
+        DecoratedMetric(mesh, np.full(3, 2.0), np.array([1e200, 1.0, 1e155]))
+    assert np.all(np.isfinite(lengths_from_inversive(mesh, np.array([1e154, 1.0, 1.0]), np.full(3, 2.0))))
 
 
 def test_scaling_rule_frozen_value():
