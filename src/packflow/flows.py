@@ -11,9 +11,9 @@ the flow's rate R, p its Calabi exponent.
 ``FlowConfig`` resolves a name once to its (s, p), so the integrator reads
 those two numbers alone.  Every kind applies dK/du as the edge flux of
 the operators module in O(E) and steps by conjugate gradients; an order
-s other than 0 and 1 reads its velocity off one Lanczos basis, on which
-its conjugate gradients start.  No flow assembles the dense Jacobian or
-its spectrum.
+s other than 0 and 1 reads its velocity, the bound of its rate and its
+conjugate gradients' start off one Lanczos process, in that process's
+coordinates.  No flow assembles the dense Jacobian or its spectrum.
 
 Steps are linearly implicit Euler (Hairer-Wanner II): u1 = u0 + h x with
 (I + hA) x = v / sigma, A = W dK/du, which damps every mode at any h and
@@ -220,35 +220,34 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     """(v, solve): the velocity, and h -> x with (I + hA) x = v / sigma.
 
     A = W dK/du and g = K - target.  ricci has W = I and v = -g.  Every
-    kind of order s != 0 has v / sigma = -R g.  At s = 1 (calabi and
-    p_calabi) R is the edge Laplacian, one apply, on the weights
-    c_e |g_b - g_a|^(p-2) of ``p_rates`` (c_e at p = 2) over sigma
-    = (max over the edges of |g_b - g_a|)^(p-2), and for p != 2 h is a step
-    in the rate-normalised time tau, dt = dtau / sigma: the orbit is the
-    flow's, and h, its halvings and its growth act on tau.  sigma = 1 where
-    g is constant, where the power underflows, and for fractional(s), whose
-    R = (dK/du)^s: ``fractional_velocity`` reads its v off one Lanczos
-    basis of dK/du.  beta bounds R.  For s > 0, alpha, twice the largest
-    sum of the absolute weights at a vertex, bounds the edge Laplacian's
-    spectrum (Gershgorin), so beta = alpha^s.  For s < 0, R is (dK/du)^s
-    on the Ritz pairs that v is read from, and beta the largest of their
-    powers.  Either way D' = beta I - R is semidefinite, and
-    D' g = beta g + v / sigma costs no apply.  Where every edge weight is
+    other kind has v / sigma = -R g for its rate R, and one bound beta per
+    operator, so that D' = beta I - R is semidefinite and D' g = beta g +
+    v / sigma costs no apply.  At s = 1 (calabi and p_calabi) R is the edge
+    Laplacian, one apply, on the weights c_e |g_b - g_a|^(p-2) of
+    ``p_rates`` (c_e at p = 2) over sigma = (max over the edges of
+    |g_b - g_a|)^(p-2), 1 where g is constant or the power underflows; for
+    p != 2 h is a step in the rate-normalised time tau, dt = dtau / sigma:
+    the orbit is the flow's, and h, its halvings and its growth act on tau.
+    beta is twice the largest sum of the absolute rates at a vertex, over
+    sigma (Gershgorin).  Every other s is fractional(s), at p = 2, so sigma
+    = 1 and R = (dK/du)^s: ``fractional_velocity`` gives v by its
+    coordinates c on a Lanczos basis Q of dK/du, and beta = top, the
+    largest Ritz value of R there, at every s.  Where every edge weight is
     >= 0 and g.D' g > 0, W = beta I - D' g (D' g)^T / g.D' g: W g = R g =
     -v / sigma, so h x tends to the Newton step -(dK/du)^+ g, and by
     Cauchy-Schwarz W dominates R, semidefinite there.  Elsewhere W = beta I:
     g.D' g = 0 means D' g = 0, so W g is already -v / sigma, and a negative
     weight leaves R without a sign.  I + h W dK/du is ricci's I + h beta
     dK/du but in one direction, so each conjugate gradient applies dK/du
-    once.  For fractional(s), with Q the rows of v's basis, T its
-    tridiagonal, c = Q v / sigma and d = Q D' g, the conjugate gradients
-    start at the Galerkin solution x0 = Q^T y of
-    (I + h (beta T - d d^T T / g.D' g)) y = c, without the d term where
-    W = beta I: g, v and D' g lie in the span of Q and the constants, so
-    x0 costs no apply, and the conjugate gradients check it and finish it
-    if it falls short.  Conjugate gradients stop at relative residual
-    rtol of v / sigma, from any start, and v's Lanczos basis at that
-    relative change of v between two compared values, with the forcing term
+    once.  For fractional(s) they start at x0 = y Q, the Galerkin solution
+    in Q's coordinates (the Lanczos or FOM form, accurate where Q has lost
+    its orthogonality): g - mean(g) is |g - mean(g)| e1 there, so D' g is
+    d = c + beta |g - mean(g)| e1, and y solves (I + h (beta T - d d^T T /
+    g.D' g)) y = c, T the tridiagonal of Q, without the d term where
+    W = beta I.  x0 costs no apply, and the conjugate gradients check it
+    and finish it if it falls short.  They stop at relative residual rtol
+    of v / sigma, from any start, and v's Lanczos basis at that relative
+    change of v between two compared values, with the forcing term
     rtol = min(CG_REL_TOL, max(CG_REL_TOL e, 0.1 tol / e)), e = max|g|:
     a step solved to rtol leaves a linear error of about rtol e, which is
     CG_REL_TOL e^2 for e < 1, quadratic like the Newton step that large h
@@ -265,31 +264,28 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     if s == 0.0:
         v = -deviation
         return v, lambda h: solve_shifted(apply_j, lambda f: f, h, v, rtol)
-    rates, spread = p_rates(metric, config.p, deviation)
-    # 1 where g is constant, or on underflow
-    sigma = float(spread ** (config.p - 2.0) if spread else 0.0) or 1.0
     if s == 1.0:  # calabi and p_calabi: one apply
+        rates, spread = p_rates(metric, config.p, deviation)
+        sigma = float(spread ** (config.p - 2.0) if spread else 0.0) or 1.0
         v = -edge_laplacian(metric, rates)(deviation)
-    else:
-        v, top, basis, tri = fractional_velocity(apply_j, deviation, s, rtol)
-    if s < 0.0:  # the largest Ritz value of R on the basis v is read from
-        beta = top
-    else:  # Gershgorin
+        scaled = v / sigma  # -R g
         ends = metric.mesh.edge_endpoints_array()
-        beta = (2.0 * float(np.max(np.bincount(ends.ravel(), np.repeat(np.abs(rates), 2)))) / sigma) ** s
-    scaled = v / sigma  # -R g
+        beta = 2.0 * float(np.max(np.bincount(ends.ravel(), np.repeat(np.abs(rates), 2)))) / sigma
+    else:
+        c, beta, basis, tri = fractional_velocity(apply_j, deviation, s, rtol)
+        v = scaled = c @ basis
     dg = beta * deviation + scaled  # D' g
     gdg, apply_w = float(deviation @ dg), lambda f: beta * f
     rank_one = gdg > 0.0 and np.all(weights >= 0.0)
     if rank_one:  # R >= 0, so W >= R >= 0
         apply_w = lambda f: beta * f - dg * (float(dg @ f) / gdg)
-    if s == 1.0 or not basis.size:
+    if s == 1.0 or not c.size:
         return v, lambda h: solve_shifted(apply_j, apply_w, h, scaled, rtol)
-    # Q W dK/du Q^T = (beta I - d d^T / g.D' g) T: the Galerkin system on v's basis
-    c, d = basis @ scaled, basis @ dg
-    wt = beta * tri - (np.outer(d, d @ tri) / gdg if rank_one else 0.0)
+    d = c.copy()  # D' g in the coordinates of v's basis
+    d[0] += beta * float(np.linalg.norm(deviation - np.mean(deviation)))
+    wt = beta * tri - (np.outer(d, d @ tri) / gdg if rank_one else 0.0)  # W dK/du there
     return v, lambda h: solve_shifted(
-        apply_j, apply_w, h, scaled, rtol, np.linalg.solve(np.eye(c.size) + h * wt, c) @ basis
+        apply_j, apply_w, h, v, rtol, np.linalg.solve(np.eye(c.size) + h * wt, c) @ basis
     )
 
 

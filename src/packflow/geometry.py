@@ -81,11 +81,11 @@ def face_circles(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
 def _faces(metric: DecoratedMetric, faces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(angles, distances, powers) of ``faces`` alone: a row reads its own face only.
 
-    The sides and corners are gathered side-major, row e holding side or
-    corner e of every face, so sides e-1 and e+1 are whole rows; angles and
-    distances are written back face-major, shape (..., 3).
+    The sides, the margin gate's own gather, and the corners are side-major,
+    row e holding side or corner e of every face, so sides e-1 and e+1 are
+    whole rows; angles and distances are written back face-major, (..., 3).
     """
-    l = metric.effective_lengths[metric.mesh.slot_edge_array()[faces].T]
+    l = triangle_side_lengths(metric).T[:, faces]
     r = metric.effective_radii[metric.mesh.triangles[faces].T]
     ll, rr = l * l, r * r
     lp, llp = l[_PREV], ll[_PREV]

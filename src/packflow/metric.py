@@ -64,7 +64,10 @@ def lengths_from_inversive(
     ends = mesh.edge_endpoints_array()
     ra = radii[ends[:, 0]]
     rb = radii[ends[:, 1]]
-    sq = ra * ra + rb * rb + 2.0 * inversive * ra * rb
+    with np.errstate(over="ignore"):
+        sq = ra * ra + rb * rb + 2.0 * inversive * ra * rb
+    if (over := np.flatnonzero(np.isinf(sq))).size:
+        raise DegenerateLength(f"squared length overflows on edges {over.tolist()[:8]}")
     return np.sqrt(_positive(sq, DegenerateLength, "squared length non-positive on edges"))
 
 
@@ -196,8 +199,13 @@ class DecoratedMetric:
         return f"DecoratedMetric({self.mesh!r}, |u|_inf={np.max(np.abs(self._u)):.3g})"
 
 
-def _effective_data(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
-    return apply_conformal(metric, metric._u)
+def _effective_data(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
+    """(lengths, radii) at the metric's scale factors, then the lengths gathered
+    side-major, (3, F) with row e holding side e of every face, and each face's margin gate."""
+    lengths, radii = apply_conformal(metric, metric._u)
+    sides = lengths[metric.mesh.slot_edge_array().T]
+    longest = np.maximum(np.maximum(sides[0], sides[1]), sides[2])  # np.max(axis=...) is 15x slower
+    return lengths, radii, sides, triangle_margins(*sides), TRIANGLE_MARGIN_REL_TOL * longest
 
 
 def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +250,7 @@ def inversive_from_lengths(metric: DecoratedMetric) -> np.ndarray:
 
 def triangle_side_lengths(metric: DecoratedMetric) -> np.ndarray:
     """Effective lengths under each (triangle, side) slot, shape (F, 3)."""
-    return metric.effective_lengths[metric.mesh.slot_edge_array()]
+    return metric.memo(_effective_data)[2].T
 
 
 def validate_triangles(metric: DecoratedMetric) -> MarginReport:
@@ -255,14 +263,8 @@ def validate_triangles(metric: DecoratedMetric) -> MarginReport:
     the least.  Computed once per state of the metric; to probe other
     scale factors, set them on a copy.
     """
-    margins, threshold = metric.memo(_margins)
+    margins, threshold = metric.memo(_effective_data)[3:]
     return MarginReport(margins, threshold, int(np.argmin(margins - threshold)))
-
-
-def _margins(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
-    s0, s1, s2 = metric.effective_lengths[metric.mesh.slot_edge_array().T]  # side-major
-    longest = np.maximum(np.maximum(s0, s1), s2)  # np.max(axis=...) is 15x slower
-    return triangle_margins(s0, s1, s2), TRIANGLE_MARGIN_REL_TOL * longest
 
 
 def triangle_margins(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:

@@ -16,12 +16,13 @@ Laplacian of the Calabi flow.  ``edge_laplacian`` applies any edge weights
 linearly, which is all that the flows' linearly implicit steps need: the
 conjugate gradients of ``solve_shifted``, which take every step, and the
 Lanczos basis of ``fractional_velocity``, whose Ritz values
-``fractional_powers`` powers, and on which a fractional step's conjugate
-gradients start (augmented CG, Erhel-Guyomarc'h 2000), so that they only
-check or finish the Galerkin solution there.  No flow assembles the dense
-matrix: ``packflow jacobian-check`` compares it with the finite-difference
-one, and ``spectral``, ``apply_laplacian`` and ``apply_fractional`` on it
-are the dense references.
+``fractional_powers`` powers, and in whose coordinates a fractional step's
+conjugate gradients start (augmented CG, Erhel-Guyomarc'h 2000, in the
+Lanczos form, Greenbaum 1997), so that they only check or finish the
+Galerkin solution there.  No flow assembles the dense matrix: ``packflow
+jacobian-check`` compares it with the finite-difference one, and
+``spectral``, ``apply_laplacian`` and ``apply_fractional`` on it are the
+dense references.
 """
 
 from __future__ import annotations
@@ -277,8 +278,9 @@ def solve_shifted(
 def fractional_velocity(
     apply_j, g: np.ndarray, s: float, rtol: float
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """(v, top, Q, T): v = -J^s g on one Lanczos basis Q of J, top the
-    largest Ritz value of J^s there, and T the tridiagonal of the process.
+    """(c, top, Q, T): v = -J^s g on one Lanczos basis Q of J, by its
+    coordinates c, v = c Q; top the largest Ritz value of J^s there; and T
+    the tridiagonal of the process.
 
     J = dK/du is symmetric with the constants in its kernel (zero row
     sums).  The basis starts from g - mean(g); each new vector follows the
@@ -289,27 +291,25 @@ def fractional_velocity(
     basis orthogonality is lost as Ritz values converge, which in floating
     point only adds copies of converged ones (Paige 1980): theta stays in
     J's spectrum off the constants up to round-off, so no spurious small
-    one blows up theta^s at s < 0, and v = -|g - mean(g)| Q^T S theta^s
-    S^T e1 is as accurate as the best polynomial in J of slightly higher
+    one blows up theta^s at s < 0, and c = -|g - mean(g)| S theta^s S^T e1
+    gives v as accurately as the best polynomial in J of slightly higher
     degree (Musco-Musco-Sidford 2018).  ``fractional_powers`` powers theta,
     so the kernel band and IndefiniteOperator are the dense eigenbasis's.
-    The first checkpoint comes after LANCZOS_BLOCK steps, and compares v
+    The first checkpoint comes after LANCZOS_BLOCK steps, and compares c
     with its value on the leading (k - 2) x (k - 2) block of T; the basis
     then grows by a quarter of its size, and at least LANCZOS_BLOCK
-    vectors, between two checkpoints.  It stops once v at two compared
+    vectors, between two checkpoints.  It stops once c at two compared
     values differs by at most rtol relative, once a new vector vanishes,
-    or at n - 1 vectors.  g and v lie in the span of Q and the constants,
-    which is what lets a solve start from Q at no apply.  v is -R g for
-    R = Q^T S diag(theta^s) S^T Q, whose largest eigenvalue is top where Q
-    is orthonormal (a copied Ritz value leaves it as it is), so
-    |R g|^2 <= top g.R g wherever R is semidefinite.  A constant g has
-    v = 0, top = 0 and an empty basis.
+    or at n - 1 vectors.  In these coordinates, exact whether or not Q
+    stays orthonormal, g - mean(g) is |g - mean(g)| e1 and c = -R times
+    that, R = S diag(theta^s) S^T, so top I - R is semidefinite and a solve
+    can start there at no apply.  A constant g has c and Q empty, top = 0.
     """
     n = g.size
     start = g - np.mean(g)
     norm = float(np.linalg.norm(start))
     if not norm > 0.0:
-        return np.zeros(n), 0.0, np.empty((0, n)), np.empty((0, 0))
+        return np.empty(0), 0.0, np.empty((0, n)), np.empty((0, 0))
     # row 0 is the normalised constant vector, and row i + 1 the i-th Lanczos vector
     basis = np.empty((min(LANCZOS_BLOCK + 2, n + 1), n))
     basis[0], basis[1] = 1.0 / np.sqrt(n), start / norm
@@ -349,7 +349,7 @@ def fractional_velocity(
         if previous is None and not stopped:  # two steps back, on the same basis
             previous = _ritz_velocity(tri[: k - 2, : k - 2], norm, s)[0]
         if stopped or _settled(coeffs, previous, rtol):
-            return coeffs @ basis[1 : k + 1], top, basis[1 : k + 1], tri
+            return coeffs, top, basis[1 : k + 1], tri
         previous, more = coeffs, max(LANCZOS_BLOCK, k // 4)
 
 

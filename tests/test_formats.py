@@ -453,7 +453,7 @@ def test_emit_matches_a_per_number_reference_on_random_metrics(preset, seed):
 
 def _json_path(text: str) -> DpmDocument:
     """parse_dpm as it reads every document that the text reader declines:
-    json.loads on the whole text, its errors mapped as formats._decoded maps them."""
+    json.loads on the whole text, its errors mapped as formats._decode maps them."""
     try:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:

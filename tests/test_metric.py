@@ -93,6 +93,25 @@ def test_a_radius_whose_square_overflows_is_refused(layout):
     assert np.all(np.isfinite(lengths_from_inversive(mesh, np.array([1e154, 1.0, 1.0]), np.full(3, 2.0))))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_squared_length_that_overflows_is_refused():
+    # an inversive distance of 1e308, or two radii of 1e154, square to a
+    # length past the largest float: refused as an overflow with no
+    # warning, not as a square that is not positive
+    doc = json.loads((Path(__file__).resolve().parents[1] / "meshes" / "tetra_sym.dpm").read_text())
+    del doc["edge_lengths"]
+    doc["inversive_distances"] = [1e308] * 6
+    with pytest.raises(DegenerateLength, match=r"^squared length overflows on edges \[0, 1, 2, 3, 4, 5\]$"):
+        parse_dpm(json.dumps(doc))
+    with pytest.raises(DegenerateLength, match=r"^squared length overflows on edges \[0, 1, 2, 3, 4, 5\]$"):
+        preset_metric("tetrahedron", inversive=1e308)
+    mesh = build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS)
+    with pytest.raises(DegenerateLength, match=r"^squared length overflows on edges \[0\]$"):
+        lengths_from_inversive(mesh, np.array([1e154, 1e154, 1.0]), np.full(3, 2.0))
+    with pytest.raises(DegenerateLength, match=r"^squared length non-positive on edges \[1\]$"):
+        lengths_from_inversive(mesh, np.ones(3), np.array([2.0, np.nan, 2.0]))
+
+
 def test_scaling_rule_frozen_value():
     # r = (2, 1), I = 2, so l^2 = 13; under u = (ln 2, 0):
     #   (e^{2u0} - e^{u0+u1}) * 4 + (e^{2u1} - e^{u0+u1}) * 1 + e^{u0+u1} * 13
