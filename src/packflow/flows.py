@@ -272,7 +272,7 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
         ends = metric.mesh.edge_endpoints_array()
         beta = 2.0 * float(np.max(np.bincount(ends.ravel(), np.repeat(np.abs(rates), 2)))) / sigma
     else:
-        c, beta, basis, tri = fractional_velocity(apply_j, deviation, s, rtol)
+        c, beta, basis, tri, norm = fractional_velocity(apply_j, deviation, s, rtol)
         v = scaled = c @ basis
     dg = beta * deviation + scaled  # D' g
     gdg, apply_w = float(deviation @ dg), lambda f: beta * f
@@ -282,7 +282,7 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     if s == 1.0 or not c.size:
         return v, lambda h: solve_shifted(apply_j, apply_w, h, scaled, rtol)
     d = c.copy()  # D' g in the coordinates of v's basis
-    d[0] += beta * float(np.linalg.norm(deviation - np.mean(deviation)))
+    d[0] += beta * norm
     wt = beta * tri - (np.outer(d, d @ tri) / gdg if rank_one else 0.0)  # W dK/du there
     return v, lambda h: solve_shifted(
         apply_j, apply_w, h, v, rtol, np.linalg.solve(np.eye(c.size) + h * wt, c) @ basis

@@ -35,8 +35,8 @@ from that path.  Emission writes each block (triangles, gluings, each
 number array) through one ``%`` template, and ``"%.17g" % x`` is
 ``format(x, ".17g")``; the template layout is fixed.  A parsed complex
 keeps the text of the triangles and gluings blocks read from the text
-(``DeltaComplex.text_blocks``), and until it is flipped emission writes
-those two blocks back as they were read.  Input the JSON reader itself
+(``DeltaComplex.text_blocks``), which a flip drops; emission writes
+the blocks it keeps back as they were read.  Input the JSON reader itself
 refuses (an integer literal of more digits than the interpreter
 converts, nesting past its recursion limit) raises DpmSyntaxError, and an
 integer beyond the float range in a number array raises SchemaError.
@@ -305,7 +305,7 @@ def _document(raw, blocks: dict[str, str] | None = None) -> DpmDocument:
     else:
         mesh = infer_gluings(n, tris)
     if blocks:
-        mesh.text_blocks = (mesh.version, blocks)
+        mesh.text_blocks = blocks
 
     radii = _number_array(raw, "radii", mesh.num_vertices)
     has_lengths = "edge_lengths" in raw
@@ -357,15 +357,13 @@ def emit_dpm(metric: DecoratedMetric, target: np.ndarray | None = None) -> str:
     parse/emit round trip byte for byte.  The layout of what the templates
     write is fixed: one field per line, one line per triangle, the two
     sides of a gluing on lines of their own, and each number array on one
-    line.  The triangles and gluings blocks of a complex that was parsed
-    and has not been flipped since (``DeltaComplex.text_blocks``) are
-    written as they were read, in their own layout; in the emitted layout
-    that is the same text.
+    line.  The triangles and gluings blocks that a parsed complex keeps
+    (``DeltaComplex.text_blocks``, dropped by a flip) are written as they
+    were read, in their own layout; in the emitted layout that is the same
+    text.
     """
     mesh = metric.mesh
-    version, kept = mesh.text_blocks or (None, {})
-    if version != mesh.version:
-        kept = {}
+    kept = mesh.text_blocks or {}
     triangles = kept.get("triangles") or _int_block("    [%d, %d, %d]", mesh.triangles)
     gluings = kept.get("gluings")
     if not gluings:  # each side's (triangle, side) pair

@@ -27,18 +27,19 @@ the angle at corner e, from the law of cosines
     power = a_0^2 + d_0^2 - r_0^2
 
 (Glickenstein, JDG 2011).  One kernel evaluates angles, distances and
-powers face by face; it runs on the whole mesh once per metric state,
-behind the triangle-margin gate, so surgery pays for one more pass per
-round of flips.  It reads its faces side-major: lengths and radii are
-gathered as (3, F) columns, row e holding side or corner e of every face,
-so sides e-1 and e+1 are whole rows, and the margin gate reads the same
-gather.  Heron's rule orders each face's sides by maximum and minimum,
-which select the values a sort would, with no sort.  Behind the gate
-the cosine ratio leaves [-1, 1] by roundoff only, so a clip, not a
-guard, keeps arccos defined.  Curvature sums the angles, a flip reads
-its quad angles, and ``delaunay_terms`` gives d1 + d2 per edge: the
-Delaunay test reads its sign, and ``edge_weights`` divides it by the
-edge length for surgery's ranking and the operators.
+powers face by face from side-major arrays, never from a metric: lengths
+and radii as (3, F) columns, row e holding side or corner e of every
+face, so sides e-1 and e+1 are whole rows.  The whole-mesh pass gathers
+them once per metric state, the lengths from the gather the margin gate
+reads, and runs the kernel behind that gate, so surgery pays for one
+more pass per round of flips.  Heron's rule orders each face's sides by
+maximum and minimum, which select the values a sort would, with no
+sort.  Behind the gate the cosine ratio leaves [-1, 1] by roundoff only,
+so a clip, not a guard, keeps arccos defined.  Curvature sums the
+angles, a flip reads its quad angles, and ``delaunay_terms`` gives
+d1 + d2 per edge: the Delaunay test reads its sign, and
+``edge_weights`` divides it by the edge length for surgery's ranking
+and the operators.
 """
 
 from __future__ import annotations
@@ -78,15 +79,14 @@ def face_circles(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     return metric.memo(_terms)[1:3]
 
 
-def _faces(metric: DecoratedMetric, faces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(angles, distances, powers) of ``faces`` alone: a row reads its own face only.
+def _faces(l: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(angles, distances, powers) of the faces of side-major side lengths
+    ``l`` and corner radii ``r``, (3, B) with row e holding side or corner e
+    of every face: a column reads its own face only.
 
-    The sides, the margin gate's own gather, and the corners are side-major,
-    row e holding side or corner e of every face, so sides e-1 and e+1 are
-    whole rows; angles and distances are written back face-major, (..., 3).
+    Sides e-1 and e+1 are whole rows; angles and distances are written back
+    face-major, (B, 3).
     """
-    l = triangle_side_lengths(metric).T[:, faces]
-    r = metric.effective_radii[metric.mesh.triangles[faces].T]
     ll, rr = l * l, r * r
     lp, llp = l[_PREV], ll[_PREV]
     a = (ll + rr - rr[_NEXT]) / (2.0 * l)
@@ -130,7 +130,8 @@ def _terms(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
     admissible.
     """
     validate_triangles(metric).require()
-    angles, distances, powers = _faces(metric, slice(None))
+    r = metric.effective_radii[metric.mesh.triangles.T]
+    angles, distances, powers = _faces(triangle_side_lengths(metric).T, r)
     return angles, distances, powers, *_edge_terms(distances, powers, metric.mesh)
 
 

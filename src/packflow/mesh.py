@@ -79,11 +79,11 @@ class DeltaComplex:
     edge ids) and derives the rest; it raises :class:`UnmatchedSlot` only
     where they name a slot the derivation cannot index.
 
-    ``version`` counts flips.  ``text_blocks`` is None, or a version and
-    the dpm-1 text of the ``triangles`` and ``gluings`` blocks that this
-    complex was parsed from, as far as they were read from the text; while
-    ``version`` equals it, ``formats.emit_dpm`` writes those blocks as read.
-    A copy keeps it, and a flip bumps ``version`` past it.
+    ``version`` counts flips.  ``text_blocks`` is None, or the dpm-1 text
+    of the ``triangles`` and ``gluings`` blocks that this complex was
+    parsed from, by block name, as far as they were read from the text;
+    ``formats.emit_dpm`` writes those blocks as read.  A copy keeps it, and
+    a flip sets it to None.
     """
 
     def __init__(
@@ -115,7 +115,7 @@ class DeltaComplex:
         heads = self._tri[:, [1, 2, 0]].ravel()  # the head label of each side
         self._edge_ends = np.stack([self._tri.ravel()[first], heads[first]], axis=1)
         self.version = 0
-        self.text_blocks: tuple[int, dict[str, str]] | None = None
+        self.text_blocks: dict[str, str] | None = None
 
     # -- size and edge ids --------------------------------------------------
 
@@ -162,25 +162,21 @@ class DeltaComplex:
 
     # -- mutation ------------------------------------------------------------
 
-    def flip(self, edge_id: int) -> None:
-        """Replace the two triangles sharing ``edge_id`` by the opposite pair.
+    def flip_many(self, edges: Sequence[int] | int) -> None:
+        """Replace the two triangles sharing each edge of ``edges`` (one id or
+        several) by the opposite pair.
 
-        With the shared edge written i -> j, triangles (i, j, k) and
+        With a shared edge written i -> j, triangles (i, j, k) and
         (j, i, l) become (l, j, k) and (k, i, l); the four outer edges keep
         their ids and the flipped edge keeps its own id with new endpoints
         (k, l).  Purely combinatorial; lengths are the caller's business.
-        """
-        self.flip_many([edge_id])
-
-    def flip_many(self, edges: Sequence[int]) -> None:
-        """Flip every edge of ``edges`` as :meth:`flip` does, all at once.
-
         No two of the edges may share a triangle, so each quad is rewritten
         on its own: 2B triangles, 6B slots and 5B edge rows, by fancy
         assignment.  An outer edge may still border two of the quads; its
         two sides are remapped together.  Raises MeshError for an id that
         is not an integer in range, a repeated id or two edges sharing a
         triangle, and SelfFlip for an edge with both sides on one triangle.
+        A flip drops ``text_blocks``.
         """
         twin, edge_of, edge_side = self._twin, self._edge_of, self._edge_side
         ids = self._edge_ids(edges).reshape(-1)
@@ -225,6 +221,9 @@ class DeltaComplex:
         self._edge_ends[ids] = np.stack([k, l], axis=1)
 
         self.version += 1
+        self.text_blocks = None
+
+    flip = flip_many  # one edge id or several
 
     def copy(self) -> "DeltaComplex":
         dup = DeltaComplex.__new__(DeltaComplex)

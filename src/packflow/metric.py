@@ -172,21 +172,26 @@ class DecoratedMetric:
         )
         return dup
 
+    def base_squares(self, tails, heads, effective_lengths) -> np.ndarray:
+        """The scaling rule solved for l^2 at the current u, on edges from vertices ``tails``
+        to ``heads`` of ``effective_lengths``: not positive where no base length fits."""
+        (ua, ub), (ra, rb) = self._u[[tails, heads]], self.radii[[tails, heads]]
+        ea, eb, eab = np.exp(2.0 * ua), np.exp(2.0 * ub), np.exp(ua + ub)
+        target = np.asarray(effective_lengths, dtype=float)
+        return (target * target - (ea - eab) * ra**2 - (eb - eab) * rb**2) / eab
+
     def rebase_edge(self, edge_ids, effective_lengths) -> None:
         """Store base lengths for ``edge_ids`` (one id or an array) so that
         the current scale factors reproduce ``effective_lengths``.
 
         Used after flips: a new diagonal's geometric length is known in
         the effective metric and has to be divided back through the scaling
-        rule at the current u.  Raises DegenerateLength naming the first
-        edge whose squared base length is not positive, before any write.
+        rule at the current u (``base_squares``, which a flip reads before
+        it writes).  Raises DegenerateLength naming the first edge whose
+        squared base length is not positive, before any write.
         """
         ids = np.atleast_1d(self.mesh._edge_ids(edge_ids))
-        target = np.atleast_1d(np.asarray(effective_lengths, dtype=float))
-        ends = self.mesh.edge_endpoints_array()[ids]
-        (ua, ub), (ra, rb) = self._u[ends].T, self.radii[ends].T
-        ea, eb, eab = np.exp(2.0 * ua), np.exp(2.0 * ub), np.exp(ua + ub)
-        sq = (target * target - (ea - eab) * ra**2 - (eb - eab) * rb**2) / eab
+        sq = self.base_squares(*self.mesh.edge_endpoints_array()[ids].T, effective_lengths)
         bad = np.flatnonzero(~(sq > 0))
         if bad.size:
             raise DegenerateLength(
@@ -204,8 +209,7 @@ def _effective_data(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
     side-major, (3, F) with row e holding side e of every face, and each face's margin gate."""
     lengths, radii = apply_conformal(metric, metric._u)
     sides = lengths[metric.mesh.slot_edge_array().T]
-    longest = np.maximum(np.maximum(sides[0], sides[1]), sides[2])  # np.max(axis=...) is 15x slower
-    return lengths, radii, sides, triangle_margins(*sides), TRIANGLE_MARGIN_REL_TOL * longest
+    return lengths, radii, sides, *triangle_margins(*sides)
 
 
 def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,6 +271,10 @@ def validate_triangles(metric: DecoratedMetric) -> MarginReport:
     return MarginReport(margins, threshold, int(np.argmin(margins - threshold)))
 
 
-def triangle_margins(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Smallest sum of two sides minus the third, per face of side lengths s0, s1, s2."""
-    return np.minimum(np.minimum(s0 + s1 - s2, s1 + s2 - s0), s2 + s0 - s1)
+def triangle_margins(s0, s1, s2) -> tuple[np.ndarray, np.ndarray]:
+    """(margin, threshold) per face of sides s0, s1, s2, the gate of every state and of a
+    flip's new faces: the smallest sum of two sides minus the third, and
+    TRIANGLE_MARGIN_REL_TOL times the longest side; a face passes where margin > threshold."""
+    longest = np.maximum(np.maximum(s0, s1), s2)  # np.max(axis=...) is 15x slower
+    margin = np.minimum(np.minimum(s0 + s1 - s2, s1 + s2 - s0), s2 + s0 - s1)
+    return margin, TRIANGLE_MARGIN_REL_TOL * longest

@@ -277,10 +277,10 @@ def solve_shifted(
 
 def fractional_velocity(
     apply_j, g: np.ndarray, s: float, rtol: float
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """(c, top, Q, T): v = -J^s g on one Lanczos basis Q of J, by its
-    coordinates c, v = c Q; top the largest Ritz value of J^s there; and T
-    the tridiagonal of the process.
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float]:
+    """(c, top, Q, T, |g - mean(g)|): v = -J^s g on one Lanczos basis Q of
+    J, by its coordinates c, v = c Q; top the largest Ritz value of J^s
+    there; T the tridiagonal of the process; and the norm of its start.
 
     J = dK/du is symmetric with the constants in its kernel (zero row
     sums).  The basis starts from g - mean(g); each new vector follows the
@@ -309,7 +309,7 @@ def fractional_velocity(
     start = g - np.mean(g)
     norm = float(np.linalg.norm(start))
     if not norm > 0.0:
-        return np.empty(0), 0.0, np.empty((0, n)), np.empty((0, 0))
+        return np.empty(0), 0.0, np.empty((0, n)), np.empty((0, 0)), norm
     # row 0 is the normalised constant vector, and row i + 1 the i-th Lanczos vector
     basis = np.empty((min(LANCZOS_BLOCK + 2, n + 1), n))
     basis[0], basis[1] = 1.0 / np.sqrt(n), start / norm
@@ -349,7 +349,7 @@ def fractional_velocity(
         if previous is None and not stopped:  # two steps back, on the same basis
             previous = _ritz_velocity(tri[: k - 2, : k - 2], norm, s)[0]
         if stopped or _settled(coeffs, previous, rtol):
-            return coeffs, top, basis[1 : k + 1], tri
+            return coeffs, top, basis[1 : k + 1], tri, norm
         previous, more = coeffs, max(LANCZOS_BLOCK, k // 4)
 
 

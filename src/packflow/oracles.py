@@ -17,14 +17,7 @@ from math import nan, pi
 
 import numpy as np
 
-from .errors import (
-    DegenerateLength,
-    DegenerateTriangle,
-    FlipProducesDegenerate,
-    GeometryError,
-    MetricError,
-    SelfFlip,
-)
+from .errors import FlipProducesDegenerate, GeometryError, MetricError, SelfFlip
 from .geometry import DELAUNAY_REL_TOL, triangle_angles
 from .metric import (
     TRIANGLE_MARGIN_REL_TOL,
@@ -73,7 +66,7 @@ def random_metric(spec: RandomMetricSpec, seed: int) -> DecoratedMetric:
                 continue
             if spec.delaunay:
                 make_delaunay(metric)
-        except (MetricError, DegenerateLength, DegenerateTriangle):
+        except MetricError:
             continue
         return metric
     raise RuntimeError(
@@ -275,11 +268,10 @@ def _oracle_flip(
             raise FlipProducesDegenerate(f"flip of edge {edge_id} would create a thin triangle")
     if not max(theta_i, theta_j) < pi:
         raise FlipProducesDegenerate(f"flip of edge {edge_id} would leave its quad")
+    if not metric.base_squares(k, l, new) > 0:
+        raise FlipProducesDegenerate(f"flip of edge {edge_id} cannot be rebased")
     mesh.flip(edge_id)
-    try:
-        metric.rebase_edge(edge_id, new)
-    except DegenerateLength as exc:
-        raise FlipProducesDegenerate(f"flip of edge {edge_id} cannot be rebased") from exc
+    metric.rebase_edge(edge_id, new)
     rk, rl = float(metric.effective_radii[k]), float(metric.effective_radii[l])
     inversive = (new * new - rk * rk - rl * rl) / (2.0 * rk * rl)
     return SurgeryEvent(nan, ordinal, edge_id, (i, j), (k, l), new, weight, inversive)

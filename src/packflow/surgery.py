@@ -46,16 +46,10 @@ from math import nan
 
 import numpy as np
 
-from .errors import (
-    DegenerateLength,
-    FlipProducesDegenerate,
-    MetricError,
-    SelfFlip,
-    SurgeryBudgetExceeded,
-)
+from .errors import FlipProducesDegenerate, MetricError, SelfFlip, SurgeryBudgetExceeded
 from .geometry import delaunay_terms, edge_weights, triangle_angles
 from .mesh import DeltaComplex, _quads
-from .metric import DecoratedMetric, TRIANGLE_MARGIN_REL_TOL, triangle_margins
+from .metric import DecoratedMetric, triangle_margins
 
 logger = logging.getLogger(__name__)
 
@@ -111,14 +105,16 @@ def flip_metric(
 
         |kl|^2 = |ki|^2 + |il|^2 - 2 |ki| |il| cos theta_i
 
-    Its base length is chosen so the current scale factors reproduce that
-    distance exactly.  That is an isometry only if the diagonal runs inside
-    the quad, so unless both quad angles theta_i and theta_j are below pi
-    the flip raises FlipProducesDegenerate naming the larger one.  Every
-    check runs on all the quads before the complex changes; if an edge
-    fails one, the edges before it are flipped and the error names it, as
-    flipping them one at a time in this order would.  Each event records
-    its edge's weight (d1 + d2)/l before the flip.
+    Its base length is the one the current scale factors stretch to that
+    distance exactly (``DecoratedMetric.base_squares``).  The flip raises
+    FlipProducesDegenerate unless both quad angles theta_i and theta_j are
+    below pi (else the diagonal leaves the quad and the flip is no
+    isometry; the error names the larger), both new faces pass the margin
+    gate (``triangle_margins``), and the squared base length is positive.
+    Every check runs on all the quads before the complex changes; if an
+    edge fails one, the edges before it are flipped and rebased and the
+    error names it, as flipping them one at a time in this order would.
+    Each event records its edge's weight (d1 + d2)/l before the flip.
     """
     mesh = metric.mesh
     edges = np.atleast_1d(mesh._edge_ids(edges))
@@ -134,11 +130,12 @@ def flip_metric(
 
     # the two new triangles (l, j, k) and (k, i, l) of each quad, rows of shape (2, B)
     s0, s1 = np.stack([l_lj, l_ki]), np.stack([l_jk, l_il])
-    margins = triangle_margins(s0, s1, new_length)
-    thin = ~(margins > TRIANGLE_MARGIN_REL_TOL * np.maximum(np.maximum(s0, s1), new_length))
+    margins, threshold = triangle_margins(s0, s1, new_length)
+    thin = ~(margins > threshold)
     outside = ~(np.maximum(theta_i, theta_j) < np.pi)
+    squares = metric.base_squares(k, l, new_length)
     self_glued = t[0] == t[1]
-    failed = np.flatnonzero(self_glued | thin.any(axis=0) | outside)
+    failed = np.flatnonzero(self_glued | thin.any(axis=0) | outside | ~(squares > 0))
     n = failed[0] if failed.size else edges.size
 
     events = []
@@ -146,12 +143,7 @@ def flip_metric(
         done, new = edges[:n], new_length[:n]
         radii = metric.effective_radii
         mesh.flip_many(done)
-        try:
-            metric.rebase_edge(done, new)
-        except DegenerateLength as exc:
-            raise FlipProducesDegenerate(
-                f"a flip cannot be expressed at the current scale factors: {exc}"
-            ) from exc
+        metric.rebase_edge(done, new)
         rk, rl = radii[k[:n]], radii[l[:n]]
         inversive = (new * new - rk * rk - rl * rl) / (2.0 * rk * rl)
         events = list(map(
@@ -175,10 +167,15 @@ def flip_metric(
             f"flip of edge {edge_id} would create a triangle with margin"
             f" {margins[:, n][thin[:, n]][0]:.3e}"
         )
-    vertex, angle = (i[n], theta_i[n]) if theta_i[n] >= theta_j[n] else (j[n], theta_j[n])
+    if outside[n]:
+        vertex, angle = (i[n], theta_i[n]) if theta_i[n] >= theta_j[n] else (j[n], theta_j[n])
+        raise FlipProducesDegenerate(
+            f"flip of edge {edge_id} would leave its quad: the quad angle at vertex"
+            f" {vertex} is {angle:.6f} rad, not below pi"
+        )
     raise FlipProducesDegenerate(
-        f"flip of edge {edge_id} would leave its quad: the quad angle at vertex"
-        f" {vertex} is {angle:.6f} rad, not below pi"
+        f"flip of edge {edge_id} cannot be expressed at the current scale factors:"
+        f" squared base length {squares[n]:.3e}"
     )
 
 

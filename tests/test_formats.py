@@ -629,9 +629,7 @@ def _relaid(text: str, layout: str) -> str:
 
 
 def _kept_blocks(doc: DpmDocument) -> dict[str, str]:
-    version, blocks = doc.mesh.text_blocks
-    assert version == doc.mesh.version
-    return blocks
+    return doc.mesh.text_blocks
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))

@@ -66,6 +66,14 @@ def test_packing_range_enforced_on_input():
     assert np.allclose(inversive_from_lengths(doc.metric), [1.0 + 1e-12, 5.0, 2.0], rtol=1e-12)
 
 
+def test_an_inversive_distance_at_most_minus_one_is_refused():
+    # I = -1 would make the two circles coincide in their tangent point, and
+    # I < -1 has no circles at all: the edges are named, not given a length
+    mesh = build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS)
+    with pytest.raises(InvalidInversiveDistance, match=r"^inversive distance must exceed -1; edges \[0, 2\]$"):
+        lengths_from_inversive(mesh, np.ones(3), np.array([-1.0, -0.5, -3.0]))
+
+
 def test_radii_must_be_positive():
     mesh = build_complex(3, SPHERE2_FACES, SPHERE2_GLUINGS)
     with pytest.raises(NonPositiveRadius):
@@ -223,6 +231,20 @@ def test_rebase_edge_rejects_unreachable_length():
     metric.set_conformal_factors([math.log(3.0), 0.0, 0.0])
     with pytest.raises(DegenerateLength):
         metric.rebase_edge(0, 0.1)
+
+
+def test_base_squares_are_the_rebase_rule_read_before_a_write():
+    # the squares rebase_edge takes the root of, for any endpoints: a flip
+    # reads them for its new diagonals before the complex changes
+    metric = preset_metric("tetrahedron")
+    metric.set_conformal_factors([0.2, -0.1, 0.05, -0.15])
+    squares = metric.base_squares(np.array([0, 2]), np.array([1, 3]), np.array([2.0, 1.5]))
+    ends = metric.mesh.edge_endpoints_array()
+    assert ends[[0, 3]].tolist() == [[0, 1], [2, 3]]
+    base = metric.base_lengths.copy()
+    metric.rebase_edge([0, 3], [2.0, 1.5])
+    assert np.array_equal(metric.base_lengths[[0, 3]], np.sqrt(squares))
+    assert np.array_equal(metric.base_lengths[[1, 2, 4, 5]], base[[1, 2, 4, 5]])
 
 
 def test_copy_is_deep():

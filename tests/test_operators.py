@@ -19,6 +19,7 @@ from packflow import (
     FlowConfig,
     IndefiniteOperator,
     InvalidExponent,
+    NoConvergence,
     StepLeavesAdmissible,
     apply_fractional,
     apply_laplacian,
@@ -214,6 +215,33 @@ def test_shifted_solve_refuses_an_indefinite_operator():
         solve_shifted(lambda f: laplacian @ f, lambda f: f, 1.0, vecs[:, 0], 1e-12)
 
 
+def _shifted_problem():
+    # the Jacobian of a weighted Delaunay torus and a zero-sum right-hand side
+    metric = random_metric(RandomMetricSpec(preset="torus_grid", n=4, delaunay=True), 1)
+    v = _random_deviation(metric, 1)
+    return jacobian(metric), v - v.mean()
+
+
+def test_shifted_solve_stops_at_its_sweep_limit(monkeypatch):
+    from packflow import operators
+
+    jac, v = _shifted_problem()
+    monkeypatch.setattr(operators, "CG_MAX_SWEEPS", 0)
+    with pytest.raises(NoConvergence, match=r"missed relative residual 1\.0e-08 in 0 steps$"):
+        operators.solve_shifted(lambda f: jac @ f, lambda f: f, 1.0, v, 1e-8)
+
+
+def test_shifted_solve_refuses_a_shift_that_is_not_positive_definite():
+    # J is positive semidefinite, but W = -I makes I + h W J indefinite at
+    # h = 10, past 1 / |J|: a search direction meets negative curvature
+    from packflow.operators import solve_shifted
+
+    jac, v = _shifted_problem()
+    assert 10.0 * np.linalg.eigvalsh(jac)[-1] > 1.0
+    with pytest.raises(IndefiniteOperator, match=r"^I \+ h W J is not positive definite: -"):
+        solve_shifted(lambda f: jac @ f, lambda f: -f, 10.0, v, 1e-8)
+
+
 def test_fractional_velocity_on_an_indefinite_operator():
     # the weighted triangle graph above: two Lanczos steps span its zero-sum
     # vectors, so the Ritz values are its nonzero eigenvalues, one negative
@@ -226,7 +254,8 @@ def test_fractional_velocity_on_an_indefinite_operator():
     # an integer exponent is a plain matrix power, as in apply_fractional,
     # and top is the largest eigenvalue of that power; the two Lanczos
     # vectors are orthonormal, zero-sum, and carry the operator as T
-    coeffs, top, basis, tri = fractional_velocity(lambda f: laplacian @ f, g, 1.0, 1e-12)
+    coeffs, top, basis, tri, norm = fractional_velocity(lambda f: laplacian @ f, g, 1.0, 1e-12)
+    assert norm == float(np.linalg.norm(g - np.mean(g)))
     v = coeffs @ basis
     assert np.allclose(v, apply_fractional(laplacian, 1.0, g), rtol=0, atol=1e-14)
     assert top == pytest.approx(np.linalg.eigvalsh(laplacian)[-1], rel=1e-14)
@@ -263,7 +292,7 @@ def test_fractional_velocity_meets_its_tolerance_at_the_first_checkpoint(preset,
         for s in (0.5, 1.5, -0.5, -1.5):
             exact = apply_fractional(jac, s, g)
             for rtol in (1e-3, 1e-4, 1e-6):
-                coeffs, _, basis, _ = fractional_velocity(apply_j, g, s, rtol)
+                coeffs, _, basis, _, _ = fractional_velocity(apply_j, g, s, rtol)
                 v = coeffs @ basis
                 gap = np.linalg.norm(v - exact)
                 assert gap <= rtol * np.linalg.norm(exact), (seed, s, rtol, gap)
@@ -293,7 +322,7 @@ def test_fractional_velocity_is_accurate_on_a_large_or_spanning_basis(preset, n,
         apply_j = edge_laplacian(metric, edge_weights(metric))
         for s in (0.5, 1.5, -0.5, -1.5):
             exact = apply_fractional(jac, s, g)
-            coeffs, _, basis, _ = fractional_velocity(apply_j, g, s, rtol)
+            coeffs, _, basis, _, _ = fractional_velocity(apply_j, g, s, rtol)
             v = coeffs @ basis
             gap = np.linalg.norm(v - exact)
             assert gap <= bound * np.linalg.norm(exact), (seed, s, gap)

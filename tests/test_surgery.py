@@ -15,6 +15,7 @@ from packflow import (
     FlipProducesDegenerate,
     FlowConfig,
     PackflowError,
+    SelfFlip,
     SurgeryBudgetExceeded,
     build_complex,
     curvature,
@@ -218,6 +219,71 @@ def test_a_round_makes_the_flips_before_a_refused_one():
     assert np.array_equal(metric.mesh.triangles, one_at_a_time.mesh.triangles)
     assert np.array_equal(metric.base_lengths, one_at_a_time.base_lengths)
     metric.mesh.check()
+
+
+def _overlapping_tetrahedron(seed: int) -> DecoratedMetric:
+    # unit circles with inversive distances down to -0.9, deep overlaps, and
+    # scale factors up to 3: a new diagonal may have no base length at this u
+    rng = np.random.default_rng(seed)
+    mesh, radii = preset_complex("tetrahedron"), np.ones(4)
+    inversive = rng.uniform(-0.9, 3.0, 6)
+    metric = DecoratedMetric(mesh, lengths_from_inversive(mesh, radii, inversive), radii)
+    metric.set_conformal_factors(rng.uniform(-3.0, 3.0, 4))
+    return metric
+
+
+def test_a_flip_with_no_base_length_is_refused_before_the_write():
+    # make_delaunay's first round is edge 4 alone; its new diagonal's squared
+    # base length at these scale factors is -5.3, so the round writes
+    # nothing: the input triangles and base lengths stay, as the one flip
+    # at a time reference leaves them
+    metric = _overlapping_tetrahedron(646)
+    before, reference = metric.copy(), metric.copy()
+    with pytest.raises(
+        FlipProducesDegenerate,
+        match=r"^flip of edge 4 cannot be expressed at the current scale factors:"
+        r" squared base length -5\.341e\+00$",
+    ):
+        make_delaunay(metric)
+    assert np.array_equal(metric.mesh.triangles, before.mesh.triangles)
+    assert np.array_equal(metric.base_lengths, before.base_lengths)
+    metric.mesh.check()
+    with pytest.raises(FlipProducesDegenerate, match=r"^flip of edge 4 cannot be rebased$"):
+        oracle_make_delaunay(reference)
+    assert np.array_equal(reference.mesh.triangles, before.mesh.triangles)
+    assert np.array_equal(reference.base_lengths, before.base_lengths)
+
+
+def test_a_round_rebases_its_flips_before_one_with_no_base_length():
+    # one round takes edges 0 and 3; edge 3's new diagonal has no base
+    # length, so edge 0 flips and is rebased and the error names edge 3:
+    # the metric is flip_metric's of edge 0 alone, and admissible
+    metric = _overlapping_tetrahedron(240)
+    one = metric.copy()
+    flip_metric(one, 0)
+    with pytest.raises(FlipProducesDegenerate, match=r"^flip of edge 3 cannot be expressed"):
+        make_delaunay(metric)
+    assert np.array_equal(metric.mesh.triangles, one.mesh.triangles)
+    assert np.array_equal(metric.mesh.edge_endpoints_array(), one.mesh.edge_endpoints_array())
+    assert np.array_equal(metric.base_lengths, one.base_lengths)
+    assert np.array_equal(metric.conformal_factors, one.conformal_factors)
+    assert validate_triangles(metric).admissible
+    metric.mesh.check()
+
+
+def test_a_round_refuses_a_self_glued_edge_by_name():
+    # two triangles on three vertices, edges 0 and 2 each glued within one
+    # triangle: the metric is admissible and both violate, at weight
+    # -2.0625, and the round refuses the first before any write
+    mesh = build_complex(
+        3, [(0, 1, 0), (0, 0, 2)], [((0, 0), (0, 1)), ((0, 2), (1, 0)), ((1, 1), (1, 2))]
+    )
+    metric = DecoratedMetric(mesh, np.array([1.0, 1.2, 1.0]), np.array([2.0, 0.5, 0.5]))
+    assert validate_triangles(metric).admissible
+    assert delaunay_violations(metric) == [(0, -2.0625), (2, -2.0625)]
+    with pytest.raises(SelfFlip, match=r"^edge 0 has both sides on triangle 0; flip undefined$"):
+        make_delaunay(metric)
+    assert metric.mesh.version == 0
 
 
 def _squeezed_torus(n: int, seed: int | None) -> DecoratedMetric:
@@ -476,9 +542,9 @@ def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
     rows, rounds, settled = [], [], 0
     faces, settle, flip_round = geometry._faces, flows._settle, surgery.flip_metric
 
-    def counting_faces(m, which):
-        rows.append(np.arange(m.mesh.num_triangles)[which].size)
-        return faces(m, which)
+    def counting_faces(l, r):
+        rows.append(l.shape[1])
+        return faces(l, r)
 
     def counting_settle(state, *args):
         # an inadmissible trial enters _settle too and leaves it by the
@@ -567,3 +633,60 @@ def test_flips_along_a_step_are_made_where_the_laid_out_test_first_fails():
         times = [event.flow_time for event in events]
         assert times == sorted(times) and 2.0 < times[0] and times[-1] < 2.5, seed
     assert compared >= 8
+
+
+def _step_along(seed: int) -> tuple[DecoratedMetric, np.ndarray]:
+    # an input of the test above: a weighted Delaunay start moved by du,
+    # the metric at the segment's end
+    spec = RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(1.05, 4.0))
+    start = random_metric(spec, seed)
+    make_delaunay(start)
+    n = start.mesh.num_vertices
+    target = np.random.default_rng(seed).normal(0.0, 1.0, n)
+    target += (4.0 * np.pi - target.sum()) / n
+    du = -0.3 * (curvature(start) - target)
+    start.set_conformal_factors(start.conformal_factors + du)
+    return start, du
+
+
+def test_flip_along_stops_at_its_budget(monkeypatch):
+    from packflow.surgery import flip_along
+
+    metric, du = _step_along(10)
+    assert delaunay_violations(metric)
+    monkeypatch.setattr(surgery, "SURGERY_BUDGET_PER_EDGE", 0)
+    with pytest.raises(
+        SurgeryBudgetExceeded, match=r"^the segment's end still violates after 0 flips along it$"
+    ):
+        flip_along(metric, du)
+    assert metric.mesh.version == 0
+
+
+def test_a_midpoint_that_is_no_triangulation_counts_as_past_the_crossing(monkeypatch):
+    # the segment crosses one edge, at s = 0.61; a midpoint's pass that
+    # raises DegenerateTriangle anywhere in [s + (1 - s) / 4, 1) moves the
+    # bracket's end there, as a pass past the crossing does, so the same
+    # crossing is located with the same bits and the end is weighted Delaunay
+    from packflow.surgery import flip_along
+
+    metric, du = _step_along(10)
+    clean = metric.copy()
+    _, expected = flip_along(clean, du)
+    (crossing,) = [event.flow_time for event in expected]
+    u1, terms, refused = np.array(metric.conformal_factors), surgery.delaunay_terms, []
+
+    def no_triangulation_past(m):
+        s = 1.0 + float((m.conformal_factors - u1) @ du) / float(du @ du)
+        if crossing + 0.25 * (1.0 - crossing) <= s < 1.0:
+            refused.append(s)
+            raise DegenerateTriangle(f"no triangulation at s = {s}")
+        return terms(m)
+
+    monkeypatch.setattr(surgery, "delaunay_terms", no_triangulation_past)
+    _, events = flip_along(metric, du)
+    assert refused
+    assert events == expected
+    assert np.array_equal(metric.mesh.triangles, clean.mesh.triangles)
+    assert np.array_equal(metric.base_lengths, clean.base_lengths)
+    assert np.array_equal(metric.conformal_factors, u1)
+    assert delaunay_violations(metric) == []
