@@ -85,7 +85,7 @@ from .errors import (
     SurgeryError,
 )
 from .geometry import edge_weights
-from .metric import DecoratedMetric, validate_triangles
+from .metric import DecoratedMetric, _effective_data
 from .operators import calabi_energy, curvature, edge_laplacian, p_rates
 from .operators import fractional_velocity, solve_shifted
 from .surgery import delaunay_violations, flip_along, make_delaunay
@@ -256,7 +256,7 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     x = 0, with no division by e.
     """
     deviation = curvature(metric) - config.target
-    e = float(np.max(np.abs(deviation)))
+    e = float(np.abs(deviation).max())
     rtol = min(CG_REL_TOL, max(CG_REL_TOL * e, 0.1 * config.tol / e)) if e else 0.0
     weights = edge_weights(metric)
     apply_j = edge_laplacian(metric, weights)
@@ -264,19 +264,19 @@ def _linearization(metric: DecoratedMetric, config: FlowConfig):
     if s == 0.0:
         v = -deviation
         return v, lambda h: solve_shifted(apply_j, lambda f: f, h, v, rtol)
-    if s == 1.0:  # calabi and p_calabi: one apply
+    if s == 1.0:  # calabi and p_calabi: one apply, of apply_j itself where rates are weights
         rates, spread = p_rates(metric, config.p, deviation)
         sigma = float(spread ** (config.p - 2.0) if spread else 0.0) or 1.0
-        v = -edge_laplacian(metric, rates)(deviation)
+        v = -(apply_j if rates is weights else edge_laplacian(metric, rates))(deviation)
         scaled = v / sigma  # -R g
         ends = metric.mesh.edge_endpoints_array()
-        beta = 2.0 * float(np.max(np.bincount(ends.ravel(), np.repeat(np.abs(rates), 2)))) / sigma
+        beta = 2.0 * float(np.bincount(ends.ravel(), np.repeat(np.abs(rates), 2)).max()) / sigma
     else:
         c, beta, basis, tri, norm = fractional_velocity(apply_j, deviation, s, rtol)
         v = scaled = c @ basis
     dg = beta * deviation + scaled  # D' g
     gdg, apply_w = float(deviation @ dg), lambda f: beta * f
-    rank_one = gdg > 0.0 and np.all(weights >= 0.0)
+    rank_one = gdg > 0.0 and (weights >= 0.0).all()
     if rank_one:  # R >= 0, so W >= R >= 0
         apply_w = lambda f: beta * f - dg * (float(dg @ f) / gdg)
     if s == 1.0 or not c.size:
@@ -331,15 +331,15 @@ def _settle(
         t=t0 + h,
         h=h,
         halvings=halvings,
-        max_curv_err=float(np.max(np.abs(g))),
+        max_curv_err=float(np.abs(g).max()),
         calabi_energy=calabi_energy(k, config.target),
         w_increment=w_inc,
         w_est=w0 + w_inc,
         flips=flips,
         flips_total=flips0 + flips,
-        min_margin=float(np.min(validate_triangles(state).margins)),
+        min_margin=float(state.memo(_effective_data)[3].min()),
         curvature_jump=jump,
-        sum_u=float(np.sum(state.conformal_factors)),
+        sum_u=float(state.conformal_factors.sum()),
     )
 
 
@@ -359,7 +359,7 @@ def step(
     """
     u0 = np.array(metric.conformal_factors)
     if target_sum is None:
-        target_sum = float(np.sum(u0))
+        target_sum = float(u0.sum())
     k0 = curvature(metric)
     g0, e0 = k0 - config.target, calabi_energy(k0, config.target)
     _, solve = _linearization(metric, config)
@@ -371,7 +371,7 @@ def step(
         trial = metric.copy()
         try:
             u1 = u0 + h_try * solve(h_try)
-            u1 -= (np.sum(u1) - target_sum) / n
+            u1 -= (u1.sum() - target_sum) / n
             trial.set_conformal_factors(u1)
             record = _settle(trial, config, last, h_try, halvings, g0, u1 - u0)
         except (MeshError, MetricError, GeometryError, OperatorError, SurgeryError) as exc:

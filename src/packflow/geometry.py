@@ -30,9 +30,13 @@ the angle at corner e, from the law of cosines
 powers face by face from side-major arrays, never from a metric: lengths
 and radii as (3, F) columns, row e holding side or corner e of every
 face, so sides e-1 and e+1 are whole rows.  The whole-mesh pass gathers
-them once per metric state, the lengths from the gather the margin gate
-reads, and runs the kernel behind that gate, so surgery pays for one
-more pass per round of flips.  Heron's rule orders each face's sides by
+them once per metric state with ``take`` on the complex's side-major
+storage, which is laid out for it: the lengths are the gather the margin
+gate reads (through the edge ids of the slots), the radii are gathered
+through the corner labels, and no gather reads a strided column.  It runs
+the kernel behind that gate, so surgery pays for one more pass per round
+of flips, and reads d1 + d2 of each edge at the edge's two slots, the
+powers at their faces.  Heron's rule orders each face's sides by
 maximum and minimum, which select the values a sort would, with no
 sort.  Behind the gate the cosine ratio leaves [-1, 1] by roundoff only,
 so a clip, not a guard, keeps arccos defined.  Curvature sums the
@@ -47,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import DeltaComplex
-from .metric import DecoratedMetric, triangle_side_lengths, validate_triangles
+from .metric import DecoratedMetric, _effective_data, triangle_side_lengths, validate_triangles
 
 _PREV, _NEXT = np.array([2, 0, 1]), np.array([1, 2, 0])   # side or corner e -> e-1, e+1
 
@@ -70,7 +74,8 @@ def _heron(l0: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     minimum: the values a sort would select, with no sort."""
     lo, hi = np.minimum(l0, l1), np.maximum(l0, l1)
     a, b, c = np.maximum(hi, l2), np.maximum(lo, np.minimum(hi, l2)), np.minimum(lo, l2)
-    sq = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    a_b = a - b
+    sq = (a + (b + c)) * (c - a_b) * (c + a_b) * (a + (b - c))
     return 0.25 * np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -84,19 +89,19 @@ def _faces(l: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     ``l`` and corner radii ``r``, (3, B) with row e holding side or corner e
     of every face: a column reads its own face only.
 
-    Sides e-1 and e+1 are whole rows; angles and distances are written back
-    face-major, (B, 3).
+    Sides e-1 and e+1 are whole rows, gathered by ``take``; angles and
+    distances are computed side-major and handed out face-major, (B, 3), as
+    transposed views.
     """
     ll, rr = l * l, r * r
-    lp, llp = l[_PREV], ll[_PREV]
-    a = (ll + rr - rr[_NEXT]) / (2.0 * l)
-    b = (llp + rr - rr[_PREV]) / (2.0 * lp)
-    dot = 0.5 * (ll + llp - ll[_NEXT])                         # l_e l_{e-1} cos A_e
-    angles, distances = np.empty(l.shape[::-1]), np.empty(l.shape[::-1])
-    np.arccos(np.clip(dot / (l * lp), -1.0, 1.0), out=angles.T)
-    np.divide(b * l * lp - a * dot, 2.0 * _heron(*l), out=distances.T)
-    powers = a[0] ** 2 + distances.T[0] ** 2 - rr[0]
-    return angles, distances, powers
+    lp, llp = l.take(_PREV, axis=0), ll.take(_PREV, axis=0)
+    a = (ll + rr - rr.take(_NEXT, axis=0)) / (2.0 * l)
+    b = (llp + rr - rr.take(_PREV, axis=0)) / (2.0 * lp)
+    dot = 0.5 * (ll + llp - ll.take(_NEXT, axis=0))          # l_e l_{e-1} cos A_e
+    angles = np.arccos((dot / (l * lp)).clip(-1.0, 1.0))
+    distances = (b * l * lp - a * dot) / (2.0 * _heron(*l))
+    powers = a[0] ** 2 + distances[0] ** 2 - rr[0]
+    return angles.T, distances.T, powers
 
 
 DELAUNAY_REL_TOL = 1e-12
@@ -117,10 +122,16 @@ def delaunay_terms(metric: DecoratedMetric) -> tuple[np.ndarray, np.ndarray]:
     return metric.memo(_terms)[3:]
 
 
-def edge_weights(metric: DecoratedMetric, edges=slice(None)) -> np.ndarray:
+def edge_weights(metric: DecoratedMetric, edges=None) -> np.ndarray:
     """(d1 + d2) / l of ``edges`` (all by default): the weight surgery ranks
-    flips by and the coefficient of the Jacobian and every Laplacian."""
-    return delaunay_terms(metric)[0][edges] / metric.effective_lengths[edges]
+    flips by and the coefficient of the Jacobian and every Laplacian.
+    Computed once per state of the metric; all of them are one read-only array."""
+    weights = metric.memo(_weights)[0]
+    return weights if edges is None else weights[edges]
+
+
+def _weights(metric: DecoratedMetric) -> tuple[np.ndarray]:
+    return (delaunay_terms(metric)[0] / metric.effective_lengths,)
 
 
 def _terms(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
@@ -129,16 +140,16 @@ def _terms(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
     Raises DegenerateTriangle naming the face when the metric is not
     admissible.
     """
-    validate_triangles(metric).require()
-    r = metric.effective_radii[metric.mesh.triangles.T]
-    angles, distances, powers = _faces(triangle_side_lengths(metric).T, r)
-    return angles, distances, powers, *_edge_terms(distances, powers, metric.mesh)
+    _, radii, sides, margins, threshold = metric.memo(_effective_data)
+    if not (margins > threshold).all():
+        validate_triangles(metric).require()
+    angles, distances, powers = _faces(sides, radii.take(metric.mesh._tri))
+    return angles, distances, powers, *_edge_terms(distances.T, powers, metric.mesh)
 
 
 def _edge_terms(distances: np.ndarray, powers: np.ndarray, mesh: DeltaComplex):
-    """(d1 + d2, tolerance) of every edge of ``mesh``, read at its two sides (slots)."""
-    first = mesh._edge_side
-    second = mesh._twin[first]
-    flat = distances.ravel()
-    scale = np.maximum(np.abs(powers[first // 3]), np.abs(powers[second // 3]))
-    return flat[first] + flat[second], DELAUNAY_REL_TOL * np.sqrt(scale)
+    """(d1 + d2, tolerance) of every edge of ``mesh``, read at its two sides, from the
+    side-major (3, F) ``distances``; a side's slot e F + t wraps to its face t."""
+    d1, d2 = distances.take(mesh._sides)
+    p1, p2 = np.abs(powers).take(mesh._sides, mode="wrap")
+    return d1 + d2, DELAUNAY_REL_TOL * np.sqrt(np.maximum(p1, p2))

@@ -18,15 +18,21 @@ surface, and that the faces are connected (hooking and pointer jumping).
 walks the input only to name the first bad triangle; a non-integer vertex
 id or slot is rejected, never truncated.
 
-Storage is flat integer arrays, halfedge style.  Side ``e`` of triangle
-``t`` is slot ``s = 3 t + e`` (corner ``c`` of ``t`` shares the numbering).
-``triangles`` (F, 3) holds the corner labels, ``twin[s]`` the slot glued to
-``s``, ``edge_of[s]`` the edge id under ``s``; per edge, ``edge_side`` holds
-its first side and ``edge_ends`` (E, 2) the labels read off that side, tail
-first.  A flip rewrites two triangles, six slots and five edge rows in
-place; a copy copies the arrays.  ``triangles``, ``slot_edge_array`` and
-``edge_endpoints_array`` return read-only views of the storage, so no
-caller can corrupt the complex; a view follows later flips.
+Storage is integer arrays in the layout the per-state kernels gather
+with, side-major, halfedge style.  Side ``e`` of triangle ``t`` (and corner
+``e``, which shares the numbering) is slot ``e F + t``: row ``e``, column
+``t`` of a (3, F) array, so that side e of every face is one contiguous
+row.  ``_tri`` (3, F) holds the corner labels, ``_edge_of`` (3, F) the
+edge id under each slot and ``_twin`` (3F,) the slot glued to each slot;
+per edge, ``_sides`` (2, E) holds its first side and the side glued to it,
+and ``_ends`` (2, E) the labels read off the first side, tail row first.
+Outside the class a slot keeps its face-major name ``3 t + e`` (the
+constructor's gluing, ``edge_sides_array`` and error messages).  A flip
+rewrites two triangles, six slots and five edge columns in place; a copy
+copies the arrays.  ``triangles``, ``slot_edge_array`` and
+``edge_endpoints_array`` return read-only (F, 3), (F, 3) and (E, 2) views
+of the storage, so no caller can corrupt the complex; a view follows later
+flips.
 """
 
 from __future__ import annotations
@@ -49,18 +55,24 @@ from .errors import (
 Slot = tuple[int, int]
 
 
-# row r, column e: the offset from side e of a triangle to its side (e + r) % 3
+# row r, column e: the offset, in rows, from side e of a triangle to its side (e + r) % 3
 _TURN = np.array([[0, 0, 0], [1, 1, -2], [2, -1, -1]])
 
 
-def _quads(twin: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Faces (2, B) of the sides ``first`` and of their twins, and their slots (2, 3, B).
+def _quads(sides: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Faces (2, B) of the slots ``sides`` (2, B) of a complex of ``f`` faces, and their
+    slots (2, 3, B).
 
     Each face's slots start at that side: the side, the next side, the previous side.
     """
-    sides = np.concatenate([first, twin[first]]).reshape(2, -1)
-    t = sides // 3
-    return t, sides[:, None] + _TURN.take(sides - 3 * t, axis=1).swapaxes(0, 1)
+    e = sides // f
+    return sides - f * e, sides[:, None] + (f * _TURN).take(e, axis=1).swapaxes(0, 1)
+
+
+def _side_major(slots: np.ndarray, f: int) -> np.ndarray:
+    """Face-major slot names 3 t + e as the storage's e f + t."""
+    t = slots // 3
+    return (slots - 3 * t) * f + t
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -74,10 +86,12 @@ class DeltaComplex:
 
     Use :func:`build_complex` or :func:`infer_gluings` instead of the raw
     constructor; they run the full validation pass.  The constructor takes
-    the corner labels, ``twin`` (slot numbers, -1 where a side is unglued)
-    and ``edge_side`` (the first side of each edge, whose order fixes the
-    edge ids) and derives the rest; it raises :class:`UnmatchedSlot` only
-    where they name a slot the derivation cannot index.
+    the corner labels (F, 3), ``twin`` (face-major slot names 3 t + e, -1
+    where a side is unglued) and ``edge_side`` (the first side of each
+    edge, whose order fixes the edge ids) and derives the rest of the
+    side-major storage (see the module docstring); it raises
+    :class:`UnmatchedSlot` only where they name a slot the derivation
+    cannot index.
 
     ``version`` counts flips.  ``text_blocks`` is None, or the dpm-1 text
     of the ``triangles`` and ``gluings`` blocks that this complex was
@@ -93,27 +107,35 @@ class DeltaComplex:
         twin: Sequence[int],
         edge_side: Sequence[int],
     ):
-        self.num_vertices = int(num_vertices)
-        self._tri = np.array(triangles, dtype=np.int64, order="C").reshape(-1, 3)
-        self._twin = np.array(twin, dtype=np.int64)
-        self._edge_side = first = np.array(edge_side, dtype=np.int64)
-        slots = self._tri.size
+        tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+        twin = np.array(twin, dtype=np.int64)
+        first = np.array(edge_side, dtype=np.int64)
+        slots = tri.size
         if (
-            self._twin.shape != (slots,)
+            twin.shape != (slots,)
             or first.ndim != 1
             or np.any((first < 0) | (first >= slots))
-            or np.any((self._twin[first] < 0) | (self._twin[first] >= slots))
+            or np.any((twin[first] < 0) | (twin[first] >= slots))
         ):
             raise UnmatchedSlot(
                 f"twin needs {slots} entries and every edge a first side glued to a side"
                 f" in [0, {slots})"
             )
-        ids = np.arange(first.size)
-        self._edge_of = np.full(self._twin.size, -1, dtype=np.int64)
-        self._edge_of[self._edge_side] = ids
-        self._edge_of[self._twin[self._edge_side]] = ids
-        heads = self._tri[:, [1, 2, 0]].ravel()  # the head label of each side
-        self._edge_ends = np.stack([self._tri.ravel()[first], heads[first]], axis=1)
+        f = tri.shape[0]
+        sides = _side_major(np.stack([first, twin[first]]), f)
+        twin = np.ascontiguousarray(twin.reshape(f, 3).T).reshape(-1)  # in the storage's order
+        twin = np.where((twin >= 0) & (twin < slots), _side_major(twin, f), -1)
+        self._store(num_vertices, tri.T, twin, sides)
+
+    def _store(self, num_vertices: int, tri: np.ndarray, twin: np.ndarray, sides: np.ndarray):
+        """Keep the side-major corner labels (3, F), ``twin`` and ``sides`` (2, E) in the
+        storage's slot names, and derive the edge ids and ends from them."""
+        self.num_vertices = int(num_vertices)
+        self._tri, self._twin, self._sides = np.ascontiguousarray(tri), twin, sides
+        self._edge_of = np.full(self._tri.shape, -1, dtype=np.int64)
+        self._edge_of.reshape(-1)[sides] = np.arange(sides.shape[1])
+        heads = self._tri.take([1, 2, 0], axis=0)  # the head label of each side
+        self._ends = np.stack([self._tri.take(sides[0]), heads.take(sides[0])])
         self.version = 0
         self.text_blocks: dict[str, str] | None = None
 
@@ -121,11 +143,11 @@ class DeltaComplex:
 
     @property
     def num_triangles(self) -> int:
-        return self._tri.shape[0]
+        return self._tri.shape[1]
 
     @property
     def num_edges(self) -> int:
-        return self._edge_side.size
+        return self._sides.shape[1]
 
     @property
     def euler_characteristic(self) -> int:
@@ -134,7 +156,7 @@ class DeltaComplex:
     @property
     def triangles(self) -> np.ndarray:
         """Corner labels, shape (F, 3), read-only."""
-        return _read_only(self._tri)
+        return _read_only(self._tri.T)
 
     def _edge_ids(self, edges) -> np.ndarray:
         """``edges`` (one id or a sequence) as int64, or MeshError naming the first bad id."""
@@ -149,16 +171,17 @@ class DeltaComplex:
     # -- index arrays (read-only views of the storage) ------------------------
 
     def edge_sides_array(self) -> np.ndarray:
-        """Slots of the two sides of each edge, first side first, shape (E, 2)."""
-        return np.stack([self._edge_side, self._twin[self._edge_side]], axis=1)
+        """Slots 3 t + e of the two sides of each edge, first side first, shape (E, 2)."""
+        e = self._sides // self.num_triangles
+        return (3 * (self._sides - self.num_triangles * e) + e).T
 
     def slot_edge_array(self) -> np.ndarray:
         """Edge id under each (triangle, side) slot, shape (F, 3)."""
-        return _read_only(self._edge_of.reshape(-1, 3))
+        return _read_only(self._edge_of.T)
 
     def edge_endpoints_array(self) -> np.ndarray:
         """Vertex labels by edge id, shape (E, 2)."""
-        return _read_only(self._edge_ends)
+        return _read_only(self._ends.T)
 
     # -- mutation ------------------------------------------------------------
 
@@ -171,16 +194,17 @@ class DeltaComplex:
         their ids and the flipped edge keeps its own id with new endpoints
         (k, l).  Purely combinatorial; lengths are the caller's business.
         No two of the edges may share a triangle, so each quad is rewritten
-        on its own: 2B triangles, 6B slots and 5B edge rows, by fancy
+        on its own: 2B triangles, 6B slots and 5B edge columns, by fancy
         assignment.  An outer edge may still border two of the quads; its
         two sides are remapped together.  Raises MeshError for an id that
         is not an integer in range, a repeated id or two edges sharing a
         triangle, and SelfFlip for an edge with both sides on one triangle.
         A flip drops ``text_blocks``.
         """
-        twin, edge_of, edge_side = self._twin, self._edge_of, self._edge_side
+        twin, sides = self._twin, self._sides
+        f = self.num_triangles
         ids = self._edge_ids(edges).reshape(-1)
-        t, slots = _quads(twin, edge_side[ids])
+        t, slots = _quads(sides[:, ids], f)
         lone = np.flatnonzero(t[0] == t[1])
         if lone.size:
             raise SelfFlip(
@@ -196,29 +220,29 @@ class DeltaComplex:
                 else f"edges {a} and {b} share triangle {faces[order[shared[0]]]}; flipped"
                 " edges must not share a triangle"
             )
-        corners = self._tri.reshape(-1)  # a view: the constructor stores C order
-        k, l = corners[slots[:, 2]]
+        corners, edge_of = self._tri.reshape(-1), self._edge_of.reshape(-1)  # views
+        k, l = ends = corners[slots[:, 2]]
 
         # where each outer side lands, keeping its tail: j -> k, k -> i, i -> l, l -> j
         old = slots[:, 1:].reshape(4, -1)
-        b1, b2 = 3 * t  # the first slot of each face
-        new = np.concatenate([b1 + 1, b2, b2 + 1, b1]).reshape(4, -1)
+        b1, b2 = t  # side 0 of each face
+        new = np.concatenate([b1 + f, b2, b2 + f, b1]).reshape(4, -1)
         remap = np.arange(twin.size)
         remap[old] = new
         partners, outer = remap[twin[old]], edge_of[old]
         twin[new], twin[partners] = partners, new
         edge_of[new] = outer
         # an outer edge with both sides in the quads is written twice, with one value
-        edge_side[outer] = remap[edge_side[outer]]
+        sides[:, outer] = remap[sides[:, outer]]
         corners[new] = corners[old]
 
         # the new diagonal: k -> l on (l, j, k), l -> k on (k, i, l)
-        d1, d2 = b1 + 2, b2 + 2
+        d1, d2 = b1 + 2 * f, b2 + 2 * f
         twin[d1], twin[d2] = d2, d1
         edge_of[d1] = edge_of[d2] = ids
-        edge_side[ids] = d1
+        sides[0, ids], sides[1, ids] = d1, d2
         corners[d1], corners[d2] = k, l
-        self._edge_ends[ids] = np.stack([k, l], axis=1)
+        self._ends[:, ids] = ends
 
         self.version += 1
         self.text_blocks = None
@@ -236,7 +260,7 @@ class DeltaComplex:
 
     def check(self) -> None:
         """Re-run the structural invariants; raises on any violation."""
-        _check_labels(self.num_vertices, self._tri)
+        _check_labels(self.num_vertices, self._tri.T)
         _validate(self)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -282,42 +306,50 @@ def _check_labels(n: int, triangles: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def _validate(mesh: DeltaComplex) -> None:
-    """Everything but the labels, which ``_check_labels`` covers; on arrays, in slot order."""
-    labels, twin = mesh._tri.ravel(), mesh._twin
+    """Everything but the labels, which ``_check_labels`` covers; on the storage's arrays.
+    A fault names the first slot at fault in face-major order (``_at_fault``)."""
+    f, twin = mesh.num_triangles, mesh._twin
     s = np.arange(twin.size)
-    lonely = [divmod(x, 3) for x in np.flatnonzero((twin < 0) | (twin >= twin.size)).tolist()]
+    lonely = _at_fault((twin < 0) | (twin >= twin.size), f)
     if lonely:
         raise UnmatchedSlot(f"sides missing from the gluing: {lonely[:4]}")
-    unpaired = np.flatnonzero((twin == s) | (twin[twin] != s)).tolist()
+    unpaired = _at_fault((twin == s) | (twin[twin] != s), f)
     if unpaired:
-        a, p = unpaired[0], twin.item(unpaired[0])
+        (t, e) = a = unpaired[0]
+        p = divmod(twin.item(e * f + t), f)[::-1]  # the (t, e) glued to it
         raise UnmatchedSlot(
-            f"slot {divmod(a, 3)} glued to itself" if a == p
-            else f"gluing is not an involution at {divmod(a, 3)} <-> {divmod(p, 3)}"
+            f"slot {a} glued to itself" if a == p
+            else f"gluing is not an involution at {a} <-> {p}"
         )
-    head = mesh._tri[:, [1, 2, 0]].ravel()  # the head label of each side
-    twisted = np.flatnonzero((labels != head[twin]) | (head != labels[twin])).tolist()
+    labels = mesh._tri.ravel()
+    head = mesh._tri.take([1, 2, 0], axis=0).ravel()  # the head label of each side
+    twisted = _at_fault((labels != head[twin]) | (head != labels[twin]), f)
     if twisted:
-        a, p = twisted[0], twin.item(twisted[0])
+        t, e = twisted[0]
+        a = e * f + t
+        p = twin.item(a)
         raise OrientationMismatch(
-            f"slots {divmod(a, 3)} ({labels[a]}->{head[a]}) and {divmod(p, 3)}"
+            f"slots {twisted[0]} ({labels[a]}->{head[a]}) and {divmod(p, f)[::-1]}"
             f" ({labels[p]}->{head[p]} reversed) disagree on labels"
         )
 
     # edge table consistent with the gluing: the edge under each side, tail and head
-    if np.any(mesh._edge_of < 0):
+    edge_of = mesh._edge_of.ravel()
+    if np.any(edge_of < 0):
         raise UnmatchedSlot("edge table does not cover every side")
-    first, ids, ends = mesh._edge_side, np.arange(mesh.num_edges), mesh._edge_ends
+    (first, second), (tails, heads) = mesh._sides, mesh._ends
+    ids = np.arange(mesh.num_edges)
     rows = np.flatnonzero(
-        (mesh._edge_of[first] != ids) | (mesh._edge_of[twin[first]] != ids)
-        | (labels[first] != ends[:, 0]) | (head[first] != ends[:, 1])
+        (edge_of[first] != ids) | (edge_of[second] != ids) | (second != twin[first])
+        | (labels[first] != tails) | (head[first] != heads)
     )
     if rows.size:
         raise MeshError(f"edge table row {rows[0]} disagrees with the gluing")
 
     # corner orbits must match the labels one-to-one; pointer doubling marks each
-    # orbit by its least corner, and glued sides agree on labels (checked above)
-    rep, step = s, twin.reshape(-1, 3)[:, [2, 0, 1]].ravel()  # the twin of each previous side
+    # orbit by its least corner, and glued sides agree on labels (checked above);
+    # step is the twin of each previous side
+    rep, step = s, twin.reshape(3, f).take([2, 0, 1], axis=0).ravel()
     for _ in range(_orbit_rounds(labels)):
         rep, step = np.minimum(rep, rep[step]), step[step]
     orbits = np.bincount(labels[rep == s], minlength=mesh.num_vertices)
@@ -329,7 +361,7 @@ def _validate(mesh: DeltaComplex) -> None:
     # connectivity through shared edges: hook each face's root onto the least
     # root across its sides, jump pointers until every face points at a root,
     # and repeat until no side joins two roots
-    across = (twin // 3).reshape(-1, 3).T.copy()  # (3, F): a minimum over sides reads rows
+    across = (twin - f * (twin // f)).reshape(3, f)  # (3, F): a minimum over sides reads rows
     root = np.arange(mesh.num_triangles)
     while True:
         low = np.minimum(root, root[across].min(axis=0))
@@ -348,6 +380,14 @@ def _validate(mesh: DeltaComplex) -> None:
         raise MeshError(
             f"Euler characteristic {mesh.euler_characteristic} is odd; not a closed surface"
         )
+
+
+def _at_fault(mask: np.ndarray, f: int) -> list[tuple[int, int]]:
+    """(t, e) of every slot where ``mask`` (in the storage's slot order) holds, in
+    face-major order, the order of the names 3 t + e."""
+    if not mask.any():
+        return []
+    return [divmod(x, 3) for x in np.flatnonzero(mask.reshape(3, f).T.ravel()).tolist()]
 
 
 def _orbit_rounds(labels: np.ndarray) -> int:
@@ -385,9 +425,11 @@ def build_complex(
     uses = np.bincount(slots.ravel(), minlength=labels.size)
     if uses.max() > 1:
         raise UnmatchedSlot(f"slot {divmod(int(np.argmax(uses > 1)), 3)} is glued more than once")
+    sides = np.ascontiguousarray((side * len(labels) + tri).T)  # the storage's slot names
     twin = np.full(labels.size, -1)
-    twin[slots] = slots[:, ::-1]
-    mesh = DeltaComplex(num_vertices, labels, twin, slots[:, 0])
+    twin[sides] = sides[::-1]
+    mesh = DeltaComplex.__new__(DeltaComplex)
+    mesh._store(num_vertices, labels.T, twin, sides)
     _validate(mesh)
     return mesh
 

@@ -61,9 +61,7 @@ def lengths_from_inversive(
         raise InvalidInversiveDistance(
             f"inversive distance must exceed -1; edges {bad.tolist()[:8]}"
         )
-    ends = mesh.edge_endpoints_array()
-    ra = radii[ends[:, 0]]
-    rb = radii[ends[:, 1]]
+    ra, rb = radii.take(mesh._ends)
     with np.errstate(over="ignore"):
         sq = ra * ra + rb * rb + 2.0 * inversive * ra * rb
     if (over := np.flatnonzero(np.isinf(sq))).size:
@@ -82,8 +80,8 @@ def _vector(values, size: int, error: type[MetricError], noun: str) -> np.ndarra
 def _positive(values: np.ndarray, error: type[MetricError], what: str) -> np.ndarray:
     """``values``, unless an entry is not positive and finite: then ``error``
     naming ``what`` and the first eight such ids."""
-    bad = np.flatnonzero(~(values > 0) | ~np.isfinite(values))
-    if bad.size:
+    if not (values.min(initial=np.inf) > 0 and values.max(initial=0.0) < np.inf):  # NaN fails
+        bad = np.flatnonzero(~(values > 0) | ~np.isfinite(values))
         raise error(f"{what} {bad.tolist()[:8]}")
     return values
 
@@ -140,19 +138,20 @@ class DecoratedMetric:
 
     # -- effective data ------------------------------------------------------------
 
-    def _state_key(self) -> tuple[int, int]:
-        return (self.mesh.version, self._u_token)
-
     def memo(self, compute) -> tuple[np.ndarray, ...]:
         """``compute(self)``, a tuple of arrays, computed once per state.
 
         A state is one triangulation (the mesh version) with one set of
         scale factors; a flip, new scale factors or a rebased edge starts a
-        new one.  The arrays are handed out read-only.
+        new one.  ``compute`` returns new arrays, which are made read-only
+        and handed out as they are.
         """
-        key, hit = self._state_key(), self._memo.get(compute)
+        key, hit = (self.mesh.version, self._u_token), self._memo.get(compute)
         if hit is None or hit[0] != key:
-            hit = self._memo[compute] = (key, tuple(map(_read_only, compute(self))))
+            arrays = compute(self)
+            for arr in arrays:
+                arr.flags.writeable = False
+            hit = self._memo[compute] = (key, arrays)
         return hit[1]
 
     @property
@@ -191,7 +190,7 @@ class DecoratedMetric:
         squared base length is not positive, before any write.
         """
         ids = np.atleast_1d(self.mesh._edge_ids(edge_ids))
-        sq = self.base_squares(*self.mesh.edge_endpoints_array()[ids].T, effective_lengths)
+        sq = self.base_squares(*self.mesh._ends[:, ids], effective_lengths)
         bad = np.flatnonzero(~(sq > 0))
         if bad.size:
             raise DegenerateLength(
@@ -208,7 +207,7 @@ def _effective_data(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
     """(lengths, radii) at the metric's scale factors, then the lengths gathered
     side-major, (3, F) with row e holding side e of every face, and each face's margin gate."""
     lengths, radii = apply_conformal(metric, metric._u)
-    sides = lengths[metric.mesh.slot_edge_array().T]
+    sides = lengths.take(metric.mesh._edge_of)
     return lengths, radii, sides, *triangle_margins(*sides)
 
 
@@ -223,19 +222,17 @@ def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray,
     which for a loop edge (a == b) collapses to l~ = e^{u_a} l, since the
     first two terms vanish identically.  Scale factors whose exponentials
     overflow give non-finite squares, which raise DegenerateLength like
-    non-positive ones.
+    non-positive ones.  Each end's values are gathered as one (2, E) array,
+    and exp(2u) is taken once per vertex.
     """
     u = np.asarray(u, dtype=float)
-    ends = metric.mesh.edge_endpoints_array()
-    ua, ub = u[ends[:, 0]], u[ends[:, 1]]
-    ra, rb = metric.radii[ends[:, 0]], metric.radii[ends[:, 1]]
+    ends = metric.mesh._ends
+    ua, ub = u.take(ends)
+    r = metric.radii.take(ends)
     with np.errstate(over="ignore", invalid="ignore"):
         eab = np.exp(ua + ub)
-        sq = (
-            (np.exp(2.0 * ua) - eab) * ra * ra
-            + (np.exp(2.0 * ub) - eab) * rb * rb
-            + eab * metric.base_lengths**2
-        )
+        sa, sb = (np.exp(2.0 * u).take(ends) - eab) * r * r
+        sq = sa + sb + eab * metric.base_lengths**2
     what = "scaled squared length non-positive or non-finite on edges"
     return np.sqrt(_positive(sq, DegenerateLength, what)), np.exp(u) * metric.radii
 
@@ -245,9 +242,7 @@ def inversive_from_lengths(metric: DecoratedMetric) -> np.ndarray:
 
     Invariant under scale factors, so this recovers the base decoration.
     """
-    ends = metric.mesh.edge_endpoints_array()
-    r = metric.effective_radii
-    ra, rb = r[ends[:, 0]], r[ends[:, 1]]
+    ra, rb = metric.effective_radii.take(metric.mesh._ends)
     l = metric.effective_lengths
     return (l * l - ra * ra - rb * rb) / (2.0 * ra * rb)
 

@@ -27,6 +27,8 @@ dense references.
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 
 from .errors import (
@@ -58,9 +60,11 @@ def curvature(metric: DecoratedMetric) -> np.ndarray:
 
 
 def _curvature(metric: DecoratedMetric) -> tuple[np.ndarray]:
+    # each vertex sums its corners in face-major order (face, then corner), which fixes
+    # the bits; the side-major storage is copied into that order
     angles = triangle_angles(metric)
     angle_sum = np.bincount(
-        metric.mesh.triangles.ravel(), angles.ravel(), minlength=metric.mesh.num_vertices
+        metric.mesh.triangles.reshape(-1), angles.reshape(-1), minlength=metric.mesh.num_vertices
     )
     return (2.0 * np.pi - angle_sum,)
 
@@ -80,9 +84,8 @@ def jacobian(metric: DecoratedMetric) -> np.ndarray:
     entries may be positive.
     """
     coeff = edge_weights(metric)
-    ends = metric.mesh.edge_endpoints_array()
+    a, b = metric.mesh._ends
     n = metric.mesh.num_vertices
-    a, b = ends[:, 0], ends[:, 1]
     # flat indices of (a, a), (b, b), (a, b) and (b, a), added in that order
     flat = np.concatenate([a * (n + 1), b * (n + 1), a * n + b, b * n + a])
     weights = np.concatenate([coeff, coeff, -coeff, -coeff])
@@ -164,6 +167,8 @@ def fractional_powers(lam: np.ndarray, s: float) -> np.ndarray:
     """
     lam_max = float(lam[-1]) if lam.size else 0.0
     cut = EIGEN_ZERO_REL_TOL * max(lam_max, 0.0)
+    if lam.size and lam[0] > cut:  # ascending: no kernel and no negatives
+        return lam ** s
     negatives = int(np.sum(lam < -cut))
     if negatives and s != int(s):
         raise IndefiniteOperator(
@@ -195,17 +200,19 @@ def p_rates(metric: DecoratedMetric, p: float, f: np.ndarray) -> tuple[np.ndarra
 
     For p < 2 the odd power is singular at equal values and is extended by
     its limit 0: an edge with |f_b - f_a| <= 1e-14 ||f|| weighs 0.
-    Exponents p <= 1 are rejected.
+    Exponents p <= 1 are rejected.  At p = 2 the rates are the edge
+    weights themselves, the very array ``edge_weights`` returns.
     """
     if not p > 1.0:
         raise InvalidExponent(f"p-Laplacian exponent must exceed 1, got {p}")
-    ends = metric.mesh.edge_endpoints_array()
-    jumps = np.abs(f[ends[:, 1]] - f[ends[:, 0]])
-    spread = np.max(jumps)
+    fa, fb = f.take(metric.mesh._ends)
+    jumps = np.abs(fb - fa)
+    spread = jumps.max()
     if p < 2.0:  # inf ** (p - 2) is 0: the limit of the odd power
         tiny = jumps <= P_DIFF_REL_TOL * float(np.max(np.abs(f), initial=0.0))
         jumps = np.where(tiny, np.inf, jumps)
-    return edge_weights(metric) * jumps ** (p - 2.0), spread
+    weights = edge_weights(metric)
+    return (weights if p == 2.0 else weights * jumps ** (p - 2.0)), spread
 
 
 def calabi_energy(curv: np.ndarray, target: np.ndarray) -> float:
@@ -218,14 +225,19 @@ def edge_laplacian(metric: DecoratedMetric, weights: np.ndarray):
     """f -> L f with (L f)_a = sum over the edges {a, b} of w_e (f_a - f_b), in O(E).
 
     The weights (d1 + d2)/l give dK/du; loop edges contribute nothing.
+    Each apply gathers both ends with one ``take`` and writes the flux and
+    its negative into one buffer of the operator; the result is a new array.
     """
-    ends, n = metric.mesh.edge_endpoints_array(), metric.mesh.num_vertices
-    a, b = np.ascontiguousarray(ends[:, 0]), np.ascontiguousarray(ends[:, 1])
-    both = np.concatenate([a, b])
+    ends, n = metric.mesh._ends.copy(), metric.mesh.num_vertices  # not a later flip's
+    flux = np.empty(ends.shape)
+    (out, back), both, fluxes = flux, ends.reshape(-1), flux.reshape(-1)
 
     def apply(f: np.ndarray) -> np.ndarray:
-        flux = weights * (f[a] - f[b])
-        return np.bincount(both, np.concatenate([flux, -flux]), minlength=n)
+        gathered = f.take(ends)
+        np.subtract(gathered[0], gathered[1], out=out)
+        np.multiply(weights, out, out=out)
+        np.negative(out, out=back)
+        return np.bincount(both, fluxes, minlength=n)
 
     return apply
 
@@ -334,7 +346,7 @@ def fractional_velocity(
             drift = head @ w
             w -= drift @ head
             alpha += float(drift[-1])
-            beta = float(np.sqrt(w @ w))
+            beta = sqrt(float(w @ w))
             scale = max(scale, abs(alpha) + last)
             alphas.append(alpha)
             betas.append(beta)
@@ -360,7 +372,7 @@ def _ritz_velocity(tri: np.ndarray, norm: float, s: float) -> tuple[np.ndarray, 
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to provoke
         raise NoConvergence(f"symmetric eigensolver failed on the Lanczos matrix: {exc}") from exc
     powers = fractional_powers(theta, s)
-    return -norm * (vecs @ (powers * vecs[0])), float(np.max(powers))
+    return -norm * (vecs @ (powers * vecs[0])), float(powers.max())
 
 
 def _settled(coeffs: np.ndarray, previous: np.ndarray, rtol: float) -> bool:

@@ -17,7 +17,8 @@ from math import nan, pi
 
 import numpy as np
 
-from .errors import FlipProducesDegenerate, GeometryError, MetricError, SelfFlip
+from .errors import FlipProducesDegenerate, GeometryError, MeshError, MetricError, SelfFlip
+from .errors import SurgeryError
 from .geometry import DELAUNAY_REL_TOL, triangle_angles
 from .metric import (
     TRIANGLE_MARGIN_REL_TOL,
@@ -38,8 +39,8 @@ class RandomMetricSpec:
 
     Radii and inversive distances are uniform in the given ranges, scale
     factors uniform in [-u_range, u_range] (not balanced to zero sum).
-    Draws failing triangle validation are resampled up to ``retries``
-    times.
+    Draws failing triangle validation, or, with ``delaunay``, whose flips
+    to weighted Delaunay are refused, are resampled up to ``retries`` times.
     """
 
     preset: str = "tetrahedron"
@@ -66,7 +67,7 @@ def random_metric(spec: RandomMetricSpec, seed: int) -> DecoratedMetric:
                 continue
             if spec.delaunay:
                 make_delaunay(metric)
-        except MetricError:
+        except (MetricError, SurgeryError, MeshError):  # a refused flip draws again too
             continue
         return metric
     raise RuntimeError(

@@ -120,11 +120,11 @@ def flip_metric(
     edges = np.atleast_1d(mesh._edge_ids(edges))
     pre_weights = edge_weights(metric, edges)
     # per quad, rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
-    t, slots = _quads(mesh._twin, mesh._edge_side[edges])  # shapes (2, B) and (2, 3, B)
-    lengths = metric.effective_lengths[mesh.slot_edge_array().ravel()[slots]]
+    t, slots = _quads(mesh._sides[:, edges], mesh.num_triangles)  # shapes (2, B) and (2, 3, B)
+    lengths = metric.effective_lengths.take(mesh._edge_of.take(slots))
     (_, l_jk, l_ki), (_, l_il, l_lj) = lengths
-    (at_i, at_j, _), (at_j2, at_i2, _) = triangle_angles(metric).ravel()[slots]
-    (i, j, k), (_, _, l) = mesh.triangles.ravel()[slots]
+    (at_i, at_j, _), (at_j2, at_i2, _) = triangle_angles(metric).T.take(slots)
+    (i, j, k), (_, _, l) = mesh._tri.take(slots)
     theta_i, theta_j = at_i + at_i2, at_j + at_j2
     new_length = np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i))
 
@@ -185,10 +185,10 @@ def _independent(mesh: DeltaComplex, weights: np.ndarray, bad: np.ndarray) -> np
     own = np.arange(ranked.size)
     rank = np.full(weights.size, ranked.size)
     rank[ranked] = own
-    sides = rank[mesh._edge_of].reshape(-1, 3)
-    lowest = np.minimum(np.minimum(sides[:, 0], sides[:, 1]), sides[:, 2])  # per face
-    first = mesh._edge_side[ranked]
-    return ranked[(lowest[first // 3] == own) & (lowest[mesh._twin[first] // 3] == own)]
+    r0, r1, r2 = rank.take(mesh._edge_of)
+    lowest = np.minimum(np.minimum(r0, r1), r2)  # per face
+    low1, low2 = lowest.take(mesh._sides[:, ranked], mode="wrap")  # each side's face
+    return ranked[(low1 == own) & (low2 == own)]
 
 
 def make_delaunay(
@@ -253,13 +253,13 @@ def flip_along(
     s carries the flow time t0 + s h for ``flow_time`` (t0, h).  Raises
     SurgeryBudgetExceeded like ``make_delaunay``.
     """
+    dsum, eps = delaunay_terms(metric)
+    if not (dsum < -eps).any():  # the common case: no copy of u1
+        return metric, []
     u1 = np.array(metric.conformal_factors)
     budget = SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
     events, lo = [], 0.0
-    while True:
-        dsum, eps = delaunay_terms(metric)
-        if not np.any(dsum < -eps):
-            return metric, events
+    while (dsum < -eps).any():
         if len(events) >= budget:
             raise SurgeryBudgetExceeded(
                 f"the segment's end still violates after {len(events)} flips along it"
@@ -273,11 +273,11 @@ def flip_along(
             except MetricError:
                 hi = mid
                 continue
-            if np.all(dsum >= -0.5 * eps):
+            if (dsum >= -0.5 * eps).all():
                 lo = mid
                 continue
             hi = mid
-            if np.all(dsum >= -eps):
+            if (dsum >= -eps).all():
                 break
         else:
             metric.set_conformal_factors(u1 - (1.0 - hi) * du)
@@ -290,3 +290,5 @@ def flip_along(
         )[1]
         lo = hi
         metric.set_conformal_factors(u1)
+        dsum, eps = delaunay_terms(metric)
+    return metric, events

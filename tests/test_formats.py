@@ -316,7 +316,7 @@ def test_parse_builds_the_complex_that_python_lists_build():
         mesh = parse_dpm(path.read_text()).mesh
         ref = build_complex(raw["num_vertices"], raw["triangles"], raw["gluings"])
         for mine, theirs in ((mesh._tri, ref._tri), (mesh._twin, ref._twin),
-                             (mesh._edge_side, ref._edge_side)):
+                             (mesh._sides, ref._sides)):
             assert np.array_equal(mine, theirs), path.name
 
 
@@ -473,7 +473,7 @@ def _outcome(read, text: str) -> tuple:
     except PackflowError as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
     metric, mesh = doc.metric, doc.mesh
-    arrays = (mesh._tri, mesh._twin, mesh._edge_side, metric.base_lengths, metric.radii,
+    arrays = (mesh._tri, mesh._twin, mesh._sides, metric.base_lengths, metric.radii,
               metric.conformal_factors, doc.target)
     return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays)
 

@@ -729,7 +729,7 @@ def _loop_gluings(triangles: list) -> list:
 
 
 def _storage(mesh: DeltaComplex) -> list[np.ndarray]:
-    return [mesh._tri, mesh._twin, mesh._edge_side]
+    return [mesh._tri, mesh._twin, mesh._sides]
 
 
 @pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "icosahedron", "torus_grid"])

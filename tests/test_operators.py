@@ -30,12 +30,15 @@ from packflow import (
     fd_jacobian,
     gauss_bonnet_residual,
     jacobian,
+    lengths_from_inversive,
+    make_delaunay,
     preset_complex,
     preset_metric,
     spectral,
     velocity,
 )
-from packflow.geometry import delaunay_terms, triangle_angles
+from packflow.geometry import delaunay_terms, edge_weights, triangle_angles
+from packflow.operators import edge_laplacian, p_rates
 from packflow.oracles import RandomMetricSpec, random_metric
 
 SQ3 = math.sqrt(3.0)
@@ -456,3 +459,46 @@ def test_calabi_energy():
     target = np.array([1.0, 1.0, 1.0])
     assert calabi_energy(k, target) == 5.0
     assert calabi_energy(target, target) == 0.0
+
+
+def _bumpy_and_flipped_squeezed() -> list[DecoratedMetric]:
+    # a bumpy torus_grid n = 11 (V = 121), and a squeezed n = 4 made weighted
+    # Delaunay by 16 flips: inversive distance 6 on the diagonals and 1.5 on
+    # the grid edges, radii exp(U(-0.1, 0.1))
+    bumpy = preset_metric("torus_grid", n=11)
+    u = np.random.default_rng(1).uniform(-0.2, 0.2, bumpy.mesh.num_vertices)
+    bumpy.set_conformal_factors(u - u.mean())
+    mesh = preset_complex("torus_grid", n=4)
+    radii = np.exp(np.random.default_rng(1).uniform(-0.1, 0.1, 16))
+    a, b = mesh.edge_endpoints_array().T
+    di, dj = (b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4
+    inversive = np.where((di == dj) & (di != 0), 6.0, 1.5)
+    squeezed = DecoratedMetric(mesh, lengths_from_inversive(mesh, radii, inversive), radii)
+    assert len(make_delaunay(squeezed)[1]) == 16
+    return [bumpy, squeezed]
+
+
+def test_p_rates_at_two_are_the_edge_weights_bit_for_bit():
+    # the premise on which calabi applies dK/du itself as its rate: at p = 2
+    # the rates are the weights, and the p-Laplacian is the edge Laplacian on them
+    for metric in _bumpy_and_flipped_squeezed():
+        n = metric.mesh.num_vertices
+        g = curvature(metric) - 2.0 * np.pi * metric.mesh.euler_characteristic / n
+        weights = np.array(edge_weights(metric))
+        rates, _ = p_rates(metric, 2.0, g)
+        assert rates.shape == weights.shape and rates.tobytes() == weights.tobytes()
+        flux = -edge_laplacian(metric, weights)(g)
+        assert apply_p_laplacian(metric, 2.0, g).tobytes() == flux.tobytes()
+
+
+def test_an_edge_flux_operator_returns_independent_arrays():
+    # the operator writes its fluxes into one buffer of its own; what it
+    # returns must not change when it is applied again
+    metric = _bumpy_and_flipped_squeezed()[0]
+    apply = edge_laplacian(metric, edge_weights(metric))
+    f, g = np.random.default_rng(5).normal(size=(2, metric.mesh.num_vertices))
+    y1 = apply(f)
+    kept = y1.copy()
+    apply(g)
+    assert y1.tobytes() == kept.tobytes()
+    assert y1.tobytes() == edge_laplacian(metric, edge_weights(metric))(f).tobytes()

@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from packflow import DecoratedMetric, curvature, jacobian, preset_complex, triangle_angles
-from packflow import validate_triangles
+from packflow import lengths_from_inversive, make_delaunay, validate_triangles
 from packflow.geometry import delaunay_terms, face_circles
 from packflow.metric import triangle_side_lengths
 from packflow.oracles import (
@@ -24,7 +25,7 @@ from packflow.oracles import (
     random_metric,
 )
 from packflow.surgery import delaunay_violations, flip_metric
-from packflow.errors import FlipProducesDegenerate
+from packflow.errors import FlipProducesDegenerate, MetricError, SelfFlip
 
 SPECS = [
     RandomMetricSpec(),
@@ -230,3 +231,43 @@ def test_cosine_ratio_of_thin_admissible_faces_stays_within_roundoff(aspect, dep
     )
     assume(validate_triangles(metric).admissible)
     assert np.all(np.abs(_cosine_ratios(metric)) <= 1.0 + COS_ROUNDOFF)
+
+
+REFUSED_SURGERY = RandomMetricSpec(
+    preset="tetrahedron", inversive_range=(-0.9, 3.0), radius_range=(1.0, 1.0), u_range=3.0,
+    delaunay=True,
+)
+
+
+def _first_admissible_draw(spec: RandomMetricSpec, seed: int) -> DecoratedMetric:
+    # the draw that random_metric(spec, seed) makes weighted Delaunay first
+    rng = np.random.default_rng(seed)
+    mesh = preset_complex(spec.preset, n=spec.n)
+    while True:
+        radii = rng.uniform(*spec.radius_range, size=mesh.num_vertices)
+        inv = rng.uniform(*spec.inversive_range, size=mesh.num_edges)
+        u = rng.uniform(-spec.u_range, spec.u_range, size=mesh.num_vertices)
+        try:
+            metric = DecoratedMetric(mesh, lengths_from_inversive(mesh, radii, inv), radii, u)
+        except MetricError:
+            continue
+        if validate_triangles(metric).admissible:
+            return metric
+
+
+@pytest.mark.parametrize("seed, error", [(13, FlipProducesDegenerate), (18, SelfFlip)])
+def test_random_metric_draws_again_when_its_surgery_is_refused(seed, error):
+    # making the first admissible draw weighted Delaunay is refused
+    first = _first_admissible_draw(REFUSED_SURGERY, seed)
+    with pytest.raises(error):
+        make_delaunay(first)
+    metric = random_metric(REFUSED_SURGERY, seed)
+    assert validate_triangles(metric).admissible
+    assert delaunay_violations(metric) == []
+
+
+def test_random_metric_with_surgery_always_returns_a_weighted_delaunay_metric():
+    for seed in range(300):
+        metric = random_metric(REFUSED_SURGERY, seed)
+        assert validate_triangles(metric).admissible, seed
+        assert delaunay_violations(metric) == [], seed
