@@ -85,7 +85,7 @@ from .errors import (
     SurgeryError,
 )
 from .geometry import edge_weights
-from .metric import DecoratedMetric, _effective_data
+from .metric import DecoratedMetric, validate_triangles
 from .operators import calabi_energy, curvature, edge_laplacian, p_rates
 from .operators import fractional_velocity, solve_shifted
 from .surgery import delaunay_violations, flip_along, make_delaunay
@@ -337,7 +337,7 @@ def _settle(
         w_est=w0 + w_inc,
         flips=flips,
         flips_total=flips0 + flips,
-        min_margin=float(state.memo(_effective_data)[3].min()),
+        min_margin=float(validate_triangles(state).margins.min()),
         curvature_jump=jump,
         sum_u=float(state.conformal_factors.sum()),
     )

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import DeltaComplex
-from .metric import DecoratedMetric, _effective_data, triangle_side_lengths, validate_triangles
+from .metric import DecoratedMetric, triangle_side_lengths, validate_triangles
 
 _PREV, _NEXT = np.array([2, 0, 1]), np.array([1, 2, 0])   # side or corner e -> e-1, e+1
 
@@ -140,16 +140,16 @@ def _terms(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
     Raises DegenerateTriangle naming the face when the metric is not
     admissible.
     """
-    _, radii, sides, margins, threshold = metric.memo(_effective_data)
-    if not (margins > threshold).all():
-        validate_triangles(metric).require()
-    angles, distances, powers = _faces(sides, radii.take(metric.mesh._tri))
+    validate_triangles(metric).require()
+    radii = metric.effective_radii.take(metric.mesh.corners)
+    angles, distances, powers = _faces(triangle_side_lengths(metric).T, radii)
     return angles, distances, powers, *_edge_terms(distances.T, powers, metric.mesh)
 
 
 def _edge_terms(distances: np.ndarray, powers: np.ndarray, mesh: DeltaComplex):
     """(d1 + d2, tolerance) of every edge of ``mesh``, read at its two sides, from the
-    side-major (3, F) ``distances``; a side's slot e F + t wraps to its face t."""
-    d1, d2 = distances.take(mesh._sides)
-    p1, p2 = np.abs(powers).take(mesh._sides, mode="wrap")
+    side-major (3, F) ``distances`` and the faces' ``powers``."""
+    sides = mesh.sides
+    d1, d2 = distances.take(sides)
+    p1, p2 = mesh.at_faces(np.abs(powers), sides)
     return d1 + d2, DELAUNAY_REL_TOL * np.sqrt(np.maximum(p1, p2))

@@ -26,13 +26,18 @@ row.  ``_tri`` (3, F) holds the corner labels, ``_edge_of`` (3, F) the
 edge id under each slot and ``_twin`` (3F,) the slot glued to each slot;
 per edge, ``_sides`` (2, E) holds its first side and the side glued to it,
 and ``_ends`` (2, E) the labels read off the first side, tail row first.
-Outside the class a slot keeps its face-major name ``3 t + e`` (the
-constructor's gluing, ``edge_sides_array`` and error messages).  A flip
-rewrites two triangles, six slots and five edge columns in place; a copy
-copies the arrays.  ``triangles``, ``slot_edge_array`` and
-``edge_endpoints_array`` return read-only (F, 3), (F, 3) and (E, 2) views
-of the storage, so no caller can corrupt the complex; a view follows later
-flips.
+The constructor's gluing, ``edge_sides_array`` and error messages name a
+slot face-major, ``3 t + e``.  A flip rewrites two triangles, six slots
+and five edge columns in place; a copy copies the arrays.
+
+Callers read the storage through read-only views, so no caller can
+corrupt the complex, and a view follows later flips: ``triangles``,
+``slot_edge_array`` and ``edge_endpoints_array`` (F, 3), (F, 3) and
+(E, 2), and, for the kernels, ``corners``, ``edge_of``, ``ends`` and
+``sides`` as stored.  Outside this module a slot is only a flat index
+into a side-major (3, F) array; ``at_faces`` reads a per-face value at a
+slot and ``quads`` names the slots around an edge, so no other module
+decodes the numbering.
 """
 
 from __future__ import annotations
@@ -57,16 +62,6 @@ Slot = tuple[int, int]
 
 # row r, column e: the offset, in rows, from side e of a triangle to its side (e + r) % 3
 _TURN = np.array([[0, 0, 0], [1, 1, -2], [2, -1, -1]])
-
-
-def _quads(sides: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
-    """Faces (2, B) of the slots ``sides`` (2, B) of a complex of ``f`` faces, and their
-    slots (2, 3, B).
-
-    Each face's slots start at that side: the side, the next side, the previous side.
-    """
-    e = sides // f
-    return sides - f * e, sides[:, None] + (f * _TURN).take(e, axis=1).swapaxes(0, 1)
 
 
 def _side_major(slots: np.ndarray, f: int) -> np.ndarray:
@@ -122,16 +117,11 @@ class DeltaComplex:
                 f" in [0, {slots})"
             )
         f = tri.shape[0]
-        sides = _side_major(np.stack([first, twin[first]]), f)
-        twin = np.ascontiguousarray(twin.reshape(f, 3).T).reshape(-1)  # in the storage's order
-        twin = np.where((twin >= 0) & (twin < slots), _side_major(twin, f), -1)
-        self._store(num_vertices, tri.T, twin, sides)
-
-    def _store(self, num_vertices: int, tri: np.ndarray, twin: np.ndarray, sides: np.ndarray):
-        """Keep the side-major corner labels (3, F), ``twin`` and ``sides`` (2, E) in the
-        storage's slot names, and derive the edge ids and ends from them."""
         self.num_vertices = int(num_vertices)
-        self._tri, self._twin, self._sides = np.ascontiguousarray(tri), twin, sides
+        self._tri = np.ascontiguousarray(tri.T)
+        self._sides = sides = _side_major(np.stack([first, twin[first]]), f)
+        twin = np.ascontiguousarray(twin.reshape(f, 3).T).reshape(-1)  # in the storage's order
+        self._twin = np.where((twin >= 0) & (twin < slots), _side_major(twin, f), -1)
         self._edge_of = np.full(self._tri.shape, -1, dtype=np.int64)
         self._edge_of.reshape(-1)[sides] = np.arange(sides.shape[1])
         heads = self._tri.take([1, 2, 0], axis=0)  # the head label of each side
@@ -183,6 +173,42 @@ class DeltaComplex:
         """Vertex labels by edge id, shape (E, 2)."""
         return _read_only(self._ends.T)
 
+    # -- side-major views, the layout the per-state kernels gather with ---------
+    # A side-major array is (3, F), row e holding side or corner e of every face;
+    # ``sides`` and ``quads`` hold slots, flat indices into any such array.
+
+    @property
+    def corners(self) -> np.ndarray:
+        """Corner labels, side-major (3, F), read-only."""
+        return _read_only(self._tri)
+
+    @property
+    def edge_of(self) -> np.ndarray:
+        """Edge id under each side, side-major (3, F), read-only."""
+        return _read_only(self._edge_of)
+
+    @property
+    def ends(self) -> np.ndarray:
+        """Tail and head labels of each edge, rows of shape (2, E), read-only."""
+        return _read_only(self._ends)
+
+    @property
+    def sides(self) -> np.ndarray:
+        """Slots of each edge's first side and of the side glued to it, (2, E), read-only."""
+        return _read_only(self._sides)
+
+    def at_faces(self, values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """``values`` (F,), one per face, read at the face of each of ``slots``."""
+        return values.take(slots, mode="wrap")  # slot e F + t wraps to t
+
+    def quads(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Faces (2, B) over the first and second sides of ``edges`` (ids), and their
+        slots (2, 3, B); each face's slots start at that side: the side, the next side,
+        the previous side."""
+        sides, f = self._sides[:, edges], self.num_triangles
+        e = sides // f
+        return sides - f * e, sides[:, None] + (f * _TURN).take(e, axis=1).swapaxes(0, 1)
+
     # -- mutation ------------------------------------------------------------
 
     def flip_many(self, edges: Sequence[int] | int) -> None:
@@ -204,7 +230,7 @@ class DeltaComplex:
         twin, sides = self._twin, self._sides
         f = self.num_triangles
         ids = self._edge_ids(edges).reshape(-1)
-        t, slots = _quads(sides[:, ids], f)
+        t, slots = self.quads(ids)
         lone = np.flatnonzero(t[0] == t[1])
         if lone.size:
             raise SelfFlip(
@@ -425,11 +451,9 @@ def build_complex(
     uses = np.bincount(slots.ravel(), minlength=labels.size)
     if uses.max() > 1:
         raise UnmatchedSlot(f"slot {divmod(int(np.argmax(uses > 1)), 3)} is glued more than once")
-    sides = np.ascontiguousarray((side * len(labels) + tri).T)  # the storage's slot names
     twin = np.full(labels.size, -1)
-    twin[sides] = sides[::-1]
-    mesh = DeltaComplex.__new__(DeltaComplex)
-    mesh._store(num_vertices, labels.T, twin, sides)
+    twin[slots] = slots[:, ::-1]
+    mesh = DeltaComplex(num_vertices, labels, twin, slots[:, 0])
     _validate(mesh)
     return mesh
 

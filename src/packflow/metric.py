@@ -35,11 +35,15 @@ class MarginReport:
 
     margins: np.ndarray
     threshold: np.ndarray
-    worst_triangle: int
+
+    @property
+    def worst_triangle(self) -> int:
+        """The face that clears its threshold by the least."""
+        return int(np.argmin(self.margins - self.threshold))
 
     @property
     def admissible(self) -> bool:
-        return bool(np.all(self.margins > self.threshold))
+        return bool((self.margins > self.threshold).all())
 
     def require(self) -> None:
         if not self.admissible:
@@ -61,7 +65,7 @@ def lengths_from_inversive(
         raise InvalidInversiveDistance(
             f"inversive distance must exceed -1; edges {bad.tolist()[:8]}"
         )
-    ra, rb = radii.take(mesh._ends)
+    ra, rb = radii.take(mesh.ends)
     with np.errstate(over="ignore"):
         sq = ra * ra + rb * rb + 2.0 * inversive * ra * rb
     if (over := np.flatnonzero(np.isinf(sq))).size:
@@ -190,7 +194,7 @@ class DecoratedMetric:
         squared base length is not positive, before any write.
         """
         ids = np.atleast_1d(self.mesh._edge_ids(edge_ids))
-        sq = self.base_squares(*self.mesh._ends[:, ids], effective_lengths)
+        sq = self.base_squares(*self.mesh.ends[:, ids], effective_lengths)
         bad = np.flatnonzero(~(sq > 0))
         if bad.size:
             raise DegenerateLength(
@@ -207,7 +211,7 @@ def _effective_data(metric: DecoratedMetric) -> tuple[np.ndarray, ...]:
     """(lengths, radii) at the metric's scale factors, then the lengths gathered
     side-major, (3, F) with row e holding side e of every face, and each face's margin gate."""
     lengths, radii = apply_conformal(metric, metric._u)
-    sides = lengths.take(metric.mesh._edge_of)
+    sides = lengths.take(metric.mesh.edge_of)
     return lengths, radii, sides, *triangle_margins(*sides)
 
 
@@ -226,7 +230,7 @@ def apply_conformal(metric: DecoratedMetric, u: np.ndarray) -> tuple[np.ndarray,
     and exp(2u) is taken once per vertex.
     """
     u = np.asarray(u, dtype=float)
-    ends = metric.mesh._ends
+    ends = metric.mesh.ends
     ua, ub = u.take(ends)
     r = metric.radii.take(ends)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,7 +246,7 @@ def inversive_from_lengths(metric: DecoratedMetric) -> np.ndarray:
 
     Invariant under scale factors, so this recovers the base decoration.
     """
-    ra, rb = metric.effective_radii.take(metric.mesh._ends)
+    ra, rb = metric.effective_radii.take(metric.mesh.ends)
     l = metric.effective_lengths
     return (l * l - ra * ra - rb * rb) / (2.0 * ra * rb)
 
@@ -262,8 +266,7 @@ def validate_triangles(metric: DecoratedMetric) -> MarginReport:
     the least.  Computed once per state of the metric; to probe other
     scale factors, set them on a copy.
     """
-    margins, threshold = metric.memo(_effective_data)[3:]
-    return MarginReport(margins, threshold, int(np.argmin(margins - threshold)))
+    return MarginReport(*metric.memo(_effective_data)[3:])
 
 
 def triangle_margins(s0, s1, s2) -> tuple[np.ndarray, np.ndarray]:

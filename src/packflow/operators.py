@@ -84,7 +84,7 @@ def jacobian(metric: DecoratedMetric) -> np.ndarray:
     entries may be positive.
     """
     coeff = edge_weights(metric)
-    a, b = metric.mesh._ends
+    a, b = metric.mesh.ends
     n = metric.mesh.num_vertices
     # flat indices of (a, a), (b, b), (a, b) and (b, a), added in that order
     flat = np.concatenate([a * (n + 1), b * (n + 1), a * n + b, b * n + a])
@@ -201,11 +201,13 @@ def p_rates(metric: DecoratedMetric, p: float, f: np.ndarray) -> tuple[np.ndarra
     For p < 2 the odd power is singular at equal values and is extended by
     its limit 0: an edge with |f_b - f_a| <= 1e-14 ||f|| weighs 0.
     Exponents p <= 1 are rejected.  At p = 2 the rates are the edge
-    weights themselves, the very array ``edge_weights`` returns.
+    weights themselves, the very array ``edge_weights`` returns: read-only
+    and shared by every caller in this state, where any other p returns a
+    new array.  Copy the rates before writing to them.
     """
     if not p > 1.0:
         raise InvalidExponent(f"p-Laplacian exponent must exceed 1, got {p}")
-    fa, fb = f.take(metric.mesh._ends)
+    fa, fb = f.take(metric.mesh.ends)
     jumps = np.abs(fb - fa)
     spread = jumps.max()
     if p < 2.0:  # inf ** (p - 2) is 0: the limit of the odd power
@@ -228,7 +230,7 @@ def edge_laplacian(metric: DecoratedMetric, weights: np.ndarray):
     Each apply gathers both ends with one ``take`` and writes the flux and
     its negative into one buffer of the operator; the result is a new array.
     """
-    ends, n = metric.mesh._ends.copy(), metric.mesh.num_vertices  # not a later flip's
+    ends, n = metric.mesh.ends.copy(), metric.mesh.num_vertices  # not a later flip's
     flux = np.empty(ends.shape)
     (out, back), both, fluxes = flux, ends.reshape(-1), flux.reshape(-1)
 

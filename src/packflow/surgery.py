@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import FlipProducesDegenerate, MetricError, SelfFlip, SurgeryBudgetExceeded
 from .geometry import delaunay_terms, edge_weights, triangle_angles
-from .mesh import DeltaComplex, _quads
+from .mesh import DeltaComplex
 from .metric import DecoratedMetric, triangle_margins
 
 logger = logging.getLogger(__name__)
@@ -120,11 +120,11 @@ def flip_metric(
     edges = np.atleast_1d(mesh._edge_ids(edges))
     pre_weights = edge_weights(metric, edges)
     # per quad, rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
-    t, slots = _quads(mesh._sides[:, edges], mesh.num_triangles)  # shapes (2, B) and (2, 3, B)
-    lengths = metric.effective_lengths.take(mesh._edge_of.take(slots))
+    t, slots = mesh.quads(edges)  # shapes (2, B) and (2, 3, B)
+    lengths = metric.effective_lengths.take(mesh.edge_of.take(slots))
     (_, l_jk, l_ki), (_, l_il, l_lj) = lengths
     (at_i, at_j, _), (at_j2, at_i2, _) = triangle_angles(metric).T.take(slots)
-    (i, j, k), (_, _, l) = mesh._tri.take(slots)
+    (i, j, k), (_, _, l) = mesh.corners.take(slots)
     theta_i, theta_j = at_i + at_i2, at_j + at_j2
     new_length = np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i))
 
@@ -185,9 +185,9 @@ def _independent(mesh: DeltaComplex, weights: np.ndarray, bad: np.ndarray) -> np
     own = np.arange(ranked.size)
     rank = np.full(weights.size, ranked.size)
     rank[ranked] = own
-    r0, r1, r2 = rank.take(mesh._edge_of)
+    r0, r1, r2 = rank.take(mesh.edge_of)
     lowest = np.minimum(np.minimum(r0, r1), r2)  # per face
-    low1, low2 = lowest.take(mesh._sides[:, ranked], mode="wrap")  # each side's face
+    low1, low2 = mesh.at_faces(lowest, mesh.sides[:, ranked])
     return ranked[(low1 == own) & (low2 == own)]
 
 
@@ -253,13 +253,13 @@ def flip_along(
     s carries the flow time t0 + s h for ``flow_time`` (t0, h).  Raises
     SurgeryBudgetExceeded like ``make_delaunay``.
     """
-    dsum, eps = delaunay_terms(metric)
-    if not (dsum < -eps).any():  # the common case: no copy of u1
-        return metric, []
     u1 = np.array(metric.conformal_factors)
     budget = SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
     events, lo = [], 0.0
-    while (dsum < -eps).any():
+    while True:
+        dsum, eps = delaunay_terms(metric)
+        if not (dsum < -eps).any():
+            return metric, events
         if len(events) >= budget:
             raise SurgeryBudgetExceeded(
                 f"the segment's end still violates after {len(events)} flips along it"
@@ -290,5 +290,3 @@ def flip_along(
         )[1]
         lo = hi
         metric.set_conformal_factors(u1)
-        dsum, eps = delaunay_terms(metric)
-    return metric, events

@@ -491,6 +491,20 @@ def test_p_rates_at_two_are_the_edge_weights_bit_for_bit():
         assert apply_p_laplacian(metric, 2.0, g).tobytes() == flux.tobytes()
 
 
+def test_edge_weights_are_one_read_only_array_per_state():
+    # edge_weights is memoized and handed to every caller as is, p_rates at
+    # p = 2 included; a write through any of them must fail, not leak
+    metric = _bumpy_and_flipped_squeezed()[0]
+    weights = edge_weights(metric)
+    g = curvature(metric)
+    rates, _ = p_rates(metric, 2.0, g)
+    assert rates is weights and edge_weights(metric) is weights
+    for shared in (weights, rates):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+    assert p_rates(metric, 3.0, g)[0].flags.writeable
+
+
 def test_an_edge_flux_operator_returns_independent_arrays():
     # the operator writes its fluxes into one buffer of its own; what it
     # returns must not change when it is applied again
