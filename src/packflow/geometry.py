@@ -31,12 +31,12 @@ powers face by face from side-major arrays, never from a metric: lengths
 and radii as (3, F) columns, row e holding side or corner e of every
 face, so sides e-1 and e+1 are whole rows.  The whole-mesh pass gathers
 them once per metric state with ``take`` on the complex's side-major
-storage, which is laid out for it: the lengths are the gather the margin
-gate reads (through the edge ids of the slots), the radii are gathered
-through the corner labels, and no gather reads a strided column.  It runs
-the kernel behind that gate, so surgery pays for one more pass per round
-of flips, and reads d1 + d2 of each edge at the edge's two slots, the
-powers at their faces.  Heron's rule orders each face's sides by
+views, laid out for it: the lengths are the gather the margin gate reads
+(through ``edge_of``), the radii are gathered through ``corners``, and
+no gather reads a strided column.  It runs the kernel behind that gate,
+so surgery pays for one more pass per round of flips, and reads d1 + d2
+of each edge at the edge's two ``sides``, the powers at their faces
+(``at_faces``).  Heron's rule orders each face's sides by
 maximum and minimum, which select the values a sort would, with no
 sort.  Behind the gate the cosine ratio leaves [-1, 1] by roundoff only,
 so a clip, not a guard, keeps arccos defined.  Curvature sums the
