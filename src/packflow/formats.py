@@ -365,12 +365,9 @@ def emit_dpm(metric: DecoratedMetric, target: np.ndarray | None = None) -> str:
     mesh = metric.mesh
     kept = mesh.text_blocks or {}
     triangles = kept.get("triangles") or _int_block("    [%d, %d, %d]", mesh.triangles)
-    gluings = kept.get("gluings")
-    if not gluings:  # each side's (triangle, side) pair
-        t = (sides := mesh.edge_sides_array()) // 3
-        gluings = _int_block(
-            "    [\n      [%d, %d],\n      [%d, %d]\n    ]", np.stack([t, sides - 3 * t], -1)
-        )
+    gluings = kept.get("gluings") or _int_block(
+        "    [\n      [%d, %d],\n      [%d, %d]\n    ]", mesh.gluings()
+    )
     fields = [
         f'"format": "{FORMAT_NAME}"',
         f'"num_vertices": {mesh.num_vertices}',

@@ -22,22 +22,24 @@ Storage is integer arrays in the layout the per-state kernels gather
 with, side-major, halfedge style.  Side ``e`` of triangle ``t`` (and corner
 ``e``, which shares the numbering) is slot ``e F + t``: row ``e``, column
 ``t`` of a (3, F) array, so that side e of every face is one contiguous
-row.  ``_tri`` (3, F) holds the corner labels, ``_edge_of`` (3, F) the
-edge id under each slot and ``_twin`` (3F,) the slot glued to each slot;
-per edge, ``_sides`` (2, E) holds its first side and the side glued to it,
-and ``_ends`` (2, E) the labels read off the first side, tail row first.
-The constructor's gluing, ``edge_sides_array`` and error messages name a
-slot face-major, ``3 t + e``.  A flip rewrites two triangles, six slots
-and five edge columns in place; a copy copies the arrays.
+row.  That is the one integer name of a slot; a person reads the pair
+``(t, e)``, in gluings and in error messages.  ``_tri`` (3, F) holds the
+corner labels, ``_edge_of`` (3, F) the edge id under each slot and
+``_twin`` (3F,) the slot glued to each slot; per edge, ``_sides`` (2, E)
+holds its first side and the side glued to it, and ``_ends`` (2, E) the
+labels read off the first side, tail row first.  A flip rewrites two
+triangles, six slots and five edge columns in place; a copy copies the
+arrays.
 
 Callers read the storage through read-only views, so no caller can
 corrupt the complex, and a view follows later flips: ``triangles``,
 ``slot_edge_array`` and ``edge_endpoints_array`` (F, 3), (F, 3) and
 (E, 2), and, for the kernels, ``corners``, ``edge_of``, ``ends`` and
-``sides`` as stored.  Outside this module a slot is only a flat index
-into a side-major (3, F) array; ``at_faces`` reads a per-face value at a
-slot and ``quads`` names the slots around an edge, so no other module
-decodes the numbering.
+``sides`` as stored.  ``gluings`` gives each edge's two sides as (t, e)
+pairs, the form ``build_complex`` takes and dpm-1 writes.  Outside this
+module a slot is only a flat index into a side-major (3, F) array;
+``at_faces`` reads a per-face value at a slot and ``quads`` names the
+slots around an edge, so no other module decodes the numbering.
 """
 
 from __future__ import annotations
@@ -64,12 +66,6 @@ Slot = tuple[int, int]
 _TURN = np.array([[0, 0, 0], [1, 1, -2], [2, -1, -1]])
 
 
-def _side_major(slots: np.ndarray, f: int) -> np.ndarray:
-    """Face-major slot names 3 t + e as the storage's e f + t."""
-    t = slots // 3
-    return (slots - 3 * t) * f + t
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.flags.writeable = False
@@ -81,10 +77,11 @@ class DeltaComplex:
 
     Use :func:`build_complex` or :func:`infer_gluings` instead of the raw
     constructor; they run the full validation pass.  The constructor takes
-    the corner labels (F, 3), ``twin`` (face-major slot names 3 t + e, -1
-    where a side is unglued) and ``edge_side`` (the first side of each
-    edge, whose order fixes the edge ids) and derives the rest of the
-    side-major storage (see the module docstring); it raises
+    the corner labels (F, 3) and two arrays of stored slots ``e F + t``:
+    ``twin`` (3F,), the slot glued to each slot (-1 where a side is
+    unglued), and ``edge_side``, the first side of each edge, whose order
+    fixes the edge ids.  It keeps ``twin`` as given and derives the rest of
+    the storage (see the module docstring); it raises
     :class:`UnmatchedSlot` only where they name a slot the derivation
     cannot index.
 
@@ -116,12 +113,10 @@ class DeltaComplex:
                 f"twin needs {slots} entries and every edge a first side glued to a side"
                 f" in [0, {slots})"
             )
-        f = tri.shape[0]
         self.num_vertices = int(num_vertices)
         self._tri = np.ascontiguousarray(tri.T)
-        self._sides = sides = _side_major(np.stack([first, twin[first]]), f)
-        twin = np.ascontiguousarray(twin.reshape(f, 3).T).reshape(-1)  # in the storage's order
-        self._twin = np.where((twin >= 0) & (twin < slots), _side_major(twin, f), -1)
+        self._twin = twin
+        self._sides = sides = np.stack([first, twin[first]])
         self._edge_of = np.full(self._tri.shape, -1, dtype=np.int64)
         self._edge_of.reshape(-1)[sides] = np.arange(sides.shape[1])
         heads = self._tri.take([1, 2, 0], axis=0)  # the head label of each side
@@ -160,10 +155,10 @@ class DeltaComplex:
 
     # -- index arrays (read-only views of the storage) ------------------------
 
-    def edge_sides_array(self) -> np.ndarray:
-        """Slots 3 t + e of the two sides of each edge, first side first, shape (E, 2)."""
-        e = self._sides // self.num_triangles
-        return (3 * (self._sides - self.num_triangles * e) + e).T
+    def gluings(self) -> np.ndarray:
+        """(t, e) of the two sides of each edge, first side first, shape (E, 2, 2)."""
+        e, t = np.divmod(self._sides.T, self.num_triangles)
+        return np.stack([t, e], axis=-1)
 
     def slot_edge_array(self) -> np.ndarray:
         """Edge id under each (triangle, side) slot, shape (F, 3)."""
@@ -333,29 +328,29 @@ def _check_labels(n: int, triangles: Sequence[Sequence[int]]) -> np.ndarray:
 
 def _validate(mesh: DeltaComplex) -> None:
     """Everything but the labels, which ``_check_labels`` covers; on the storage's arrays.
-    A fault names the first slot at fault in face-major order (``_at_fault``)."""
+    A fault names the first slot at fault in stored order, as (t, e) (``_named``)."""
     f, twin = mesh.num_triangles, mesh._twin
     s = np.arange(twin.size)
-    lonely = _at_fault((twin < 0) | (twin >= twin.size), f)
-    if lonely:
-        raise UnmatchedSlot(f"sides missing from the gluing: {lonely[:4]}")
-    unpaired = _at_fault((twin == s) | (twin[twin] != s), f)
-    if unpaired:
-        (t, e) = a = unpaired[0]
-        p = divmod(twin.item(e * f + t), f)[::-1]  # the (t, e) glued to it
+    lonely = np.flatnonzero((twin < 0) | (twin >= twin.size))
+    if lonely.size:
+        raise UnmatchedSlot(f"sides missing from the gluing: {_named(lonely[:4], f)}")
+    unpaired = np.flatnonzero((twin == s) | (twin[twin] != s))
+    if unpaired.size:
+        a = unpaired[0]
+        named, glued = _named([a, twin[a]], f)
         raise UnmatchedSlot(
-            f"slot {a} glued to itself" if a == p
-            else f"gluing is not an involution at {a} <-> {p}"
+            f"slot {named} glued to itself" if named == glued
+            else f"gluing is not an involution at {named} <-> {glued}"
         )
     labels = mesh._tri.ravel()
     head = mesh._tri.take([1, 2, 0], axis=0).ravel()  # the head label of each side
-    twisted = _at_fault((labels != head[twin]) | (head != labels[twin]), f)
-    if twisted:
-        t, e = twisted[0]
-        a = e * f + t
-        p = twin.item(a)
+    twisted = np.flatnonzero((labels != head[twin]) | (head != labels[twin]))
+    if twisted.size:
+        a = twisted[0]
+        p = twin[a]
+        named, glued = _named([a, p], f)
         raise OrientationMismatch(
-            f"slots {twisted[0]} ({labels[a]}->{head[a]}) and {divmod(p, f)[::-1]}"
+            f"slots {named} ({labels[a]}->{head[a]}) and {glued}"
             f" ({labels[p]}->{head[p]} reversed) disagree on labels"
         )
 
@@ -408,12 +403,9 @@ def _validate(mesh: DeltaComplex) -> None:
         )
 
 
-def _at_fault(mask: np.ndarray, f: int) -> list[tuple[int, int]]:
-    """(t, e) of every slot where ``mask`` (in the storage's slot order) holds, in
-    face-major order, the order of the names 3 t + e."""
-    if not mask.any():
-        return []
-    return [divmod(x, 3) for x in np.flatnonzero(mask.reshape(3, f).T.ravel()).tolist()]
+def _named(slots, f: int) -> list[tuple[int, int]]:
+    """The (t, e) of each of ``slots``, as a person reads them."""
+    return [(a % f, a // f) for a in np.asarray(slots).tolist()]
 
 
 def _orbit_rounds(labels: np.ndarray) -> int:
@@ -442,15 +434,15 @@ def build_complex(
         pairs = pairs.astype(np.int64, casting="safe", copy=False).reshape(len(gluings), 2, 2)
     except (TypeError, ValueError):
         raise UnmatchedSlot("gluings must be pairs of (triangle, side) slots of integers") from None
-    tri, side = pairs[..., 0], pairs[..., 1]
-    outside = (tri < 0) | (tri >= len(labels)) | (side < 0) | (side >= 3)
+    f, tri, side = len(labels), pairs[..., 0], pairs[..., 1]
+    outside = (tri < 0) | (tri >= f) | (side < 0) | (side >= 3)
     if outside.any():
         slot = tuple(pairs.reshape(-1, 2)[np.argmax(outside)].tolist())
         raise UnmatchedSlot(f"gluing references slot {slot} outside the complex")
-    slots = 3 * tri + side
+    slots = side * f + tri
     uses = np.bincount(slots.ravel(), minlength=labels.size)
     if uses.max() > 1:
-        raise UnmatchedSlot(f"slot {divmod(int(np.argmax(uses > 1)), 3)} is glued more than once")
+        raise UnmatchedSlot(f"slot {_named([np.argmax(uses > 1)], f)[0]} is glued more than once")
     twin = np.full(labels.size, -1)
     twin[slots] = slots[:, ::-1]
     mesh = DeltaComplex(num_vertices, labels, twin, slots[:, 0])

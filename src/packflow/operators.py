@@ -167,8 +167,6 @@ def fractional_powers(lam: np.ndarray, s: float) -> np.ndarray:
     """
     lam_max = float(lam[-1]) if lam.size else 0.0
     cut = EIGEN_ZERO_REL_TOL * max(lam_max, 0.0)
-    if lam.size and lam[0] > cut:  # ascending: no kernel and no negatives
-        return lam ** s
     negatives = int(np.sum(lam < -cut))
     if negatives and s != int(s):
         raise IndefiniteOperator(

@@ -75,11 +75,6 @@ def random_metric(spec: RandomMetricSpec, seed: int) -> DecoratedMetric:
     )
 
 
-def _edge_slots(mesh) -> list:
-    """The (triangle, side) slots of each edge's two sides, first side first, as lists."""
-    return np.stack(np.divmod(mesh.edge_sides_array(), 3), axis=-1).tolist()
-
-
 def _oracle_layout(l01: float, l12: float, l20: float) -> np.ndarray:
     """Corner 0 at the origin, corner 1 at (l01, 0), corner 2 above the axis."""
     x = (l01 * l01 + l20 * l20 - l12 * l12) / (2.0 * l01)
@@ -166,7 +161,7 @@ def oracle_delaunay_via_angles(metric: DecoratedMetric, edge_id: int) -> bool:
         edge_half_chord(metric.effective_lengths[edge_id], r[ends[0]], r[ends[1]])
     )
     total = 0.0
-    for t, e in _edge_slots(metric.mesh)[edge_id]:
+    for t, e in metric.mesh.gluings()[edge_id].tolist():
         sides = metric.effective_lengths[metric.mesh.slot_edge_array()[t]]
         d = oracle_face_circle(sides, r[metric.mesh.triangles[t]])[2][e]
         total += float(np.arctan2(chord, d))
@@ -191,7 +186,7 @@ def oracle_flip_length(metric: DecoratedMetric, edge_id: int) -> float:
         y = np.sqrt(max(out_len * out_len - x * x, 0.0))
         return x, y
 
-    (x1, y1), (x2, y2) = (apex_xy(t, e) for t, e in _edge_slots(metric.mesh)[edge_id])
+    (x1, y1), (x2, y2) = (apex_xy(t, e) for t, e in metric.mesh.gluings()[edge_id].tolist())
     # The second side traverses the edge backwards, so its apex abscissa is
     # measured from the other endpoint; reflect it below the axis.
     shared = lengths[edge_id]
@@ -216,7 +211,7 @@ def oracle_delaunay_violations(metric: DecoratedMetric) -> list[tuple[int, float
         for sides, corners in zip(mesh.slot_edge_array(), mesh.triangles)
     ]
     violations = []
-    for edge_id, sides in enumerate(_edge_slots(mesh)):
+    for edge_id, sides in enumerate(mesh.gluings().tolist()):
         dsum = sum(float(circles[t][2][e]) for t, e in sides)
         scale = max(abs(circles[t][1]) for t, _ in sides)
         if dsum < -DELAUNAY_REL_TOL * np.sqrt(scale):
@@ -247,7 +242,7 @@ def _oracle_flip(
     metric: DecoratedMetric, edge_id: int, weight: float, ordinal: int
 ) -> SurgeryEvent:
     mesh = metric.mesh
-    (t1, e1), (t2, e2) = _edge_slots(mesh)[edge_id]
+    (t1, e1), (t2, e2) = mesh.gluings()[edge_id].tolist()
     if t1 == t2:
         raise SelfFlip(f"edge {edge_id} has both sides on triangle {t1}")
     tri1, tri2 = mesh.triangles[[t1, t2]].tolist()

@@ -404,8 +404,8 @@ def _reference_emit(metric, target=None) -> str:
     mesh = metric.mesh
     triangles = ",\n".join("    [%d, %d, %d]" % tuple(tri) for tri in mesh.triangles.tolist())
     gluings = ",\n".join(
-        "    [\n      [%d, %d],\n      [%d, %d]\n    ]" % (*divmod(a, 3), *divmod(b, 3))
-        for a, b in mesh.edge_sides_array().tolist()
+        "    [\n      [%d, %d],\n      [%d, %d]\n    ]" % (*a, *b)
+        for a, b in mesh.gluings().tolist()
     )
     fields = [
         '"format": "dpm-1"',

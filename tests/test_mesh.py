@@ -54,11 +54,6 @@ def _degrees(mesh: DeltaComplex) -> np.ndarray:
     return np.bincount(mesh.triangles.ravel(), minlength=mesh.num_vertices)
 
 
-def _gluings(mesh: DeltaComplex) -> list:
-    """The (triangle, side) slots of each edge's two sides, by edge id, as lists."""
-    return np.stack(np.divmod(mesh.edge_sides_array(), 3), axis=-1).tolist()
-
-
 def test_tetrahedron_stars_are_cyclic_and_degree_three():
     mesh = infer_gluings(4, TETRA_FACES)
     mesh.check()
@@ -179,7 +174,7 @@ def test_build_rejects_one_label_on_two_points():
     # two antipodal points now share label 0
     octahedron = preset_complex("octahedron")
     faces = np.where(octahedron.triangles == 5, 0, octahedron.triangles).tolist()
-    gluings = _gluings(octahedron)
+    gluings = octahedron.gluings().tolist()
     with pytest.raises(InconsistentVertexLabels) as info:
         build_complex(5, faces, gluings)
     assert type(info.value) is InconsistentVertexLabels
@@ -198,7 +193,7 @@ def test_build_rejects_one_label_on_both_apexes_of_a_bipyramid():
     bipyramid = _bipyramid17()
     faces = np.where(bipyramid.triangles == 18, 17, bipyramid.triangles).tolist()
     with pytest.raises(InconsistentVertexLabels) as info:
-        build_complex(18, faces, _gluings(bipyramid))
+        build_complex(18, faces, bipyramid.gluings().tolist())
     assert str(info.value) == "vertex label 17 names two distinct points of the surface"
 
 
@@ -207,7 +202,7 @@ def test_the_orbit_bound_has_no_round_to_spare_on_a_bipyramid(monkeypatch):
     # corners fall one short), so a bound one round lower splits each
     # apex's orbit in two and refuses the valid complex
     bipyramid = _bipyramid17()
-    faces, gluings = bipyramid.triangles.tolist(), _gluings(bipyramid)
+    faces, gluings = bipyramid.triangles.tolist(), bipyramid.gluings().tolist()
     rounds = mesh_module._orbit_rounds
     assert rounds(bipyramid.triangles.ravel()) == 5
     build_complex(19, faces, gluings).check()
@@ -220,7 +215,7 @@ def test_flip_moves_diagonal_and_keeps_counts():
     mesh = infer_gluings(4, TETRA_FACES)
     before = (mesh.num_vertices, mesh.num_edges, mesh.num_triangles)
     i, j = mesh.edge_endpoints_array()[0].tolist()
-    t1, t2 = (mesh.edge_sides_array()[0] // 3).tolist()
+    t1, t2 = mesh.gluings()[0, :, 0].tolist()
     assert mesh.flip(0) is None
     mesh.check()
     assert (mesh.num_vertices, mesh.num_edges, mesh.num_triangles) == before
@@ -228,7 +223,7 @@ def test_flip_moves_diagonal_and_keeps_counts():
     assert {k, l} == {0, 1, 2, 3} - {i, j}
     # (i, j, k) and (j, i, l) became (l, j, k) and (k, i, l), glued along k -> l
     assert mesh.triangles[[t1, t2]].tolist() == [[l, j, k], [k, i, l]]
-    assert mesh.edge_sides_array()[0].tolist() == [3 * t1 + 2, 3 * t2 + 2]
+    assert mesh.gluings()[0].tolist() == [[t1, 2], [t2, 2]]
     assert mesh.version == 1
 
 
@@ -266,16 +261,16 @@ def test_flip_on_one_vertex_torus_stays_valid():
 def _self_glued() -> DeltaComplex:
     # assembled through the raw constructor, which skips validation: an edge
     # whose two sides sit on a single triangle has no flip quadrilateral.
-    # Slot 3 t + e is side e of triangle t; the gluings are (0,0)-(0,1),
-    # (0,2)-(1,0) and (1,1)-(1,2), one edge each, in that order.
-    twin = [1, 0, 3, 2, 5, 4]
-    edge_side = [0, 2, 4]
+    # Slot e F + t (here 2 e + t) is side e of triangle t; the gluings are
+    # (0,0)-(0,1), (0,2)-(1,0) and (1,1)-(1,2), one edge each, in that order.
+    twin = [2, 4, 0, 5, 1, 3]
+    edge_side = [0, 4, 3]
     return DeltaComplex(1, [(0, 0, 0), (0, 0, 0)], twin, edge_side)
 
 
 def test_self_flip_is_rejected():
     mesh = _self_glued()
-    assert _gluings(mesh) == [[[0, 0], [0, 1]], [[0, 2], [1, 0]], [[1, 1], [1, 2]]]
+    assert mesh.gluings().tolist() == [[[0, 0], [0, 1]], [[0, 2], [1, 0]], [[1, 1], [1, 2]]]
     with pytest.raises(SelfFlip):
         mesh.flip(0)
 
@@ -344,7 +339,7 @@ def test_flip_many_rejects_a_bad_edge_set_before_any_write(case):
 def _face_count_message(mesh: DeltaComplex, edges: list[int]) -> str:
     # per edge in order, its two faces, first side first: the least face used
     # twice is named, by the edges of its first two uses
-    faces = (mesh.edge_sides_array()[edges] // 3).ravel().tolist()
+    faces = mesh.gluings()[edges, :, 0].ravel().tolist()
     face = min(f for f in faces if faces.count(f) > 1)
     a, b = [edges[m // 2] for m, f in enumerate(faces) if f == face][:2]
     if a == b:
@@ -355,7 +350,7 @@ def _face_count_message(mesh: DeltaComplex, edges: list[int]) -> str:
 def _two_face_sharing_pairs(mesh: DeltaComplex) -> tuple[int, int, int, int]:
     # (a, b) share triangle 0 and (x, y) a later triangle; no face of x or y
     # is a face of a or b
-    faces, by_slot = mesh.edge_sides_array() // 3, mesh.slot_edge_array()
+    faces, by_slot = mesh.gluings()[..., 0], mesh.slot_edge_array()
     a, b, _ = by_slot[0].tolist()
     used = set(faces[[a, b]].ravel().tolist())
     for t in range(mesh.num_triangles - 1, 0, -1):
@@ -393,9 +388,7 @@ def test_a_complex_built_from_column_major_triangles_flips_like_any_other():
     # flips write the corner labels through a flat view of the storage, so
     # an (F, 3) Fortran-order input must not leave the storage in that order
     mesh = preset_complex("torus_grid", n=3)
-    sides = mesh.edge_sides_array()
-    gluings = np.stack([sides // 3, sides - 3 * (sides // 3)], axis=-1)
-    column_major = build_complex(9, np.asfortranarray(mesh.triangles), gluings)
+    column_major = build_complex(9, np.asfortranarray(mesh.triangles), mesh.gluings())
     for complex_ in (mesh, column_major):
         complex_.flip_many([0, 13])
         complex_.check()
@@ -465,7 +458,7 @@ def _quad_min_angle(before, after, edge_id: int) -> float:
     every accepted flip is an isometry, up to round-off that grows as the
     quad's triangles (rewritten in place, so at the same indices) thin out.
     """
-    faces = before.mesh.edge_sides_array()[edge_id] // 3
+    faces = before.mesh.gluings()[edge_id, :, 0]
     return float(min(triangle_angles(before)[faces].min(), triangle_angles(after)[faces].min()))
 
 
@@ -474,7 +467,7 @@ def _index_arrays(mesh: DeltaComplex) -> list[np.ndarray]:
         np.array(mesh.triangles),
         np.array(mesh.slot_edge_array()),
         np.array(mesh.edge_endpoints_array()),
-        mesh.edge_sides_array(),
+        mesh.gluings(),
     ]
 
 
@@ -495,7 +488,7 @@ def test_flip_many_equals_the_same_flips_one_at_a_time(name, picks):
     mesh = FLIP_MANY_MESHES[name]
     edges, used = [], set()
     for pick in picks:
-        faces = set((mesh.edge_sides_array()[pick % mesh.num_edges] // 3).tolist())
+        faces = set(mesh.gluings()[pick % mesh.num_edges, :, 0].tolist())
         if not faces & used:
             edges.append(pick % mesh.num_edges)
             used |= faces
@@ -532,7 +525,7 @@ def test_random_flip_sequences_keep_the_complex_consistent(preset, seed, picks):
         fresh = build_complex(
             mesh.num_vertices,
             mesh.triangles,
-            _gluings(mesh),
+            mesh.gluings().tolist(),
         )
         for mine, theirs in zip(_index_arrays(mesh), _index_arrays(fresh)):
             assert np.array_equal(mine, theirs)
@@ -555,11 +548,12 @@ def test_random_flip_sequences_keep_the_complex_consistent(preset, seed, picks):
 
 
 def _raw_arrays(mesh: DeltaComplex) -> tuple[list[int], list[int]]:
-    sides = mesh.edge_sides_array()
+    # the constructor's arrays, in stored slot names e F + t
+    first, second = mesh.sides.tolist()
     twin = [-1] * (3 * mesh.num_triangles)
-    for a, b in sides.tolist():
+    for a, b in zip(first, second):
         twin[a], twin[b] = b, a
-    return twin, sides[:, 0].tolist()
+    return twin, first
 
 
 FUZZ_MESHES = {
@@ -595,6 +589,32 @@ def test_fuzzed_gluings_raise_only_mesh_errors(name, data):
         pass
 
 
+def _rebuilds_itself(mesh: DeltaComplex) -> None:
+    fresh = build_complex(mesh.num_vertices, mesh.triangles, mesh.gluings())
+    fresh.check()
+    for view in ("corners", "edge_of", "ends", "sides"):
+        assert np.array_equal(getattr(fresh, view), getattr(mesh, view)), view
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_MESHES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gluings_invert_build_complex_through_flip_rounds(name, seed):
+    # the (t, e) pairs of a complex rebuild it slot for slot, before and after
+    # rounds of random face-disjoint flips
+    rng = np.random.default_rng(seed)
+    mesh = FUZZ_MESHES[name].copy()
+    _rebuilds_itself(mesh)
+    for _ in range(4):
+        edges, used = [], set()
+        for edge in rng.permutation(mesh.num_edges)[: rng.integers(1, mesh.num_edges + 1)]:
+            faces = set(mesh.gluings()[edge, :, 0].tolist())
+            if len(faces) == 2 and not faces & used:
+                edges.append(edge)
+                used |= faces
+        mesh.flip_many(edges)
+        _rebuilds_itself(mesh)
+
+
 # -- malformed gluing lists through build_complex -----------------------------------
 
 GLUING_FAULTS = ["triangle", "side", "value", "fraction", "duplicate", "self", "ragged", "vertex"]
@@ -611,7 +631,7 @@ def test_malformed_gluings_raise_mesh_errors(name, fault, data):
     # fractional entry is one that int() would truncate back to a valid id
     mesh = FUZZ_MESHES[name]
     triangles = mesh.triangles.tolist()
-    gluings = _gluings(mesh)
+    gluings = mesh.gluings().tolist()
     i = data.draw(st.integers(0, mesh.num_edges - 1), label="gluing")
     k = data.draw(st.integers(0, 1), label="side")
     slot = gluings[i][k]
@@ -645,7 +665,7 @@ def test_malformed_gluings_raise_mesh_errors(name, fault, data):
 def _preset_data(name: str, n: int = 3) -> tuple[int, list, list]:
     """Vertex count, triangles and gluings of a preset (``n`` sizes torus_grid), as lists."""
     mesh = preset_complex(name, n=n)
-    gluings = _gluings(mesh)
+    gluings = mesh.gluings().tolist()
     return mesh.num_vertices, mesh.triangles.tolist(), gluings
 
 

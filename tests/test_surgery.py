@@ -199,7 +199,7 @@ def test_a_round_makes_the_flips_before_a_refused_one():
     # error as flipping a and then 1 one at a time
     metric = random_metric(RandomMetricSpec(preset="icosahedron"), 0)
     flip_metric(metric, 0)
-    faces_of = (metric.mesh.edge_sides_array() // 3).tolist()
+    faces_of = metric.mesh.gluings()[..., 0].tolist()
     used = set(faces_of[1])
     picked = []
     for edge_id in range(metric.mesh.num_edges):
