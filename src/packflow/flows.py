@@ -26,12 +26,11 @@ flow's own rate: the step tends to Newton's at a conjugate gradient of
 ricci's cost.  Any W keeps the step consistent (a W-method), so small
 steps follow the flow and the limit is the flow's.  An exact zero-sum projection
 follows, so the total of the scale factors is conserved to machine
-precision.  Surgery (when on) flips every edge where the step's straight
-segment of scale factors, u0 + s h x, crosses the weighted Delaunay
-boundary, at its crossing (``surgery.flip_along``), so the run stays in
-its decorated conformal class and every kind and step size reach one
-limit, up to an edge that crosses and crosses back within one step,
-which is not seen.  A trial step is accepted only if the solve succeeds,
+precision.  Surgery (when on) flips every edge that violates the
+weighted Delaunay condition at a trial's end t0 + h, in the decorated
+conformal class (``surgery.flip_metric``), which does not depend on where
+along the step an edge crossed: the run stays in its class and every
+kind and step size reach one limit.  A trial step is accepted only if the solve succeeds,
 the state stays admissible, surgery (when on) succeeds, and the monitored
 quantities do not increase: the squared curvature deviation wherever
 p = 2 (every kind but p_calabi at p != 2), and the trapezoidal potential
@@ -39,7 +38,7 @@ increment for every flow.  A trial already at the round-off floor of max|K - tar
 skips that test.
 Admissibility is the per-face pass's margin gate alone: its
 DegenerateTriangle, like any typed mesh, metric, geometry, operator or
-surgery error (a located flip of a self-glued edge raises SelfFlip),
+surgery error (a flip of a self-glued edge raises SelfFlip),
 rejects the trial and halves the step.  A trial that fails the
 monotone test instead takes sqrt(h) while h > 4, and halves below: h grew
 geometrically, so this bisects log h, and a rejection at the growth cap
@@ -59,10 +58,9 @@ as max|K - target| falls but never past what tol can see (see
 ``_linearization``).
 Curvature, margins and the per-face pass (angles, circles, Delaunay
 terms) are memoized per state (``DecoratedMetric.memo``): a trial state
-pays for one whole-mesh pass, plus, for a flip located inside the step,
-one per bisection of the step's segment and one at its end; a run's
-start pays one per round of ``make_delaunay``; and an accepted state's
-curvature and edge weights start the next step.
+pays for one whole-mesh pass, plus one per round of flips at its end, as
+a run's start does per round of ``make_delaunay``; and an accepted
+state's curvature, edge weights and Delaunay terms start the next step.
 """
 
 from __future__ import annotations
@@ -84,11 +82,11 @@ from .errors import (
     StepCollapse,
     SurgeryError,
 )
-from .geometry import edge_weights
+from .geometry import delaunay_terms, edge_weights
 from .metric import DecoratedMetric, validate_triangles
 from .operators import calabi_energy, curvature, edge_laplacian, p_rates
 from .operators import fractional_velocity, solve_shifted
-from .surgery import delaunay_violations, flip_along, make_delaunay
+from .surgery import delaunay_violations, make_delaunay
 
 logger = logging.getLogger(__name__)
 
@@ -297,31 +295,33 @@ def _monotone_ok(config: FlowConfig, energy_before: float, energy_after: float, 
 def _settle(
     state: DecoratedMetric, config: FlowConfig, last: StepRecord | None = None, h: float = 0.0,
     halvings: int = 0, g0: np.ndarray | None = None, du: np.ndarray | None = None,
+    flipped: int = 0,
 ) -> StepRecord:
     """Run surgery (when on) in place on ``state`` and return its finished record.
 
-    A step of size h, after ``halvings`` rejected trials, moved u by du
-    from the state of record ``last`` (None: a run's start), where
-    K - target was g0; surgery flips the edges du crosses at their
-    crossings, which leaves none violating.  Without du, ``state`` is a
-    run's start, and ``make_delaunay`` flips every violating edge.  The
-    record counts on from ``last``; its curvature jump is across a start's
-    flips, which are isometries.  An inadmissible state raises
-    DegenerateTriangle at its first whole-mesh read.
+    A step of size h, after ``flipped`` isometric flips of its start and
+    ``halvings`` rejected trials, moved u by du from the state of record
+    ``last`` (None: a run's start), where K - target was g0; surgery flips
+    every violating edge of ``state``, the trial's end, in the decorated
+    conformal class at the flow time t0 + h.  Without du, ``state`` is a
+    run's start, flipped isometrically.  The record counts on from
+    ``last``, ``flipped`` among its flips; its curvature jump is across a
+    start's flips.  An inadmissible state raises DegenerateTriangle at its
+    first whole-mesh read.
     """
     step0, t0, flips0, w0 = (0, 0.0, 0, 0.0)
     if last is not None:
         step0, t0, flips0, w0 = last.step, last.t, last.flips_total, last.w_est
     events, jump = [], 0.0
-    if config.surgery and du is not None:
-        _, events = flip_along(state, du, flow_time=(t0, h), start_ordinal=flips0)
     k = curvature(state)
-    if config.surgery and du is None:
-        _, events = make_delaunay(state, flow_time=t0, start_ordinal=flips0)
-        if events:
-            k_before, k = k, curvature(state)
-            jump = float(np.max(np.abs(k - k_before)))
-    flips = len(events)
+    if config.surgery:
+        _, events = make_delaunay(
+            state, flow_time=t0 + h, start_ordinal=flips0 + flipped, isometric=du is None
+        )
+    if events:
+        k_before, k = k, curvature(state)
+        jump = float(np.max(np.abs(k - k_before))) if du is None else 0.0
+    flips = flipped + len(events)
     g = k - config.target
     w_inc = 0.0
     if du is not None:  # a step: counted, with a trapezoidal sample of the flow potential
@@ -355,7 +355,9 @@ def step(
     Does not mutate ``metric``; returns the new state and its record,
     counted on from ``last``, the record of ``metric`` (see ``_settle``).
     The step projects onto the scale factor total ``target_sum``, by
-    default that of ``metric``.
+    default that of ``metric``.  With surgery on, a ``metric`` that is not
+    weighted Delaunay is linearized and then made so, on a copy, by
+    isometric flips, which the record counts.
     """
     u0 = np.array(metric.conformal_factors)
     if target_sum is None:
@@ -364,6 +366,13 @@ def step(
     g0, e0 = k0 - config.target, calabi_energy(k0, config.target)
     _, solve = _linearization(metric, config)
     n = u0.size
+    flipped = 0
+    if config.surgery:
+        dsum, eps = delaunay_terms(metric)
+        if (dsum < -eps).any():
+            metric = metric.copy()
+            t0, flips0 = (last.t, last.flips_total) if last else (0.0, 0)
+            flipped = len(make_delaunay(metric, flow_time=t0, start_ordinal=flips0)[1])
 
     last_reason = "no admissible step"
     h_try = h
@@ -373,7 +382,7 @@ def step(
             u1 = u0 + h_try * solve(h_try)
             u1 -= (u1.sum() - target_sum) / n
             trial.set_conformal_factors(u1)
-            record = _settle(trial, config, last, h_try, halvings, g0, u1 - u0)
+            record = _settle(trial, config, last, h_try, halvings, g0, u1 - u0, flipped)
         except (MeshError, MetricError, GeometryError, OperatorError, SurgeryError) as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
             h_try *= 0.5
@@ -423,8 +432,9 @@ def run(metric: DecoratedMetric, config: FlowConfig) -> FlowTrace:
     """Integrate until max|K - target| < tol or the step budget runs out.
 
     Operates on a copy of the input metric.  With surgery enabled the
-    triangulation is made weighted Delaunay before the first step and
-    kept so along every step, each flip at its crossing; with it
+    triangulation is made weighted Delaunay by isometric flips before the
+    first step, and again at each trial's end by flips in the decorated
+    conformal class, whose events carry that end's flow time; with it
     disabled the triangulation is fixed and violations are only counted.
     """
     _require_admissible_target(metric, config)

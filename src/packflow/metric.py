@@ -7,8 +7,8 @@ exactly the change that keeps every inversive distance
 
     I_e = (l^2 - r_a^2 - r_b^2) / (2 r_a r_b)
 
-fixed.  All geometry downstream (angles, curvature, flips) reads the
-effective lengths and radii, never the base data.
+fixed.  Geometry downstream reads the effective lengths and radii; only
+a flip in the decorated conformal class reads the base data.
 """
 
 from __future__ import annotations
@@ -187,11 +187,12 @@ class DecoratedMetric:
         """Store base lengths for ``edge_ids`` (one id or an array) so that
         the current scale factors reproduce ``effective_lengths``.
 
-        Used after flips: a new diagonal's geometric length is known in
-        the effective metric and has to be divided back through the scaling
-        rule at the current u (``base_squares``, which a flip reads before
-        it writes).  Raises DegenerateLength naming the first edge whose
-        squared base length is not positive, before any write.
+        Used after an isometric flip: a new diagonal's geometric length is
+        known in the effective metric and has to be divided back through
+        the scaling rule at the current u (``base_squares``, which
+        ``surgery.flip_metric`` reads before it writes).  Raises
+        DegenerateLength naming the first edge whose squared base length
+        is not positive, before any write.
         """
         ids = np.atleast_1d(self.mesh._edge_ids(edge_ids))
         sq = self.base_squares(*self.mesh.ends[:, ids], effective_lengths)

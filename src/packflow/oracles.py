@@ -273,6 +273,31 @@ def _oracle_flip(
     return SurgeryEvent(nan, ordinal, edge_id, (i, j), (k, l), new, weight, inversive)
 
 
+def oracle_class_residual(before: DecoratedMetric, after: DecoratedMetric, edge_id: int) -> float:
+    """|det G| over the product of G's row norms, its Hadamard bound, for the flip of ``edge_id``.
+
+    G is the Gram matrix of the quad's four circles i, j, k, l (the old
+    diagonal i -> j), 1 on the diagonal and -I_ab off it, with I_kl read
+    off ``after`` and the other five off ``before``, each from effective
+    lengths and radii and the determinant from ``np.linalg.det``.  G is
+    singular, and this round-off, exactly when the four circles share an
+    orthogonal circle: when the flip keeps the decorated conformal class.
+    """
+    (t1, e1), (t2, e2) = before.mesh.gluings()[edge_id].tolist()
+    corners, sides = before.mesh.triangles, before.mesh.slot_edge_array()
+    quad = [*np.roll(corners[t1], -e1), corners[t2, (e2 + 2) % 3]]
+    gram = np.eye(4)
+    for a, b, metric, edge in (
+        (0, 1, before, edge_id), (1, 2, before, sides[t1, (e1 + 1) % 3]),
+        (2, 0, before, sides[t1, (e1 + 2) % 3]), (0, 3, before, sides[t2, (e2 + 1) % 3]),
+        (3, 1, before, sides[t2, (e2 + 2) % 3]), (2, 3, after, edge_id),
+    ):
+        ra, rb = metric.effective_radii[[quad[a], quad[b]]]
+        length = metric.effective_lengths[edge]
+        gram[a, b] = gram[b, a] = -(length * length - ra * ra - rb * rb) / (2.0 * ra * rb)
+    return float(abs(np.linalg.det(gram)) / np.prod(np.linalg.norm(gram, axis=1)))
+
+
 def oracle_curvature(metric: DecoratedMetric) -> np.ndarray:
     """2 pi minus the angle sum at each vertex, from ``oracle_angles_via_layout`` per face."""
     lengths, mesh = metric.effective_lengths, metric.mesh

@@ -25,16 +25,14 @@ worst edge one at a time ends.  Within a round, events are numbered in
 (weight, edge id) order.  Each round is one ``flip_metric`` call, which
 flips any one edge or face-disjoint set.
 
-``flip_along`` makes the flips a flow step needs.  A step moves the scale
-factors along a straight segment, and a flip made only at its end would
-keep the inversive distance of wherever the step overshot the weighted
-Delaunay boundary, so each run would leave the decorated conformal class
-by its own overshoot.  Each edge is instead flipped where the segment
-crosses it, with d1 + d2 within the Delaunay tolerance of zero: there the
-old and the new diagonal both bound faces with one orthogonal circle, and
-the flip keeps the class.  The crossing is found by bisecting the segment
-on whole-mesh passes once its end violates, so an edge that crosses and
-crosses back inside one step is not seen.
+A flow step flips at its trial's end in the decorated conformal class
+instead: four circles with one common orthogonal circle have a singular
+Gram matrix, so on the weighted Delaunay boundary the new diagonal's
+inversive distance follows from the quad's other five, which no u
+changes.  Where along a step an edge crossed, or whether it crossed
+back, does not change the flip (Bobenko, Lutz; the Ptolemy flips of
+Gillespie, Springborn, Crane).  A run's start flips isometrically, since
+its input's flat metric defines its class.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from math import nan
 
 import numpy as np
 
-from .errors import FlipProducesDegenerate, MetricError, SelfFlip, SurgeryBudgetExceeded
+from .errors import FlipProducesDegenerate, SelfFlip, SurgeryBudgetExceeded
 from .geometry import delaunay_terms, edge_weights, triangle_angles
 from .mesh import DeltaComplex
 from .metric import DecoratedMetric, triangle_margins
@@ -54,7 +52,6 @@ from .metric import DecoratedMetric, triangle_margins
 logger = logging.getLogger(__name__)
 
 SURGERY_BUDGET_PER_EDGE = 100
-CROSSING_BISECTIONS = 60  # halvings of the segment that locate one crossing, at most
 
 
 @dataclass
@@ -96,62 +93,90 @@ def flip_metric(
     *,
     flow_time: float = nan,
     ordinal: int = 0,
+    isometric: bool = True,
 ) -> tuple[DecoratedMetric, list[SurgeryEvent]]:
     """Flip ``edges`` (one id or several, no two on one face) in place; one event each, in order.
 
-    The faces over the edge i -> j are (i, j, k) and (j, i, l).  The new
-    diagonal closes the triangle (k, i, l) whose angle at i is the quad
-    angle theta_i, the sum of the two faces' corner angles at i:
+    The faces over the edge i -> j are (i, j, k) and (j, i, l).  An
+    isometric flip's new diagonal closes the triangle (k, i, l) whose
+    angle at i is the quad angle theta_i, the sum of the two faces' corner
+    angles at i, and its base length is the one the current scale factors
+    stretch to that distance exactly (``DecoratedMetric.base_squares``):
 
         |kl|^2 = |ki|^2 + |il|^2 - 2 |ki| |il| cos theta_i
 
-    Its base length is the one the current scale factors stretch to that
-    distance exactly (``DecoratedMetric.base_squares``).  The flip raises
-    FlipProducesDegenerate unless both quad angles theta_i and theta_j are
-    below pi (else the diagonal leaves the quad and the flip is no
-    isometry; the error names the larger), both new faces pass the margin
-    gate (``triangle_margins``), and the squared base length is positive.
-    Every check runs on all the quads before the complex changes; if an
-    edge fails one, the edges before it are flipped and rebased and the
-    error names it, as flipping them one at a time in this order would.
-    Each event records its edge's weight (d1 + d2)/l before the flip.
+    It is refused unless both quad angles theta_i and theta_j are below
+    pi (else the diagonal leaves the quad and the flip is no isometry; the
+    error names the larger).  With ``isometric=False`` the flip keeps the
+    decorated conformal class: with P = [[1, -I_ij], [-I_ij, 1]],
+    p = (I_ki, I_jk), q = (I_il, I_lj), alpha = p.P^-1 p, delta = q.P^-1 q
+    and beta = p.P^-1 q, the Gram determinant of the four circles is
+    det P ((1 - alpha)(1 - delta) - (I_kl + beta)^2), whose larger root
+
+        I_kl = -beta + sqrt((1 - alpha)(1 - delta))
+
+    gives the base length L_kl^2 = R_k^2 + R_l^2 + 2 I_kl R_k R_l.  The
+    five I's are read off the stored base lengths L and radii R, which do
+    not depend on u.  Either flip raises FlipProducesDegenerate unless
+    both new faces pass the margin gate (``triangle_margins``) at the
+    current u and the squared base length is positive (not NaN, where no
+    root is real).  Every check runs on all the quads before the complex
+    changes; if an edge fails one, the edges before it are flipped and
+    rebased and the error names it, as flipping them one at a time in
+    this order would.  Each event records its edge's weight (d1 + d2)/l
+    before the flip.
     """
     mesh = metric.mesh
     edges = np.atleast_1d(mesh._edge_ids(edges))
     pre_weights = edge_weights(metric, edges)
     # per quad, rows (|ij|, |jk|, |ki|) and (|ji|, |il|, |lj|), at corners (i, j, k) and (j, i, l)
     t, slots = mesh.quads(edges)  # shapes (2, B) and (2, 3, B)
-    lengths = metric.effective_lengths.take(mesh.edge_of.take(slots))
-    (_, l_jk, l_ki), (_, l_il, l_lj) = lengths
-    (at_i, at_j, _), (at_j2, at_i2, _) = triangle_angles(metric).T.take(slots)
-    (i, j, k), (_, _, l) = mesh.corners.take(slots)
-    theta_i, theta_j = at_i + at_i2, at_j + at_j2
-    new_length = np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i))
+    sides, corners = mesh.edge_of.take(slots), mesh.corners.take(slots)
+    (_, l_jk, l_ki), (_, l_il, l_lj) = metric.effective_lengths.take(sides)
+    (i, j, k), (_, _, l) = corners
+    rk, rl = metric.effective_radii[k], metric.effective_radii[l]
+    if isometric:
+        (at_i, at_j, _), (at_j2, at_i2, _) = triangle_angles(metric).T.take(slots)
+        theta_i, theta_j = at_i + at_i2, at_j + at_j2
+        new_length = np.sqrt(l_ki * l_ki + l_il * l_il - 2.0 * l_ki * l_il * np.cos(theta_i))
+        squares = metric.base_squares(k, l, new_length)
+        inversive = (new_length * new_length - rk * rk - rl * rl) / (2.0 * rk * rl)
+        outside = ~(np.maximum(theta_i, theta_j) < np.pi)
+    else:
+        base, r = metric.base_lengths.take(sides), metric.radii.take(corners)
+        r_next = np.roll(r, -1, axis=1)  # side e runs from corner e to corner e + 1
+        (c, p2, p1), (_, q1, q2) = (base * base - r * r - r_next * r_next) / (2.0 * r * r_next)
+        det = 1.0 - c * c  # P^-1 = [[1, c], [c, 1]] / det
+        alpha = (p1 * p1 + p2 * p2 + 2.0 * c * p1 * p2) / det
+        delta = (q1 * q1 + q2 * q2 + 2.0 * c * q1 * q2) / det
+        beta = (p1 * q1 + p2 * q2 + c * (p1 * q2 + p2 * q1)) / det
+        (_, _, base_k), (_, _, base_l) = r
+        with np.errstate(invalid="ignore"):
+            inversive = np.sqrt((1.0 - alpha) * (1.0 - delta)) - beta
+            squares = base_k * base_k + base_l * base_l + 2.0 * inversive * base_k * base_l
+            new_length = np.sqrt(rk * rk + rl * rl + 2.0 * inversive * rk * rl)
+        outside = np.zeros(edges.size, dtype=bool)
 
     # the two new triangles (l, j, k) and (k, i, l) of each quad, rows of shape (2, B)
     s0, s1 = np.stack([l_lj, l_ki]), np.stack([l_jk, l_il])
     margins, threshold = triangle_margins(s0, s1, new_length)
     thin = ~(margins > threshold)
-    outside = ~(np.maximum(theta_i, theta_j) < np.pi)
-    squares = metric.base_squares(k, l, new_length)
     self_glued = t[0] == t[1]
     failed = np.flatnonzero(self_glued | thin.any(axis=0) | outside | ~(squares > 0))
     n = failed[0] if failed.size else edges.size
 
     events = []
     if n:
-        done, new = edges[:n], new_length[:n]
-        radii = metric.effective_radii
+        done = edges[:n]
         mesh.flip_many(done)
-        metric.rebase_edge(done, new)
-        rk, rl = radii[k[:n]], radii[l[:n]]
-        inversive = (new * new - rk * rk - rl * rl) / (2.0 * rk * rl)
+        # the flip starts a new state of the metric, so no memo holds the old base length
+        metric.base_lengths[done] = np.sqrt(squares[:n])
         events = list(map(
             SurgeryEvent, repeat(flow_time), range(ordinal, ordinal + n), done.tolist(),
             zip(i.tolist(), j.tolist()), zip(k.tolist(), l.tolist()),
-            new.tolist(), pre_weights.tolist(), inversive.tolist(),
+            new_length[:n].tolist(), pre_weights.tolist(), inversive[:n].tolist(),
         ))
-        for m in np.flatnonzero(~(inversive > 1.0)).tolist():  # not inversive_in_packing_range
+        for m in np.flatnonzero(~(inversive[:n] > 1.0)).tolist():  # not inversive_in_packing_range
             logger.debug(
                 "flip %d created edge %d with inversive distance %.6g <= 1",
                 events[m].ordinal, events[m].edge_id, events[m].new_inversive,
@@ -196,6 +221,7 @@ def make_delaunay(
     *,
     flow_time: float = nan,
     start_ordinal: int = 0,
+    isometric: bool = True,
 ) -> tuple[DecoratedMetric, list[SurgeryEvent]]:
     """Flip violating edges in rounds until the triangulation is weighted Delaunay.
 
@@ -207,6 +233,8 @@ def make_delaunay(
     reads the ``delaunay_terms`` of the current state: one whole-mesh pass
     on entry and one after each round, whose margin gate raises
     DegenerateTriangle should a round leave a face too thin for it.
+    ``isometric`` selects the flip (``flip_metric``): a flow step's
+    surgery flips in the decorated conformal class.
     """
     budget = SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
     events = []
@@ -221,72 +249,7 @@ def make_delaunay(
             )
         edges = _independent(metric.mesh, edge_weights(metric), bad)[: budget - len(events)]
         events += flip_metric(
-            metric, edges, flow_time=flow_time, ordinal=start_ordinal + len(events)
+            metric, edges, flow_time=flow_time, ordinal=start_ordinal + len(events),
+            isometric=isometric,
         )[1]
 
-
-def flip_along(
-    metric: DecoratedMetric,
-    du: np.ndarray,
-    *,
-    flow_time: tuple[float, float] = (0.0, 1.0),
-    start_ordinal: int = 0,
-) -> tuple[DecoratedMetric, list[SurgeryEvent]]:
-    """Flip each edge where the segment of scale factors that ``metric`` ends crosses it.
-
-    ``metric`` holds the end u1 of the straight segment u1 - (1 - s) du,
-    s in [0, 1], whose start is weighted Delaunay and whose end passes
-    the margin gate on the start's triangulation (else DegenerateTriangle
-    from the end's whole-mesh pass).  While the end violates, s is
-    bisected, from the last flip on, on whole-mesh passes down to a
-    crossing: a state where no edge violates and some edge's d1 + d2 lies
-    in [-tolerance, -tolerance / 2), within the Delaunay tolerance of zero
-    and on the violating side by more than round-off, so the flipped
-    diagonal starts out clearly Delaunay.  A state that is no
-    triangulation counts as past the crossing.  The worst edge there is
-    flipped from that state's pass, which keeps the decorated conformal
-    class, and the rest of the segment is walked on the new
-    triangulation; should a face stop being a triangle before any
-    crossing, the pass at the bracket's end raises its MetricError.  The
-    metric ends at u1 again.  Only the end is tested, so an edge that
-    crosses and crosses back inside the segment is not seen.  An event at
-    s carries the flow time t0 + s h for ``flow_time`` (t0, h).  Raises
-    SurgeryBudgetExceeded like ``make_delaunay``.
-    """
-    u1 = np.array(metric.conformal_factors)
-    budget = SURGERY_BUDGET_PER_EDGE * metric.mesh.num_edges
-    events, lo = [], 0.0
-    while True:
-        dsum, eps = delaunay_terms(metric)
-        if not (dsum < -eps).any():
-            return metric, events
-        if len(events) >= budget:
-            raise SurgeryBudgetExceeded(
-                f"the segment's end still violates after {len(events)} flips along it"
-            )
-        hi = 1.0
-        for _ in range(CROSSING_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            metric.set_conformal_factors(u1 - (1.0 - mid) * du)
-            try:
-                dsum, eps = delaunay_terms(metric)
-            except MetricError:
-                hi = mid
-                continue
-            if (dsum >= -0.5 * eps).all():
-                lo = mid
-                continue
-            hi = mid
-            if (dsum >= -eps).all():
-                break
-        else:
-            metric.set_conformal_factors(u1 - (1.0 - hi) * du)
-        dsum, eps = delaunay_terms(metric)
-        crossed = np.flatnonzero(dsum < -0.5 * eps)
-        edge = crossed[np.argmin(edge_weights(metric, crossed))]
-        events += flip_metric(
-            metric, [edge], flow_time=flow_time[0] + hi * flow_time[1],
-            ordinal=start_ordinal + len(events),
-        )[1]
-        lo = hi
-        metric.set_conformal_factors(u1)

@@ -109,7 +109,7 @@ def test_flow_through_a_flip_to_overlapping_circles_keeps_stderr_empty():
     # the flip the run starts with gives inversive distance 0.81, which is
     # correct surgery output, so the default log level prints nothing.  From
     # h = 10 the steps cross edge 5's Delaunay boundary and cross back: two
-    # more flips, each at its crossing
+    # more flips, each at its trial's end in the decorated conformal class
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(MESHES.parent / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])

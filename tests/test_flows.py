@@ -324,19 +324,20 @@ def test_an_operator_error_halves_the_trial(monkeypatch):
 
 
 def test_a_mesh_error_halves_the_trial(monkeypatch):
-    # a flip located on a self-glued edge raises SelfFlip, a MeshError,
-    # inside the trial: the trial is rejected and halved, not the run ended
+    # a flip of a self-glued edge at the trial's end raises SelfFlip, a
+    # MeshError, inside the trial: the trial is rejected and halved, not
+    # the run ended
     from packflow import SelfFlip, flows
 
-    flip_along, raised = flows.flip_along, []
+    make_delaunay, raised = flows.make_delaunay, []
 
-    def self_flipping(metric, du, **kwargs):
+    def self_flipping(metric, **kwargs):
         if not raised:
             raised.append(True)
             raise SelfFlip("edge 4 has both sides on triangle 1; flip undefined")
-        return flip_along(metric, du, **kwargs)
+        return make_delaunay(metric, **kwargs)
 
-    monkeypatch.setattr(flows, "flip_along", self_flipping)
+    monkeypatch.setattr(flows, "make_delaunay", self_flipping)
     metric = _seeded_tetra(7)
     config = FlowConfig(kind="ricci", target=_uniform_target(metric))
     _, rec = step(metric, config, 4.0)
@@ -1149,42 +1150,27 @@ def test_every_kind_reaches_one_limit_on_a_higher_genus_cover(n, g, k, vertices)
     assert gap <= 1e-8, gap
 
 
-def test_every_mid_flow_flip_is_made_at_its_crossing(monkeypatch):
-    # a located flip happens where its edge's d1 + d2 is within the Delaunay
-    # tolerance of 0, on the violating side; its event carries that time,
-    # inside its trial's step and after the trial's earlier flips.  Each
-    # trial is checked on its own, so a rejected trial's flips count too
-    from packflow import flows, surgery
-    from packflow.geometry import delaunay_terms
+def test_every_mid_flow_flip_keeps_the_decorated_conformal_class(monkeypatch):
+    # a flip at a trial's end (flow time > 0, the start's flips are at 0)
+    # takes its new diagonal from the Gram relation of its quad's four
+    # circles, so the class oracle, a 4 x 4 determinant, reads round-off on
+    # each: 8 flips here, at most 2.5e-16.  Each trial is checked on its
+    # own, so a rejected trial's flips count too
+    from packflow import surgery
+    from packflow.oracles import oracle_class_residual
 
-    flip_metric, flip_along, trials, done = surgery.flip_metric, flows.flip_along, [], []
+    flip_metric, residuals = surgery.flip_metric, []
 
     def checking(metric, edges, **kwargs):
-        if trials:
-            (edge,), (dsum, eps) = edges, delaunay_terms(metric)
-            trials[-1][1].append((kwargs["flow_time"], float(dsum[edge]), float(eps[edge])))
-        return flip_metric(metric, edges, **kwargs)
-
-    def walking(metric, du, **kwargs):
-        trials.append((kwargs["flow_time"], []))
-        try:
-            return flip_along(metric, du, **kwargs)
-        finally:
-            done.append(trials.pop())
+        before = metric.copy()
+        flipped, events = flip_metric(metric, edges, **kwargs)
+        if kwargs["flow_time"] > 0.0:
+            residuals.extend(oracle_class_residual(before, metric, e.edge_id) for e in events)
+        return flipped, events
 
     monkeypatch.setattr(surgery, "flip_metric", checking)
-    monkeypatch.setattr(flows, "flip_along", walking)
-    count = 0
     for seed in range(6):
         metric = random_metric(WILD, seed)
-        done.clear()
         trace = run(metric, FlowConfig(kind="ricci", target=_random_target(metric, seed), tol=1e-9))
         assert trace.converged
-        for (t0, h), located in done:
-            for flow_time, dsum, eps in located:
-                assert -eps <= dsum < 0.0, (seed, flow_time, dsum, eps)
-            times = [t for t, _, _ in located]
-            assert times == sorted(times)
-            assert all(t0 < t <= t0 + h for t in times)
-            count += len(located)
-    assert count >= 5
+    assert len(residuals) >= 8 and max(residuals) <= 1e-12, residuals

@@ -16,6 +16,7 @@ from packflow.metric import triangle_side_lengths
 from packflow.oracles import (
     RandomMetricSpec,
     oracle_angles_via_layout,
+    oracle_class_residual,
     oracle_curvature,
     oracle_delaunay_via_angles,
     oracle_delaunay_violations,
@@ -271,3 +272,17 @@ def test_random_metric_with_surgery_always_returns_a_weighted_delaunay_metric():
         metric = random_metric(REFUSED_SURGERY, seed)
         assert validate_triangles(metric).admissible, seed
         assert delaunay_violations(metric) == [], seed
+
+
+def test_the_class_oracle_bites_on_an_isometric_flip_off_the_delaunay_boundary():
+    # the worst violating edge of each draw, flipped isometrically, leaves
+    # the decorated conformal class: residuals 3e-3 to 0.38 here, where the
+    # same edge's flip in the class reads at most 6e-16
+    for seed in (0, 2, 3, 4, 5):
+        metric = random_metric(WILD[1], seed)
+        (edge, _), *_ = delaunay_violations(metric)
+        isometric, in_class = metric.copy(), metric.copy()
+        flip_metric(isometric, edge)
+        flip_metric(in_class, edge, isometric=False)
+        assert oracle_class_residual(metric, isometric, edge) > 1e-3, seed
+        assert oracle_class_residual(metric, in_class, edge) <= 1e-12, seed

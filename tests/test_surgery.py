@@ -578,13 +578,12 @@ def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
     assert len(conformal) == 2
     # in a run that flips mid-flow (the tetrahedron driven toward the
     # curvature of a spread that is Delaunay only after a flip), every
-    # trial state that reaches surgery costs one whole-mesh pass, and a flip
-    # located inside a step one pass per bisection of the step's segment
-    # (the flip reads the last) plus one at the segment's end on the new
-    # triangulation.  The run takes 5 steps from h = 10: the first trial
-    # leaves the admissible cone, before any pass, and halves, and h = 5
-    # flips one edge at its crossing after 39 bisections, so 6 settled
-    # states (the start and one per step) and 6 + 39 + 1 passes
+    # trial state that reaches surgery costs one whole-mesh pass, and a
+    # round of flips at a trial's end one more, on the new triangulation.
+    # The run takes 5 steps from h = 10: the first trial leaves the
+    # admissible cone, before any pass, and halves, and h = 5 flips one
+    # edge at its end, so 6 settled states (the start and one per step)
+    # and 6 + 1 passes
     spread = preset_metric("tetrahedron")
     spread.set_conformal_factors(1.02 * np.array([1.0, 1.0, -1.0, -1.0]))
     make_delaunay(spread)
@@ -594,18 +593,17 @@ def test_surgery_cost_does_not_grow_with_the_flips(monkeypatch):
     assert trace.converged
     assert trace.records[0].flips == 0 < trace.flips_total
     assert set(rows) == {4}
-    assert (settled, len(rounds), len(rows)) == (6, 1, 46)
+    assert (settled, len(rounds), len(rows)) == (6, 1, 7)
 
 
 def test_flips_along_a_step_are_made_where_the_laid_out_test_first_fails():
-    # flip_along bisects the segment on whole-mesh passes from the end's
-    # violation; the reference scans the laid-out test at points along the
-    # segment, bisects from the first that fails and flips the worst edge
-    # there: the same flips, the same triangulation and the same edge
-    # lengths at the end.  Each event carries its crossing as the flow time
-    # t0 + s h
+    # a step's surgery flips at the segment's end in the decorated
+    # conformal class; the reference scans the laid-out test at points
+    # along the segment, bisects from the first that fails and flips the
+    # worst edge there isometrically: the same flips, the same
+    # triangulation and the same edge lengths at the end.  Each event
+    # carries the trial's end t0 + h as its flow time
     from packflow.oracles import oracle_walk
-    from packflow.surgery import flip_along
 
     spec = RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(1.05, 4.0))
     compared = 0
@@ -619,7 +617,7 @@ def test_flips_along_a_step_are_made_where_the_laid_out_test_first_fails():
         fast, reference = start.copy(), start.copy()
         fast.set_conformal_factors(start.conformal_factors + du)
         try:
-            _, events = flip_along(fast, du, flow_time=(2.0, 0.5))
+            _, events = make_delaunay(fast, flow_time=2.0 + 0.5, isometric=False)
             validate_triangles(fast).require()
         except PackflowError:
             continue
@@ -630,63 +628,5 @@ def test_flips_along_a_step_are_made_where_the_laid_out_test_first_fails():
         assert np.array_equal(fast.mesh.triangles, reference.mesh.triangles), seed
         assert np.allclose(fast.effective_lengths, reference.effective_lengths, rtol=0, atol=1e-9)
         assert np.array_equal(fast.conformal_factors, start.conformal_factors + du)
-        times = [event.flow_time for event in events]
-        assert times == sorted(times) and 2.0 < times[0] and times[-1] < 2.5, seed
+        assert all(event.flow_time == 2.5 for event in events), seed
     assert compared >= 8
-
-
-def _step_along(seed: int) -> tuple[DecoratedMetric, np.ndarray]:
-    # an input of the test above: a weighted Delaunay start moved by du,
-    # the metric at the segment's end
-    spec = RandomMetricSpec(preset="icosahedron", u_range=0.7, inversive_range=(1.05, 4.0))
-    start = random_metric(spec, seed)
-    make_delaunay(start)
-    n = start.mesh.num_vertices
-    target = np.random.default_rng(seed).normal(0.0, 1.0, n)
-    target += (4.0 * np.pi - target.sum()) / n
-    du = -0.3 * (curvature(start) - target)
-    start.set_conformal_factors(start.conformal_factors + du)
-    return start, du
-
-
-def test_flip_along_stops_at_its_budget(monkeypatch):
-    from packflow.surgery import flip_along
-
-    metric, du = _step_along(10)
-    assert delaunay_violations(metric)
-    monkeypatch.setattr(surgery, "SURGERY_BUDGET_PER_EDGE", 0)
-    with pytest.raises(
-        SurgeryBudgetExceeded, match=r"^the segment's end still violates after 0 flips along it$"
-    ):
-        flip_along(metric, du)
-    assert metric.mesh.version == 0
-
-
-def test_a_midpoint_that_is_no_triangulation_counts_as_past_the_crossing(monkeypatch):
-    # the segment crosses one edge, at s = 0.61; a midpoint's pass that
-    # raises DegenerateTriangle anywhere in [s + (1 - s) / 4, 1) moves the
-    # bracket's end there, as a pass past the crossing does, so the same
-    # crossing is located with the same bits and the end is weighted Delaunay
-    from packflow.surgery import flip_along
-
-    metric, du = _step_along(10)
-    clean = metric.copy()
-    _, expected = flip_along(clean, du)
-    (crossing,) = [event.flow_time for event in expected]
-    u1, terms, refused = np.array(metric.conformal_factors), surgery.delaunay_terms, []
-
-    def no_triangulation_past(m):
-        s = 1.0 + float((m.conformal_factors - u1) @ du) / float(du @ du)
-        if crossing + 0.25 * (1.0 - crossing) <= s < 1.0:
-            refused.append(s)
-            raise DegenerateTriangle(f"no triangulation at s = {s}")
-        return terms(m)
-
-    monkeypatch.setattr(surgery, "delaunay_terms", no_triangulation_past)
-    _, events = flip_along(metric, du)
-    assert refused
-    assert events == expected
-    assert np.array_equal(metric.mesh.triangles, clean.mesh.triangles)
-    assert np.array_equal(metric.base_lengths, clean.base_lengths)
-    assert np.array_equal(metric.conformal_factors, u1)
-    assert delaunay_violations(metric) == []
