@@ -317,7 +317,7 @@ def oracle_located_newton(
     sum, halved until the walked state is admissible and max|g| falls.
     ``oracle_walk`` flips each edge where the step crosses it, so the
     result stays in the class that ``oracle_make_delaunay`` starts from.
-    Flows whose mid-flow flips are located must reach the same metric.
+    Flows, whose mid-flow flips keep the class, must reach the same metric.
     Raises RuntimeError when Newton stalls or takes 100 steps.
     """
     state = metric.copy()
